@@ -32,7 +32,7 @@ int main() {
 
     // The paper's two curves differ by roughly the workload complexity:
     // at comparable area, Chambolle is several times slower than IGF.
-    auto best_time_under = [](const Explorer::Pareto_result& r, double area_cap) {
+    auto best_time_under = [](const Pareto_result& r, double area_cap) {
         double best = 1e30;
         for (const auto& p : r.points) {
             if (p.estimated_area_luts <= area_cap) {

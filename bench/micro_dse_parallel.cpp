@@ -73,8 +73,8 @@ Sweep_run run_sweep(int threads) {
                       space);
 
     const auto start = std::chrono::steady_clock::now();
-    const Explorer::Pareto_result pareto = explorer.explore_pareto();
-    const Explorer::Fit_result fit = explorer.fit_device();
+    const Pareto_result pareto = explorer.explore_pareto();
+    const Fit_result fit = explorer.fit_device();
     const auto stop = std::chrono::steady_clock::now();
 
     Sweep_run run;

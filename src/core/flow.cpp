@@ -60,11 +60,11 @@ std::string Hls_flow::support_package() const {
     return emit_support_package(vhdl);
 }
 
-Explorer::Pareto_result Hls_flow::pareto() { return explorer_->explore_pareto(); }
+Pareto_result Hls_flow::pareto() { return explorer_->explore_pareto(); }
 
-Explorer::Fit_result Hls_flow::device_fit() { return explorer_->fit_device(); }
+Fit_result Hls_flow::device_fit() { return explorer_->fit_device(); }
 
-Explorer::Area_validation Hls_flow::area_validation() {
+Area_validation Hls_flow::area_validation() {
     return explorer_->validate_area_model();
 }
 

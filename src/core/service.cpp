@@ -268,16 +268,16 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
                 // carries device-priced per-format evaluations, so it is
                 // searched once per (content, device) and shared across
                 // iteration counts, backends and requests.
-                auto format_grid = [&]() -> const Explorer::Format_grid& {
+                auto format_grid = [&]() -> const Format_grid& {
                     const std::string gkey =
                         format_grid_key(ikey, config, device_name);
                     auto grid_it = format_grids_.find(gkey);
                     if (grid_it == format_grids_.end()) {
-                        std::optional<Explorer::Format_grid> loaded;
+                        std::optional<Format_grid> loaded;
                         if (cache_) {
                             if (std::optional<std::string> payload =
                                     cache_->load(gkey)) {
-                                Explorer::Format_grid parsed;
+                                Format_grid parsed;
                                 std::string error;
                                 if (parse_record(*payload, &parsed, &error)) {
                                     loaded = std::move(parsed);
@@ -395,11 +395,11 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
 
                 Explorer explorer(lib, device, evaluator_options, space,
                                   shared_pool);
-                const Explorer::Fit_result fit = explorer.fit_device();
+                const Fit_result fit = explorer.fit_device();
                 entry.fits = fit.has_best;
                 if (fit.has_best) entry.best = fit.best;
                 if (config.with_pareto) {
-                    const Explorer::Pareto_result pareto = explorer.explore_pareto();
+                    const Pareto_result pareto = explorer.explore_pareto();
                     entry.pareto_points = pareto.points.size();
                     entry.pareto_front_size = pareto.front.size();
                     for (std::size_t i : pareto.front) {
@@ -418,7 +418,7 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
                     // classes (each achieves at least it at the covering
                     // width) — exact classes contribute no decibel number,
                     // they are flagged, not folded in as a sentinel.
-                    const Explorer::Format_grid& grid = format_grid();
+                    const Format_grid& grid = format_grid();
                     entry.format_searched = true;
                     entry.format_satisfiable = true;
                     entry.format_exact = true;

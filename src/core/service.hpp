@@ -21,9 +21,6 @@
 //   - All filesystem and clock traffic goes through Env_hooks, so the fault
 //     harness (tests/test_fault_injection.cpp) can exercise torn writes,
 //     ENOSPC and stuck jobs deterministically.
-//
-// Sweep_session (core/sweep.hpp) remains the one-shot front: it validates a
-// config at construction and delegates to a private, cache-less service.
 #pragma once
 
 #include <map>
@@ -106,7 +103,7 @@ private:
     // Format grids keyed by their full content key (kernel identity plus
     // every grid-affecting option), so requests with different search
     // settings never share a grid.
-    std::map<std::string, Explorer::Format_grid> format_grids_;
+    std::map<std::string, Format_grid> format_grids_;
 };
 
 }  // namespace islhls

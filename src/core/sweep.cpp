@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/service.hpp"
 #include "support/error.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
@@ -61,19 +60,6 @@ void validate_config(const Sweep_config& config) {
                                  "in double), got ", widest));
         }
     }
-}
-
-Sweep_session::Sweep_session(Sweep_config config) : config_(std::move(config)) {
-    validate_config(config_);
-    service_ = std::make_unique<Sweep_service>();
-}
-
-Sweep_session::~Sweep_session() = default;
-
-Sweep_report Sweep_session::run() { return service_->run(config_); }
-
-Cone_library& Sweep_session::library(const std::string& kernel) {
-    return service_->library(kernel);
 }
 
 std::string report_table(const Sweep_report& report) {

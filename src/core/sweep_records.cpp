@@ -1,9 +1,14 @@
 #include "core/sweep_records.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
-#include <cstdlib>
+#include <map>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "ir/print.hpp"
 #include "support/text.hpp"
@@ -17,7 +22,7 @@ std::string encode_double_bits(double value) {
     return out;
 }
 
-bool decode_double_bits(const std::string& text, double* value) {
+bool decode_double_bits(std::string_view text, double* value) {
     if (text.size() != 16) return false;
     std::uint64_t bits = 0;
     for (char c : text) {
@@ -33,616 +38,360 @@ bool decode_double_bits(const std::string& text, double* value) {
 
 namespace {
 
-// --- strict line-oriented reading -------------------------------------------------
-// Records are `name value...` lines read in a fixed order; any deviation
-// (wrong name, malformed value, trailing garbage) fails the whole parse and
-// the caller recomputes.
-class Line_reader {
+// --- canonical value text ---------------------------------------------------------
+// Every persisted value has one text form: render() produces it and parse()
+// accepts nothing else (no signs, blanks or leading zeros, no out-of-range
+// integers, no unsorted map keys), so any accepted record re-serializes
+// byte for byte. Lists are elements joined by single spaces; map entries
+// are `key:value` elements.
+
+std::string render(bool value) { return value ? "1" : "0"; }
+template <std::integral Int>
+std::string render(Int value) { return std::to_string(value); }
+std::string render(double value) { return encode_double_bits(value); }
+std::string render(const std::string& value) { return value; }
+
+template <class T>
+std::string render(const std::pair<const int, T>& entry) {
+    return render(entry.first) + ":" + render(entry.second);
+}
+
+template <class Range>
+std::string render_list(const Range& values) {
+    std::string out;
+    for (const auto& value : values) {
+        if (!out.empty()) out += ' ';
+        out += render(value);
+    }
+    return out;
+}
+template <class T>
+std::string render(const std::vector<T>& values) { return render_list(values); }
+template <class T>
+std::string render(const std::map<int, T>& values) { return render_list(values); }
+
+bool parse(std::string_view text, bool* value) {
+    *value = text == "1";
+    return text == "0" || text == "1";
+}
+template <std::integral Int>
+bool parse(std::string_view text, Int* value) {
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, *value);
+    return error == std::errc() && stop == end && render(*value) == text;
+}
+bool parse(std::string_view text, double* value) {
+    return decode_double_bits(text, value);
+}
+bool parse(std::string_view text, std::string* value) {
+    value->assign(text);
+    return true;
+}
+
+template <class T>
+bool parse(std::string_view text, std::pair<int, T>* entry) {
+    const std::size_t colon = text.find(':');
+    return colon != std::string_view::npos &&
+           parse(text.substr(0, colon), &entry->first) &&
+           parse(text.substr(colon + 1), &entry->second);
+}
+
+template <class T>
+bool parse(std::string_view text, std::vector<T>* values) {
+    values->clear();
+    if (text.empty()) return true;
+    for (const std::string& element : split(std::string(text), ' ')) {
+        if (!parse(element, &values->emplace_back())) return false;
+    }
+    return true;
+}
+
+template <class T>
+bool parse(std::string_view text, std::map<int, T>* values) {
+    std::vector<std::pair<int, T>> entries;
+    const bool ok = parse(text, &entries);
+    *values = std::map<int, T>(entries.begin(), entries.end());
+    // Strictly ascending keys: the only order a std::map renders.
+    return ok && values->size() == entries.size() &&
+           std::is_sorted(entries.begin(), entries.end());
+}
+
+// --- the field lists --------------------------------------------------------------
+// Each persisted payload is described once, in on-disk order, to a visitor
+// `v` that either writes it or strictly reads it back:
+//   v(name, values...)     one line: `name`, then ' ' + each value's text
+//                          (nothing for an empty text); a text or list
+//                          value takes the rest of the line, so it comes last;
+//   v.rows(count, values)  a `count N` line, then the N elements' lists.
+
+template <class V>
+void fields(V& v, Front_point& p) {
+    v("fp", p.area_luts, p.seconds_per_frame, p.fps, p.config);
+}
+
+template <class V>
+void fields(V& v, Arch_evaluation& e) {
+    v("eval.window", e.instance.window);
+    v("eval.depths", e.instance.level_depths);
+    v("eval.cores", e.instance.cores_per_depth);
+    v("eval.feasible", e.feasible);
+    v("eval.reason", e.infeasible_reason);
+    v("eval.estimated_area_luts", e.estimated_area_luts);
+    v("eval.actual_area_luts", e.actual_area_luts);
+    v("eval.f_max_mhz", e.f_max_mhz);
+    v("eval.windows_per_frame", e.windows_per_frame);
+    v("eval.tp.cycles_per_window", e.throughput.cycles_per_window);
+    v("eval.tp.core_bound", e.throughput.core_bound_cycles);
+    v("eval.tp.onchip_bound", e.throughput.onchip_bound_cycles);
+    v("eval.tp.offchip_bound", e.throughput.offchip_bound_cycles);
+    v("eval.tp.bottleneck", e.throughput.bottleneck);
+    v("eval.tp.seconds_per_frame", e.throughput.seconds_per_frame);
+    v("eval.tp.fps", e.throughput.fps);
+    v("eval.tp.class_cycles", e.throughput.class_cycles);
+    v("eval.mem.input", e.memory.input_buffer_kbits);
+    v("eval.mem.intermediate", e.memory.intermediate_kbits);
+    v("eval.mem.output", e.memory.output_buffer_kbits);
+    v("eval.mem.total", e.memory.total_kbits);
+    v("eval.mem.whole_frame", e.memory.whole_frame_kbits);
+    v("eval.mem.saving", e.memory.saving_factor);
+}
+
+template <class V>
+void fields(V& v, Streaming_evaluation& e) {
+    v("stream.config", e.config.depth, e.config.vector_width, e.config.pe_count,
+      e.config.channels);
+    v("stream.feasible", e.feasible);
+    v("stream.reason", e.infeasible_reason);
+    v("stream.area_luts", e.area_luts);
+    v("stream.datapath_luts", e.datapath_luts);
+    v("stream.line_buffer_luts", e.line_buffer_luts);
+    v("stream.line_buffer_kbits", e.line_buffer_kbits);
+    v("stream.f_max_mhz", e.f_max_mhz);
+    v("stream.passes", e.passes);
+    v("stream.compute_cycles", e.compute_cycles);
+    v("stream.memory_cycles", e.memory_cycles);
+    v("stream.cycles_per_pass", e.cycles_per_pass);
+    v("stream.bottleneck", e.bottleneck);
+    v("stream.seconds_per_frame", e.seconds_per_frame);
+    v("stream.fps", e.fps);
+}
+
+template <class V>
+void fields(V& v, Sweep_entry& e) {
+    v("kernel", e.kernel);
+    v("device", e.device);
+    v("iterations", e.iterations);
+    v("backend", e.backend);
+    v("fits", e.fits);
+    // The reader has already read `fits` and `backend` when it gets here.
+    if (e.fits) {
+        if (e.backend == "streaming") fields(v, e.streaming_best);
+        else fields(v, e.best);
+    }
+    v("pareto_points", e.pareto_points);
+    v("pareto_front", e.pareto_front_size);
+    v.rows("front_points", e.front_points);
+    v("validated", e.validated);
+    v("validation_max_abs_err", e.validation_max_abs_err);
+    v("format_searched", e.format_searched);
+    v("format_satisfiable", e.format_satisfiable);
+    v("format_exact", e.format_exact);
+    v("format", e.fixed_format.integer_bits, e.fixed_format.frac_bits);
+    v("format_psnr_db", e.format_psnr_db);
+    v("searched_area_luts", e.searched_area_luts);
+    v("searched_fps", e.searched_fps);
+    v("searched_f_max_mhz", e.searched_f_max_mhz);
+    v("validated_fixed", e.validated_fixed);
+    v("validation_max_raw_err", e.validation_max_raw_err);
+}
+
+template <class V>
+void fields(V& v, Format_cell& c) {
+    Format_search_result& r = c.result;
+    v("cell", c.window, c.depth, r.format.integer_bits, r.format.frac_bits, r.psnr_db,
+      r.exact, r.max_abs_value, r.range_integer_bits, r.formats_tried, r.satisfiable,
+      c.evaluated, c.area_luts, c.f_max_mhz, c.fps);
+}
+
+template <class V>
+void fields(V& v, Format_grid& g) {
+    v("backend", g.backend);
+    v.rows("cells", g.cells);
+}
+
+template <class V>
+void fields(V& v, Synthesis_report& r) {
+    v("design", r.design_name);
+    v("lut_count", r.lut_count);
+    v("raw_lut_count", r.raw_lut_count);
+    v("ff_count", r.ff_count);
+    v("dsp_count", r.dsp_count);
+    v("bram_kbits", r.bram_kbits);
+    v("f_max_mhz", r.f_max_mhz);
+    v("latency_cycles", r.latency_cycles);
+    v("register_count", r.register_count);
+    v("synthesis_cpu_seconds", r.synthesis_cpu_seconds);
+    v("fits", r.fits);
+}
+
+// --- the writer and the strict reader --------------------------------------------
+
+struct Writer {
+    std::string out;
+
+    template <class... T>
+    void operator()(const char* name, const T&... values) {
+        out += name;
+        (append(render(values)), ...);
+        out += '\n';
+    }
+
+    template <class T>
+    void rows(const char* count, std::vector<T>& values) {
+        (*this)(count, values.size());
+        for (T& value : values) fields(*this, value);
+    }
+
+    void append(const std::string& text) {
+        if (!text.empty()) (out += ' ') += text;
+    }
+};
+
+// Any deviation from the writer's output — a wrong or missing line, a
+// malformed or non-canonical value, trailing text — fails the whole parse
+// with a line-numbered message, and the caller recomputes.
+class Reader {
 public:
-    explicit Line_reader(const std::string& text) {
-        for (const std::string& line : split(text, '\n')) lines_.push_back(line);
-        // A well-formed record ends with "end\n", so split leaves one empty
-        // trailing element; drop it.
-        if (!lines_.empty() && lines_.back().empty()) lines_.pop_back();
+    explicit Reader(std::string_view text) : text_(text) {}
+
+    template <class... T>
+    void operator()(const char* name, T&... values) {
+        if (!next_line(name)) return;
+        (read(name, values), ...);
+        if (!rest_.empty()) fail(cat("unexpected text after ", name));
     }
 
-    // Consumes the next line, requiring its first token to be `name`;
-    // `*rest` receives everything after the single separating space ("" for
-    // a bare `name` line).
-    bool expect(const std::string& name, std::string* rest) {
-        if (failed_ || next_ >= lines_.size()) return fail(name, "<end>");
-        const std::string& line = lines_[next_];
-        if (line == name) {
-            ++next_;
-            *rest = "";
-            return true;
-        }
-        if (line.size() > name.size() && line.compare(0, name.size(), name) == 0 &&
-            line[name.size()] == ' ') {
-            ++next_;
-            *rest = line.substr(name.size() + 1);
-            return true;
-        }
-        return fail(name, line);
-    }
-
-    bool done() {
-        if (failed_) return false;
-        if (next_ != lines_.size()) return fail("<end>", lines_[next_]);
-        return true;
-    }
-
-    bool fail(const std::string& wanted, const std::string& got) {
-        if (!failed_) {
-            failed_ = true;
-            error_ = cat("line ", next_ + 1, ": expected '", wanted, "', got '",
-                         got, "'");
-        }
-        return false;
-    }
-
-    void fail_value(const std::string& what) {
-        if (!failed_) {
-            failed_ = true;
-            error_ = cat("line ", next_, ": bad ", what, " value");
+    template <class T>
+    void rows(const char* count, std::vector<T>& values) {
+        std::size_t size = 0;
+        (*this)(count, size);
+        values.clear();
+        for (std::size_t i = 0; !failed() && i < size; ++i) {
+            fields(*this, values.emplace_back());
         }
     }
 
-    bool failed() const { return failed_; }
+    // Requires the whole text to have been read.
+    void finish() {
+        if (pos_ != text_.size()) fail("unexpected text after the end");
+    }
+
+    bool failed() const { return !error_.empty(); }
     const std::string& error() const { return error_; }
 
 private:
-    std::vector<std::string> lines_;
-    std::size_t next_ = 0;
-    bool failed_ = false;
+    // Consumes the next '\n'-terminated line, which must be `name` alone or
+    // followed by ' '; rest_ receives what follows `name`.
+    bool next_line(std::string_view name) {
+        if (failed()) return false;
+        ++line_;
+        const std::size_t eol = text_.find('\n', pos_);
+        const std::string_view line =
+            text_.substr(pos_, eol == std::string_view::npos ? eol : eol - pos_);
+        if (eol == std::string_view::npos || !line.starts_with(name) ||
+            (line.size() > name.size() && line[name.size()] != ' ')) {
+            fail(cat("expected '", name, "', got '", line, "'",
+                     eol == std::string_view::npos ? " and no line end" : ""));
+            return false;
+        }
+        rest_ = line.substr(name.size());
+        pos_ = eol + 1;
+        return true;
+    }
+
+    // One value off the front of rest_: a number ends at the next
+    // separator, a text or list takes the rest of the line.
+    template <class T>
+    void read(const char* name, T& value) {
+        if (failed()) return;
+        const std::size_t end = std::is_arithmetic_v<T>
+                                    ? std::min(rest_.find(' ', 1), rest_.size())
+                                    : rest_.size();
+        const bool ok = end == 0 ? parse("", &value)
+                                 : rest_[0] == ' ' && end > 1 &&
+                                       parse(rest_.substr(1, end - 1), &value);
+        rest_.remove_prefix(end);
+        if (!ok) fail(cat("bad ", name, " value"));
+    }
+
+    void fail(const std::string& why) {
+        if (!failed()) error_ = cat("line ", line_, ": ", why);
+    }
+
+    std::string_view text_;
+    std::size_t pos_ = 0;
+    std::string_view rest_;  // the unread part of the current line
+    int line_ = 0;
     std::string error_;
 };
 
-bool parse_ll_strict(const std::string& text, long long* value) {
-    if (text.empty()) return false;
-    char* end = nullptr;
-    *value = std::strtoll(text.c_str(), &end, 10);
-    return end == text.c_str() + text.size();
+// --- records ----------------------------------------------------------------------
+// A record is its header line, the payload's field list, then `end`.
+
+constexpr const char* kEntryHeader = "sweep-entry v4";
+constexpr const char* kGridHeader = "format-grid v4";
+constexpr const char* kSynthesisHeader = "synthesis-report v1";
+
+template <class T>
+std::string write_record(const char* header, const T& value) {
+    Writer writer;
+    writer(header);
+    // The field lists take mutable references so the reader can share them;
+    // the writer only reads through them.
+    fields(writer, const_cast<T&>(value));
+    writer("end");
+    return std::move(writer.out);
 }
 
-// Field helpers over the reader: each consumes one `name value` line.
-bool read_ll(Line_reader& r, const std::string& name, long long* value) {
-    std::string rest;
-    if (!r.expect(name, &rest)) return false;
-    if (!parse_ll_strict(rest, value)) {
-        r.fail_value(name);
-        return false;
-    }
-    return true;
-}
-
-bool read_int(Line_reader& r, const std::string& name, int* value) {
-    long long wide = 0;
-    if (!read_ll(r, name, &wide)) return false;
-    *value = static_cast<int>(wide);
-    return true;
-}
-
-bool read_size(Line_reader& r, const std::string& name, std::size_t* value) {
-    long long wide = 0;
-    if (!read_ll(r, name, &wide) || wide < 0) return false;
-    *value = static_cast<std::size_t>(wide);
-    return true;
-}
-
-bool read_bool(Line_reader& r, const std::string& name, bool* value) {
-    std::string rest;
-    if (!r.expect(name, &rest)) return false;
-    if (rest != "0" && rest != "1") {
-        r.fail_value(name);
-        return false;
-    }
-    *value = rest == "1";
-    return true;
-}
-
-bool read_double(Line_reader& r, const std::string& name, double* value) {
-    std::string rest;
-    if (!r.expect(name, &rest)) return false;
-    if (!decode_double_bits(rest, value)) {
-        r.fail_value(name);
-        return false;
-    }
-    return true;
-}
-
-bool read_text(Line_reader& r, const std::string& name, std::string* value) {
-    return r.expect(name, value);
-}
-
-// --- Arch_evaluation block --------------------------------------------------------
-
-void write_evaluation(std::ostringstream& os, const Arch_evaluation& e) {
-    os << "eval.window " << e.instance.window << "\n";
-    os << "eval.depths";
-    for (int d : e.instance.level_depths) os << " " << d;
-    os << "\n";
-    os << "eval.cores";
-    for (const auto& [depth, cores] : e.instance.cores_per_depth) {
-        os << " " << depth << ":" << cores;
-    }
-    os << "\n";
-    os << "eval.feasible " << (e.feasible ? 1 : 0) << "\n";
-    os << "eval.reason";
-    if (!e.infeasible_reason.empty()) os << " " << e.infeasible_reason;
-    os << "\n";
-    os << "eval.estimated_area_luts " << encode_double_bits(e.estimated_area_luts)
-       << "\n";
-    os << "eval.actual_area_luts " << encode_double_bits(e.actual_area_luts) << "\n";
-    os << "eval.f_max_mhz " << encode_double_bits(e.f_max_mhz) << "\n";
-    os << "eval.windows_per_frame " << e.windows_per_frame << "\n";
-    os << "eval.tp.cycles_per_window "
-       << encode_double_bits(e.throughput.cycles_per_window) << "\n";
-    os << "eval.tp.core_bound " << encode_double_bits(e.throughput.core_bound_cycles)
-       << "\n";
-    os << "eval.tp.onchip_bound "
-       << encode_double_bits(e.throughput.onchip_bound_cycles) << "\n";
-    os << "eval.tp.offchip_bound "
-       << encode_double_bits(e.throughput.offchip_bound_cycles) << "\n";
-    os << "eval.tp.bottleneck";
-    if (!e.throughput.bottleneck.empty()) os << " " << e.throughput.bottleneck;
-    os << "\n";
-    os << "eval.tp.seconds_per_frame "
-       << encode_double_bits(e.throughput.seconds_per_frame) << "\n";
-    os << "eval.tp.fps " << encode_double_bits(e.throughput.fps) << "\n";
-    os << "eval.tp.class_cycles";
-    for (const auto& [depth, cycles] : e.throughput.class_cycles) {
-        os << " " << depth << ":" << encode_double_bits(cycles);
-    }
-    os << "\n";
-    os << "eval.mem.input " << encode_double_bits(e.memory.input_buffer_kbits)
-       << "\n";
-    os << "eval.mem.intermediate " << encode_double_bits(e.memory.intermediate_kbits)
-       << "\n";
-    os << "eval.mem.output " << encode_double_bits(e.memory.output_buffer_kbits)
-       << "\n";
-    os << "eval.mem.total " << encode_double_bits(e.memory.total_kbits) << "\n";
-    os << "eval.mem.whole_frame " << encode_double_bits(e.memory.whole_frame_kbits)
-       << "\n";
-    os << "eval.mem.saving " << encode_double_bits(e.memory.saving_factor) << "\n";
-}
-
-bool read_evaluation(Line_reader& r, Arch_evaluation* e) {
-    if (!read_int(r, "eval.window", &e->instance.window)) return false;
-    std::string rest;
-    if (!r.expect("eval.depths", &rest)) return false;
-    e->instance.level_depths.clear();
-    if (!rest.empty()) {
-        for (const std::string& part : split(rest, ' ')) {
-            long long depth = 0;
-            if (!parse_ll_strict(part, &depth)) {
-                r.fail_value("eval.depths");
-                return false;
-            }
-            e->instance.level_depths.push_back(static_cast<int>(depth));
-        }
-    }
-    if (!r.expect("eval.cores", &rest)) return false;
-    e->instance.cores_per_depth.clear();
-    if (!rest.empty()) {
-        for (const std::string& part : split(rest, ' ')) {
-            const auto colon = part.find(':');
-            long long depth = 0;
-            long long cores = 0;
-            if (colon == std::string::npos ||
-                !parse_ll_strict(part.substr(0, colon), &depth) ||
-                !parse_ll_strict(part.substr(colon + 1), &cores)) {
-                r.fail_value("eval.cores");
-                return false;
-            }
-            e->instance.cores_per_depth[static_cast<int>(depth)] =
-                static_cast<int>(cores);
-        }
-    }
-    if (!read_bool(r, "eval.feasible", &e->feasible)) return false;
-    if (!read_text(r, "eval.reason", &e->infeasible_reason)) return false;
-    if (!read_double(r, "eval.estimated_area_luts", &e->estimated_area_luts)) {
-        return false;
-    }
-    if (!read_double(r, "eval.actual_area_luts", &e->actual_area_luts)) return false;
-    if (!read_double(r, "eval.f_max_mhz", &e->f_max_mhz)) return false;
-    if (!read_ll(r, "eval.windows_per_frame", &e->windows_per_frame)) return false;
-    if (!read_double(r, "eval.tp.cycles_per_window",
-                     &e->throughput.cycles_per_window)) {
-        return false;
-    }
-    if (!read_double(r, "eval.tp.core_bound", &e->throughput.core_bound_cycles)) {
-        return false;
-    }
-    if (!read_double(r, "eval.tp.onchip_bound", &e->throughput.onchip_bound_cycles)) {
-        return false;
-    }
-    if (!read_double(r, "eval.tp.offchip_bound",
-                     &e->throughput.offchip_bound_cycles)) {
-        return false;
-    }
-    if (!read_text(r, "eval.tp.bottleneck", &e->throughput.bottleneck)) return false;
-    if (!read_double(r, "eval.tp.seconds_per_frame",
-                     &e->throughput.seconds_per_frame)) {
-        return false;
-    }
-    if (!read_double(r, "eval.tp.fps", &e->throughput.fps)) return false;
-    if (!r.expect("eval.tp.class_cycles", &rest)) return false;
-    e->throughput.class_cycles.clear();
-    if (!rest.empty()) {
-        for (const std::string& part : split(rest, ' ')) {
-            const auto colon = part.find(':');
-            long long depth = 0;
-            double cycles = 0.0;
-            if (colon == std::string::npos ||
-                !parse_ll_strict(part.substr(0, colon), &depth) ||
-                !decode_double_bits(part.substr(colon + 1), &cycles)) {
-                r.fail_value("eval.tp.class_cycles");
-                return false;
-            }
-            e->throughput.class_cycles[static_cast<int>(depth)] = cycles;
-        }
-    }
-    if (!read_double(r, "eval.mem.input", &e->memory.input_buffer_kbits)) {
-        return false;
-    }
-    if (!read_double(r, "eval.mem.intermediate", &e->memory.intermediate_kbits)) {
-        return false;
-    }
-    if (!read_double(r, "eval.mem.output", &e->memory.output_buffer_kbits)) {
-        return false;
-    }
-    if (!read_double(r, "eval.mem.total", &e->memory.total_kbits)) return false;
-    if (!read_double(r, "eval.mem.whole_frame", &e->memory.whole_frame_kbits)) {
-        return false;
-    }
-    if (!read_double(r, "eval.mem.saving", &e->memory.saving_factor)) return false;
-    return true;
-}
-
-// --- Streaming_evaluation block ---------------------------------------------------
-
-void write_streaming(std::ostringstream& os, const Streaming_evaluation& e) {
-    os << "stream.config " << e.config.depth << " " << e.config.vector_width << " "
-       << e.config.pe_count << " " << e.config.channels << "\n";
-    os << "stream.feasible " << (e.feasible ? 1 : 0) << "\n";
-    os << "stream.reason";
-    if (!e.infeasible_reason.empty()) os << " " << e.infeasible_reason;
-    os << "\n";
-    os << "stream.area_luts " << encode_double_bits(e.area_luts) << "\n";
-    os << "stream.datapath_luts " << encode_double_bits(e.datapath_luts) << "\n";
-    os << "stream.line_buffer_luts " << encode_double_bits(e.line_buffer_luts)
-       << "\n";
-    os << "stream.line_buffer_kbits " << encode_double_bits(e.line_buffer_kbits)
-       << "\n";
-    os << "stream.f_max_mhz " << encode_double_bits(e.f_max_mhz) << "\n";
-    os << "stream.passes " << e.passes << "\n";
-    os << "stream.compute_cycles " << encode_double_bits(e.compute_cycles) << "\n";
-    os << "stream.memory_cycles " << encode_double_bits(e.memory_cycles) << "\n";
-    os << "stream.cycles_per_pass " << encode_double_bits(e.cycles_per_pass)
-       << "\n";
-    os << "stream.bottleneck";
-    if (!e.bottleneck.empty()) os << " " << e.bottleneck;
-    os << "\n";
-    os << "stream.seconds_per_frame " << encode_double_bits(e.seconds_per_frame)
-       << "\n";
-    os << "stream.fps " << encode_double_bits(e.fps) << "\n";
-}
-
-bool read_streaming(Line_reader& r, Streaming_evaluation* e) {
-    std::string rest;
-    if (!r.expect("stream.config", &rest)) return false;
-    {
-        const std::vector<std::string> parts = split(rest, ' ');
-        long long depth = 0;
-        long long vector_width = 0;
-        long long pe_count = 0;
-        long long channels = 0;
-        if (parts.size() != 4 || !parse_ll_strict(parts[0], &depth) ||
-            !parse_ll_strict(parts[1], &vector_width) ||
-            !parse_ll_strict(parts[2], &pe_count) ||
-            !parse_ll_strict(parts[3], &channels)) {
-            r.fail_value("stream.config");
-            return false;
-        }
-        e->config.depth = static_cast<int>(depth);
-        e->config.vector_width = static_cast<int>(vector_width);
-        e->config.pe_count = static_cast<int>(pe_count);
-        e->config.channels = static_cast<int>(channels);
-    }
-    return read_bool(r, "stream.feasible", &e->feasible) &&
-           read_text(r, "stream.reason", &e->infeasible_reason) &&
-           read_double(r, "stream.area_luts", &e->area_luts) &&
-           read_double(r, "stream.datapath_luts", &e->datapath_luts) &&
-           read_double(r, "stream.line_buffer_luts", &e->line_buffer_luts) &&
-           read_double(r, "stream.line_buffer_kbits", &e->line_buffer_kbits) &&
-           read_double(r, "stream.f_max_mhz", &e->f_max_mhz) &&
-           read_int(r, "stream.passes", &e->passes) &&
-           read_double(r, "stream.compute_cycles", &e->compute_cycles) &&
-           read_double(r, "stream.memory_cycles", &e->memory_cycles) &&
-           read_double(r, "stream.cycles_per_pass", &e->cycles_per_pass) &&
-           read_text(r, "stream.bottleneck", &e->bottleneck) &&
-           read_double(r, "stream.seconds_per_frame", &e->seconds_per_frame) &&
-           read_double(r, "stream.fps", &e->fps);
+template <class T>
+bool read_record(const char* header, const std::string& text, T* value,
+                 std::string* error) {
+    Reader reader(text);
+    T out;
+    reader(header);
+    fields(reader, out);
+    reader("end");
+    reader.finish();
+    if (reader.failed()) *error = reader.error();
+    else *value = std::move(out);
+    return !reader.failed();
 }
 
 }  // namespace
 
-// --- Sweep_entry ------------------------------------------------------------------
-
 std::string serialize_record(const Sweep_entry& entry) {
-    std::ostringstream os;
-    os << "sweep-entry v3\n";
-    os << "kernel " << entry.kernel << "\n";
-    os << "device " << entry.device << "\n";
-    os << "iterations " << entry.iterations << "\n";
-    os << "backend " << entry.backend << "\n";
-    os << "fits " << (entry.fits ? 1 : 0) << "\n";
-    if (entry.fits) {
-        if (entry.backend == "streaming") {
-            write_streaming(os, entry.streaming_best);
-        } else {
-            write_evaluation(os, entry.best);
-        }
-    }
-    os << "pareto_points " << entry.pareto_points << "\n";
-    os << "pareto_front " << entry.pareto_front_size << "\n";
-    os << "front_points " << entry.front_points.size() << "\n";
-    for (const Front_point& fp : entry.front_points) {
-        // Config last: it may contain spaces (architecture renderings do)
-        // but never newlines, so everything after the third token is it.
-        os << "fp " << encode_double_bits(fp.area_luts) << " "
-           << encode_double_bits(fp.seconds_per_frame) << " "
-           << encode_double_bits(fp.fps) << " " << fp.config << "\n";
-    }
-    os << "validated " << (entry.validated ? 1 : 0) << "\n";
-    os << "validation_max_abs_err " << encode_double_bits(entry.validation_max_abs_err)
-       << "\n";
-    os << "format_searched " << (entry.format_searched ? 1 : 0) << "\n";
-    os << "format_satisfiable " << (entry.format_satisfiable ? 1 : 0) << "\n";
-    os << "format_exact " << (entry.format_exact ? 1 : 0) << "\n";
-    os << "format " << entry.fixed_format.integer_bits << " "
-       << entry.fixed_format.frac_bits << "\n";
-    os << "format_psnr_db " << encode_double_bits(entry.format_psnr_db) << "\n";
-    os << "searched_area_luts " << encode_double_bits(entry.searched_area_luts)
-       << "\n";
-    os << "searched_fps " << encode_double_bits(entry.searched_fps) << "\n";
-    os << "searched_f_max_mhz " << encode_double_bits(entry.searched_f_max_mhz)
-       << "\n";
-    os << "validated_fixed " << (entry.validated_fixed ? 1 : 0) << "\n";
-    os << "validation_max_raw_err "
-       << encode_double_bits(entry.validation_max_raw_err) << "\n";
-    os << "end\n";
-    return os.str();
+    return write_record(kEntryHeader, entry);
 }
 
 bool parse_record(const std::string& text, Sweep_entry* entry, std::string* error) {
-    Line_reader r(text);
-    Sweep_entry out;
-    std::string rest;
-    bool ok = r.expect("sweep-entry", &rest) && rest == "v3";
-    if (!ok) {
-        if (!r.failed()) r.fail_value("sweep-entry version");
-        *error = r.error();
-        return false;
-    }
-    ok = read_text(r, "kernel", &out.kernel) && read_text(r, "device", &out.device) &&
-         read_int(r, "iterations", &out.iterations) &&
-         read_text(r, "backend", &out.backend) &&
-         read_bool(r, "fits", &out.fits);
-    if (ok && out.fits) {
-        ok = out.backend == "streaming" ? read_streaming(r, &out.streaming_best)
-                                        : read_evaluation(r, &out.best);
-    }
-    std::size_t front_count = 0;
-    ok = ok && read_size(r, "pareto_points", &out.pareto_points) &&
-         read_size(r, "pareto_front", &out.pareto_front_size) &&
-         read_size(r, "front_points", &front_count);
-    for (std::size_t i = 0; ok && i < front_count; ++i) {
-        if (!r.expect("fp", &rest)) {
-            ok = false;
-            break;
-        }
-        const std::vector<std::string> parts = split(rest, ' ');
-        Front_point fp;
-        if (parts.size() < 4 || !decode_double_bits(parts[0], &fp.area_luts) ||
-            !decode_double_bits(parts[1], &fp.seconds_per_frame) ||
-            !decode_double_bits(parts[2], &fp.fps)) {
-            r.fail_value("fp");
-            ok = false;
-            break;
-        }
-        fp.config = parts[3];
-        for (std::size_t p = 4; p < parts.size(); ++p) {
-            fp.config += ' ';
-            fp.config += parts[p];
-        }
-        out.front_points.push_back(std::move(fp));
-    }
-    ok = ok && read_bool(r, "validated", &out.validated) &&
-         read_double(r, "validation_max_abs_err", &out.validation_max_abs_err) &&
-         read_bool(r, "format_searched", &out.format_searched) &&
-         read_bool(r, "format_satisfiable", &out.format_satisfiable) &&
-         read_bool(r, "format_exact", &out.format_exact);
-    if (ok) {
-        if (!r.expect("format", &rest)) {
-            ok = false;
-        } else {
-            const std::vector<std::string> parts = split(rest, ' ');
-            long long integer_bits = 0;
-            long long frac_bits = 0;
-            if (parts.size() != 2 || !parse_ll_strict(parts[0], &integer_bits) ||
-                !parse_ll_strict(parts[1], &frac_bits)) {
-                r.fail_value("format");
-                ok = false;
-            } else {
-                out.fixed_format.integer_bits = static_cast<int>(integer_bits);
-                out.fixed_format.frac_bits = static_cast<int>(frac_bits);
-            }
-        }
-    }
-    ok = ok && read_double(r, "format_psnr_db", &out.format_psnr_db) &&
-         read_double(r, "searched_area_luts", &out.searched_area_luts) &&
-         read_double(r, "searched_fps", &out.searched_fps) &&
-         read_double(r, "searched_f_max_mhz", &out.searched_f_max_mhz) &&
-         read_bool(r, "validated_fixed", &out.validated_fixed) &&
-         read_double(r, "validation_max_raw_err", &out.validation_max_raw_err) &&
-         r.expect("end", &rest) && r.done();
-    if (!ok) {
-        *error = r.error();
-        return false;
-    }
-    *entry = std::move(out);
-    return true;
+    return read_record(kEntryHeader, text, entry, error);
 }
 
-// --- Format_grid ------------------------------------------------------------------
-
-std::string serialize_record(const Explorer::Format_grid& grid) {
-    std::ostringstream os;
-    os << "format-grid v3\n";
-    os << "backend " << grid.backend << "\n";
-    os << "cells " << grid.cells.size() << "\n";
-    for (const Explorer::Format_cell& cell : grid.cells) {
-        // Fourteen fixed fields per cell: the search result (with explicit
-        // exactness and the pre-shrink range floor) plus the per-format full
-        // evaluation of the cell's canonical design point (zeros when the
-        // cell was not evaluated).
-        os << "cell " << cell.window << " " << cell.depth << " "
-           << cell.result.format.integer_bits << " " << cell.result.format.frac_bits
-           << " " << encode_double_bits(cell.result.psnr_db) << " "
-           << (cell.result.exact ? 1 : 0) << " "
-           << encode_double_bits(cell.result.max_abs_value) << " "
-           << cell.result.range_integer_bits << " "
-           << cell.result.formats_tried << " " << (cell.result.satisfiable ? 1 : 0)
-           << " " << (cell.evaluated ? 1 : 0) << " "
-           << encode_double_bits(cell.area_luts) << " "
-           << encode_double_bits(cell.f_max_mhz) << " "
-           << encode_double_bits(cell.fps) << "\n";
-    }
-    os << "end\n";
-    return os.str();
+std::string serialize_record(const Format_grid& grid) {
+    return write_record(kGridHeader, grid);
 }
 
-bool parse_record(const std::string& text, Explorer::Format_grid* grid,
-                  std::string* error) {
-    Line_reader r(text);
-    Explorer::Format_grid out;
-    std::string rest;
-    if (!r.expect("format-grid", &rest) || rest != "v3") {
-        if (!r.failed()) r.fail_value("format-grid version");
-        *error = r.error();
-        return false;
-    }
-    if (!read_text(r, "backend", &out.backend)) {
-        *error = r.error();
-        return false;
-    }
-    std::size_t count = 0;
-    if (!read_size(r, "cells", &count)) {
-        *error = r.error();
-        return false;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!r.expect("cell", &rest)) {
-            *error = r.error();
-            return false;
-        }
-        const std::vector<std::string> parts = split(rest, ' ');
-        long long window = 0;
-        long long depth = 0;
-        long long integer_bits = 0;
-        long long frac_bits = 0;
-        long long range_integer_bits = 0;
-        long long tried = 0;
-        const auto is_flag = [](const std::string& s) {
-            return s == "0" || s == "1";
-        };
-        Explorer::Format_cell cell;
-        if (parts.size() != 14 || !parse_ll_strict(parts[0], &window) ||
-            !parse_ll_strict(parts[1], &depth) ||
-            !parse_ll_strict(parts[2], &integer_bits) ||
-            !parse_ll_strict(parts[3], &frac_bits) ||
-            !decode_double_bits(parts[4], &cell.result.psnr_db) ||
-            !is_flag(parts[5]) ||
-            !decode_double_bits(parts[6], &cell.result.max_abs_value) ||
-            !parse_ll_strict(parts[7], &range_integer_bits) ||
-            !parse_ll_strict(parts[8], &tried) || !is_flag(parts[9]) ||
-            !is_flag(parts[10]) ||
-            !decode_double_bits(parts[11], &cell.area_luts) ||
-            !decode_double_bits(parts[12], &cell.f_max_mhz) ||
-            !decode_double_bits(parts[13], &cell.fps)) {
-            r.fail_value("cell");
-            *error = r.error();
-            return false;
-        }
-        cell.window = static_cast<int>(window);
-        cell.depth = static_cast<int>(depth);
-        cell.result.format.integer_bits = static_cast<int>(integer_bits);
-        cell.result.format.frac_bits = static_cast<int>(frac_bits);
-        cell.result.exact = parts[5] == "1";
-        cell.result.range_integer_bits = static_cast<int>(range_integer_bits);
-        cell.result.formats_tried = static_cast<int>(tried);
-        cell.result.satisfiable = parts[9] == "1";
-        cell.evaluated = parts[10] == "1";
-        out.cells.push_back(cell);
-    }
-    if (!r.expect("end", &rest) || !r.done()) {
-        *error = r.error();
-        return false;
-    }
-    *grid = std::move(out);
-    return true;
+bool parse_record(const std::string& text, Format_grid* grid, std::string* error) {
+    return read_record(kGridHeader, text, grid, error);
 }
-
-// --- Synthesis_report -------------------------------------------------------------
 
 std::string serialize_record(const Synthesis_report& report) {
-    std::ostringstream os;
-    os << "synthesis-report v1\n";
-    os << "design";
-    if (!report.design_name.empty()) os << " " << report.design_name;
-    os << "\n";
-    os << "lut_count " << encode_double_bits(report.lut_count) << "\n";
-    os << "raw_lut_count " << encode_double_bits(report.raw_lut_count) << "\n";
-    os << "ff_count " << encode_double_bits(report.ff_count) << "\n";
-    os << "dsp_count " << report.dsp_count << "\n";
-    os << "bram_kbits " << encode_double_bits(report.bram_kbits) << "\n";
-    os << "f_max_mhz " << encode_double_bits(report.f_max_mhz) << "\n";
-    os << "latency_cycles " << report.latency_cycles << "\n";
-    os << "register_count " << report.register_count << "\n";
-    os << "synthesis_cpu_seconds "
-       << encode_double_bits(report.synthesis_cpu_seconds) << "\n";
-    os << "fits " << (report.fits ? 1 : 0) << "\n";
-    os << "end\n";
-    return os.str();
+    return write_record(kSynthesisHeader, report);
 }
 
 bool parse_record(const std::string& text, Synthesis_report* report,
                   std::string* error) {
-    Line_reader r(text);
-    Synthesis_report out;
-    std::string rest;
-    const bool ok =
-        r.expect("synthesis-report", &rest) && rest == "v1" &&
-        read_text(r, "design", &out.design_name) &&
-        read_double(r, "lut_count", &out.lut_count) &&
-        read_double(r, "raw_lut_count", &out.raw_lut_count) &&
-        read_double(r, "ff_count", &out.ff_count) &&
-        read_int(r, "dsp_count", &out.dsp_count) &&
-        read_double(r, "bram_kbits", &out.bram_kbits) &&
-        read_double(r, "f_max_mhz", &out.f_max_mhz) &&
-        read_int(r, "latency_cycles", &out.latency_cycles) &&
-        read_int(r, "register_count", &out.register_count) &&
-        read_double(r, "synthesis_cpu_seconds", &out.synthesis_cpu_seconds) &&
-        read_bool(r, "fits", &out.fits) && r.expect("end", &rest) && r.done();
-    if (!ok) {
-        if (!r.failed()) r.fail_value("synthesis-report version");
-        *error = r.error();
-        return false;
-    }
-    *report = std::move(out);
-    return true;
+    return read_record(kSynthesisHeader, text, report, error);
 }
 
 // --- cache keys -------------------------------------------------------------------
@@ -665,38 +414,34 @@ std::string kernel_ir_key(const std::string& kernel_name, Boundary boundary,
 
 namespace {
 
-// Every option that can change a sweep result, shared by the entry and
-// request keys. Thread counts are deliberately absent: results are
-// byte-identical at any fan-out width, so a warm cache serves requests
-// regardless of how parallel the original run was.
-std::string config_key_options(const Sweep_config& config) {
-    std::ostringstream os;
-    os << "frame " << config.frame_width << "x" << config.frame_height << "\n";
-    os << "format " << config.format.integer_bits << "." << config.format.frac_bits
-       << "\n";
-    os << "space " << config.space.max_window << " " << config.space.max_depth
-       << " " << config.space.max_cores_per_sweep << " "
-       << encode_double_bits(config.space.pareto_area_cap_luts) << "\n";
-    os << "throughput " << encode_double_bits(config.throughput.core_read_ports)
-       << " " << encode_double_bits(config.throughput.global_read_ports) << " "
-       << encode_double_bits(config.throughput.offchip_write_cost) << " "
-       << encode_double_bits(config.throughput.class_switch_cycles) << "\n";
-    os << "calibration_windows";
-    for (int w : config.calibration_windows) os << " " << w;
-    os << "\n";
-    os << "with_pareto " << (config.with_pareto ? 1 : 0) << "\n";
-    os << "validate " << (config.validate ? 1 : 0) << " "
-       << config.validation_frame_width << "x" << config.validation_frame_height
-       << " seed " << config.validation_seed << "\n";
-    os << "search_formats " << (config.search_formats ? 1 : 0) << " "
-       << encode_double_bits(config.format_search.target_psnr_db) << " "
-       << encode_double_bits(config.format_search.peak_value) << " "
-       << config.format_search.sample_windows << " "
-       << config.format_search.max_total_bits << " " << config.format_search.seed
-       << " shrink " << (config.format_search.shrink_integer_bits ? 1 : 0)
-       << "\n";
-    os << "validate_fixed " << (config.validate_fixed ? 1 : 0) << "\n";
-    return os.str();
+// Every option that can change a cached result, one line per option group,
+// written like record lines. The first six lines are all a format grid
+// depends on (its cells are searched over the validation content and priced
+// on the modeled frame), so `grid_only` stops there. Thread counts are
+// deliberately absent: results are byte-identical at any fan-out width, so
+// a warm cache serves requests regardless of how parallel the original run
+// was.
+std::string key_options(const Sweep_config& c, bool grid_only) {
+    const Format_search_options& s = c.format_search;
+    const Throughput_params& tp = c.throughput;
+    Writer key;
+    key("frame", c.frame_width, c.frame_height);
+    key("space", c.space.max_window, c.space.max_depth);
+    key("content", c.validation_frame_width, c.validation_frame_height,
+        c.validation_seed);
+    key("search", s.target_psnr_db, s.peak_value, s.sample_windows, s.max_total_bits,
+        s.seed, s.shrink_integer_bits);
+    key("throughput", tp.core_read_ports, tp.global_read_ports, tp.offchip_write_cost,
+        tp.class_switch_cycles);
+    key("calibration_windows", c.calibration_windows);
+    if (grid_only) return key.out;
+    key("format", c.format.integer_bits, c.format.frac_bits);
+    key("budget", c.space.max_cores_per_sweep, c.space.pareto_area_cap_luts);
+    key("with_pareto", c.with_pareto);
+    key("validate", c.validate);
+    key("search_formats", c.search_formats);
+    key("validate_fixed", c.validate_fixed);
+    return key.out;
 }
 
 }  // namespace
@@ -704,40 +449,14 @@ std::string config_key_options(const Sweep_config& config) {
 std::string sweep_entry_key(const std::string& ir_key, const Sweep_config& config,
                             const std::string& device, int iterations,
                             const std::string& backend) {
-    return cat("sweep-entry-key v3\n", ir_key, "device ", device, "\niterations ",
-               iterations, "\nbackend ", backend, "\n",
-               config_key_options(config));
+    return cat("sweep-entry-key v4\n", ir_key, "device ", device, "\niterations ",
+               iterations, "\nbackend ", backend, "\n", key_options(config, false));
 }
 
 std::string format_grid_key(const std::string& ir_key, const Sweep_config& config,
                             const std::string& device) {
-    // v3: the grid's cells carry full per-format evaluations, which are
-    // priced on a device against the modeled frame, throughput parameters
-    // and calibration windows — all of it keyed, so a cached grid is never
-    // served to a request that would have priced its cells differently.
-    std::ostringstream os;
-    os << "format-grid-key v3\n" << ir_key;
-    os << "device " << device << "\n";
-    os << "space " << config.space.max_window << " " << config.space.max_depth
-       << "\n";
-    os << "content " << config.validation_frame_width << "x"
-       << config.validation_frame_height << " seed " << config.validation_seed
-       << "\n";
-    os << "search " << encode_double_bits(config.format_search.target_psnr_db)
-       << " " << encode_double_bits(config.format_search.peak_value) << " "
-       << config.format_search.sample_windows << " "
-       << config.format_search.max_total_bits << " " << config.format_search.seed
-       << " shrink " << (config.format_search.shrink_integer_bits ? 1 : 0)
-       << "\n";
-    os << "frame " << config.frame_width << "x" << config.frame_height << "\n";
-    os << "throughput " << encode_double_bits(config.throughput.core_read_ports)
-       << " " << encode_double_bits(config.throughput.global_read_ports) << " "
-       << encode_double_bits(config.throughput.offchip_write_cost) << " "
-       << encode_double_bits(config.throughput.class_switch_cycles) << "\n";
-    os << "calibration_windows";
-    for (int w : config.calibration_windows) os << " " << w;
-    os << "\n";
-    return os.str();
+    return cat("format-grid-key v4\n", ir_key, "device ", device, "\n",
+               key_options(config, true));
 }
 
 std::string synthesis_key_prefix(const std::string& ir_key) {
@@ -745,18 +464,13 @@ std::string synthesis_key_prefix(const std::string& ir_key) {
 }
 
 std::string sweep_request_key(const Sweep_config& config) {
-    std::ostringstream os;
-    os << "sweep-request v3\n";
-    os << "kernels";
-    for (const std::string& k : config.kernels) os << " " << k;
-    os << "\ndevices";
-    for (const std::string& d : config.devices) os << " " << d;
-    os << "\niterations";
-    for (int n : config.iteration_counts) os << " " << n;
-    os << "\nbackends";
-    for (const std::string& b : config.backends) os << " " << b;
-    os << "\n" << config_key_options(config);
-    return os.str();
+    Writer key;
+    key("sweep-request v4");
+    key("kernels", config.kernels);
+    key("devices", config.devices);
+    key("iterations", config.iteration_counts);
+    key("backends", config.backends);
+    return key.out + key_options(config, false);
 }
 
 }  // namespace islhls

@@ -2,14 +2,16 @@
 //
 // The sweep service persists three payload types in the result cache:
 // per-combination Sweep_entry records, per-kernel format-search grids, and
-// individual virtual-synthesis reports. Each has an exact text serializer
-// and a strict parser: doubles travel as their 16-hex-digit IEEE-754 bit
-// pattern, so parse(serialize(x)) reproduces every field bit for bit and
-// serialize(parse(s)) == s — the round-trip identity the cache tests lock
-// down. Parsers validate the full line structure and report failure instead
-// of throwing, so a record that decodes structurally (cache checksum OK)
-// but not semantically (schema drift) degrades to a recompute, never an
-// abort.
+// individual virtual-synthesis reports. Each payload type is described by
+// one field list that a generic writer and a generic strict reader both walk
+// (schema v4 for entries and grids): one `name value` line per field, one
+// line per Pareto point or grid cell, doubles as their 16-hex-digit
+// IEEE-754 bit pattern. Every value has a single canonical text form, so
+// parse(serialize(x)) reproduces every field bit for bit and
+// serialize(parse(s)) == s for any s a parser accepts. Parsers validate the
+// full line structure and report failure instead of throwing, so a record
+// that decodes structurally (cache checksum OK) but not semantically
+// (schema drift) degrades to a recompute, never an abort.
 //
 // Cache keys are content-addressed: every key starts from the kernel's IR
 // identity (state-field update expressions as s-exprs over the shared pool,
@@ -21,9 +23,10 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "core/sweep.hpp"
-#include "dse/explorer.hpp"
+#include "dse/results.hpp"
 #include "kernels/kernels.hpp"
 #include "symexec/stencil_step.hpp"
 #include "synth/synthesizer.hpp"
@@ -35,9 +38,8 @@ std::string serialize_record(const Sweep_entry& entry);
 bool parse_record(const std::string& text, Sweep_entry* entry,
                   std::string* error);
 
-std::string serialize_record(const Explorer::Format_grid& grid);
-bool parse_record(const std::string& text, Explorer::Format_grid* grid,
-                  std::string* error);
+std::string serialize_record(const Format_grid& grid);
+bool parse_record(const std::string& text, Format_grid* grid, std::string* error);
 
 std::string serialize_record(const Synthesis_report& report);
 bool parse_record(const std::string& text, Synthesis_report* report,
@@ -74,6 +76,6 @@ std::string sweep_request_key(const Sweep_config& config);
 
 // Exact double <-> 16-hex-digit bit-pattern helpers (shared with tests).
 std::string encode_double_bits(double value);
-bool decode_double_bits(const std::string& text, double* value);
+bool decode_double_bits(std::string_view text, double* value);
 
 }  // namespace islhls

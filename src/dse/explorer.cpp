@@ -22,14 +22,6 @@ Explorer::Explorer(Cone_library& library, const Fpga_device& device,
                    "invalid space options");
 }
 
-std::vector<std::vector<int>> Explorer::depth_partitions() const {
-    return islhls::depth_partitions(space_.iterations, space_.max_depth);
-}
-
-std::vector<int> Explorer::canonical_partition(int primary_depth) const {
-    return islhls::canonical_partition(space_.iterations, primary_depth);
-}
-
 void Explorer::run_parallel(std::size_t count,
                             const std::function<void(std::size_t)>& body) {
     if (count == 0) return;
@@ -47,7 +39,7 @@ void Explorer::run_parallel(std::size_t count,
     pool_->for_each_index(count, body);
 }
 
-islhls::Pareto_result Explorer::explore_pareto() {
+Pareto_result Explorer::explore_pareto() {
     // One-time alpha calibration, then every candidate evaluation is pure.
     paper_.calibrate();
 
@@ -55,7 +47,7 @@ islhls::Pareto_result Explorer::explore_pareto() {
     std::vector<std::vector<Arch_evaluation>> steps(count);
     run_parallel(count, [&](std::size_t i) { steps[i] = paper_.candidate_steps(i); });
 
-    islhls::Pareto_result result;
+    Pareto_result result;
     result.backend = paper_.name();
     for (const auto& candidate_steps : steps) {
         result.points.insert(result.points.end(), candidate_steps.begin(),
@@ -111,10 +103,10 @@ Backend_pareto Explorer::explore_backends(
     return merged;
 }
 
-islhls::Fit_result Explorer::fit_device() {
+Fit_result Explorer::fit_device() {
     paper_.calibrate();
 
-    islhls::Fit_result result;
+    Fit_result result;
     result.backend = paper_.name();
     const double budget =
         static_cast<double>(evaluator_.device().usable_luts());
@@ -131,7 +123,7 @@ islhls::Fit_result Explorer::fit_device() {
         cell.primary_depth = d;
         Arch_instance instance;
         instance.window = w;
-        instance.level_depths = canonical_partition(d);
+        instance.level_depths = canonical_partition(space_.iterations, d);
         const Paper_backend::Grow_result grown = paper_.grow_allocation(
             instance, budget, space_.max_cores_per_sweep * 4, nullptr);
         cell.valid = grown.any_feasible;
@@ -150,10 +142,10 @@ islhls::Fit_result Explorer::fit_device() {
     return result;
 }
 
-islhls::Area_validation Explorer::validate_area_model() {
+Area_validation Explorer::validate_area_model() {
     paper_.calibrate();
 
-    islhls::Area_validation validation;
+    Area_validation validation;
     validation.backend = paper_.name();
     const auto& calibration = evaluator_.options().calibration_windows;
     const std::size_t cells =

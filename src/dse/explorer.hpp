@@ -35,35 +35,20 @@ namespace islhls {
 class Explorer {
 public:
     // `shared_pool`, when given, replaces the explorer's own lazily built
-    // pool: every exploration fans its candidates across it, so a session
-    // driving many explorers (core/sweep.hpp) spins up one set of workers
+    // pool: every exploration fans its candidates across it, so a sweep
+    // driving many explorers (core/service.hpp) spins up one set of workers
     // for the whole batch. The pool must outlive the explorer and its
     // thread count supersedes Space_options::threads.
     Explorer(Cone_library& library, const Fpga_device& device,
              const Evaluator_options& evaluator_options,
              const Space_options& space_options, Thread_pool* shared_pool = nullptr);
 
-    // All deep-first partitions of N into parts <= max_depth.
-    std::vector<std::vector<int>> depth_partitions() const;
-
-    // Canonical partition for a primary depth d: floor(N/d) levels of d, the
-    // remainder split recursively (the paper's "missing iterations" handling:
-    // depth 3 over N=10 becomes [3,3,3,1], depth 4 becomes [4,4,2]).
-    std::vector<int> canonical_partition(int primary_depth) const;
-
-    // Deprecated aliases: the result structs moved to dse/results.hpp as
-    // top-level types (they now carry a `backend` field); these names are
-    // kept one PR so existing call sites migrate cleanly.
-    using Pareto_result = islhls::Pareto_result;
-    using Fit_cell = islhls::Fit_cell;
-    using Fit_result = islhls::Fit_result;
-    using Area_point = islhls::Area_point;
-    using Area_validation = islhls::Area_validation;
-    using Format_cell = islhls::Format_cell;
+    // Kept for the benchmark harness, which still names it; every other
+    // caller uses the top-level islhls::Format_grid (dse/results.hpp).
     using Format_grid = islhls::Format_grid;
 
     // --- Pareto exploration (paper backend) --------------------------------------
-    islhls::Pareto_result explore_pareto();
+    Pareto_result explore_pareto();
 
     // --- cross-backend Pareto exploration ----------------------------------------
     // Calibrates every backend serially, then fans the union of their
@@ -73,10 +58,10 @@ public:
     Backend_pareto explore_backends(const std::vector<Arch_backend*>& backends);
 
     // --- device fit --------------------------------------------------------------
-    islhls::Fit_result fit_device();
+    Fit_result fit_device();
 
     // --- area-model validation ---------------------------------------------------
-    islhls::Area_validation validate_area_model();
+    Area_validation validate_area_model();
 
     // --- per-candidate fixed-point format search ---------------------------------
     // The numeric axis of the design space: the narrowest passing Qm.f per

@@ -28,7 +28,7 @@ Throughput_estimate estimate_throughput(const std::vector<Level_load>& levels,
     for (const Level_load& level : levels) {
         const auto it = cores_per_depth.find(level.depth);
         check_internal(it != cores_per_depth.end() && it->second > 0,
-                       cat("no cores allocated for depth ", level.depth));
+                       "no cores allocated for depth ", level.depth);
         const double occupancy_per_exec = std::max(
             1.0, std::ceil(static_cast<double>(level.cone_inputs) /
                            params.core_read_ports));

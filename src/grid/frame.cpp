@@ -22,14 +22,14 @@ Frame::Frame(int width, int height, double fill)
 }
 
 double& Frame::at(int x, int y) {
-    check_internal(contains(x, y), cat("Frame::at out of range (", x, ",", y, ") in ",
-                                       width_, "x", height_));
+    check_internal(contains(x, y), "Frame::at out of range (", x, ",", y, ") in ",
+                   width_, "x", height_);
     return data_[static_cast<std::size_t>(y) * width_ + x];
 }
 
 double Frame::at(int x, int y) const {
-    check_internal(contains(x, y), cat("Frame::at out of range (", x, ",", y, ") in ",
-                                       width_, "x", height_));
+    check_internal(contains(x, y), "Frame::at out of range (", x, ",", y, ") in ",
+                   width_, "x", height_);
     return data_[static_cast<std::size_t>(y) * width_ + x];
 }
 

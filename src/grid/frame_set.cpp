@@ -53,7 +53,7 @@ const std::string& field_name(Field_id id) {
     Field_registry& r = registry();
     const std::shared_lock<std::shared_mutex> lock(r.mutex);
     check_internal(id >= 0 && static_cast<std::size_t>(id) < r.names.size(),
-                   cat("field_name of uninterned id ", id));
+                   "field_name of uninterned id ", id);
     return r.names[static_cast<std::size_t>(id)];
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "support/error.hpp"
 #include "support/numeric.hpp"
@@ -54,6 +55,8 @@ std::string to_string(Op_kind k) {
     }
     return "?";
 }
+
+std::ostream& operator<<(std::ostream& os, Op_kind k) { return os << to_string(k); }
 
 // --- hashing / equality ------------------------------------------------------
 
@@ -273,7 +276,7 @@ Expr_id Expr_pool::select(Expr_id cond, Expr_id if_true, Expr_id if_false) {
 }
 
 Expr_id Expr_pool::raw_unary(Op_kind k, Expr_id a) {
-    check_internal(arity(k) == 1, cat("raw_unary() called with ", to_string(k)));
+    check_internal(arity(k) == 1, "raw_unary() called with ", k);
     Expr_node n;
     n.kind = k;
     n.args = {a, no_expr, no_expr};
@@ -281,7 +284,7 @@ Expr_id Expr_pool::raw_unary(Op_kind k, Expr_id a) {
 }
 
 Expr_id Expr_pool::raw_binary(Op_kind k, Expr_id a, Expr_id b) {
-    check_internal(arity(k) == 2, cat("raw_binary() called with ", to_string(k)));
+    check_internal(arity(k) == 2, "raw_binary() called with ", k);
     // Canonicalize commutative operand order; a op b and b op a then share a
     // node (and a hardware register). Safe bit-exactly for IEEE add/mul/min/max.
     if (is_commutative(k) && a > b) std::swap(a, b);

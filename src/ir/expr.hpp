@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -54,6 +55,7 @@ int arity(Op_kind k);
 
 // Mnemonic ("add", "sqrt", ...).
 std::string to_string(Op_kind k);
+std::ostream& operator<<(std::ostream& os, Op_kind k);
 
 // One DAG node. Plain data; the pool owns all nodes.
 struct Expr_node {
@@ -111,6 +113,10 @@ public:
     int field_count() const { return static_cast<int>(field_names_.size()); }
 
 private:
+    // Lets the unit tests drive the raw constructors' invariant checks,
+    // which no public entry point can reach.
+    friend struct Expr_pool_test_access;
+
     Expr_id intern(const Expr_node& n);
     Expr_id raw_unary(Op_kind k, Expr_id a);
     Expr_id raw_binary(Op_kind k, Expr_id a, Expr_id b);

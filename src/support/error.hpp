@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "support/text.hpp"
+
 namespace islhls {
 
 // The failure taxonomy. Every user-reachable failure maps to exactly one
@@ -156,9 +158,14 @@ inline Error_kind classify_error(const std::exception& e) {
 }
 
 // Throws Internal_error when `condition` is false. Used for internal
-// invariants that should hold regardless of user input.
-inline void check_internal(bool condition, const std::string& what) {
-    if (!condition) throw Internal_error("internal invariant violated: " + what);
+// invariants that should hold regardless of user input. The message parts
+// are concatenated only on failure, so a passing check on a hot path (node
+// interning, frame access) costs just the comparison.
+template <typename... Parts>
+void check_internal(bool condition, const Parts&... what) {
+    if (!condition) [[unlikely]] {
+        throw Internal_error(cat("internal invariant violated: ", what...));
+    }
 }
 
 }  // namespace islhls

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <system_error>
 
 #include "support/error.hpp"
@@ -114,6 +115,21 @@ std::optional<std::string> decode_record(const std::string& raw,
     return std::string(body.substr(key_len));
 }
 
+// The in-process lock of one cache directory, shared by every Result_cache
+// opened on it (keyed by canonical path, so spellings of one directory
+// agree). Entries live for the process: one mutex per directory ever opened.
+std::shared_ptr<std::mutex> directory_mutex(const std::string& dir) {
+    static std::mutex registry_mutex;
+    static std::map<std::string, std::shared_ptr<std::mutex>> registry;
+    std::error_code ec;
+    std::string key = std::filesystem::weakly_canonical(dir, ec).string();
+    if (ec) key = dir;
+    const std::lock_guard<std::mutex> lock(registry_mutex);
+    std::shared_ptr<std::mutex>& mutex = registry[key];
+    if (!mutex) mutex = std::make_shared<std::mutex>();
+    return mutex;
+}
+
 }  // namespace
 
 // Holds the advisory directory lock for one mutating pass: in-process
@@ -124,7 +140,7 @@ class Scoped_dir_lock {
 public:
     explicit Scoped_dir_lock(Result_cache& cache)
         : cache_(cache),
-          in_process_(cache.dir_lock_mutex_),
+          in_process_(*cache.dir_lock_mutex_),
           held_(cache.acquire_dir_lock()) {}
     ~Scoped_dir_lock() {
         if (held_) cache_.hooks_->remove_file(cache_.lock_path());
@@ -162,6 +178,7 @@ Result_cache::Result_cache(std::string dir, const Env_hooks* hooks)
         throw Io_error(cat("cannot create cache directory '", dir_, "': ",
                            ec.message()));
     }
+    dir_lock_mutex_ = directory_mutex(dir_);
     // Probe writability with a real write so an unusable directory fails at
     // startup with a clear message instead of as silent store failures.
     const std::string probe = dir_ + "/.islhls-probe.tmp";
@@ -203,6 +220,16 @@ bool Result_cache::acquire_dir_lock() {
             long long stamp = 0;
             const bool parsed =
                 std::sscanf(holder.c_str(), "%lld %lld", &pid, &stamp) == 2;
+            if (parsed && pid == static_cast<long long>(::getpid())) {
+                // Our own stamp, whose unlink failed: every holder in this
+                // process waits on dir_lock_mutex_, which we hold, so it is
+                // an orphan and already ours. Refresh it (best effort) and
+                // hold it, without waiting.
+                hooks_->write_file(path, content, &error);
+                std::lock_guard<std::mutex> lock(mutex_);
+                ++stats_.lock_takeovers;
+                return true;
+            }
             const bool stale = !parsed || !hooks_->process_alive(pid) ||
                                hooks_->now_ms() - stamp > kLockStaleMs;
             if (stale) {

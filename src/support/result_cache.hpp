@@ -33,6 +33,9 @@
 // proceeds unlocked rather than wedging a sweep — the store path stays
 // crash-safe without the lock (pid-unique temp names + atomic rename), the
 // lock only protects gc from racing it. Plain loads never take the lock.
+// Inside one process every holder first takes a mutex shared by all caches
+// open on the same directory, so a stamp carrying this process's own pid can
+// only be an orphan (an unlink that failed) and is taken over at once.
 //
 // All OS mutation goes through the injectable Env_hooks seam, which is how
 // the fault-injection tests exercise torn writes, ENOSPC and rename
@@ -40,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -121,10 +125,11 @@ private:
     std::string dir_;
     const Env_hooks* hooks_;
     mutable std::mutex mutex_;  // guards stats_ and temp_counter_
-    // Serializes this process's own mutating passes before the cross-process
-    // file lock, so in-process threads never burn the bounded wait on each
-    // other.
-    std::mutex dir_lock_mutex_;
+    // Serializes this process's own mutating passes on this directory —
+    // across every Result_cache instance open on it — before the
+    // cross-process file lock, so in-process holders never burn the bounded
+    // wait on each other.
+    std::shared_ptr<std::mutex> dir_lock_mutex_;
     Stats stats_;
     std::uint64_t temp_counter_ = 0;
 };

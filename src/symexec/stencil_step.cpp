@@ -10,22 +10,22 @@
 namespace islhls {
 
 int Stencil_step::add_state_field(const std::string& name) {
-    check_internal(pool_.find_field(name) < 0, cat("field '", name, "' already exists"));
+    check_internal(pool_.find_field(name) < 0, "field '", name, "' already exists");
     state_fields_.push_back(name);
     updates_.push_back(no_expr);
     return pool_.intern_field(name);
 }
 
 int Stencil_step::add_const_field(const std::string& name) {
-    check_internal(pool_.find_field(name) < 0, cat("field '", name, "' already exists"));
+    check_internal(pool_.find_field(name) < 0, "field '", name, "' already exists");
     const_fields_.push_back(name);
     return pool_.intern_field(name);
 }
 
 void Stencil_step::set_update(const std::string& state_field, Expr_id expr) {
     const auto it = std::find(state_fields_.begin(), state_fields_.end(), state_field);
-    check_internal(it != state_fields_.end(),
-                   cat("set_update on unknown state field '", state_field, "'"));
+    check_internal(it != state_fields_.end(), "set_update on unknown state field '",
+                   state_field, "'");
     updates_[static_cast<std::size_t>(it - state_fields_.begin())] = expr;
 }
 
@@ -40,8 +40,8 @@ Expr_id Stencil_step::update(int state_index) const {
 
 Expr_id Stencil_step::update(const std::string& state_field) const {
     const auto it = std::find(state_fields_.begin(), state_fields_.end(), state_field);
-    check_internal(it != state_fields_.end(),
-                   cat("update() on unknown state field '", state_field, "'"));
+    check_internal(it != state_fields_.end(), "update() on unknown state field '",
+                   state_field, "'");
     return update(static_cast<int>(it - state_fields_.begin()));
 }
 

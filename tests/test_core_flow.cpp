@@ -31,7 +31,9 @@ TEST(Flow, iterations_copied_into_space_options) {
     EXPECT_EQ(flow.explorer().space().iterations, 5);
     for (int d = 1; d <= 2; ++d) {
         int sum = 0;
-        for (int level : flow.explorer().canonical_partition(d)) sum += level;
+        for (int level : canonical_partition(flow.explorer().space().iterations, d)) {
+            sum += level;
+        }
         EXPECT_EQ(sum, 5);
     }
 }

@@ -131,19 +131,14 @@ protected:
 };
 
 TEST_F(Explorer_fixture, canonical_partition_handles_remainders) {
-    Explorer ex(library, device_by_name("xc6vlx760"), evaluator_options, space);
-    EXPECT_EQ(ex.canonical_partition(3), (std::vector<int>{3, 3}));
-    EXPECT_EQ(ex.canonical_partition(2), (std::vector<int>{2, 2, 2}));
+    EXPECT_EQ(canonical_partition(space.iterations, 3), (std::vector<int>{3, 3}));
+    EXPECT_EQ(canonical_partition(space.iterations, 2), (std::vector<int>{2, 2, 2}));
     // 6 = 4 + 2: remainder level of depth 2.
-    space.iterations = 6;
-    EXPECT_EQ(Explorer(library, device_by_name("xc6vlx760"), evaluator_options, space)
-                  .canonical_partition(4),
-              (std::vector<int>{4, 2}));
+    EXPECT_EQ(canonical_partition(6, 4), (std::vector<int>{4, 2}));
 }
 
 TEST_F(Explorer_fixture, partitions_cover_iteration_count) {
-    Explorer ex(library, device_by_name("xc6vlx760"), evaluator_options, space);
-    const auto parts = ex.depth_partitions();
+    const auto parts = depth_partitions(space.iterations, space.max_depth);
     EXPECT_FALSE(parts.empty());
     for (const auto& p : parts) {
         int sum = 0;

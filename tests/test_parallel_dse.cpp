@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/service.hpp"
 #include "core/sweep.hpp"
 #include "dse/explorer.hpp"
 #include "kernels/kernels.hpp"
@@ -143,8 +144,7 @@ TEST(Parallel_dse, sweep_session_matches_standalone_explorers) {
     config.frame_height = 240;
     config.space = small_space(2);
 
-    Sweep_session session(config);
-    const Sweep_report report = session.run();
+    const Sweep_report report = Sweep_service().run(config);
     ASSERT_EQ(report.entries.size(), 8u);
 
     // Entries come back kernel-major, then device, then N.
@@ -166,7 +166,7 @@ TEST(Parallel_dse, sweep_session_matches_standalone_explorers) {
         space.iterations = entry.iterations;
         Explorer explorer(library, device_by_name(entry.device),
                           evaluator_options, space);
-        const Explorer::Fit_result fit = explorer.fit_device();
+        const Fit_result fit = explorer.fit_device();
         ASSERT_EQ(entry.fits, fit.has_best);
         if (entry.fits) {
             EXPECT_EQ(dump(entry.best), dump(fit.best));
@@ -194,12 +194,10 @@ TEST(Parallel_dse, sweep_validation_is_exact_and_changes_nothing_else) {
     config.validation_frame_width = 20;
     config.validation_frame_height = 14;
 
-    Sweep_session plain_session(config);
-    const Sweep_report plain = plain_session.run();
+    const Sweep_report plain = Sweep_service().run(config);
 
     config.validate = true;
-    Sweep_session validated_session(config);
-    const Sweep_report validated = validated_session.run();
+    const Sweep_report validated = Sweep_service().run(config);
 
     ASSERT_EQ(plain.entries.size(), validated.entries.size());
     for (std::size_t i = 0; i < plain.entries.size(); ++i) {
@@ -244,11 +242,11 @@ TEST(Parallel_dse, explorer_shared_pool_results_are_byte_identical) {
 
 TEST(Parallel_dse, sweep_rejects_bad_config) {
     Sweep_config config;
-    EXPECT_THROW(Sweep_session{config}, Error);
+    EXPECT_THROW(validate_config(config), Error);
     config.kernels = {"jacobi"};
     config.devices = {"generic_small"};
     config.iteration_counts = {4, 0};
-    EXPECT_THROW(Sweep_session{config}, Error);
+    EXPECT_THROW(validate_config(config), Error);
 }
 
 }  // namespace

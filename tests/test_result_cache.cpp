@@ -345,6 +345,56 @@ TEST_F(Result_cache_test, held_lock_times_out_to_an_unlocked_store) {
     EXPECT_EQ(read_raw(cache.lock_path()), "123456 0\n");
 }
 
+TEST_F(Result_cache_test, own_orphaned_lock_is_taken_over_without_waiting) {
+    // The stamp carries this process's own live pid: an earlier unlink of
+    // it failed. Every in-process holder waits on the directory's shared
+    // mutex first, so nobody here can hold the lock — the store takes it
+    // over at once instead of sleeping through the bounded wait. The clock
+    // is injected and advances only through sleep_ms.
+    Env_hooks hooks = real_env_hooks();
+    std::int64_t fake_now = 0;
+    int sleeps = 0;
+    hooks.now_ms = [&] { return fake_now; };
+    hooks.sleep_ms = [&](std::int64_t ms) {
+        ++sleeps;
+        fake_now += ms;
+    };
+    Result_cache cache(dir_, &hooks);
+    write_raw(cache.lock_path(), cat(static_cast<long long>(::getpid()), " 0\n"));
+    EXPECT_TRUE(cache.store("k", "v"));
+    EXPECT_EQ(sleeps, 0);
+    EXPECT_EQ(cache.stats().lock_takeovers, 1);
+    EXPECT_EQ(cache.stats().lock_timeouts, 0);
+    EXPECT_FALSE(fs::exists(cache.lock_path()));
+}
+
+TEST_F(Result_cache_test, failed_lock_unlink_never_stalls_later_stores) {
+    // Lock unlinks fail, so every store leaves its stamp behind. Later
+    // stores — through the same cache and through a second cache open on
+    // the same directory — must neither sleep nor time out.
+    Env_hooks hooks = real_env_hooks();
+    std::int64_t fake_now = 0;
+    int sleeps = 0;
+    hooks.now_ms = [&] { return fake_now; };
+    hooks.sleep_ms = [&](std::int64_t ms) {
+        ++sleeps;
+        fake_now += ms;
+    };
+    hooks.remove_file = [](const std::string& path) {
+        return !ends_with(path, ".islhls.lock") && real_env_hooks().remove_file(path);
+    };
+    Result_cache first(dir_, &hooks);
+    Result_cache second(dir_ + "/.", &hooks);  // another spelling, same directory
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_TRUE(first.store(cat("a", i), "v"));
+        EXPECT_TRUE(second.store(cat("b", i), "v"));
+    }
+    EXPECT_EQ(sleeps, 0);
+    EXPECT_EQ(first.stats().lock_timeouts + second.stats().lock_timeouts, 0);
+    EXPECT_EQ(first.stats().lock_takeovers + second.stats().lock_takeovers, 5);
+    EXPECT_EQ(second.load("a2").value(), "v");
+}
+
 TEST_F(Result_cache_test, hooks_without_lock_primitives_run_unlocked) {
     Env_hooks hooks = real_env_hooks();
     hooks.create_exclusive = nullptr;

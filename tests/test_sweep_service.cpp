@@ -200,10 +200,10 @@ TEST(Sweep_records, unfit_entry_skips_the_evaluation_block) {
 }
 
 TEST(Sweep_records, format_grid_round_trip_is_exact) {
-    Explorer::Format_grid grid;
+    Format_grid grid;
     for (int w = 1; w <= 2; ++w) {
         for (int d = 1; d <= 2; ++d) {
-            Explorer::Format_cell cell;
+            Format_cell cell;
             cell.window = w;
             cell.depth = d;
             cell.result.format.integer_bits = 8 + w;
@@ -226,7 +226,7 @@ TEST(Sweep_records, format_grid_round_trip_is_exact) {
         }
     }
     const std::string text = serialize_record(grid);
-    Explorer::Format_grid parsed;
+    Format_grid parsed;
     std::string error;
     ASSERT_TRUE(parse_record(text, &parsed, &error)) << error;
     EXPECT_EQ(serialize_record(parsed), text);
@@ -278,18 +278,40 @@ TEST(Sweep_records, strict_parsers_reject_mutations) {
     renamed.replace(renamed.find("kernel "), 7, "kernle ");
     EXPECT_FALSE(parse_record(renamed, &parsed, &error));
     EXPECT_NE(error.find("expected"), std::string::npos);
-    // Wrong version token (a stale v2-era record must degrade to a miss).
+    // Wrong version token (a stale v3-era record must degrade to a miss).
     std::string reversioned = text;
-    ASSERT_NE(reversioned.find("v3"), std::string::npos);
-    reversioned.replace(reversioned.find("v3"), 2, "v2");
+    ASSERT_NE(reversioned.find("v4"), std::string::npos);
+    reversioned.replace(reversioned.find("v4"), 2, "v3");
     EXPECT_FALSE(parse_record(reversioned, &parsed, &error));
     // Malformed double (hex digits replaced).
     std::string bad_double = text;
     const auto pos = bad_double.find("validation_max_abs_err ");
     bad_double.replace(pos + 23, 4, "zzzz");
     EXPECT_FALSE(parse_record(bad_double, &parsed, &error));
+    // Values in any spelling but the canonical one: a parser that accepted
+    // them would re-serialize different bytes.
+    const auto replaced = [&text](const std::string& from, const std::string& to) {
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return text.substr(0, at) + to + text.substr(at + from.size());
+    };
+    for (const std::string& bad :
+         {replaced("iterations 7\n", "iterations +7\n"),
+          replaced("iterations 7\n", "iterations  7\n"),
+          replaced("iterations 7\n", "iterations 07\n"),
+          replaced("iterations 7\n", "iterations 4294967303\n"),  // 2^32 + 7
+          replaced("pareto_points 421\n", "pareto_points -421\n"),
+          replaced("eval.depths 2 2 2 1\n", "eval.depths 2 2 2 1 \n"),
+          replaced("eval.cores 1:3 2:5\n", "eval.cores 2:5 1:3\n"),
+          replaced("eval.cores 1:3 2:5\n", "eval.cores 1:3 1:5\n"),
+          replaced("format 11 9\n", "format 11 +9\n"),
+          replaced("validated 1\n", "validated 2\n"),
+          replaced("validated_fixed 1\n", "validated_fixed 1 \n"),
+          text.substr(0, text.size() - 1)}) {  // no final newline
+        EXPECT_FALSE(parse_record(bad, &parsed, &error)) << bad;
+    }
     // Wrong record type entirely.
-    Explorer::Format_grid grid;
+    Format_grid grid;
     EXPECT_FALSE(parse_record(text, &grid, &error));
 }
 
@@ -360,8 +382,8 @@ TEST(Sweep_service, warm_cache_is_byte_identical_and_runs_nothing) {
     const std::string dir = fresh_dir("warm");
     const Sweep_config config = small_config();
 
-    // Reference: a plain uncached session.
-    const Sweep_report reference = Sweep_session(config).run();
+    // Reference: a plain in-memory service.
+    const Sweep_report reference = Sweep_service().run(config);
 
     Service_options options;
     options.cache_dir = dir;
@@ -478,11 +500,10 @@ TEST(Sweep_service, batch_dedups_and_isolates_failures) {
     EXPECT_NE(outcomes[3].message.find(">= 1"), std::string::npos);
 }
 
-TEST(Sweep_service, session_wrapper_still_validates_at_construction) {
+TEST(Sweep_service, run_rejects_an_invalid_config_as_a_user_error) {
     Sweep_config config;  // empty: no kernels
-    EXPECT_THROW(Sweep_session{config}, Error);
     try {
-        Sweep_session session{config};
+        Sweep_service().run(config);
         FAIL();
     } catch (const Islhls_error& e) {
         EXPECT_EQ(e.kind(), Error_kind::user);
