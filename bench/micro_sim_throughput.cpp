@@ -252,8 +252,9 @@ Tiled_scaling_result bench_tiled_scaling(int hardware_threads) {
 // the gated interior ratio. The lane-blocked fixed interior runs the shared
 // per-ISA kernels (sim/tape_lanes.hpp), which is what closes the historical
 // gap to the double engine; the ratio is same-host and gated. The identity
-// check reruns the fixed side at a forced narrow column panel — panels and
-// lane blocks must be invisible in the raw words.
+// check reruns the fixed side through a second schedule — depth-2 temporal
+// tiling over bands from a pinned budget — which must be invisible in the
+// raw words.
 constexpr int kWideW = 4096, kWideH = 512, kWideIters = 8;
 constexpr const char* kWideKernel = "heat";
 constexpr Fixed_format kWideFormat{10, 6};
@@ -288,13 +289,13 @@ Wide_result bench_wide() {
     });
     r.fixed_mcells = cells / std::max(fixed_s, 1e-9) / 1e6;
 
-    Exec_options paneled{1, 1, 0};
-    paneled.panel_cols = 64;
-    const Fixed_frame_result fixed_paneled =
-        engine.run_fixed(big, kWideIters, kernel.boundary, kWideFormat, paneled);
+    Exec_options tiled{1, 2, 0};
+    tiled.budgets.band_bytes = 1u << 20;
+    const Fixed_frame_result fixed_tiled =
+        engine.run_fixed(big, kWideIters, kernel.boundary, kWideFormat, tiled);
     r.word_identical = true;
     for (std::size_t s = 0; s < step.state_fields().size(); ++s) {
-        if (std::memcmp(fixed_out.raw[s].data(), fixed_paneled.raw[s].data(),
+        if (std::memcmp(fixed_out.raw[s].data(), fixed_tiled.raw[s].data(),
                         fixed_out.raw[s].size() * sizeof(std::int64_t)) != 0) {
             r.word_identical = false;
         }
@@ -614,8 +615,8 @@ int main(int argc, char** argv) {
         "fixed row engine >= 5x the per-pixel fixed reference",
         fixed.speedup() >= 5.0);
     deviations += islhls_bench::report_claim(
-        "wide-frame fixed raw words identical between default and 64-column "
-        "panel runs",
+        "wide-frame fixed raw words identical between untiled and depth-2 "
+        "tiled runs",
         wide.word_identical);
     if (scaling.measured) {
         deviations += islhls_bench::report_claim(

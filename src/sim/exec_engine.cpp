@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -22,20 +21,26 @@ namespace {
 // One policy per arithmetic domain; everything below (contexts, workspaces,
 // row execution, banding, the double-buffered driver) is templated on it, so
 // the double and fixed-point engines are the same machine over different
-// element types and op semantics — they cannot diverge structurally.
+// element types and op semantics — they cannot diverge structurally. A
+// policy contributes its scalar border evaluation and run_ops(): the whole
+// tape over one kTapeLane lane block through its resolved per-ISA kernel
+// (sim/tape_lanes.hpp).
 
 // IEEE double over the compiled tape (the classic golden engine).
 struct Double_policy {
     using Value = double;
-    // Interior style: full-width scratch rows, one op-span per operation.
-    static constexpr bool lane_interior = false;
     const Compiled_program* cp;
+    Double_lane_fn lane_fn;
 
-    explicit Double_policy(const Compiled_program& tape) : cp(&tape) {}
+    explicit Double_policy(const Compiled_program& tape)
+        : cp(&tape), lane_fn(double_lane_kernel()) {}
 
     Value constant(std::size_t i) const { return cp->constants()[i].value; }
     void eval_point(const Value* inputs, Value* slots) const {
         cp->eval_point(inputs, slots);
+    }
+    void run_ops(Value* lanes, int n) const {
+        for (const Tape_op& op : cp->ops()) lane_fn(op, lanes, n);
     }
 };
 
@@ -44,11 +49,6 @@ struct Double_policy {
 // exactly like Fixed_exec's lane loops.
 struct Fixed_policy {
     using Value = std::int64_t;
-    // Interior style: compact kTapeLane-wide lane blocks through the shared
-    // per-ISA lane kernels (sim/tape_lanes.hpp) — the intermediates of the
-    // whole tape fit in L1 regardless of frame width, and the int64
-    // arithmetic runs the widest vector body the host supports.
-    static constexpr bool lane_interior = true;
     const Compiled_program* cp;
     const Fixed_tape* tape;
     Bit_wrap wrap;
@@ -68,6 +68,9 @@ struct Fixed_policy {
     void eval_point(const Value* inputs, Value* slots) const {
         tape->eval_point(inputs, slots);
     }
+    void run_ops(Value* lanes, int n) const {
+        for (const Tape_op& op : cp->ops()) lane_fn(op, lanes, n, wrap, frac, one);
+    }
 };
 
 // Everything one step execution needs, fixed before the row loops start.
@@ -80,15 +83,10 @@ struct Step_context {
     using Value = typename Policy::Value;
     const Policy* policy = nullptr;
     const Compiled_program* cp = nullptr;
-    const std::vector<int>* scratch_index = nullptr;
-    int scratch_rows = 0;
     int left_margin = 0;
     int right_margin = 0;
     int width = 0;
     int height = 0;
-    // Interior column-panel width; <= 0 runs the whole interior as one
-    // panel. Panels only split the x loop, so every width is byte-identical.
-    int panel_cols = 0;
     Boundary boundary = Boundary::clamp;
     std::vector<const Value*> field_base;  // per pool field index
     std::vector<int> field_row_off;        // per pool field index
@@ -104,67 +102,41 @@ struct Step_context {
     std::vector<int> state_pool_field;
 };
 
-// Per-thread scratch bound to one frame width: one row per operation and
-// constant slot, a zero row backing Boundary::zero reads of out-of-range
-// rows, and the scalar buffers the border columns use. Constant rows are
-// filled once at bind time — slots are single-assignment, so they survive
-// every later row execution. The two `band` buffers ping-pong the interim
+// Per-thread scratch bound to one frame width: the lane block, a zero row
+// backing Boundary::zero reads of out-of-range rows, and the scalar buffers
+// the border columns use. The two `band` buffers ping-pong the interim
 // levels of temporal tiling; they are sized lazily per band (edge bands
 // under Boundary::periodic can need more rows than interior bands).
 template <class Policy>
 struct Workspace {
     using Value = typename Policy::Value;
-    std::vector<Value> scratch;
-    std::vector<const Value*> row;  // per slot: operand row base pointer;
-                                    // the value at column x is row[slot][x + col_off[slot]]
-    std::vector<int> col_off;       // per slot: static dx (inputs) or 0
+    // kTapeLane contiguous samples per tape slot (lanes[slot * kTapeLane +
+    // lane]). Constant lanes are filled once at bind time — slots are
+    // single-assignment, so they survive every later lane block.
+    std::vector<Value> lanes;
+    // Per tape input: the resolved base of the row the current output row
+    // reads; the value at column x is input_row[i][x + inputs[i].dx].
+    std::vector<const Value*> input_row;
     std::vector<Value> zero_row;
     std::vector<Value> point_slots;
     std::vector<Value> point_inputs;
-    // Lane-interior policies: kTapeLane contiguous samples per tape slot
-    // (lanes[slot * kTapeLane + lane]), constant lanes filled at bind time.
-    std::vector<Value> lanes;
     std::array<std::vector<Value>, 2> band;
 };
 
 template <class Policy>
 void bind_workspace(Workspace<Policy>& ws, const Step_context<Policy>& c) {
     using Value = typename Policy::Value;
-    const auto w = static_cast<std::size_t>(c.width);
     const auto slots = static_cast<std::size_t>(c.cp->slot_count());
-    ws.row.assign(slots, nullptr);
-    ws.col_off.assign(slots, 0);
-    for (const Tape_input& in : c.cp->inputs()) {
-        ws.col_off[static_cast<std::size_t>(in.slot)] = in.dx;
+    ws.lanes.assign(slots * static_cast<std::size_t>(kTapeLane), Value{});
+    const std::vector<Tape_constant>& constants = c.cp->constants();
+    for (std::size_t i = 0; i < constants.size(); ++i) {
+        Value* r = ws.lanes.data() + static_cast<std::size_t>(constants[i].slot) * kTapeLane;
+        std::fill(r, r + kTapeLane, c.policy->constant(i));
     }
-    ws.zero_row.assign(w, Value{});
+    ws.input_row.assign(c.cp->inputs().size(), nullptr);
+    ws.zero_row.assign(static_cast<std::size_t>(c.width), Value{});
     ws.point_slots.assign(slots, Value{});
     ws.point_inputs.assign(c.cp->inputs().size(), Value{});
-    const std::vector<Tape_constant>& constants = c.cp->constants();
-    if constexpr (Policy::lane_interior) {
-        // Lane interior: the compact lane block replaces the full-width
-        // scratch rows; constant lanes are single-assignment, filled once.
-        ws.lanes.assign(slots * static_cast<std::size_t>(kTapeLane), Value{});
-        for (std::size_t i = 0; i < constants.size(); ++i) {
-            Value* r = ws.lanes.data() +
-                       static_cast<std::size_t>(constants[i].slot) * kTapeLane;
-            std::fill(r, r + kTapeLane, c.policy->constant(i));
-        }
-    } else {
-        ws.scratch.assign(static_cast<std::size_t>(c.scratch_rows) * w, Value{});
-        for (std::size_t slot = 0; slot < slots; ++slot) {
-            const int idx = (*c.scratch_index)[slot];
-            if (idx >= 0) {
-                ws.row[slot] = ws.scratch.data() + static_cast<std::size_t>(idx) * w;
-            }
-        }
-        for (std::size_t i = 0; i < constants.size(); ++i) {
-            Value* r =
-                ws.scratch.data() +
-                static_cast<std::size_t>((*c.scratch_index)[constants[i].slot]) * w;
-            std::fill(r, r + w, c.policy->constant(i));
-        }
-    }
 }
 
 // Reusable workspaces for the parallel row blocks; scratch contents never
@@ -241,138 +213,42 @@ void eval_border_column(const Step_context<Policy>& c, Workspace<Policy>& ws, in
     }
 }
 
-// One tape operation over the interior span [x0, x1) of the current row.
-// Each case is a single loop of one arithmetic operation over contiguous
-// data — the form the compiler auto-vectorizes. The arithmetic matches
-// apply_op() case for case, so results are bit-identical to the scalar path.
+// Interior columns [x0, x1) of row y, in kTapeLane-wide lane blocks. Per
+// block the input slots are copied (contiguously — the static dx offset
+// makes the source span contiguous) into the compact lane block, run_ops()
+// executes each tape operation over the live lanes, and the output lanes
+// are copied to the destination rows. The lane kernels match apply_op() /
+// apply_op_fixed() case for case — one elementwise operation per element —
+// so every value is bit-identical to the reference interpreters at every
+// block split (bar the sign and payload of a produced NaN, which IEEE
+// leaves open and no op lets reach a non-NaN value). Fixed frame words are
+// already wrapped (quantization and every producing op wrap), so the
+// gather needs no re-wrap.
 //
-// Operands are addressed as base[x + col_off]: the per-slot column offset
-// (dx for input slots, 0 otherwise) is applied at the indexing site, never
-// folded into the base pointer — x + col_off is in [0, width) for every
-// interior x, so no pointer outside its allocation is ever formed.
-void run_op_span(const Double_policy&, const Tape_op& op,
-                 const Workspace<Double_policy>& ws, double* __restrict dst, int x0,
-                 int x1) {
-    const double* a = ws.row[static_cast<std::size_t>(op.src[0])];
-    const int oa = ws.col_off[static_cast<std::size_t>(op.src[0])];
-    const double* b = nullptr;
-    int ob = 0;
-    if (op.src_count > 1) {
-        b = ws.row[static_cast<std::size_t>(op.src[1])];
-        ob = ws.col_off[static_cast<std::size_t>(op.src[1])];
-    }
-    switch (op.kind) {
-        case Op_kind::add:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] + b[x + ob];
-            break;
-        case Op_kind::sub:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] - b[x + ob];
-            break;
-        case Op_kind::mul:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] * b[x + ob];
-            break;
-        case Op_kind::div:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] / b[x + ob];
-            break;
-        case Op_kind::min_op:
-            for (int x = x0; x < x1; ++x) dst[x] = std::fmin(a[x + oa], b[x + ob]);
-            break;
-        case Op_kind::max_op:
-            for (int x = x0; x < x1; ++x) dst[x] = std::fmax(a[x + oa], b[x + ob]);
-            break;
-        case Op_kind::neg:
-            for (int x = x0; x < x1; ++x) dst[x] = -a[x + oa];
-            break;
-        case Op_kind::abs_op:
-            for (int x = x0; x < x1; ++x) dst[x] = std::fabs(a[x + oa]);
-            break;
-        case Op_kind::sqrt_op:
-            for (int x = x0; x < x1; ++x) dst[x] = std::sqrt(a[x + oa]);
-            break;
-        case Op_kind::lt:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] < b[x + ob] ? 1.0 : 0.0;
-            break;
-        case Op_kind::le:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] <= b[x + ob] ? 1.0 : 0.0;
-            break;
-        case Op_kind::eq:
-            for (int x = x0; x < x1; ++x) dst[x] = a[x + oa] == b[x + ob] ? 1.0 : 0.0;
-            break;
-        case Op_kind::select: {
-            const double* t = ws.row[static_cast<std::size_t>(op.src[1])];
-            const int ot = ws.col_off[static_cast<std::size_t>(op.src[1])];
-            const double* f = ws.row[static_cast<std::size_t>(op.src[2])];
-            const int of = ws.col_off[static_cast<std::size_t>(op.src[2])];
-            for (int x = x0; x < x1; ++x) {
-                dst[x] = a[x + oa] != 0.0 ? t[x + ot] : f[x + of];
-            }
-            break;
-        }
-        case Op_kind::constant:
-        case Op_kind::input:
-            throw Internal_error("leaf kind on the operation tape");
-    }
-}
-
-// Interior panel [p0, p1) of one row, scratch-row style (double domain):
-// one op-span per tape operation into the full-width scratch rows, then the
-// panel's output sub-spans are copied out of the producing rows.
-void exec_interior(const Step_context<Double_policy>& c, Workspace<Double_policy>& ws,
-                   int y, int p0, int p1) {
-    const int w = c.width;
-    const std::vector<Tape_op>& ops = c.cp->ops();
-    const std::vector<std::int32_t>& out_slots = c.cp->output_slots();
-    for (const Tape_op& op : ops) {
-        double* dst = ws.scratch.data() +
-                      static_cast<std::size_t>(
-                          (*c.scratch_index)[static_cast<std::size_t>(op.dest)]) *
-                          w;
-        run_op_span(*c.policy, op, ws, dst, p0, p1);
-    }
-    for (std::size_t s = 0; s < c.out_base.size(); ++s) {
-        const std::size_t slot = static_cast<std::size_t>(out_slots[s]);
-        const double* r = ws.row[slot] + (p0 + ws.col_off[slot]);
-        std::memcpy(c.out_base[s] + static_cast<std::size_t>(y - c.out_row_off) * w + p0,
-                    r, static_cast<std::size_t>(p1 - p0) * sizeof(double));
-    }
-}
-
-// Interior panel [p0, p1) of one row, lane-block style (fixed domain): the
-// panel advances in kTapeLane-wide chunks through the shared per-ISA lane
-// kernels. Per chunk the input slots are copied (contiguously — the static
-// dx offset makes the source span contiguous) into the compact lane block,
-// one kernel call executes each tape operation over the live lanes, and the
-// output lanes are copied to the destination rows. The kernel cases match
-// apply_op_fixed() one for one (like Fixed_exec's batch path), so the raw
-// words stay bit-identical to the run_fixed_raw reference at every chunk
-// and panel width. Frame words are already wrapped (quantization and every
-// producing op wrap), so the gather needs no re-wrap, exactly like the old
-// full-width span path.
-void exec_interior(const Step_context<Fixed_policy>& c, Workspace<Fixed_policy>& ws,
-                   int y, int p0, int p1) {
-    const int w = c.width;
+// Operands are addressed as input_row[i][x + dx]: the column offset is
+// applied at the indexing site, never folded into the base pointer — x + dx
+// is in [0, width) for every interior x, so no pointer outside its
+// allocation is ever formed.
+template <class Policy>
+void exec_interior(const Step_context<Policy>& c, Workspace<Policy>& ws, int y, int x0,
+                   int x1) {
+    using Value = typename Policy::Value;
     const std::vector<Tape_input>& inputs = c.cp->inputs();
-    const std::vector<Tape_op>& ops = c.cp->ops();
     const std::vector<std::int32_t>& out_slots = c.cp->output_slots();
-    const Fixed_lane_fn kernel = c.policy->lane_fn;
-    const Bit_wrap wrap = c.policy->wrap;
-    const int frac = c.policy->frac;
-    const std::int64_t one = c.policy->one;
-    std::int64_t* lanes = ws.lanes.data();
+    Value* lanes = ws.lanes.data();
     const std::size_t out_row =
-        static_cast<std::size_t>(y - c.out_row_off) * static_cast<std::size_t>(w);
-    for (int xb = p0; xb < p1; xb += kTapeLane) {
-        const int n = std::min(kTapeLane, p1 - xb);
-        for (const Tape_input& in : inputs) {
-            const std::size_t slot = static_cast<std::size_t>(in.slot);
-            std::memcpy(lanes + slot * kTapeLane, ws.row[slot] + (xb + ws.col_off[slot]),
-                        static_cast<std::size_t>(n) * sizeof(std::int64_t));
+        static_cast<std::size_t>(y - c.out_row_off) * static_cast<std::size_t>(c.width);
+    for (int xb = x0; xb < x1; xb += kTapeLane) {
+        const int n = std::min(kTapeLane, x1 - xb);
+        const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(Value);
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            std::memcpy(lanes + static_cast<std::size_t>(inputs[i].slot) * kTapeLane,
+                        ws.input_row[i] + (xb + inputs[i].dx), bytes);
         }
-        for (const Tape_op& op : ops) kernel(op, lanes, n, wrap, frac, one);
+        c.policy->run_ops(lanes, n);
         for (std::size_t s = 0; s < c.out_base.size(); ++s) {
-            const std::size_t slot = static_cast<std::size_t>(out_slots[s]);
-            std::memcpy(c.out_base[s] + out_row + xb, lanes + slot * kTapeLane,
-                        static_cast<std::size_t>(n) * sizeof(std::int64_t));
+            std::memcpy(c.out_base[s] + out_row + xb,
+                        lanes + static_cast<std::size_t>(out_slots[s]) * kTapeLane, bytes);
         }
     }
 }
@@ -386,16 +262,16 @@ void exec_rows(const Step_context<Policy>& c, Workspace<Policy>& ws, int y0, int
     // Interior columns: [x0, x1) reads in-range for every input offset.
     const int x0 = std::min(c.left_margin, w);
     const int x1 = std::max(x0, w - c.right_margin);
-    const int panel = c.panel_cols > 0 ? c.panel_cols : std::max(x1 - x0, 1);
 
     for (int y = y0; y < y1; ++y) {
         for (int x = 0; x < x0; ++x) eval_border_column(c, ws, x, y);
         if (x1 > x0) {
             // Resolve the input row bases once per row; the static column
-            // offsets bound in the workspace complete the addressing.
-            // Direct-row bindings (wrapped-halo band buffers) skip the
-            // boundary policy — they hold the unclamped row itself.
-            for (const Tape_input& in : inputs) {
+            // offsets complete the addressing. Direct-row bindings
+            // (wrapped-halo band buffers) skip the boundary policy — they
+            // hold the unclamped row itself.
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+                const Tape_input& in = inputs[i];
                 const auto f = static_cast<std::size_t>(in.field);
                 const Value* base;
                 if (c.field_direct_rows[f]) {
@@ -409,15 +285,9 @@ void exec_rows(const Step_context<Policy>& c, Workspace<Policy>& ws, int y0, int
                                      static_cast<std::size_t>(ry - c.field_row_off[f]) *
                                          w;
                 }
-                ws.row[static_cast<std::size_t>(in.slot)] = base;
+                ws.input_row[i] = base;
             }
-            // Column panels: each panel runs the whole tape before moving
-            // right, bounding the per-operation working set; the split only
-            // partitions the x loop, so results are byte-identical at any
-            // panel width.
-            for (int p0 = x0; p0 < x1; p0 += panel) {
-                exec_interior(c, ws, y, p0, std::min(x1, p0 + panel));
-            }
+            exec_interior(c, ws, y, x0, x1);
         }
         for (int x = x1; x < w; ++x) eval_border_column(c, ws, x, y);
     }
@@ -564,18 +434,11 @@ void exec_band(const Step_context<Policy>& c, Workspace<Policy>& ws,
 // come from the probed cache topology. The probe's own fallbacks reproduce
 // the engine's historical fixed budgets (LLC fallback 32 MiB = the old tile
 // constant, /4 = the old 8 MiB band constant).
-struct Resolved_budgets {
-    std::size_t tile_bytes;
-    std::size_t band_bytes;
-    std::size_t panel_bytes;
-};
-
-Resolved_budgets resolve_budgets(const Exec_budgets& pinned) {
+Exec_budgets resolve_budgets(const Exec_budgets& pinned) {
     const Cache_topology& cache = cache_topology();
-    Resolved_budgets r;
+    Exec_budgets r;
     r.tile_bytes = pinned.tile_bytes ? pinned.tile_bytes : cache.llc_bytes;
     r.band_bytes = pinned.band_bytes ? pinned.band_bytes : cache.llc_bytes / 4;
-    r.panel_bytes = pinned.panel_bytes ? pinned.panel_bytes : cache.l1d_bytes / 2;
     return r;
 }
 
@@ -607,73 +470,80 @@ int auto_band_rows(int width, int h, int depth, int states, int growth, int thre
     return static_cast<int>(std::clamp(rows, 1L, static_cast<long>(h)));
 }
 
-// Auto panel width for scratch-row interiors: when one interior sweep's op
-// working set (every scratch row across the panel) would spill the panel
-// budget, split the interior into panels sized to fit, rounded down to a
-// multiple of the lane width. Returns 0 (unpaneled) while the whole width
-// fits. Lane-interior policies never need this — their working set is the
-// lane block itself.
-int auto_panel_cols(int width, int scratch_rows, std::size_t value_bytes,
-                    std::size_t panel_budget) {
-    const std::size_t col_bytes =
-        std::max<std::size_t>(static_cast<std::size_t>(scratch_rows), 1) * value_bytes;
-    if (static_cast<std::size_t>(width) * col_bytes <= panel_budget) return 0;
-    long cols = static_cast<long>(panel_budget / col_bytes);
-    cols -= cols % kTapeLane;
-    return static_cast<int>(std::max(cols, static_cast<long>(kTapeLane)));
-}
-
 // --- double-buffered driver -------------------------------------------------------
 
-// Runs `iterations` steps over a pair of pre-bound frame buffers. `bases[p]`
-// holds the per-pool-field base pointers of buffer parity p, `outs[p]` the
-// state-field output pointers written while parity p is current (i.e. into
-// the other buffer); const fields point at the same storage in both
-// parities when the caller shares it. Returns the parity holding the final
-// frames. `context` carries everything else (the policy, margins, scratch
-// layout) and is identical for the whole run apart from the per-block
-// pointer rebinding done here.
+// Runs `iterations` steps of the engine's program under `policy` over a pair
+// of frame buffers. `buffers[p]` holds the storage of every field of buffer
+// parity p in canonical order (state fields in declaration order, then const
+// fields); const fields may share storage across parities, since they are
+// never written. Returns the parity holding the final frames.
 template <class Policy>
-int run_buffers(Step_context<Policy>& context, int iterations, Boundary b,
-                const Exec_options& options, int state_up, int state_down,
-                const std::array<std::vector<const typename Policy::Value*>, 2>& bases,
-                const std::array<std::vector<typename Policy::Value*>, 2>& outs) {
+int run_buffers(const Exec_engine& engine, const Policy& policy, int w, int h,
+                int iterations, Boundary b, const Exec_options& options,
+                const std::array<std::vector<typename Policy::Value*>, 2>& buffers) {
     using Value = typename Policy::Value;
-    const int w = context.width;
-    const int h = context.height;
+    const Stencil_step& step = engine.step();
+    const Expr_pool& pool = step.pool();
+    const std::size_t states = step.state_fields().size();
+
+    Step_context<Policy> context;
+    context.policy = &policy;
+    context.cp = policy.cp;
+    context.left_margin = std::max(0, -policy.cp->min_dx());
+    context.right_margin = std::max(0, policy.cp->max_dx());
+    context.width = w;
+    context.height = h;
+    context.boundary = b;
+    context.field_row_off.assign(static_cast<std::size_t>(pool.field_count()), 0);
+    context.field_direct_rows.assign(static_cast<std::size_t>(pool.field_count()), 0);
+    std::vector<int> canonical_pool_field;
+    for (const std::string& name : step.state_fields()) {
+        context.state_pool_field.push_back(pool.find_field(name));
+        canonical_pool_field.push_back(pool.find_field(name));
+    }
+    for (const std::string& name : step.const_fields()) {
+        canonical_pool_field.push_back(pool.find_field(name));
+    }
+    // Per parity: the pool-field read bindings, and the state-field outputs
+    // written while that parity is current (i.e. into the other buffer).
+    std::array<std::vector<const Value*>, 2> bases;
+    std::array<std::vector<Value*>, 2> outs;
+    for (std::size_t p = 0; p < 2; ++p) {
+        bases[p].assign(static_cast<std::size_t>(pool.field_count()), nullptr);
+        for (std::size_t i = 0; i < canonical_pool_field.size(); ++i) {
+            bases[p][static_cast<std::size_t>(canonical_pool_field[i])] = buffers[p][i];
+        }
+        outs[p].assign(buffers[p ^ 1].begin(),
+                       buffers[p ^ 1].begin() + static_cast<std::ptrdiff_t>(states));
+    }
 
     const int total_threads = options.pool ? options.pool->thread_count()
                                            : resolve_thread_count(options.threads);
 
-    // Resolve the tiling: fused depth first, band height second, panel
-    // width last. Budgets come pinned from the options or from the probed
-    // cache topology; either way they only pick the schedule — every
-    // (depth, band, panel) choice is byte-identical.
-    const Resolved_budgets budgets = resolve_budgets(options.budgets);
-    const std::size_t state_bytes =
-        static_cast<std::size_t>(w) * static_cast<std::size_t>(h) * sizeof(Value) *
-        std::max<std::size_t>(context.state_pool_field.size(), 1);
+    // Resolve the tiling: fused depth first, band height second. Budgets
+    // come pinned from the options or from the probed cache topology;
+    // either way they only pick the schedule — every (depth, band) choice
+    // is byte-identical.
+    const Exec_budgets budgets = resolve_budgets(options.budgets);
+    const std::size_t state_bytes = static_cast<std::size_t>(w) *
+                                    static_cast<std::size_t>(h) * sizeof(Value) *
+                                    std::max<std::size_t>(states, 1);
     int depth = options.tile_iterations;
     if (depth == 0) {
         depth = auto_tile_depth(state_bytes, iterations, budgets.tile_bytes);
     }
     depth = std::clamp(depth, 1, iterations);
-    const int growth = state_up + state_down;
+    const int state_up = engine.state_halo_up();
+    const int state_down = engine.state_halo_down();
     int band_rows = options.band_rows;
     if (depth > 1) {
         if (band_rows <= 0) {
-            band_rows = auto_band_rows(
-                w, h, depth, static_cast<int>(context.state_pool_field.size()), growth,
-                total_threads, budgets.band_bytes);
+            band_rows = auto_band_rows(w, h, depth, static_cast<int>(states),
+                                       state_up + state_down, total_threads,
+                                       budgets.band_bytes);
         }
         band_rows = std::clamp(band_rows, 1, h);
     }
-    int panel = options.panel_cols;
-    if (panel <= 0 && depth > 1 && !Policy::lane_interior) {
-        panel = auto_panel_cols(w, context.scratch_rows, sizeof(Value),
-                                budgets.panel_bytes);
-    }
-    context.panel_cols = panel;
 
     // A run has at most two distinct fused depths: the full blocks and one
     // shorter tail block. Plan both up front; the plans are reused across
@@ -752,20 +622,10 @@ int run_buffers(Step_context<Policy>& context, int iterations, Boundary b,
 
 Exec_engine::Exec_engine(const Stencil_step& step)
     : step_(&step), program_(build_program(step.pool(), step.updates())) {
-    const Compiled_program& cp = program_.compiled();
-    scratch_index_.assign(static_cast<std::size_t>(cp.slot_count()), -1);
-    for (const Tape_op& op : cp.ops()) {
-        scratch_index_[static_cast<std::size_t>(op.dest)] = scratch_rows_++;
-    }
-    for (const Tape_constant& k : cp.constants()) {
-        scratch_index_[static_cast<std::size_t>(k.slot)] = scratch_rows_++;
-    }
-    left_margin_ = std::max(0, -cp.min_dx());
-    right_margin_ = std::max(0, cp.max_dx());
     // The per-iteration band halo grows with the advancing fields only:
     // const fields never change, so their reads hit the full frame at every
     // fused level and do not widen the trapezoid.
-    const std::vector<Field_extent>& extents = cp.field_extents();
+    const std::vector<Field_extent>& extents = program_.compiled().field_extents();
     for (std::size_t f = 0; f < extents.size(); ++f) {
         if (!extents[f].used || !step.is_state_index(static_cast<int>(f))) continue;
         state_up_ = std::max(state_up_, -extents[f].min_dy);
@@ -793,7 +653,6 @@ Frame_set Exec_engine::run(const Frame_set& initial, int iterations, Boundary b,
     if (iterations <= 0) return initial;
     const int w = initial.width();
     const int h = initial.height();
-    const Expr_pool& pool = step_->pool();
 
     // Double buffers in canonical field order (state first, then const);
     // const fields are copied once and never rewritten.
@@ -809,46 +668,13 @@ Frame_set Exec_engine::run(const Frame_set& initial, int iterations, Boundary b,
     }
     if (w == 0 || h == 0) return buf_a;
 
+    std::array<std::vector<double*>, 2> buffers;
+    for (std::size_t i = 0; i < buf_a.field_count(); ++i) {
+        buffers[0].push_back(buf_a.frame_at(i).data().data());
+        buffers[1].push_back(buf_b.frame_at(i).data().data());
+    }
     const Double_policy policy(program_.compiled());
-    Step_context<Double_policy> context;
-    context.policy = &policy;
-    context.cp = &program_.compiled();
-    context.scratch_index = &scratch_index_;
-    context.scratch_rows = scratch_rows_;
-    context.left_margin = left_margin_;
-    context.right_margin = right_margin_;
-    context.width = w;
-    context.height = h;
-    context.boundary = b;
-    context.field_base.resize(static_cast<std::size_t>(pool.field_count()));
-    context.field_row_off.assign(static_cast<std::size_t>(pool.field_count()), 0);
-    context.field_direct_rows.assign(static_cast<std::size_t>(pool.field_count()), 0);
-    context.out_base.resize(step_->state_fields().size());
-    context.state_pool_field.reserve(step_->state_fields().size());
-    for (const std::string& name : step_->state_fields()) {
-        context.state_pool_field.push_back(pool.find_field(name));
-    }
-    // Both buffers were built with identical field order, so one positional
-    // mapping (pool field -> buffer index) serves every rebinding below.
-    std::array<std::vector<const double*>, 2> bases;
-    std::array<std::vector<double*>, 2> outs;
-    bases[0].resize(static_cast<std::size_t>(pool.field_count()));
-    bases[1].resize(static_cast<std::size_t>(pool.field_count()));
-    for (int f = 0; f < pool.field_count(); ++f) {
-        const auto idx = static_cast<std::size_t>(
-            buf_a.index_of(intern_field(pool.field_name(f))));
-        bases[0][static_cast<std::size_t>(f)] = buf_a.frame_at(idx).data().data();
-        bases[1][static_cast<std::size_t>(f)] = buf_b.frame_at(idx).data().data();
-    }
-    outs[0].resize(step_->state_fields().size());
-    outs[1].resize(step_->state_fields().size());
-    for (std::size_t s = 0; s < step_->state_fields().size(); ++s) {
-        outs[0][s] = buf_b.frame_at(s).data().data();
-        outs[1][s] = buf_a.frame_at(s).data().data();
-    }
-
-    const int final_parity =
-        run_buffers(context, iterations, b, options, state_up_, state_down_, bases, outs);
+    const int final_parity = run_buffers(*this, policy, w, h, iterations, b, options, buffers);
     return std::move(final_parity == 0 ? buf_a : buf_b);
 }
 
@@ -857,7 +683,6 @@ Fixed_frame_result Exec_engine::run_fixed(const Frame_set& initial, int iteratio
                                           const Exec_options& options) const {
     const int w = initial.width();
     const int h = initial.height();
-    const Expr_pool& pool = step_->pool();
     const Raw_quantizer quantize(format);
     const std::size_t elements = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
 
@@ -896,51 +721,19 @@ Fixed_frame_result Exec_engine::run_fixed(const Frame_set& initial, int iteratio
     };
     if (iterations <= 0 || w == 0 || h == 0) return finish(std::move(state_a));
 
+    std::array<std::vector<std::int64_t*>, 2> buffers;
+    for (std::size_t s = 0; s < state_a.size(); ++s) {
+        buffers[0].push_back(state_a[s].data());
+        buffers[1].push_back(state_b[s].data());
+    }
+    for (std::vector<std::int64_t>& raw : const_raw) {
+        buffers[0].push_back(raw.data());
+        buffers[1].push_back(raw.data());
+    }
     // One integer lowering per run; every fused level executes it.
     const Fixed_tape tape(program_.compiled(), format);
     const Fixed_policy policy(tape);
-    Step_context<Fixed_policy> context;
-    context.policy = &policy;
-    context.cp = &program_.compiled();
-    context.scratch_index = &scratch_index_;
-    context.scratch_rows = scratch_rows_;
-    context.left_margin = left_margin_;
-    context.right_margin = right_margin_;
-    context.width = w;
-    context.height = h;
-    context.boundary = b;
-    context.field_base.resize(static_cast<std::size_t>(pool.field_count()));
-    context.field_row_off.assign(static_cast<std::size_t>(pool.field_count()), 0);
-    context.field_direct_rows.assign(static_cast<std::size_t>(pool.field_count()), 0);
-    context.out_base.resize(step_->state_fields().size());
-    context.state_pool_field.reserve(step_->state_fields().size());
-    for (const std::string& name : step_->state_fields()) {
-        context.state_pool_field.push_back(pool.find_field(name));
-    }
-    std::array<std::vector<const std::int64_t*>, 2> bases;
-    std::array<std::vector<std::int64_t*>, 2> outs;
-    bases[0].resize(static_cast<std::size_t>(pool.field_count()));
-    bases[1].resize(static_cast<std::size_t>(pool.field_count()));
-    for (std::size_t s = 0; s < state_a.size(); ++s) {
-        const auto f = static_cast<std::size_t>(context.state_pool_field[s]);
-        bases[0][f] = state_a[s].data();
-        bases[1][f] = state_b[s].data();
-    }
-    for (std::size_t k = 0; k < const_raw.size(); ++k) {
-        const auto f = static_cast<std::size_t>(
-            pool.find_field(step_->const_fields()[k]));
-        bases[0][f] = const_raw[k].data();
-        bases[1][f] = const_raw[k].data();
-    }
-    outs[0].resize(state_a.size());
-    outs[1].resize(state_a.size());
-    for (std::size_t s = 0; s < state_a.size(); ++s) {
-        outs[0][s] = state_b[s].data();
-        outs[1][s] = state_a[s].data();
-    }
-
-    const int final_parity =
-        run_buffers(context, iterations, b, options, state_up_, state_down_, bases, outs);
+    const int final_parity = run_buffers(*this, policy, w, h, iterations, b, options, buffers);
     return finish(final_parity == 0 ? std::move(state_a) : std::move(state_b));
 }
 

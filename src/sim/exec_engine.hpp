@@ -10,11 +10,14 @@
 //   - field base pointers and strides are resolved once per step, not once
 //     per pixel;
 //   - the interior of each row (where no read crosses the frame edge) runs
-//     with unclamped pointer arithmetic — each tape operation is one tight,
-//     auto-vectorizable loop over the row;
+//     with unclamped pointer arithmetic in kTapeLane-wide lane blocks: the
+//     input spans are copied into an L1-resident block and every tape
+//     operation is one call into the shared per-ISA lane kernels
+//     (sim/tape_lanes.hpp), the same kernels the format-search batch
+//     executor and the architecture simulator use;
 //   - the border columns fall back to a scalar pass that resolves reads with
 //     the Boundary policy, bit-identical to the reference interpreter;
-//   - per-thread scratch rows are reused across rows and iterations (no
+//   - per-thread lane blocks are reused across rows and iterations (no
 //     allocation inside the pixel loop), and iteration double-buffers two
 //     frame sets instead of copy-constructing one per timestep.
 //
@@ -39,19 +42,9 @@
 // the whole frame at the edges, and auto tiling applies to toroidal runs
 // too.
 //
-// Within a band (or any row sweep) the interior columns can additionally be
-// processed in column panels (Exec_options::panel_cols): each panel runs
-// the whole tape before moving right, so per-operation traffic stays in L1
-// on very wide frames. Panels only split the x loop — each element sees the
-// identical arithmetic — so every panel width is byte-identical. The fixed
-// domain goes one step further and always executes its interior in
-// kTapeLane-wide lane blocks through the shared per-ISA lane kernels
-// (sim/tape_lanes.hpp), the same kernels the format-search batch executor
-// uses.
-//
-// The auto-tiling heuristics (tile depth, band height, panel width) are
-// sized from the probed cache topology (support/cache_info.hpp);
-// Exec_options::budgets pins them for deterministic cross-host behavior.
+// The auto-tiling heuristics (tile depth, band height) are sized from the
+// probed cache topology (support/cache_info.hpp); Exec_options::budgets
+// pins them for deterministic cross-host behavior.
 // Budgets only steer the schedule, never the values: every budget choice is
 // byte-identical.
 //
@@ -61,17 +54,18 @@
 // at any thread count (the same determinism contract the DSE engine holds).
 //
 // The engine runs in two value domains over the SAME row machinery (one
-// templated implementation, so the paths cannot diverge structurally):
+// templated implementation with one lane-block interior, so the paths cannot
+// diverge structurally):
 //
 //   - double (run): the tape's IEEE semantics, the classic golden engine;
 //   - fixed point (run_fixed / Exec_options::fixed_format): the program is
 //     lowered once per run into a Fixed_tape (ir/compiled.hpp) and executed
 //     over raw int64 Qm.f row buffers — the initial frames are quantized
 //     once, every iteration reads and writes raw words (no per-level
-//     re-quantization), the interior fast path runs one integer loop per
-//     tape op and the border pass goes through Fixed_tape::eval_point. The
-//     raw words are memcmp-identical to a per-pixel run_fixed_raw sweep for
-//     every kernel, boundary, format, thread count and tile depth.
+//     re-quantization), and the border pass goes through
+//     Fixed_tape::eval_point. The raw words are memcmp-identical to a
+//     per-pixel run_fixed_raw sweep for every kernel, boundary, format,
+//     thread count and tile depth.
 #pragma once
 
 #include <cstddef>
@@ -89,15 +83,14 @@ class Thread_pool;
 
 // Cache budgets steering the auto-tiling heuristics. Zero fields resolve
 // from the probed cache topology (support/cache_info.hpp): tile_bytes from
-// the last-level cache, band_bytes from a quarter of it, panel_bytes from
-// half the L1 data cache. When probing fails the fallbacks reproduce the
-// engine's historical fixed budgets (32 MiB / 8 MiB / 16 KiB). Budgets only
-// pick the schedule — results are byte-identical at every setting — so
-// tests pin them to make auto decisions deterministic across hosts.
+// the last-level cache, band_bytes from a quarter of it. When probing fails
+// the fallbacks reproduce the engine's historical fixed budgets (32 MiB /
+// 8 MiB). Budgets only pick the schedule — results are byte-identical at
+// every setting — so tests pin them to make auto decisions deterministic
+// across hosts.
 struct Exec_budgets {
     std::size_t tile_bytes = 0;   // working set above which auto mode tiles
     std::size_t band_bytes = 0;   // target working set of one band
-    std::size_t panel_bytes = 0;  // target per-row op working set of a panel
 };
 
 // Execution knobs. The defaults reproduce the classic engine behavior
@@ -125,11 +118,6 @@ struct Exec_options {
     // Output rows per band when tiling; 0 = auto (sized so a band's working
     // set stays cache-resident and the halo recompute overhead stays small).
     int band_rows = 0;
-    // Interior column-panel width: 0 = auto (panel banded sweeps whose
-    // per-row op working set spills the panel budget; untiled sweeps stay
-    // unpaneled), n > 0 = force n-column panels everywhere. Every width
-    // produces byte-identical frames.
-    int panel_cols = 0;
     // Cache budgets for the auto heuristics above; zero fields resolve from
     // the probed topology.
     Exec_budgets budgets;
@@ -210,14 +198,6 @@ public:
 private:
     const Stencil_step* step_;
     Register_program program_;
-    // Scratch-row index per tape slot (-1 for input slots, which read the
-    // frames directly); operation and constant slots each own one row.
-    std::vector<int> scratch_index_;
-    int scratch_rows_ = 0;
-    // Interior span margins: columns [left, width - right) read in-range for
-    // every input offset.
-    int left_margin_ = 0;
-    int right_margin_ = 0;
     // Per-iteration band halo growth (state-field reads only; const fields
     // are read from the full frame at every level).
     int state_up_ = 0;

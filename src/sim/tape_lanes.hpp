@@ -2,7 +2,7 @@
 //
 // Every batched executor in the simulator family advances kTapeLane samples
 // through one tape operation per call: the format-search batch executor
-// (sim/fixed_exec.hpp), the lane-blocked fixed-point frame interior
+// (sim/fixed_exec.hpp), the lane-blocked frame interior of both domains
 // (sim/exec_engine.cpp) and the region-row-tiled architecture simulator
 // (sim/arch_sim.cpp). This header is the one home of those per-op lane
 // bodies, in both value domains:

@@ -1,10 +1,9 @@
 // Cache-topology probe for cache-shaped execution.
 //
-// The execution engine sizes its temporal-tiling and column-panel decisions
-// from the data-cache hierarchy of the host it actually runs on: how many
-// bytes of working set stay resident decides when fusing iterations pays
-// for its halo recompute, how tall a row band may grow, and how wide a
-// column panel can be before a tape operation's rows fall out of L1. Those
+// The execution engine sizes its temporal-tiling decisions from the
+// data-cache hierarchy of the host it actually runs on: how many bytes of
+// working set stay resident decides when fusing iterations pays for its
+// halo recompute and how tall a row band may grow. Those
 // used to be hard-coded constants (32 MiB / 8 MiB) tuned for one machine;
 // this probe reads the real sizes once per process — sysfs on Linux, then
 // sysconf, then conservative fallbacks — so the same binary shapes itself

@@ -1,7 +1,8 @@
 // Equivalence suite for the compiled scanline execution engine: the engine
 // must agree bit for bit with the legacy per-pixel interpreter across every
 // built-in kernel, every Boundary mode, degenerate frame shapes (1xN, Nx1,
-// 1x1) and any thread count.
+// 1x1), interiors spanning several kTapeLane lane blocks and any thread
+// count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,7 +41,10 @@ constexpr Boundary kBoundaries[] = {Boundary::clamp, Boundary::zero,
                                     Boundary::mirror, Boundary::periodic};
 
 TEST(Exec_engine, matches_reference_on_all_kernels_boundaries_and_shapes) {
-    const std::pair<int, int> shapes[] = {{17, 13}, {1, 9}, {9, 1}, {1, 1}, {4, 4}};
+    // 133 columns leave every kernel's interior two full 64-lane blocks plus
+    // a tail, whatever its margins.
+    const std::pair<int, int> shapes[] = {{17, 13}, {1, 9}, {9, 1}, {1, 1}, {4, 4},
+                                          {133, 5}};
     std::uint64_t seed = 1;
     for (const Kernel_def& kernel : all_kernels()) {
         SCOPED_TRACE(kernel.name);

@@ -1,16 +1,22 @@
-// Property fuzz for the fixed-point execution paths: random register
+// Property fuzz for the frame engine in both value domains: random register
 // programs (random op mix, offsets, constants — the moral extension of
 // test_frontend_fuzz.cpp's random-input robustness to the execution layer)
-// must evaluate identically through three independent routes:
+// must evaluate identically through independent routes. Fixed point:
 //
 //   1. the whole-frame integer row engine (Exec_engine::run_fixed),
 //   2. the scalar integer tape (Fixed_tape::eval_point) applied per pixel,
 //   3. the reference interpreter (run_fixed_raw) applied per pixel.
 //
+// Double: the whole-frame engine (Exec_engine::run) bit for bit against the
+// per-pixel reference interpreter (run_ir_reference). Every trial checks a
+// narrow frame and a wide one whose interior straddles the kTapeLane lane
+// block.
+//
 // Every trial derives from a printed seed, so a failure is reproducible by
 // pinning that seed in a unit test.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -20,6 +26,7 @@
 #include "grid/frame_ops.hpp"
 #include "sim/exec_engine.hpp"
 #include "sim/fixed_exec.hpp"
+#include "sim/golden.hpp"
 #include "sim/tape_lanes.hpp"
 #include "support/prng.hpp"
 #include "support/text.hpp"
@@ -97,7 +104,135 @@ const std::vector<Fixed_format>& fuzz_formats() {
 constexpr Boundary kBoundaries[] = {Boundary::clamp, Boundary::zero,
                                     Boundary::mirror, Boundary::periodic};
 
-TEST(Fixed_engine_fuzz, random_programs_agree_across_all_three_paths) {
+// Fills every field of `step` with seeded noise (canonical field order).
+Frame_set random_frames(const Stencil_step& step, int w, int h, Prng& rng) {
+    Frame_set initial(w, h);
+    for (const std::string& name : step.state_fields()) {
+        initial.add_field(name, make_noise(w, h, rng.next_u64(), -40.0, 296.0));
+    }
+    for (const std::string& name : step.const_fields()) {
+        initial.add_field(name, make_noise(w, h, rng.next_u64(), -40.0, 296.0));
+    }
+    return initial;
+}
+
+// Bit-exact double comparison in which every NaN equals every other NaN.
+// IEEE leaves the sign and payload of a produced NaN open, and the compiler
+// may commute the operands of add and mul, so the vector and the scalar
+// route can disagree on them; no tape op lets a NaN's sign or payload reach
+// a non-NaN value.
+bool same_double(double a, double b) {
+    return (std::isnan(a) && std::isnan(b)) || std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Runs one frame geometry through every route of both domains and asserts
+// they agree bit for bit.
+void check_all_paths(const Exec_engine& engine, const Frame_set& initial, int iterations,
+                     Boundary b, const Fixed_format& fmt, const Exec_options& options,
+                     std::uint64_t seed) {
+    const Stencil_step& step = engine.step();
+    const Register_program& program = engine.program();
+    const Compiled_program& cp = program.compiled();
+    const int w = initial.width();
+    const int h = initial.height();
+    const std::string schedule =
+        cat(" (", w, "x", h, " ", to_string(fmt), " ", to_string(b), " threads ",
+            options.threads, " depth ", options.tile_iterations, ")");
+
+    const Frame_set double_ref = run_ir_reference(step, initial, iterations, b);
+    const Frame_set double_out = engine.run(initial, iterations, b, options);
+    ASSERT_EQ(double_ref.names(), double_out.names());
+    for (std::size_t i = 0; i < double_ref.field_count(); ++i) {
+        const std::vector<double>& ref = double_ref.frame_at(i).data();
+        const std::vector<double>& out = double_out.frame_at(i).data();
+        for (std::size_t j = 0; j < ref.size(); ++j) {
+            ASSERT_TRUE(same_double(ref[j], out[j]))
+                << "double engine vs reference diverged: seed=" << seed << " field "
+                << double_ref.names()[i] << " at (" << j % static_cast<std::size_t>(w)
+                << ", " << j / static_cast<std::size_t>(w) << ")" << schedule;
+        }
+    }
+
+    const Fixed_frame_result engine_out =
+        engine.run_fixed(initial, iterations, b, fmt, options);
+    // Per-pixel references: quantize once, then iterate pixel by pixel
+    // through (a) run_fixed_raw and (b) Fixed_tape::eval_point.
+    const Raw_quantizer quantize(fmt);
+    const Fixed_tape tape(cp, fmt);
+    std::vector<std::int64_t> slots(static_cast<std::size_t>(cp.slot_count()));
+    const auto& ports = program.input_ports();
+    std::vector<std::int64_t> inputs(ports.size());
+
+    const std::size_t states = step.state_fields().size();
+    std::vector<std::vector<std::int64_t>> raw;  // canonical field order
+    std::vector<int> field_index(static_cast<std::size_t>(step.pool().field_count()), -1);
+    {
+        std::size_t i = 0;
+        for (const std::string& name : step.state_fields()) {
+            const Frame& f = initial.field(name);
+            std::vector<std::int64_t> q(f.element_count());
+            for (std::size_t j = 0; j < q.size(); ++j) q[j] = quantize(f.data()[j]);
+            raw.push_back(std::move(q));
+            field_index[static_cast<std::size_t>(step.pool().find_field(name))] =
+                static_cast<int>(i++);
+        }
+        for (const std::string& name : step.const_fields()) {
+            const Frame& f = initial.field(name);
+            std::vector<std::int64_t> q(f.element_count());
+            for (std::size_t j = 0; j < q.size(); ++j) q[j] = quantize(f.data()[j]);
+            raw.push_back(std::move(q));
+            field_index[static_cast<std::size_t>(step.pool().find_field(name))] =
+                static_cast<int>(i++);
+        }
+    }
+    std::vector<std::vector<std::int64_t>> raw_tape = raw;
+
+    for (int it = 0; it < iterations; ++it) {
+        std::vector<std::vector<std::int64_t>> next(states), next_tape(states);
+        for (std::size_t s = 0; s < states; ++s) {
+            next[s].assign(static_cast<std::size_t>(w) * h, 0);
+            next_tape[s].assign(static_cast<std::size_t>(w) * h, 0);
+        }
+        for (int y = 0; y < h; ++y) {
+            for (int x = 0; x < w; ++x) {
+                for (std::size_t i = 0; i < ports.size(); ++i) {
+                    const int rx = resolve_coordinate(x + ports[i].dx, w, b);
+                    const int ry = resolve_coordinate(y + ports[i].dy, h, b);
+                    const int fi = field_index[static_cast<std::size_t>(ports[i].field)];
+                    inputs[i] =
+                        (rx < 0 || ry < 0)
+                            ? 0
+                            : raw[static_cast<std::size_t>(fi)]
+                                 [static_cast<std::size_t>(ry) * w + rx];
+                }
+                const std::vector<std::int64_t> out = run_fixed_raw(program, inputs, fmt);
+                tape.eval_point(inputs.data(), slots.data());
+                for (std::size_t s = 0; s < states; ++s) {
+                    next[s][static_cast<std::size_t>(y) * w + x] = out[s];
+                    next_tape[s][static_cast<std::size_t>(y) * w + x] =
+                        slots[static_cast<std::size_t>(cp.output_slots()[s])];
+                }
+            }
+        }
+        for (std::size_t s = 0; s < states; ++s) {
+            raw[s] = std::move(next[s]);
+            raw_tape[s] = std::move(next_tape[s]);
+        }
+    }
+
+    for (std::size_t i = 0; i < engine_out.names.size(); ++i) {
+        ASSERT_EQ(0, std::memcmp(raw[i].data(), raw_tape[i].data(),
+                                 raw[i].size() * sizeof(std::int64_t)))
+            << "interpreter vs tape diverged: seed=" << seed << " field "
+            << engine_out.names[i];
+        ASSERT_EQ(0, std::memcmp(raw[i].data(), engine_out.raw[i].data(),
+                                 raw[i].size() * sizeof(std::int64_t)))
+            << "row engine vs interpreter diverged: seed=" << seed << " field "
+            << engine_out.names[i] << schedule;
+    }
+}
+
+TEST(Fixed_engine_fuzz, random_programs_agree_across_all_paths_in_both_domains) {
     const int trials = 220 * fuzz::scale();
     const std::uint64_t base = fuzz::seed_base(0xF1C5ED00ULL);
     for (int trial = 0; trial < trials; ++trial) {
@@ -105,8 +240,6 @@ TEST(Fixed_engine_fuzz, random_programs_agree_across_all_three_paths) {
         Prng rng(seed);
         const Stencil_step step = random_step(rng);
         const Exec_engine engine(step);
-        const Register_program& program = engine.program();
-        const Compiled_program& cp = program.compiled();
 
         const int w = rng.next_int(1, 9);
         const int h = rng.next_int(1, 7);
@@ -114,115 +247,28 @@ TEST(Fixed_engine_fuzz, random_programs_agree_across_all_three_paths) {
         const Fixed_format fmt =
             fuzz_formats()[static_cast<std::size_t>(rng.next_int(0, 3))];
         const int iterations = rng.next_int(1, 3);
-
-        Frame_set initial(w, h);
-        for (const std::string& name : step.state_fields()) {
-            initial.add_field(name, make_noise(w, h, rng.next_u64(), -40.0, 296.0));
-        }
-        for (const std::string& name : step.const_fields()) {
-            initial.add_field(name, make_noise(w, h, rng.next_u64(), -40.0, 296.0));
-        }
+        const Frame_set initial = random_frames(step, w, h, rng);
 
         Exec_options options;
         options.threads = rng.next_int(0, 1) ? 2 : 1;
         options.tile_iterations = rng.next_int(0, 1) ? 2 : 1;
         options.band_rows = rng.next_int(1, 3);
-        // Column panels and pinned budgets only reshape the schedule; the
-        // raw words must not notice. Panel widths cover degenerate (1),
-        // misaligned (3), lane-sized (kTapeLane > w, so the whole span) and
-        // auto (0).
-        const int panels[] = {0, 1, 3, kTapeLane};
-        options.panel_cols = panels[rng.next_int(0, 3)];
+        // Pinned budgets only reshape the schedule; no value may notice.
         if (rng.next_int(0, 1)) {
             options.budgets.tile_bytes = 1;
             options.budgets.band_bytes = 1u << 10;
-            options.budgets.panel_bytes = 1;
         }
-        const Fixed_frame_result engine_out =
-            engine.run_fixed(initial, iterations, b, fmt, options);
+        ASSERT_NO_FATAL_FAILURE(
+            check_all_paths(engine, initial, iterations, b, fmt, options, seed));
 
-        // Per-pixel references: quantize once, then iterate pixel by pixel
-        // through (a) run_fixed_raw and (b) Fixed_tape::eval_point.
-        const Raw_quantizer quantize(fmt);
-        const Fixed_tape tape(cp, fmt);
-        std::vector<std::int64_t> slots(static_cast<std::size_t>(cp.slot_count()));
-        const auto& ports = program.input_ports();
-        std::vector<std::int64_t> inputs(ports.size());
-
-        const std::size_t states = step.state_fields().size();
-        std::vector<std::vector<std::int64_t>> raw;  // canonical field order
-        std::vector<int> field_index(
-            static_cast<std::size_t>(step.pool().field_count()), -1);
-        {
-            std::size_t i = 0;
-            for (const std::string& name : step.state_fields()) {
-                const Frame& f = initial.field(name);
-                std::vector<std::int64_t> q(f.element_count());
-                for (std::size_t j = 0; j < q.size(); ++j) q[j] = quantize(f.data()[j]);
-                raw.push_back(std::move(q));
-                field_index[static_cast<std::size_t>(step.pool().find_field(name))] =
-                    static_cast<int>(i++);
-            }
-            for (const std::string& name : step.const_fields()) {
-                const Frame& f = initial.field(name);
-                std::vector<std::int64_t> q(f.element_count());
-                for (std::size_t j = 0; j < q.size(); ++j) q[j] = quantize(f.data()[j]);
-                raw.push_back(std::move(q));
-                field_index[static_cast<std::size_t>(step.pool().find_field(name))] =
-                    static_cast<int>(i++);
-            }
-        }
-        std::vector<std::vector<std::int64_t>> raw_tape = raw;
-
-        for (int it = 0; it < iterations; ++it) {
-            std::vector<std::vector<std::int64_t>> next(states),
-                next_tape(states);
-            for (std::size_t s = 0; s < states; ++s) {
-                next[s].assign(static_cast<std::size_t>(w) * h, 0);
-                next_tape[s].assign(static_cast<std::size_t>(w) * h, 0);
-            }
-            for (int y = 0; y < h; ++y) {
-                for (int x = 0; x < w; ++x) {
-                    for (std::size_t i = 0; i < ports.size(); ++i) {
-                        const int rx = resolve_coordinate(x + ports[i].dx, w, b);
-                        const int ry = resolve_coordinate(y + ports[i].dy, h, b);
-                        const int fi = field_index[static_cast<std::size_t>(
-                            ports[i].field)];
-                        inputs[i] =
-                            (rx < 0 || ry < 0)
-                                ? 0
-                                : raw[static_cast<std::size_t>(fi)]
-                                     [static_cast<std::size_t>(ry) * w + rx];
-                    }
-                    const std::vector<std::int64_t> out =
-                        run_fixed_raw(program, inputs, fmt);
-                    tape.eval_point(inputs.data(), slots.data());
-                    for (std::size_t s = 0; s < states; ++s) {
-                        next[s][static_cast<std::size_t>(y) * w + x] = out[s];
-                        next_tape[s][static_cast<std::size_t>(y) * w + x] =
-                            slots[static_cast<std::size_t>(cp.output_slots()[s])];
-                    }
-                }
-            }
-            for (std::size_t s = 0; s < states; ++s) {
-                raw[s] = std::move(next[s]);
-                raw_tape[s] = std::move(next_tape[s]);
-            }
-        }
-
-        for (std::size_t i = 0; i < engine_out.names.size(); ++i) {
-            ASSERT_EQ(0, std::memcmp(raw[i].data(), raw_tape[i].data(),
-                                     raw[i].size() * sizeof(std::int64_t)))
-                << "interpreter vs tape diverged: seed=" << seed << " field "
-                << engine_out.names[i];
-            ASSERT_EQ(0, std::memcmp(raw[i].data(), engine_out.raw[i].data(),
-                                     raw[i].size() * sizeof(std::int64_t)))
-                << "row engine vs interpreter diverged: seed=" << seed << " field "
-                << engine_out.names[i] << " (" << w << "x" << h << " "
-                << to_string(fmt) << " " << to_string(b) << " threads "
-                << options.threads << " depth " << options.tile_iterations
-                << " panel " << options.panel_cols << ")";
-        }
+        // Wide draw (appended, so every earlier draw is unchanged): an
+        // interior just around one lane block or two full blocks plus a
+        // short tail, so the lane split and the tail chunk both run.
+        const int wide = rng.next_int(0, 1) ? rng.next_int(kTapeLane - 4, kTapeLane + 6)
+                                            : rng.next_int(2 * kTapeLane + 1,
+                                                           2 * kTapeLane + 3);
+        ASSERT_NO_FATAL_FAILURE(check_all_paths(engine, random_frames(step, wide, h, rng),
+                                                iterations, b, fmt, options, seed));
     }
 }
 

@@ -115,43 +115,38 @@ TEST(Temporal_tiling, run_ir_options_overload_agrees) {
                                          Exec_options{2, 4, 3}));
 }
 
-TEST(Temporal_tiling, column_panels_identical_at_lane_boundaries) {
-    // Frame widths straddling the 64-column lane block and panel widths from
-    // degenerate (1) through misaligned (7) to lane-sized (64) and
-    // frame-wide: panels only split the x loop, so every width must be
-    // byte-identical to the unpaneled run — tiled and untiled, double and
-    // fixed domains alike.
+TEST(Temporal_tiling, identical_at_lane_block_boundaries) {
+    // Interior widths one short of, exactly at, one past and two blocks plus
+    // one past the 64-lane block: the lane split falls at a different column
+    // in every schedule's rows, so tiled, untiled and threaded runs must stay
+    // byte-identical there — double and fixed domains alike.
     const Kernel_def& kernel = kernel_by_name("heat");
     const Stencil_step step = extract_stencil(kernel.c_source);
     const Exec_engine engine(step);
+    const int margins = engine.compiled().max_dx() - engine.compiled().min_dx();
     const Fixed_format fmt{10, 6};
     std::uint64_t seed = 91;
-    for (const int w : {63, 64, 65}) {
-        SCOPED_TRACE("width " + std::to_string(w));
+    for (const int lanes : {63, 64, 65, 129}) {
+        SCOPED_TRACE("interior " + std::to_string(lanes));
         const Frame_set initial =
-            kernel.make_initial(make_noise(w, 21, seed++, 0.0, 255.0));
+            kernel.make_initial(make_noise(lanes + margins, 21, seed++, 0.0, 255.0));
         for (const Boundary b : {Boundary::clamp, Boundary::periodic}) {
             SCOPED_TRACE(to_string(b));
             const Frame_set untiled =
                 engine.run(initial, kIterations, b, Exec_options{1, 1, 0});
             const Fixed_frame_result fixed_ref =
-                engine.run_fixed(initial, kIterations, b, fmt);
-            for (const int panel : {1, 7, 64, w}) {
-                SCOPED_TRACE("panel " + std::to_string(panel));
-                Exec_options tiled{1, 3, 4};
-                tiled.panel_cols = panel;
+                engine.run_fixed(initial, kIterations, b, fmt, Exec_options{1, 1, 0});
+            for (const Exec_options& schedule :
+                 {Exec_options{1, 3, 4}, Exec_options{2, 1, 0}}) {
+                SCOPED_TRACE("threads " + std::to_string(schedule.threads) + " depth " +
+                             std::to_string(schedule.tile_iterations));
                 expect_sets_identical(untiled,
-                                      engine.run(initial, kIterations, b, tiled));
-                Exec_options flat{2, 1, 0};
-                flat.panel_cols = panel;
-                expect_sets_identical(untiled,
-                                      engine.run(initial, kIterations, b, flat));
-                const Fixed_frame_result fixed_panel =
-                    engine.run_fixed(initial, kIterations, b, fmt, tiled);
-                ASSERT_EQ(fixed_ref.raw.size(), fixed_panel.raw.size());
+                                      engine.run(initial, kIterations, b, schedule));
+                const Fixed_frame_result fixed =
+                    engine.run_fixed(initial, kIterations, b, fmt, schedule);
+                ASSERT_EQ(fixed_ref.raw.size(), fixed.raw.size());
                 for (std::size_t i = 0; i < fixed_ref.raw.size(); ++i) {
-                    EXPECT_EQ(0, std::memcmp(fixed_ref.raw[i].data(),
-                                             fixed_panel.raw[i].data(),
+                    EXPECT_EQ(0, std::memcmp(fixed_ref.raw[i].data(), fixed.raw[i].data(),
                                              fixed_ref.raw[i].size() *
                                                  sizeof(std::int64_t)))
                         << "fixed field " << fixed_ref.names[i];
@@ -162,8 +157,8 @@ TEST(Temporal_tiling, column_panels_identical_at_lane_boundaries) {
 }
 
 TEST(Temporal_tiling, budgets_steer_schedule_not_values) {
-    // Auto decisions sized from pinned budgets at both extremes (tiny: tile,
-    // band and panel everything; huge: nothing tiles) against the probed
+    // Auto decisions sized from pinned budgets at both extremes (tiny: tile
+    // and band everything; huge: nothing tiles) against the probed
     // defaults — budgets pick the schedule, never the values.
     const Kernel_def& kernel = kernel_by_name("jacobi");
     const Stencil_step step = extract_stencil(kernel.c_source);
@@ -175,12 +170,10 @@ TEST(Temporal_tiling, budgets_steer_schedule_not_values) {
         Exec_options tiny{0, 0, 0};
         tiny.budgets.tile_bytes = 1;
         tiny.budgets.band_bytes = 4u * 1024;
-        tiny.budgets.panel_bytes = 1;
         expect_sets_identical(probed, engine.run(initial, kIterations, b, tiny));
         Exec_options huge{0, 0, 0};
         huge.budgets.tile_bytes = 1u << 30;
         huge.budgets.band_bytes = 1u << 28;
-        huge.budgets.panel_bytes = 1u << 30;
         expect_sets_identical(probed, engine.run(initial, kIterations, b, huge));
     }
 }
