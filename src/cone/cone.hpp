@@ -10,7 +10,9 @@
 // paper uses to keep the generated VHDL slim.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "grid/tile.hpp"
@@ -52,12 +54,44 @@ struct Cone_stats {
     }
 };
 
+// The unrolled iteration space of one stencil step: the value of state field
+// `s` at unrolling level `level` (level 0 = cone input) at position (x, y),
+// as a node of the step's pool. A value depends only on the step, never on
+// the cone asking for it, so one memo serves every cone of a kernel: each
+// value is substituted once, and a cone built after another mostly reads
+// values that are already there. Node ids still follow the order values
+// were first computed in; the structural fingerprints kept beside the
+// values let build_program() order commutative operands by structure
+// instead, so no cone's register program depends on the build order. Not
+// thread-safe; the owner serializes access together with the pool it
+// extends.
+class Cone_memo {
+public:
+    // The step must outlive the memo.
+    explicit Cone_memo(Stencil_step& step);
+
+    Expr_id value(int s, int level, int x, int y);
+
+    // Structural fingerprints of every node of the step's pool so far
+    // (extend_fingerprints()).
+    const std::vector<std::uint64_t>& fingerprints();
+
+private:
+    Stencil_step& step_;
+    std::vector<int> state_input_;     // state position -> pool field index
+    std::vector<int> state_position_;  // pool field index -> state position or -1
+    std::unordered_map<std::uint64_t, Expr_id> values_;
+    std::vector<std::uint64_t> fingerprints_;
+};
+
 // A built cone. Shares (and extends) the Stencil_step's expression pool; the
 // step must outlive the cone.
 class Cone {
 public:
-    // Builds the cone for `spec` over the given stencil. Throws on
-    // non-positive geometry.
+    // Builds the cone for `spec` over the given stencil through `memo`,
+    // which must belong to `step`. Throws on non-positive geometry.
+    Cone(Stencil_step& step, const Cone_spec& spec, Cone_memo& memo);
+    // Standalone build with a private memo.
     Cone(Stencil_step& step, const Cone_spec& spec);
 
     const Cone_spec& spec() const { return spec_; }
@@ -78,6 +112,8 @@ public:
     const Window& input_window() const { return stats_.input_window; }
 
 private:
+    void build(Cone_memo& memo);
+
     Stencil_step* step_;
     Cone_spec spec_;
     std::vector<Expr_id> outputs_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 #include <tuple>
 #include <utility>
 
@@ -204,295 +205,113 @@ Sweep_report Sweep_service::run(const Sweep_config& config) {
     return run_impl(config, nullptr);
 }
 
+// One (kernel, device, N, backend) cell of a request, in config order.
+struct Sweep_service::Combination {
+    std::string kernel;
+    std::string device;
+    int iterations = 0;
+    std::string backend;
+    std::string entry_key;  // empty without a persistent cache
+    bool cached = false;    // served from the cache by the serial front
+    bool repeat = false;    // entry key seen earlier in this request
+    Sweep_entry entry;
+};
+
+// One kernel's share of a request: its combinations in config order, its
+// own counters and validation caches. Nothing here is shared with another
+// kernel's task.
+struct Sweep_service::Kernel_task {
+    std::vector<Combination*> combinations;
+    Sweep_report counts;  // entry/grid counters only
+    Validation_cache validation;
+    Fixed_validation_cache fixed_validation;
+};
+
 Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* job) {
     const auto start = std::chrono::steady_clock::now();
     Sweep_report report;
     const Library_meters before = total_meters(libraries_);
-    // One pool for the whole request: Explorer candidate fan-outs and the
-    // validation runs' row fan-outs all share it.
-    std::optional<Thread_pool> pool;
-    if (resolve_thread_count(config.space.threads) > 1) {
-        pool.emplace(config.space.threads);
-    }
-    Thread_pool* shared_pool = pool ? &*pool : nullptr;
-    Validation_cache validation_cache;
-    Fixed_validation_cache fixed_validation_cache;
+
+    // Serial front: every kernel's frontend, symbolic execution and IR key
+    // (about 2 ms for all kernels), and every combination the cache can
+    // serve. Deadlines and cancellation interrupt between combinations: the
+    // natural unit of progress, and the unit of cache reuse a retried
+    // attempt picks back up from.
+    std::vector<Combination> combinations;
+    std::set<std::string> seen_keys;
     for (const std::string& kernel : config.kernels) {
-        Cone_library& lib = library(kernel);
         const std::string& ikey = ir_key(kernel);
         for (const std::string& device_name : config.devices) {
-            const Fpga_device& device = device_by_name(device_name);
+            device_by_name(device_name);  // an unknown device fails before any work
             for (int iterations : config.iteration_counts) {
-              for (const std::string& backend_name : config.backends) {
-                // Deadlines and cancellation interrupt between combinations:
-                // the natural unit of progress, and the unit of cache reuse
-                // a retried attempt picks back up from.
-                if (job != nullptr) job->checkpoint();
-
-                std::string entry_key;
-                if (cache_) {
-                    entry_key = sweep_entry_key(ikey, config, device_name,
-                                                iterations, backend_name);
-                    if (std::optional<std::string> payload = cache_->load(entry_key)) {
-                        Sweep_entry cached;
-                        std::string error;
-                        if (parse_record(*payload, &cached, &error)) {
-                            ++report.entry_hits;
-                            report.entries.push_back(std::move(cached));
-                            continue;  // served without any recomputation
-                        }
-                        // Checksum-valid but schema-stale record: recompute
-                        // and overwrite below.
+                for (const std::string& backend_name : config.backends) {
+                    if (job != nullptr) job->checkpoint();
+                    Combination c;
+                    c.kernel = kernel;
+                    c.device = device_name;
+                    c.iterations = iterations;
+                    c.backend = backend_name;
+                    if (cache_) {
+                        c.entry_key = sweep_entry_key(ikey, config, device_name,
+                                                      iterations, backend_name);
+                        // A key repeated within the request (a kernel listed
+                        // twice) is looked up by its task, after the first
+                        // occurrence has been computed and stored.
+                        c.repeat = !seen_keys.insert(c.entry_key).second;
+                        c.cached = !c.repeat && load_entry(c, report);
                     }
-                    ++report.entry_misses;
+                    combinations.push_back(std::move(c));
                 }
-
-                Evaluator_options evaluator_options;
-                evaluator_options.frame_width = config.frame_width;
-                evaluator_options.frame_height = config.frame_height;
-                evaluator_options.format = config.format;
-                evaluator_options.synth.format = config.format;
-                evaluator_options.throughput = config.throughput;
-                evaluator_options.calibration_windows = config.calibration_windows;
-
-                Space_options space = config.space;
-                space.iterations = iterations;
-
-                Sweep_entry entry;
-                entry.kernel = kernel;
-                entry.device = device_name;
-                entry.iterations = iterations;
-                entry.backend = backend_name;
-
-                // The per-(window, depth) format grid is N-independent but
-                // carries device-priced per-format evaluations, so it is
-                // searched once per (content, device) and shared across
-                // iteration counts, backends and requests.
-                auto format_grid = [&]() -> const Format_grid& {
-                    const std::string gkey =
-                        format_grid_key(ikey, config, device_name);
-                    auto grid_it = format_grids_.find(gkey);
-                    if (grid_it == format_grids_.end()) {
-                        std::optional<Format_grid> loaded;
-                        if (cache_) {
-                            if (std::optional<std::string> payload =
-                                    cache_->load(gkey)) {
-                                Format_grid parsed;
-                                std::string error;
-                                if (parse_record(*payload, &parsed, &error)) {
-                                    loaded = std::move(parsed);
-                                }
-                            }
-                        }
-                        if (loaded) {
-                            ++report.grid_hits;
-                            grid_it =
-                                format_grids_.emplace(gkey, std::move(*loaded))
-                                    .first;
-                        } else {
-                            const Kernel_def& def = kernel_by_name(kernel);
-                            const Frame_set content = def.make_initial(
-                                make_synthetic_scene(config.validation_frame_width,
-                                                     config.validation_frame_height,
-                                                     config.validation_seed));
-                            Explorer grid_explorer(lib, device, evaluator_options,
-                                                   space, shared_pool);
-                            grid_it = format_grids_
-                                          .emplace(gkey,
-                                                   grid_explorer.search_formats(
-                                                       content, def.boundary,
-                                                       config.format_search))
-                                          .first;
-                            if (cache_) {
-                                ++report.grid_misses;
-                                cache_->store(gkey,
-                                              serialize_record(grid_it->second));
-                            }
-                        }
-                    }
-                    return grid_it->second;
-                };
-
-                if (backend_name == "streaming") {
-                    // The streaming multi-PE array: every candidate is one
-                    // closed-form evaluation, so the fan-out that pays for a
-                    // pool in the paper backend is a plain loop here. The
-                    // backend shares this kernel's Cone_library, so its
-                    // calibration syntheses are the ones the paper backend
-                    // already paid for (or vice versa).
-                    Streaming_backend streaming(lib, device, evaluator_options,
-                                                space);
-                    streaming.calibrate();
-                    bool any = false;
-                    std::vector<Backend_point> points;
-                    for (const Streaming_config& candidate : streaming.configs()) {
-                        const Streaming_evaluation eval =
-                            streaming.evaluate(candidate);
-                        if (!eval.feasible) continue;
-                        if (!any || eval.fps > entry.streaming_best.fps) {
-                            entry.streaming_best = eval;
-                            any = true;
-                        }
-                        if (config.with_pareto) {
-                            points.push_back({to_string(eval.config),
-                                              eval.area_luts,
-                                              eval.seconds_per_frame, eval.fps,
-                                              ""});
-                        }
-                    }
-                    entry.fits = any;
-                    if (config.with_pareto) {
-                        std::vector<Design_point> dps;
-                        dps.reserve(points.size());
-                        for (std::size_t i = 0; i < points.size(); ++i) {
-                            dps.push_back({points[i].area_luts,
-                                           points[i].seconds_per_frame, i});
-                        }
-                        const std::vector<std::size_t> front = pareto_front(dps);
-                        entry.pareto_points = points.size();
-                        entry.pareto_front_size = front.size();
-                        for (std::size_t i : front) {
-                            entry.front_points.push_back(
-                                {points[i].config, points[i].area_luts,
-                                 points[i].seconds_per_frame, points[i].fps});
-                        }
-                    }
-                    if (config.search_formats && entry.fits) {
-                        // A streaming PE fuses `depth` one-column cones, so
-                        // the covering cell is (window 1, fused depth); the
-                        // re-evaluation rebuilds the backend at the searched
-                        // format, which re-derives the per-width clocks and
-                        // line-buffer bits at the searched word width.
-                        const Format_cell& cell = format_grid().at(
-                            1, entry.streaming_best.config.depth, space.max_depth);
-                        entry.format_searched = true;
-                        entry.format_satisfiable = cell.result.satisfiable;
-                        entry.fixed_format = cell.result.format;
-                        entry.format_exact = cell.result.exact;
-                        entry.format_psnr_db = cell.result.psnr_db;
-                        if (entry.format_satisfiable) {
-                            Evaluator_options priced = evaluator_options;
-                            priced.format = entry.fixed_format;
-                            priced.synth.format = entry.fixed_format;
-                            Streaming_backend priced_streaming(lib, device,
-                                                               priced, space);
-                            priced_streaming.calibrate();
-                            const Streaming_evaluation re =
-                                priced_streaming.evaluate(
-                                    entry.streaming_best.config);
-                            entry.searched_area_luts = re.area_luts;
-                            entry.searched_fps = re.fps;
-                            entry.searched_f_max_mhz = re.f_max_mhz;
-                        }
-                    }
-                    if (cache_ && !entry_key.empty() &&
-                        cache_->store(entry_key, serialize_record(entry))) {
-                        ++report.entry_stores;
-                    }
-                    report.entries.push_back(std::move(entry));
-                    continue;
-                }
-
-                Explorer explorer(lib, device, evaluator_options, space,
-                                  shared_pool);
-                const Fit_result fit = explorer.fit_device();
-                entry.fits = fit.has_best;
-                if (fit.has_best) entry.best = fit.best;
-                if (config.with_pareto) {
-                    const Pareto_result pareto = explorer.explore_pareto();
-                    entry.pareto_points = pareto.points.size();
-                    entry.pareto_front_size = pareto.front.size();
-                    for (std::size_t i : pareto.front) {
-                        const Arch_evaluation& e = pareto.points[i];
-                        entry.front_points.push_back(
-                            {to_string(e.instance), e.estimated_area_luts,
-                             e.throughput.seconds_per_frame, e.throughput.fps});
-                    }
-                }
-                if (config.search_formats && entry.fits) {
-                    // Narrowest format covering every depth class of the
-                    // fit: integer and fraction bits each take the max over
-                    // the classes' searched formats (more bits never hurt).
-                    // The covering point is exact only when every class is;
-                    // the reported PSNR is the worst over the non-exact
-                    // classes (each achieves at least it at the covering
-                    // width) — exact classes contribute no decibel number,
-                    // they are flagged, not folded in as a sentinel.
-                    const Format_grid& grid = format_grid();
-                    entry.format_searched = true;
-                    entry.format_satisfiable = true;
-                    entry.format_exact = true;
-                    entry.format_psnr_db = 0.0;
-                    bool first = true;
-                    bool any_psnr = false;
-                    for (int d : entry.best.instance.depth_classes()) {
-                        const Format_search_result& cell =
-                            grid.at(entry.best.instance.window, d, space.max_depth)
-                                .result;
-                        entry.format_satisfiable &= cell.satisfiable;
-                        entry.format_exact &= cell.exact;
-                        entry.fixed_format.integer_bits =
-                            first ? cell.format.integer_bits
-                                  : std::max(entry.fixed_format.integer_bits,
-                                             cell.format.integer_bits);
-                        entry.fixed_format.frac_bits =
-                            first ? cell.format.frac_bits
-                                  : std::max(entry.fixed_format.frac_bits,
-                                             cell.format.frac_bits);
-                        if (!cell.exact) {
-                            entry.format_psnr_db =
-                                any_psnr ? std::min(entry.format_psnr_db,
-                                                    cell.psnr_db)
-                                         : cell.psnr_db;
-                            any_psnr = true;
-                        }
-                        first = false;
-                    }
-                    // Re-run the full evaluation at the searched width: a
-                    // fresh evaluator over the same library (whose synthesis
-                    // cache is format-aware, so calibration syntheses at the
-                    // new width memoize across N values) re-prices area,
-                    // f_max, cycles and fps — the format column is a true
-                    // design point, not an area-only re-price. An
-                    // unsatisfiable search leaves only a failed width behind
-                    // — pricing at it would be meaningless, so the columns
-                    // stay empty instead.
-                    if (entry.format_satisfiable) {
-                        Evaluator_options priced = evaluator_options;
-                        priced.format = entry.fixed_format;
-                        priced.synth.format = entry.fixed_format;
-                        const Arch_evaluator pricer(lib, device, priced);
-                        const Arch_evaluation repriced =
-                            pricer.evaluate(entry.best.instance);
-                        entry.searched_area_luts = repriced.estimated_area_luts;
-                        entry.searched_fps = repriced.throughput.fps;
-                        entry.searched_f_max_mhz = repriced.f_max_mhz;
-                    }
-                }
-                if (config.validate && entry.fits) {
-                    entry.validation_max_abs_err = validate_fit(
-                        config, lib, entry, shared_pool, validation_cache);
-                    entry.validated = true;
-                }
-                if (config.validate_fixed && entry.fits) {
-                    const Fixed_format fixed_fmt =
-                        entry.format_searched && entry.format_satisfiable
-                            ? entry.fixed_format
-                            : config.format;
-                    entry.validation_max_raw_err =
-                        validate_fit_fixed(config, lib, entry, fixed_fmt,
-                                           shared_pool, fixed_validation_cache);
-                    entry.validated_fixed = true;
-                }
-                if (cache_ && !entry_key.empty() &&
-                    cache_->store(entry_key, serialize_record(entry))) {
-                    ++report.entry_stores;
-                }
-                report.entries.push_back(std::move(entry));
-              }
             }
         }
     }
+
+    // Fan-out: one task per distinct kernel with work left, claimed on the
+    // request's pool. The pool is created on the first entry miss, so an
+    // all-hit request never spawns one. Inside a task, the Explorer and
+    // validation fan-outs run inline (the pool's single-owner rule); a lone
+    // task takes the pool for those fan-outs instead.
+    std::vector<Kernel_task> tasks;
+    std::map<std::string, std::size_t> task_of;
+    for (Combination& c : combinations) {
+        if (c.cached) continue;
+        const auto [it, fresh] = task_of.emplace(c.kernel, tasks.size());
+        if (fresh) tasks.emplace_back();
+        tasks[it->second].combinations.push_back(&c);
+    }
+    std::optional<Thread_pool> pool;
+    if (!tasks.empty() && resolve_thread_count(config.space.threads) > 1) {
+        pool.emplace(config.space.threads);
+    }
+    Thread_pool* shared_pool = pool ? &*pool : nullptr;
+    auto run_task = [&](std::size_t t) {
+        Kernel_task& task = tasks[t];
+        for (Combination* c : task.combinations) {
+            if (job != nullptr) job->checkpoint();
+            if (c->repeat && load_entry(*c, task.counts)) continue;
+            c->entry = explore(config, *c, shared_pool, task);
+            if (cache_ && cache_->store(c->entry_key, serialize_record(c->entry))) {
+                ++task.counts.entry_stores;
+            }
+        }
+    };
+    if (shared_pool != nullptr) {
+        shared_pool->for_each_index(tasks.size(), run_task);
+    } else {
+        for (std::size_t t = 0; t < tasks.size(); ++t) run_task(t);
+    }
+
+    // Merge in config order: the report is the one a serial run produces.
+    for (const Kernel_task& task : tasks) {
+        report.entry_hits += task.counts.entry_hits;
+        report.entry_misses += task.counts.entry_misses;
+        report.entry_stores += task.counts.entry_stores;
+        report.grid_hits += task.counts.grid_hits;
+        report.grid_misses += task.counts.grid_misses;
+    }
+    report.entries.reserve(combinations.size());
+    for (Combination& c : combinations) report.entries.push_back(std::move(c.entry));
+
     // Cross-backend merged fronts: with more than one backend and a Pareto
     // sweep, the consecutive entries of each combination fold into one front
     // via the front-of-fronts identity front(A + B) == front(front(A) +
@@ -536,6 +355,255 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     return report;
+}
+
+bool Sweep_service::load_entry(Combination& c, Sweep_report& counts) {
+    if (std::optional<std::string> payload = cache_->load(c.entry_key)) {
+        Sweep_entry cached;
+        std::string error;
+        if (parse_record(*payload, &cached, &error)) {
+            ++counts.entry_hits;
+            c.entry = std::move(cached);
+            return true;
+        }
+        // Checksum-valid but schema-stale record: recompute and overwrite.
+    }
+    ++counts.entry_misses;
+    return false;
+}
+
+Sweep_entry Sweep_service::explore(const Sweep_config& config, const Combination& c,
+                                   Thread_pool* pool, Kernel_task& task) {
+    // Every library and IR key was created by the serial front, so these
+    // lookups only read the maps.
+    Cone_library& lib = *libraries_.at(c.kernel);
+    const std::string& ikey = ir_keys_.at(c.kernel);
+    const Fpga_device& device = device_by_name(c.device);
+
+    Evaluator_options evaluator_options;
+    evaluator_options.frame_width = config.frame_width;
+    evaluator_options.frame_height = config.frame_height;
+    evaluator_options.format = config.format;
+    evaluator_options.synth.format = config.format;
+    evaluator_options.throughput = config.throughput;
+    evaluator_options.calibration_windows = config.calibration_windows;
+
+    Space_options space = config.space;
+    space.iterations = c.iterations;
+
+    Sweep_entry entry;
+    entry.kernel = c.kernel;
+    entry.device = c.device;
+    entry.iterations = c.iterations;
+    entry.backend = c.backend;
+
+    // The per-(window, depth) format grid is N-independent but
+    // carries device-priced per-format evaluations, so it is
+    // searched once per (content, device) and shared across
+    // iteration counts, backends and requests.
+    auto format_grid = [&]() -> const Format_grid& {
+        const std::string gkey = format_grid_key(ikey, config, c.device);
+        {
+            std::lock_guard<std::mutex> lock(format_grids_mutex_);
+            auto it = format_grids_.find(gkey);
+            if (it != format_grids_.end()) return it->second;
+        }
+        // Searched outside the lock: grid keys carry the kernel identity,
+        // so no other kernel's task ever searches this grid.
+        std::optional<Format_grid> grid;
+        if (cache_) {
+            if (std::optional<std::string> payload = cache_->load(gkey)) {
+                Format_grid parsed;
+                std::string error;
+                if (parse_record(*payload, &parsed, &error)) grid = std::move(parsed);
+            }
+        }
+        if (grid) {
+            ++task.counts.grid_hits;
+        } else {
+            const Kernel_def& def = kernel_by_name(c.kernel);
+            const Frame_set content = def.make_initial(
+                make_synthetic_scene(config.validation_frame_width,
+                                     config.validation_frame_height,
+                                     config.validation_seed));
+            Explorer grid_explorer(lib, device, evaluator_options, space, pool);
+            grid = grid_explorer.search_formats(content, def.boundary,
+                                                config.format_search);
+            if (cache_) {
+                ++task.counts.grid_misses;
+                cache_->store(gkey, serialize_record(*grid));
+            }
+        }
+        std::lock_guard<std::mutex> lock(format_grids_mutex_);
+        return format_grids_.emplace(gkey, std::move(*grid)).first->second;
+    };
+
+    if (c.backend == "streaming") {
+        // The streaming multi-PE array: every candidate is one
+        // closed-form evaluation, so the fan-out that pays for a
+        // pool in the paper backend is a plain loop here. The
+        // backend shares this kernel's Cone_library, so its
+        // calibration syntheses are the ones the paper backend
+        // already paid for (or vice versa).
+        Streaming_backend streaming(lib, device, evaluator_options,
+                                    space);
+        streaming.calibrate();
+        bool any = false;
+        std::vector<Backend_point> points;
+        for (const Streaming_config& candidate : streaming.configs()) {
+            const Streaming_evaluation eval =
+                streaming.evaluate(candidate);
+            if (!eval.feasible) continue;
+            if (!any || eval.fps > entry.streaming_best.fps) {
+                entry.streaming_best = eval;
+                any = true;
+            }
+            if (config.with_pareto) {
+                points.push_back({to_string(eval.config),
+                                  eval.area_luts,
+                                  eval.seconds_per_frame, eval.fps,
+                                  ""});
+            }
+        }
+        entry.fits = any;
+        if (config.with_pareto) {
+            std::vector<Design_point> dps;
+            dps.reserve(points.size());
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                dps.push_back({points[i].area_luts,
+                               points[i].seconds_per_frame, i});
+            }
+            const std::vector<std::size_t> front = pareto_front(dps);
+            entry.pareto_points = points.size();
+            entry.pareto_front_size = front.size();
+            for (std::size_t i : front) {
+                entry.front_points.push_back(
+                    {points[i].config, points[i].area_luts,
+                     points[i].seconds_per_frame, points[i].fps});
+            }
+        }
+        if (config.search_formats && entry.fits) {
+            // A streaming PE fuses `depth` one-column cones, so
+            // the covering cell is (window 1, fused depth); the
+            // re-evaluation rebuilds the backend at the searched
+            // format, which re-derives the per-width clocks and
+            // line-buffer bits at the searched word width.
+            const Format_cell& cell = format_grid().at(
+                1, entry.streaming_best.config.depth, space.max_depth);
+            entry.format_searched = true;
+            entry.format_satisfiable = cell.result.satisfiable;
+            entry.fixed_format = cell.result.format;
+            entry.format_exact = cell.result.exact;
+            entry.format_psnr_db = cell.result.psnr_db;
+            if (entry.format_satisfiable) {
+                Evaluator_options priced = evaluator_options;
+                priced.format = entry.fixed_format;
+                priced.synth.format = entry.fixed_format;
+                Streaming_backend priced_streaming(lib, device,
+                                                   priced, space);
+                priced_streaming.calibrate();
+                const Streaming_evaluation re =
+                    priced_streaming.evaluate(
+                        entry.streaming_best.config);
+                entry.searched_area_luts = re.area_luts;
+                entry.searched_fps = re.fps;
+                entry.searched_f_max_mhz = re.f_max_mhz;
+            }
+        }
+        return entry;
+    }
+
+    Explorer explorer(lib, device, evaluator_options, space, pool);
+    const Fit_result fit = explorer.fit_device();
+    entry.fits = fit.has_best;
+    if (fit.has_best) entry.best = fit.best;
+    if (config.with_pareto) {
+        const Pareto_result pareto = explorer.explore_pareto();
+        entry.pareto_points = pareto.points.size();
+        entry.pareto_front_size = pareto.front.size();
+        for (std::size_t i : pareto.front) {
+            const Arch_evaluation& e = pareto.points[i];
+            entry.front_points.push_back(
+                {to_string(e.instance), e.estimated_area_luts,
+                 e.throughput.seconds_per_frame, e.throughput.fps});
+        }
+    }
+    if (config.search_formats && entry.fits) {
+        // Narrowest format covering every depth class of the
+        // fit: integer and fraction bits each take the max over
+        // the classes' searched formats (more bits never hurt).
+        // The covering point is exact only when every class is;
+        // the reported PSNR is the worst over the non-exact
+        // classes (each achieves at least it at the covering
+        // width) — exact classes contribute no decibel number,
+        // they are flagged, not folded in as a sentinel.
+        const Format_grid& grid = format_grid();
+        entry.format_searched = true;
+        entry.format_satisfiable = true;
+        entry.format_exact = true;
+        entry.format_psnr_db = 0.0;
+        bool first = true;
+        bool any_psnr = false;
+        for (int d : entry.best.instance.depth_classes()) {
+            const Format_search_result& cell =
+                grid.at(entry.best.instance.window, d, space.max_depth)
+                    .result;
+            entry.format_satisfiable &= cell.satisfiable;
+            entry.format_exact &= cell.exact;
+            entry.fixed_format.integer_bits =
+                first ? cell.format.integer_bits
+                      : std::max(entry.fixed_format.integer_bits,
+                                 cell.format.integer_bits);
+            entry.fixed_format.frac_bits =
+                first ? cell.format.frac_bits
+                      : std::max(entry.fixed_format.frac_bits,
+                                 cell.format.frac_bits);
+            if (!cell.exact) {
+                entry.format_psnr_db =
+                    any_psnr ? std::min(entry.format_psnr_db,
+                                        cell.psnr_db)
+                             : cell.psnr_db;
+                any_psnr = true;
+            }
+            first = false;
+        }
+        // Re-run the full evaluation at the searched width: a
+        // fresh evaluator over the same library (whose synthesis
+        // cache is format-aware, so calibration syntheses at the
+        // new width memoize across N values) re-prices area,
+        // f_max, cycles and fps — the format column is a true
+        // design point, not an area-only re-price. An
+        // unsatisfiable search leaves only a failed width behind
+        // — pricing at it would be meaningless, so the columns
+        // stay empty instead.
+        if (entry.format_satisfiable) {
+            Evaluator_options priced = evaluator_options;
+            priced.format = entry.fixed_format;
+            priced.synth.format = entry.fixed_format;
+            const Arch_evaluator pricer(lib, device, priced);
+            const Arch_evaluation repriced =
+                pricer.evaluate(entry.best.instance);
+            entry.searched_area_luts = repriced.estimated_area_luts;
+            entry.searched_fps = repriced.throughput.fps;
+            entry.searched_f_max_mhz = repriced.f_max_mhz;
+        }
+    }
+    if (config.validate && entry.fits) {
+        entry.validation_max_abs_err =
+            validate_fit(config, lib, entry, pool, task.validation);
+        entry.validated = true;
+    }
+    if (config.validate_fixed && entry.fits) {
+        const Fixed_format fixed_fmt =
+            entry.format_searched && entry.format_satisfiable
+                ? entry.fixed_format
+                : config.format;
+        entry.validation_max_raw_err =
+            validate_fit_fixed(config, lib, entry, fixed_fmt, pool,
+                               task.fixed_validation);
+        entry.validated_fixed = true;
+    }
+    return entry;
 }
 
 std::vector<Request_outcome> Sweep_service::run_requests(

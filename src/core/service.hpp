@@ -21,10 +21,22 @@
 //   - All filesystem and clock traffic goes through Env_hooks, so the fault
 //     harness (tests/test_fault_injection.cpp) can exercise torn writes,
 //     ENOSPC and stuck jobs deterministically.
+//
+// Execution of one request: a serial front runs every kernel's frontend and
+// symbolic execution and serves every combination the cache holds; then the
+// kernels with work left fan out, one task per kernel, over the request's
+// Thread_pool (created only on the first entry miss). Kernels share nothing
+// but the result cache and the format-grid map (behind a narrow lock): each
+// task has its own Cone_library, counters and validation caches. Nested pool
+// use has a single owner — the Explorer and frame-engine fan-outs inside a
+// kernel task run inline on the task's thread, and a lone task takes the
+// pool for them instead. Entries merge in config order, so the report is
+// byte-identical at any thread count.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -86,10 +98,21 @@ public:
     const Service_options& options() const { return options_; }
 
 private:
+    struct Combination;
+    struct Kernel_task;
+
     // The actual sweep; `job` (when batch-driven) is checkpointed between
     // combinations so deadlines and cancellation interrupt long requests at
     // clean boundaries.
     Sweep_report run_impl(const Sweep_config& config, Job_context* job);
+
+    // Serves one combination from the cache, counting the hit or miss in
+    // `counts`; false when it must be computed.
+    bool load_entry(Combination& c, Sweep_report& counts);
+
+    // Computes one combination's entry inside its kernel's task.
+    Sweep_entry explore(const Sweep_config& config, const Combination& c,
+                        Thread_pool* pool, Kernel_task& task);
 
     // The kernel's content identity, computed once per kernel (requires the
     // library, i.e. frontend + symexec, on first call).
@@ -104,6 +127,7 @@ private:
     // every grid-affecting option), so requests with different search
     // settings never share a grid.
     std::map<std::string, Format_grid> format_grids_;
+    std::mutex format_grids_mutex_;  // kernel tasks share format_grids_
 };
 
 }  // namespace islhls

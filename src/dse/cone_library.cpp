@@ -8,11 +8,15 @@
 namespace islhls {
 
 Cone_library::Cone_library(Stencil_step step, std::string kernel_name)
-    : step_(std::move(step)), kernel_name_(std::move(kernel_name)) {}
+    : step_(std::move(step)), memo_(step_), kernel_name_(std::move(kernel_name)) {}
 
 const Cone& Cone_library::cone(int window, int depth) {
-    check_internal(window >= 1 && depth >= 1, "cone(window, depth) must be positive");
     cone_lookups_.fetch_add(1, std::memory_order_relaxed);
+    return find_or_build(window, depth);
+}
+
+const Cone& Cone_library::find_or_build(int window, int depth) {
+    check_internal(window >= 1 && depth >= 1, "cone(window, depth) must be positive");
     const auto key = std::make_pair(window, depth);
     {
         std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -22,7 +26,8 @@ const Cone& Cone_library::cone(int window, int depth) {
     std::unique_lock<std::shared_mutex> lock(mutex_);
     auto it = cones_.find(key);
     if (it == cones_.end()) {
-        auto built = std::make_unique<Cone>(step_, Cone_spec{window, window, depth});
+        auto built =
+            std::make_unique<Cone>(step_, Cone_spec{window, window, depth}, memo_);
         it = cones_.emplace(key, std::move(built)).first;
     }
     return *it->second;
@@ -74,8 +79,9 @@ const Synthesis_report& Cone_library::synthesis(int window, int depth,
     // the cone's own (immutable once built) register program, so distinct
     // keys can synthesize concurrently. Racing threads may synthesize the
     // same key twice; the synthesizer is deterministic, the first insert
-    // wins, and the meter counts cache entries, so nothing diverges.
-    const Cone& built_cone = cone(window, depth);
+    // wins, and the meter counts cache entries, so nothing diverges. The
+    // cone lookup is uncounted: racing duplicates must not move the meter.
+    const Cone& built_cone = find_or_build(window, depth);
     const Synthesis_report report =
         synthesize_cone(built_cone, kernel_name_, device, options);
     if (store_.store) {

@@ -1,25 +1,31 @@
 // Cache of built cones and their (virtual) synthesis results for one kernel.
 //
-// Building a cone is cheap; synthesizing one is not (the virtual synthesizer
-// models tool runtimes of minutes to hours). The library keeps both memoized
-// and tracks the cumulative simulated synthesis CPU time, so the flow can
-// report how much the estimation-based exploration saves over synthesizing
-// every design point.
+// Cones share one unrolling memo (Cone_memo) beside the kernel's expression
+// pool: the value of every (state field, level, x, y) is substituted once
+// per kernel, so the first cone pays for its values and every later cone
+// mostly reads them, whatever order the grid is built in. Register programs
+// order commutative operands by structure, not by node id, so a cone's
+// program equals the one a standalone Cone(step, spec) with a private memo
+// builds (locked by tests/test_cone_order.cpp). Synthesizing a cone is the
+// expensive step (the virtual synthesizer models tool runtimes of minutes
+// to hours); the library memoizes it too and tracks the cumulative
+// simulated synthesis CPU time, so the flow can report how much the
+// estimation-based exploration saves over synthesizing every design point.
 //
 // The library is safe for concurrent callers: lookups take a shared lock;
 // cone cache misses build under the exclusive lock (building extends the
-// kernel's shared expression pool, so it must serialize), while synthesis
-// misses run the virtual synthesizer outside any lock (it only reads the
-// cone's immutable register program) and insert first-wins — racing threads
-// may duplicate a deterministic synthesis but never diverge. Returned
-// references stay valid for the library's lifetime (node-based storage).
-// The synthesis meter is derived from the memoization map in key order, so
-// its value is independent of the schedule that filled the cache.
+// shared pool and memo, so it must serialize), while synthesis misses run
+// the virtual synthesizer outside any lock (it only reads the cone's
+// immutable register program) and insert first-wins — racing threads may
+// duplicate a deterministic synthesis but never diverge. Returned references
+// stay valid for the library's lifetime (node-based storage). Every meter is
+// schedule-independent: the synthesis meter is derived from the memoization
+// map in key order, and cone_lookups() counts the callers' lookups only.
 //
-// One caveat for callers holding references into step(): a cone cache miss
-// extends the shared expression pool, so unlocked pool reads (e.g.
-// Stencil_step::footprint()) must not race cone() misses — pre-build the
-// cone grid first, as Arch_evaluator::calibrate() does.
+// Readers of step() that bypass the lock (footprint(), golden runs over the
+// pool) must not run while a cone miss extends the pool. Two patterns keep
+// them apart: build the cone grid first (Arch_evaluator::calibrate()), or
+// keep the kernel inside one task (Sweep_service's kernel fan-out).
 #pragma once
 
 #include <atomic>
@@ -86,7 +92,8 @@ public:
     // lpt_makespan() to report what a farm of synthesis workers would take.
     std::vector<double> synthesis_costs() const;
 
-    // Cache effectiveness counters: total lookups (hits = lookups - builds).
+    // Cache effectiveness counters: lookups made through cone() and stats()
+    // (hits = lookups - builds).
     long long cone_lookups() const { return cone_lookups_.load(); }
     long long synthesis_lookups() const { return synthesis_lookups_.load(); }
     int cone_builds() const;
@@ -94,7 +101,11 @@ public:
 private:
     using Synthesis_key = std::tuple<int, int, std::string>;
 
+    // cone() without touching the lookup meter.
+    const Cone& find_or_build(int window, int depth);
+
     Stencil_step step_;
+    Cone_memo memo_;  // guarded by mutex_ (exclusive)
     std::string kernel_name_;
     Synthesis_store store_;
     std::string store_key_prefix_;

@@ -4,6 +4,8 @@
 // and depth drive the timing model).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -23,10 +25,31 @@ struct Op_census {
     int count(Op_kind k) const;
 };
 
+// One past the largest id reachable from `roots`: a node's operands are
+// interned before it, so no reachable id exceeds the largest root. Sizes the
+// dense per-walk tables indexed by Expr_id.
+std::size_t id_bound(const std::vector<Expr_id>& roots);
+
+// Structural fingerprints: fingerprints[id] hashes node `id`'s kind, payload
+// and operands' fingerprints, with commutative operands combined in either
+// order. Unlike an Expr_id, a fingerprint does not depend on the order the
+// pool's nodes were created in. Extends `fingerprints` to cover every node
+// of `pool` (operands precede users, so earlier entries stay valid).
+void extend_fingerprints(const Expr_pool& pool,
+                         std::vector<std::uint64_t>& fingerprints);
+
+// The node's operands in visiting order. The pool orders commutative
+// operands by id; given fingerprints (covering the node), they are ordered
+// structurally instead — by fingerprint, then by structure on a collision —
+// so walks and programs come out the same whatever the creation order.
+std::array<Expr_id, 3> ordered_args(const Expr_pool& pool, const Expr_node& n,
+                                    const std::vector<std::uint64_t>* fingerprints);
+
 // Unique reachable node ids from `roots`, in deterministic topological order
-// (operands before users).
-std::vector<Expr_id> reachable_nodes(const Expr_pool& pool,
-                                     const std::vector<Expr_id>& roots);
+// (operands before users, visited in ordered_args() order).
+std::vector<Expr_id> reachable_nodes(
+    const Expr_pool& pool, const std::vector<Expr_id>& roots,
+    const std::vector<std::uint64_t>* fingerprints = nullptr);
 
 Op_census count_ops(const Expr_pool& pool, const std::vector<Expr_id>& roots);
 

@@ -1,7 +1,7 @@
 #include "ir/eval.hpp"
 
 #include <cmath>
-#include <unordered_map>
+#include <vector>
 
 #include "ir/analysis.hpp"
 #include "support/error.hpp"
@@ -33,7 +33,7 @@ double apply_op(Op_kind kind, const double* operands) {
 std::vector<double> evaluate_many(const Expr_pool& pool,
                                   const std::vector<Expr_id>& roots,
                                   const Input_resolver& resolve) {
-    std::unordered_map<Expr_id, double> memo;
+    std::vector<double> memo(id_bound(roots));
     for (Expr_id id : reachable_nodes(pool, roots)) {
         const Expr_node& n = pool.node(id);
         double v = 0.0;
@@ -47,17 +47,17 @@ std::vector<double> evaluate_many(const Expr_pool& pool,
             default: {
                 double operands[3] = {0.0, 0.0, 0.0};
                 for (int i = 0; i < n.arg_count(); ++i) {
-                    operands[i] = memo.at(n.args[static_cast<std::size_t>(i)]);
+                    operands[i] = memo[n.args[static_cast<std::size_t>(i)]];
                 }
                 v = apply_op(n.kind, operands);
                 break;
             }
         }
-        memo.emplace(id, v);
+        memo[id] = v;
     }
     std::vector<double> out;
     out.reserve(roots.size());
-    for (Expr_id r : roots) out.push_back(memo.at(r));
+    for (Expr_id r : roots) out.push_back(memo[r]);
     return out;
 }
 

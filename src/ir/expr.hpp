@@ -145,8 +145,8 @@ Expr_id transform_inputs(Expr_pool& pool, Expr_id root, Leaf_fn&& leaf);
 namespace detail {
 template <typename Leaf_fn>
 Expr_id transform_rec(Expr_pool& pool, Expr_id id, Leaf_fn& leaf,
-                      std::unordered_map<Expr_id, Expr_id>& memo) {
-    if (auto it = memo.find(id); it != memo.end()) return it->second;
+                      std::vector<Expr_id>& memo) {
+    if (memo[id] != no_expr) return memo[id];
     const Expr_node n = pool.node(id);  // copy: pool may reallocate below
     Expr_id result = no_expr;
     switch (n.kind) {
@@ -172,14 +172,16 @@ Expr_id transform_rec(Expr_pool& pool, Expr_id id, Leaf_fn& leaf,
             break;
         }
     }
-    memo.emplace(id, result);
+    memo[id] = result;
     return result;
 }
 }  // namespace detail
 
 template <typename Leaf_fn>
 Expr_id transform_inputs(Expr_pool& pool, Expr_id root, Leaf_fn&& leaf) {
-    std::unordered_map<Expr_id, Expr_id> memo;
+    // Operands are interned before their users, so every node under `root`
+    // has an id <= root: a dense table over [0, root] covers the walk.
+    std::vector<Expr_id> memo(static_cast<std::size_t>(root) + 1, no_expr);
     return detail::transform_rec(pool, root, leaf, memo);
 }
 

@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/expr.hpp"
@@ -86,7 +85,8 @@ public:
     const std::vector<Port>& input_ports() const { return ports_; }
 
     friend Register_program build_program(const Expr_pool& pool,
-                                          const std::vector<Expr_id>& roots);
+                                          const std::vector<Expr_id>& roots,
+                                          const std::vector<std::uint64_t>* fingerprints);
 
 private:
     std::vector<Instruction> instrs_;
@@ -101,7 +101,12 @@ private:
     std::shared_ptr<const Compiled_program> compiled_;
 };
 
-// Lowers the DAG reachable from `roots` to a register program.
-Register_program build_program(const Expr_pool& pool, const std::vector<Expr_id>& roots);
+// Lowers the DAG reachable from `roots` to a register program. Given
+// structural fingerprints (extend_fingerprints() over `pool`), commutative
+// operands are visited and emitted in ordered_args() order, so the program
+// depends only on the DAG's structure, not on the order its nodes were
+// interned in.
+Register_program build_program(const Expr_pool& pool, const std::vector<Expr_id>& roots,
+                               const std::vector<std::uint64_t>* fingerprints = nullptr);
 
 }  // namespace islhls

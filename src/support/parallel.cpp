@@ -6,6 +6,13 @@
 
 namespace islhls {
 
+namespace {
+
+// The pool whose fanned-out job this thread is running a body of, if any.
+thread_local const Thread_pool* running_pool = nullptr;
+
+}  // namespace
+
 int resolve_thread_count(int requested) {
     if (requested == 0) {
         const unsigned hw = std::thread::hardware_concurrency();
@@ -49,6 +56,7 @@ void Thread_pool::run_job(Job& job) {
 }
 
 void Thread_pool::worker_loop() {
+    running_pool = this;  // a worker only ever runs this pool's bodies
     std::uint64_t seen_generation = 0;
     for (;;) {
         Job* job = nullptr;
@@ -77,7 +85,7 @@ void Thread_pool::for_each_index(std::size_t count,
     Job job;
     job.count = count;
     job.body = &body;
-    if (workers_.empty() || count == 1) {
+    if (workers_.empty() || count == 1 || running_pool == this) {
         run_job(job);
     } else {
         {
@@ -86,7 +94,10 @@ void Thread_pool::for_each_index(std::size_t count,
             generation_ += 1;
         }
         wake_.notify_all();
-        run_job(job);
+        const Thread_pool* outer = running_pool;
+        running_pool = this;
+        run_job(job);  // never throws: body errors are captured in the job
+        running_pool = outer;
         // The job must outlive every worker that joined it: wait for all
         // indices to finish AND all joined workers to step off the job.
         std::unique_lock<std::mutex> lock(mutex_);

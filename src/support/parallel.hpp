@@ -7,6 +7,13 @@
 // container, and any cross-index aggregation happens after the join, in
 // index order. Under that contract the results are byte-identical to a
 // serial run regardless of the thread count or the OS schedule.
+//
+// Nested use has a single owner: while a fanned-out job runs, its bodies
+// own the pool, and a for_each_index call made from inside one of them runs
+// inline on the calling thread. A nested call can therefore never wait on
+// workers that are busy with its own parent (no deadlock), and never adds
+// threads beyond the pool's (no oversubscription). A one-index job runs
+// inline without taking the pool, so its body may still fan out.
 #pragma once
 
 #include <atomic>
@@ -38,7 +45,9 @@ public:
     int thread_count() const { return static_cast<int>(workers_.size()) + 1; }
 
     // Runs body(i) for every i in [0, count), blocking until all complete.
-    // The first exception by index order is rethrown after the join.
+    // The first exception by index order is rethrown after the join. Called
+    // from inside a running body of this pool, it runs inline (see above).
+    // Calls from outside the pool come from one thread at a time.
     void for_each_index(std::size_t count,
                         const std::function<void(std::size_t)>& body);
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "support/parallel.hpp"
@@ -72,6 +73,33 @@ TEST(Parallel, pool_is_reusable_across_jobs) {
                             [&](std::size_t i) { out[i] += round; });
     }
     for (int v : out) EXPECT_EQ(v, 1 + 2 + 3);
+}
+
+TEST(Parallel, nested_calls_run_inline_on_the_owning_body) {
+    // Every outer body fans out again on the same pool: the inner calls run
+    // inline on the body's own thread, so nothing deadlocks on workers that
+    // are busy with the outer job, and every pair runs exactly once.
+    Thread_pool pool(4);
+    constexpr std::size_t outer = 16;
+    constexpr std::size_t inner = 32;
+    std::vector<int> hits(outer * inner, 0);
+    std::vector<int> foreign(outer, 0);
+    pool.for_each_index(outer, [&](std::size_t i) {
+        const std::thread::id owner = std::this_thread::get_id();
+        pool.for_each_index(inner, [&](std::size_t j) {
+            hits[i * inner + j] += 1;
+            foreign[i] += std::this_thread::get_id() != owner;
+        });
+    });
+    for (int h : hits) EXPECT_EQ(h, 1);
+    for (int f : foreign) EXPECT_EQ(f, 0);
+
+    // A one-index job does not take the pool: its body may still fan out.
+    std::vector<int> nested(100, 0);
+    pool.for_each_index(1, [&](std::size_t) {
+        pool.for_each_index(nested.size(), [&](std::size_t j) { nested[j] += 1; });
+    });
+    for (int v : nested) EXPECT_EQ(v, 1);
 }
 
 TEST(Parallel, lpt_makespan_known_cases) {
