@@ -17,9 +17,7 @@
 //      run_fixed_raw on every sample, and the batched MSE equals the
 //      interpreter MSE exactly (MSE, not PSNR: an exact format has mse 0
 //      and no finite PSNR — exactness is a state, never a sentinel dB);
-//   2. determinism — search_fixed_format returns the identical
-//      Format_search_result at 1, 2 and 8 threads;
-//   3. speed — the batched single-thread evaluation is >= 5x the
+//   2. speed — the batched single-thread evaluation is >= 5x the
 //      per-sample interpreter, and the full per-format evaluation (area +
 //      f_max + fps at each candidate width, the format grid's warm path)
 //      stays cheap next to the bare area re-price it replaced.
@@ -163,13 +161,6 @@ double mse_batched(const Register_program& program, const Sample_set& set,
     return se / static_cast<double>(count);
 }
 
-bool same_result(const Format_search_result& a, const Format_search_result& b) {
-    return a.format == b.format && a.psnr_db == b.psnr_db && a.exact == b.exact &&
-           a.max_abs_value == b.max_abs_value &&
-           a.range_integer_bits == b.range_integer_bits &&
-           a.formats_tried == b.formats_tried && a.satisfiable == b.satisfiable;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -294,32 +285,21 @@ int main(int argc, char** argv) {
               << format_fixed(full_eval_overhead, 3) << ", sink "
               << format_fixed(fps_sink, 0) << ")\n";
 
-    // --- end-to-end search identity across thread counts ---------------------
+    // --- end-to-end search ---------------------------------------------------
     Format_search_options options;
     options.sample_windows = kSamples;
     options.seed = kSeed;
-    const auto search_at = [&](int threads) {
-        Format_search_options o = options;
-        o.threads = threads;
-        return search_fixed_format(cone, content, kernel.boundary, o);
-    };
     const auto t0 = std::chrono::steady_clock::now();
-    const Format_search_result search_1t = search_at(1);
+    const Format_search_result search_1t =
+        search_fixed_format(cone, content, kernel.boundary, options);
     const double search_1t_s = seconds_since(t0);
-    const Format_search_result search_2t = search_at(2);
-    const auto t8 = std::chrono::steady_clock::now();
-    const Format_search_result search_8t = search_at(8);
-    const double search_8t_s = seconds_since(t8);
-    const bool search_identical =
-        same_result(search_1t, search_2t) && same_result(search_1t, search_8t);
     std::cout << "[INFO] search_fixed_format: " << to_string(search_1t.format)
               << " at "
               << (search_1t.exact ? std::string("exact")
                                   : cat(format_fixed(search_1t.psnr_db, 1), " dB"))
               << " after "
               << search_1t.formats_tried << " formats; wall 1t "
-              << format_fixed(search_1t_s * 1e3, 2) << " ms, 8t "
-              << format_fixed(search_8t_s * 1e3, 2) << " ms\n\n";
+              << format_fixed(search_1t_s * 1e3, 2) << " ms\n\n";
 
     int deviations = 0;
     deviations += islhls_bench::report_claim(
@@ -328,8 +308,6 @@ int main(int argc, char** argv) {
     deviations += islhls_bench::report_claim(
         "batched MSE equals the interpreter MSE exactly on every format",
         mse_identical);
-    deviations += islhls_bench::report_claim(
-        "search result identical at 1, 2 and 8 threads", search_identical);
     deviations += islhls_bench::report_claim(
         "batched format evaluation >= 5x the per-sample interpreter",
         speedup >= 5.0);
@@ -348,15 +326,13 @@ int main(int argc, char** argv) {
             out << "  \"interpreter_ms\": " << format_fixed(interp_s * 1e3, 3) << ",\n";
             out << "  \"batched_1t_ms\": " << format_fixed(batched_s * 1e3, 3) << ",\n";
             out << "  \"search_1t_ms\": " << format_fixed(search_1t_s * 1e3, 3) << ",\n";
-            out << "  \"search_8t_ms\": " << format_fixed(search_8t_s * 1e3, 3) << ",\n";
             out << "  \"chosen_format\": \"" << to_string(search_1t.format) << "\",\n";
             out << "  \"full_eval_ms\": " << format_fixed(full_eval_s * 1e3, 3)
                 << ",\n";
             out << "  \"area_only_ms\": " << format_fixed(area_only_s * 1e3, 3)
                 << ",\n";
             out << "  \"byte_identical\": "
-                << (raw_identical && mse_identical && search_identical ? "true"
-                                                                       : "false")
+                << (raw_identical && mse_identical ? "true" : "false")
                 << ",\n";
             out << "  \"gated_metrics\": {\n";
             out << "    \"format_eval_batched_speedup_1t\": "

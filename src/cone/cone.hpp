@@ -28,9 +28,6 @@ struct Cone_spec {
     int window_height = 1;
     int depth = 1;
 
-    long long output_elements_per_field() const {
-        return static_cast<long long>(window_width) * window_height;
-    }
     bool operator==(const Cone_spec&) const = default;
 };
 

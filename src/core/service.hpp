@@ -27,11 +27,15 @@
 // kernels with work left fan out, one task per kernel, over the request's
 // Thread_pool (created only on the first entry miss). Kernels share nothing
 // but the result cache and the format-grid map (behind a narrow lock): each
-// task has its own Cone_library, counters and validation caches. Nested pool
-// use has a single owner — the Explorer and frame-engine fan-outs inside a
-// kernel task run inline on the task's thread, and a lone task takes the
-// pool for them instead. Entries merge in config order, so the report is
-// byte-identical at any thread count.
+// task has its own Cone_library, counters, validation frames and goldens.
+// Every combination then runs one exploration routine: a backend-specific
+// step yields the fit and neutral data (candidate points, covering format
+// cells, a re-pricing call, the simulatable fit), and the front fill, format
+// covering, re-pricing and golden validation run once for any backend.
+// Nested pool use has a single owner — the Explorer and frame-engine
+// fan-outs inside a kernel task run inline on the task's thread, and a lone
+// task takes the pool for them instead. Entries merge in config order, so
+// the report is byte-identical at any thread count.
 #pragma once
 
 #include <map>
@@ -110,19 +114,25 @@ private:
     // `counts`; false when it must be computed.
     bool load_entry(Combination& c, Sweep_report& counts);
 
-    // Computes one combination's entry inside its kernel's task.
-    Sweep_entry explore(const Sweep_config& config, const Combination& c,
+    // Fills one combination's entry (identity fields already set) inside
+    // its kernel's task.
+    Sweep_entry explore(const Sweep_config& config, Sweep_entry entry,
                         Thread_pool* pool, Kernel_task& task);
 
-    // The kernel's content identity, computed once per kernel (requires the
-    // library, i.e. frontend + symexec, on first call).
-    const std::string& ir_key(const std::string& kernel);
+    // The combination's per-(window, depth) format grid. It is
+    // N-independent but carries device-priced per-format evaluations, so it
+    // is searched once per (content, device) and shared across iteration
+    // counts, backends and requests.
+    const Format_grid& format_grid(const Sweep_config& config, const Sweep_entry& entry,
+                                   const Evaluator_options& evaluator_options,
+                                   const Space_options& space, Thread_pool* pool,
+                                   Kernel_task& task);
 
     Service_options options_;
     const Env_hooks* hooks_;
     std::unique_ptr<Result_cache> cache_;
     std::map<std::string, std::unique_ptr<Cone_library>> libraries_;
-    std::map<std::string, std::string> ir_keys_;
+    std::map<std::string, std::string> ir_keys_;  // kernel content identities
     // Format grids keyed by their full content key (kernel identity plus
     // every grid-affecting option), so requests with different search
     // settings never share a grid.

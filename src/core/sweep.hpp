@@ -5,16 +5,15 @@
 // (window, depth) no matter how many devices or iteration counts ask for
 // them, and virtual syntheses are shared across iteration counts (they are
 // keyed by device inside the library). Each combination runs the full
-// device fit — and optionally the Pareto sweep — through a parallel
-// Explorer (Space_options::threads). Combinations themselves run in their
-// nesting order so the report is deterministic; the parallelism lives inside
-// each exploration.
+// device fit — and optionally the Pareto sweep, the format search and the
+// golden validations — of every selected backend.
 //
-// One Thread_pool serves the whole request: every Explorer fans its
-// candidates across it, and the optional golden validation runs (functional
-// architecture simulation checked against the ghost golden, executed by the
-// compiled engine) route their row fan-out through the same pool via
-// Exec_options::pool — no per-run() pool construction anywhere in a sweep.
+// One Thread_pool (Space_options::threads wide) serves the whole request:
+// the kernels with work left fan out across it, one task per kernel, and a
+// kernel's combinations run in their nesting order inside its task. A lone
+// task takes the pool for its own Explorer and frame-engine fan-outs
+// (Exec_options::pool) instead. Entries merge in config order, so the
+// report is deterministic at any thread count.
 //
 // The sweep machinery itself lives in Sweep_service (core/service.hpp), the
 // one front door: constructed without a cache directory it runs in memory,

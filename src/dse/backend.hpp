@@ -5,8 +5,8 @@
 // (Zohouri's spatial+temporal blocking, SASA's multi-PE arrays on HBM — see
 // PAPERS.md). An Arch_backend is one datapath style: it enumerates its own
 // candidate axis and prices every candidate into generic Backend_points, so
-// the Explorer can fan a *set* of backends across one Thread_pool and merge
-// everything into a single cross-backend Pareto front.
+// the sweep service (core/service.hpp) can merge the fronts of several
+// backends into a single cross-backend Pareto front.
 //
 // The two-phase contract mirrors Arch_evaluator: calibrate() runs serially
 // once (fits cost models, pre-builds cones — anything that mutates the shared
@@ -63,7 +63,7 @@ public:
 
 // Runs every candidate of `backend` serially, in candidate order, and
 // returns the concatenated points. Convenience for tests and one-off
-// callers; Explorer::explore_backends is the pooled multi-backend path.
+// callers.
 std::vector<Backend_point> evaluate_all_candidates(const Arch_backend& backend);
 
 }  // namespace islhls

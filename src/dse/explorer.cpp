@@ -63,46 +63,6 @@ Pareto_result Explorer::explore_pareto() {
     return result;
 }
 
-Backend_pareto Explorer::explore_backends(
-    const std::vector<Arch_backend*>& backends) {
-    // Serial calibration of every backend (model fitting and cone building
-    // mutate the shared library), then the union of the candidate axes fans
-    // across one pool.
-    for (Arch_backend* backend : backends) backend->calibrate();
-
-    struct Slot {
-        std::size_t backend = 0;
-        std::size_t candidate = 0;
-    };
-    std::vector<Slot> slots;
-    for (std::size_t b = 0; b < backends.size(); ++b) {
-        const std::size_t count = backends[b]->candidate_count();
-        for (std::size_t c = 0; c < count; ++c) slots.push_back({b, c});
-    }
-
-    std::vector<std::vector<Backend_point>> results(slots.size());
-    run_parallel(slots.size(), [&](std::size_t i) {
-        results[i] = backends[slots[i].backend]->evaluate_candidate(
-            slots[i].candidate);
-    });
-
-    Backend_pareto merged;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        const std::string& backend_name = backends[slots[i].backend]->name();
-        for (Backend_point& point : results[i]) {
-            merged.points.push_back({backend_name, std::move(point)});
-        }
-    }
-    std::vector<Design_point> dps;
-    dps.reserve(merged.points.size());
-    for (std::size_t i = 0; i < merged.points.size(); ++i) {
-        dps.push_back({merged.points[i].point.area_luts,
-                       merged.points[i].point.seconds_per_frame, i});
-    }
-    merged.front = pareto_front(dps);
-    return merged;
-}
-
 Fit_result Explorer::fit_device() {
     paper_.calibrate();
 
@@ -180,10 +140,7 @@ Area_validation Explorer::validate_area_model() {
 
 islhls::Format_grid Explorer::search_formats(const Frame_set& content,
                                              Boundary boundary,
-                                             Format_search_options options) {
-    // One search per cell inside the candidate fan-out; the search's own
-    // sample-window pool stays disabled (its parallelism would nest).
-    options.threads = 1;
+                                             const Format_search_options& options) {
     // Pre-build the cone grid serially: cone construction extends the
     // kernel's shared expression pool and must not race the parallel cells
     // (the same discipline as Arch_evaluator::calibrate, without paying for

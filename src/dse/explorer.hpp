@@ -7,9 +7,8 @@
 //     partitions and core allocations, Pareto set extraction (Figs. 6 and 9);
 //   - fit_device(): maximize throughput inside one device's budget, per
 //     (window, primary depth) cell (Figs. 7 and 10).
-// A fourth, explore_backends(), fans a *set* of Arch_backends (the paper
-// datapath, the streaming multi-PE array, ...) across the same pool and
-// merges everything into one cross-backend Pareto front.
+// Other datapath styles (dse/streaming_backend.hpp) are explored by the
+// sweep service (core/service.hpp), which merges the per-backend fronts.
 //
 // All entry points fan independent candidates across a thread pool
 // (Space_options::threads) after a one-time serial calibration. Each
@@ -50,13 +49,6 @@ public:
     // --- Pareto exploration (paper backend) --------------------------------------
     Pareto_result explore_pareto();
 
-    // --- cross-backend Pareto exploration ----------------------------------------
-    // Calibrates every backend serially, then fans the union of their
-    // candidate axes across the pool and merges the points into one front,
-    // each point tagged with its backend. The backends must share this
-    // explorer's Cone_library (or be otherwise thread-safe against it).
-    Backend_pareto explore_backends(const std::vector<Arch_backend*>& backends);
-
     // --- device fit --------------------------------------------------------------
     Fit_result fit_device();
 
@@ -71,11 +63,10 @@ public:
     // (f_max, cycles and fps re-priced at the searched word width — a true
     // (area, fps, PSNR) point per cell). Cells are independent, so they fan
     // across the explorer's pool like any other candidate set; the per-cell
-    // search itself runs serially (options.threads is overridden to 1 —
-    // nested pools would oversubscribe) and each cell is seeded, so the
-    // grid is bit-identical at any thread count.
+    // search itself runs serially and each cell is seeded, so the grid is
+    // bit-identical at any thread count.
     islhls::Format_grid search_formats(const Frame_set& content, Boundary boundary,
-                                       Format_search_options options = {});
+                                       const Format_search_options& options = {});
 
     Arch_evaluator& evaluator() { return evaluator_; }
     Paper_backend& paper_backend() { return paper_; }

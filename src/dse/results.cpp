@@ -112,17 +112,4 @@ std::string dump(const Format_grid& grid) {
     return os.str();
 }
 
-std::string dump(const Backend_pareto& result) {
-    std::ostringstream os;
-    full_precision(os);
-    os << "points " << result.points.size() << "\n";
-    for (const Backend_pareto::Tagged& t : result.points) {
-        os << t.point.detail << "\n";
-    }
-    os << "front";
-    for (std::size_t i : result.front) os << " " << i;
-    os << "\n";
-    return os.str();
-}
-
 }  // namespace islhls

@@ -93,17 +93,6 @@ struct Backend_point {
     std::string detail;            // full-precision dump line, no newline
 };
 
-// A cross-backend exploration: every point tagged with its backend, one
-// merged front over (area, seconds_per_frame).
-struct Backend_pareto {
-    struct Tagged {
-        std::string backend;
-        Backend_point point;
-    };
-    std::vector<Tagged> points;
-    std::vector<std::size_t> front;  // indices into `points`
-};
-
 // Deterministic full-precision renderings, used to assert byte-identity
 // between serial and parallel explorations (tests, benches) and to diff
 // results across code changes. The backend tag is deliberately not printed
@@ -114,7 +103,6 @@ std::string dump(const Pareto_result& result);
 std::string dump(const Fit_result& result);
 std::string dump(const Area_validation& validation);
 std::string dump(const Format_grid& grid);
-std::string dump(const Backend_pareto& result);
 
 // The one-line full-precision rendering of an evaluation (no trailing
 // newline); backends fill Backend_point::detail with it so generic dumps

@@ -84,7 +84,6 @@ public:
     Streaming_evaluation evaluate(const Streaming_config& config) const;
 
     const std::vector<Streaming_config>& configs() const { return configs_; }
-    const Streaming_options& streaming_options() const { return options_; }
     const Fpga_device& device() const { return device_; }
 
 private:

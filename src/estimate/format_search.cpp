@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "sim/fixed_exec.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 #include "support/prng.hpp"
 
 namespace islhls {
@@ -68,27 +66,17 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
 
     // One batched tape pass per candidate format: quantize the flat inputs,
     // run every sample window through the integer-lowered tape, and fold the
-    // squared error inside the SAME jobs that ran the batch. The job
-    // decomposition is a function of the sample count alone (at most
-    // kFoldJobs ranges, never smaller than one kLane block so the batch
-    // executor's lane passes stay full), each job accumulates its partial
-    // sum over its samples in sample order, and the partials combine in
-    // range order after the join — so the PSNR is bit-identical at any
-    // thread count, and the fold no longer runs as a serial epilogue after
-    // the parallel batch. Jobs reuse their scratch across formats; the pool
-    // is built once for the whole search.
-    constexpr std::size_t kFoldJobs = 16;
+    // squared error range by range. The ranges are a function of the sample
+    // count alone (at most kFoldRanges, never smaller than one kLane block so
+    // the batch executor's lane passes stay full); each range sums its
+    // samples in sample order and the partial sums combine in range order,
+    // which fixes the PSNR bit for bit. One lane buffer serves every range
+    // and format.
+    constexpr std::size_t kFoldRanges = 16;
     const std::size_t lane = static_cast<std::size_t>(Fixed_exec::kLane);
-    const std::size_t jobs = std::max<std::size_t>(
-        1, std::min(kFoldJobs, (samples + lane - 1) / lane));
-    const int threads = resolve_thread_count(options.threads);
-    std::optional<Thread_pool> pool;
-    if (threads > 1 && jobs > 1) pool.emplace(threads);
-    // Per-job scratch is only needed when jobs really run concurrently; a
-    // serial pass keeps ONE cache-hot lane buffer across all ranges instead
-    // of cycling jobs-many cold ones. Scratch never influences results.
-    std::vector<Fixed_exec::Scratch> scratch(pool ? jobs : 1);
-    std::vector<double> partial_se(jobs, 0.0);
+    const std::size_t ranges = std::max<std::size_t>(
+        1, std::min(kFoldRanges, (samples + lane - 1) / lane));
+    Fixed_exec::Scratch scratch;
     std::vector<std::int64_t> raw_inputs(samples * in_count);
     std::vector<std::int64_t> raw_outputs(samples * out_count);
 
@@ -103,29 +91,22 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     auto measure = [&](const Fixed_format& fmt) -> Accuracy {
         const Fixed_exec exec(program, fmt);
         const Raw_quantizer quantize(fmt);
-        auto run_range = [&](std::size_t j) {
-            const std::size_t s0 = j * samples / jobs;
-            const std::size_t s1 = (j + 1) * samples / jobs;
+        double se = 0.0;
+        for (std::size_t j = 0; j < ranges; ++j) {
+            const std::size_t s0 = j * samples / ranges;
+            const std::size_t s1 = (j + 1) * samples / ranges;
             for (std::size_t k = s0 * in_count; k < s1 * in_count; ++k) {
                 raw_inputs[k] = quantize(flat_inputs[k]);
             }
             exec.run_raw_batch(raw_inputs.data() + s0 * in_count, s1 - s0,
-                               raw_outputs.data() + s0 * out_count,
-                               scratch[pool ? j : 0]);
-            double se = 0.0;
+                               raw_outputs.data() + s0 * out_count, scratch);
+            double partial = 0.0;
             for (std::size_t k = s0 * out_count; k < s1 * out_count; ++k) {
                 const double d = from_raw(raw_outputs[k], fmt) - references[k];
-                se += d * d;
+                partial += d * d;
             }
-            partial_se[j] = se;
-        };
-        if (pool) {
-            pool->for_each_index(jobs, run_range);
-        } else {
-            for (std::size_t j = 0; j < jobs; ++j) run_range(j);
+            se += partial;
         }
-        double se = 0.0;
-        for (std::size_t j = 0; j < jobs; ++j) se += partial_se[j];
         const double mse = se / static_cast<double>(samples * out_count);
         if (mse == 0.0) return {true, 0.0};
         return {false,

@@ -21,13 +21,12 @@
 // Every candidate format is evaluated in ONE batched pass over all sample
 // windows through the integer-lowered tape (Fixed_exec): inputs are
 // quantized into a flat raw buffer and advance kLane samples per tape
-// operation out of reusable per-job scratch, optionally fanned across a
-// thread pool — no per-sample interpreter run, no per-sample allocation.
-// The PSNR fold rides inside the same jobs: every job accumulates the
-// squared error of its own fixed sample range (the decomposition depends
-// only on the sample count, never the thread count) and the partials
-// combine in range order after the join, so the selected format, achieved
-// PSNR and formats_tried are bit-identical at any thread count.
+// operation out of one reusable scratch buffer — no per-sample interpreter
+// run, no per-sample allocation. The PSNR fold sums the squared error per
+// fixed sample range (the decomposition depends only on the sample count)
+// and combines the partials in range order, so the selected format,
+// achieved PSNR and formats_tried are deterministic bit for bit. Callers
+// fan whole searches across cells instead (Explorer::search_formats).
 #pragma once
 
 #include "backend/fixed_point.hpp"
@@ -42,10 +41,6 @@ struct Format_search_options {
     int sample_windows = 32;       // evaluation positions per frame
     int max_total_bits = 32;       // do not search beyond this width
     std::uint64_t seed = 99;       // window sampling
-    // Sample-window fan-out per candidate format (support/parallel.hpp
-    // semantics: 0 = all hardware threads). The result is byte-identical at
-    // any thread count.
-    int threads = 1;
     // Phase-3 integer-bit shrink below the range-derived floor (raw outputs
     // must stay byte-identical per shrunk candidate). Off reproduces the
     // plain two-phase search.

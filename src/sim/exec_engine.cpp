@@ -646,10 +646,6 @@ int Exec_engine::planned_interim_rows(int height, int band_rows, int depth,
 
 Frame_set Exec_engine::run(const Frame_set& initial, int iterations, Boundary b,
                            const Exec_options& options) const {
-    if (options.fixed_format) {
-        return run_fixed(initial, iterations, b, *options.fixed_format, options)
-            .to_frame_set();
-    }
     if (iterations <= 0) return initial;
     const int w = initial.width();
     const int h = initial.height();

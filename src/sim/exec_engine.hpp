@@ -58,18 +58,16 @@
 // diverge structurally):
 //
 //   - double (run): the tape's IEEE semantics, the classic golden engine;
-//   - fixed point (run_fixed / Exec_options::fixed_format): the program is
-//     lowered once per run into a Fixed_tape (ir/compiled.hpp) and executed
-//     over raw int64 Qm.f row buffers — the initial frames are quantized
-//     once, every iteration reads and writes raw words (no per-level
-//     re-quantization), and the border pass goes through
-//     Fixed_tape::eval_point. The raw words are memcmp-identical to a
-//     per-pixel run_fixed_raw sweep for every kernel, boundary, format,
-//     thread count and tile depth.
+//   - fixed point (run_fixed): the program is lowered once per run into a
+//     Fixed_tape (ir/compiled.hpp) and executed over raw int64 Qm.f row
+//     buffers — the initial frames are quantized once, every iteration reads
+//     and writes raw words (no per-level re-quantization), and the border
+//     pass goes through Fixed_tape::eval_point. The raw words are
+//     memcmp-identical to a per-pixel run_fixed_raw sweep for every kernel,
+//     boundary, format, thread count and tile depth.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,10 +126,6 @@ struct Exec_options {
     // way. The pool must not be running another job concurrently. Results
     // stay byte-identical to a serial run either way.
     Thread_pool* pool = nullptr;
-    // When set, run() executes the integer row path under this Qm.f format
-    // and returns the from_raw-decoded frames (run_fixed exposes the raw
-    // words). All other knobs apply unchanged.
-    std::optional<Fixed_format> fixed_format;
 };
 
 // Result of a whole-frame fixed-point run: the raw two's-complement Qm.f
@@ -189,8 +183,7 @@ public:
     // Fixed_tape for `format`, and carries raw int64 words through all
     // iterations — byte-identical to a per-pixel run_fixed_raw sweep at any
     // thread count and tile depth. With iterations <= 0 the result holds the
-    // quantized initial frames. `options.fixed_format` is ignored here (the
-    // explicit `format` parameter wins).
+    // quantized initial frames; to_frame_set() decodes the words.
     Fixed_frame_result run_fixed(const Frame_set& initial, int iterations, Boundary b,
                                  const Fixed_format& format,
                                  const Exec_options& options = {}) const;

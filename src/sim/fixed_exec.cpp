@@ -118,18 +118,6 @@ static_assert(Fixed_exec::kLane == kTapeLane,
 Fixed_exec::Fixed_exec(const Register_program& program, const Fixed_format& format)
     : program_(&program), fixed_(program.compiled(), format) {}
 
-void Fixed_exec::eval_into(const std::int64_t* inputs, std::int64_t* outputs,
-                           Scratch& scratch) const {
-    const Compiled_program& cp = fixed_.tape();
-    const auto slots = static_cast<std::size_t>(cp.slot_count());
-    if (scratch.point.size() < slots) scratch.point.resize(slots);
-    fixed_.eval_point(inputs, scratch.point.data());
-    const std::vector<std::int32_t>& out_slots = cp.output_slots();
-    for (std::size_t o = 0; o < out_slots.size(); ++o) {
-        outputs[o] = scratch.point[static_cast<std::size_t>(out_slots[o])];
-    }
-}
-
 void Fixed_exec::run_raw_batch(const std::int64_t* inputs, std::size_t samples,
                                std::int64_t* outputs, Scratch& scratch) const {
     const Compiled_program& cp = fixed_.tape();

@@ -66,17 +66,11 @@ public:
     }
 
     // Reusable per-thread scratch: `lanes` holds kLane samples per tape
-    // slot, `point` one sample (the scalar path). Both grow on first use and
-    // are never shrunk, so a thread evaluating many batches allocates once.
+    // slot. It grows on first use and is never shrunk, so a thread
+    // evaluating many batches allocates once.
     struct Scratch {
         std::vector<std::int64_t> lanes;
-        std::vector<std::int64_t> point;
     };
-
-    // Scalar: evaluates one sample of raw input words into `outputs`
-    // (output_count() words). Byte-identical to run_fixed_raw.
-    void eval_into(const std::int64_t* inputs, std::int64_t* outputs,
-                   Scratch& scratch) const;
 
     // Batch: evaluates `samples` input vectors, row-major
     // [samples][input_count()] raw words, into row-major

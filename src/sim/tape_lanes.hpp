@@ -7,10 +7,10 @@
 // (sim/arch_sim.cpp). This header is the one home of those per-op lane
 // bodies, in both value domains:
 //
-//   - run_fixed_op_lanes: raw Qm.f words, case-for-case identical to
+//   - fixed_lane_kernel: raw Qm.f words, case-for-case identical to
 //     apply_op_fixed (ir/compiled.hpp) and therefore to the run_fixed_raw
 //     reference interpreter;
-//   - run_double_op_lanes: IEEE doubles, case-for-case identical to
+//   - double_lane_kernel: IEEE doubles, case-for-case identical to
 //     apply_op (ir/eval.hpp). Each case is a single elementwise operation,
 //     so vectorization cannot reassociate or contract anything — results
 //     are bit-identical to the scalar path on every ISA.
@@ -48,14 +48,11 @@ using Double_lane_fn = void (*)(const Tape_op& op, double* lanes, int n);
 Fixed_lane_fn fixed_lane_kernel();
 Double_lane_fn double_lane_kernel();
 
-// Convenience forwarders through the resolved kernels.
+// Convenience forwarder through the resolved fixed-point kernel.
 inline void run_fixed_op_lanes(const Tape_op& op, std::int64_t* lanes, int n,
                                const Bit_wrap& wrap, int frac,
                                std::int64_t fixed_one) {
     fixed_lane_kernel()(op, lanes, n, wrap, frac, fixed_one);
-}
-inline void run_double_op_lanes(const Tape_op& op, double* lanes, int n) {
-    double_lane_kernel()(op, lanes, n);
 }
 
 // "avx512" / "avx2" / "default" — which clone the host resolved to, for

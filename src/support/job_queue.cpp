@@ -112,12 +112,7 @@ std::vector<Job_outcome> Job_queue::drain() {
             }
             continue;
         }
-        auto run_one = [&](std::size_t index) { run_attempt(*jobs_[runnable[index]]); };
-        if (options_.pool != nullptr) {
-            options_.pool->for_each_index(runnable.size(), run_one);
-        } else {
-            for (std::size_t i = 0; i < runnable.size(); ++i) run_one(i);
-        }
+        for (std::size_t index : runnable) run_attempt(*jobs_[index]);
     }
     std::vector<Job_outcome> outcomes;
     outcomes.reserve(requests_.size());

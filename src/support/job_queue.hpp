@@ -1,9 +1,8 @@
 // Async job queue with deduplication, deadlines and bounded retry.
 //
-// The queue admits keyed jobs and drains them in rounds over the existing
-// Thread_pool (support/parallel.hpp) — or inline, serially, when no pool is
-// given, which is what the sweep service uses so request-level execution
-// stays deterministic while each request parallelizes internally.
+// The queue admits keyed jobs and drains them serially, in rounds, so
+// request-level execution stays deterministic; the sweep service's requests
+// parallelize internally instead.
 //
 // Robustness contract:
 //   - Deduplication: a submit whose key matches an already queued job
@@ -34,7 +33,6 @@
 
 #include "support/env_hooks.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 
 namespace islhls {
 
@@ -45,7 +43,6 @@ struct Retry_policy {
 };
 
 struct Job_queue_options {
-    Thread_pool* pool = nullptr;     // nullptr: run jobs inline, serially
     std::int64_t deadline_ms = 0;    // per-attempt budget; 0 = none
     Retry_policy retry;
     const Env_hooks* hooks = nullptr;  // clock + backoff sleep

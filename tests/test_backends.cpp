@@ -1,16 +1,18 @@
 // Backend-seam tests: the Arch_backend interface must be a pure refactor of
 // the paper datapath (byte-identical dumps across every kernel and thread
 // count), the streaming backend's analytic model must track its
-// cycle-approximate walk on every kernel, and the cross-backend merged front
-// must obey the front-of-fronts identity.
+// cycle-approximate walk on every kernel, and the sweep service's merged
+// cross-backend front must obey the front-of-fronts identity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/service.hpp"
 #include "dse/explorer.hpp"
 #include "dse/pareto.hpp"
 #include "dse/streaming_backend.hpp"
@@ -70,19 +72,16 @@ TEST(Backends, paper_dump_identical_across_kernels_and_threads) {
     }
 }
 
-// explore_backends over the paper backend alone must match the legacy path
-// byte for byte too (dump(Backend_pareto) shares the layout).
-TEST(Backends, single_backend_exploration_matches_legacy_dump) {
+// The seam re-run on an explorer that already explored: calibration is
+// idempotent, so the generic candidate walk over the explorer's own paper
+// backend still renders the legacy dump byte for byte.
+TEST(Backends, seam_dump_matches_explore_pareto_on_one_explorer) {
     Cone_library library = make_library("heat");
     Explorer explorer(library, device_by_name("generic_small"),
                       small_evaluator_options(), small_space());
     const std::string legacy = dump(explorer.explore_pareto());
-    Cone_library library2 = make_library("heat");
-    Explorer explorer2(library2, device_by_name("generic_small"),
-                       small_evaluator_options(), small_space());
-    const Backend_pareto merged =
-        explorer2.explore_backends({&explorer2.paper_backend()});
-    EXPECT_EQ(dump(merged), legacy);
+    Paper_backend& paper = explorer.paper_backend();
+    EXPECT_EQ(paper.dump(evaluate_all_candidates(paper)), legacy);
 }
 
 // More channel bandwidth at a fixed (depth, vector, PE) shape can only ever
@@ -115,70 +114,134 @@ TEST(Backends, streaming_front_monotone_in_channel_bandwidth) {
     EXPECT_GT(compared, 0);
 }
 
-// The merged cross-backend front is front(paper points + streaming points):
-// every merged-front member lies on its own backend's front, and the front
-// indices are exactly the Pareto set of the tagged union.
-TEST(Backends, cross_backend_front_contains_each_backends_own_front) {
-    Cone_library library = make_library("heat");
-    Explorer explorer(library, device_by_name("xc6vlx760"),
-                      small_evaluator_options(), small_space());
-    Streaming_backend streaming(library, device_by_name("xc6vlx760"),
-                                small_evaluator_options(), small_space());
-    const Backend_pareto merged =
-        explorer.explore_backends({&explorer.paper_backend(), &streaming});
-    ASSERT_FALSE(merged.points.empty());
-    ASSERT_FALSE(merged.front.empty());
+// A two-backend Pareto sweep through the service, the product's only
+// cross-backend path.
+Sweep_config merged_sweep_config(int threads) {
+    Sweep_config config;
+    config.kernels = {"heat", "jacobi"};
+    config.devices = {"xc6vlx760"};
+    config.iteration_counts = {4};
+    config.frame_width = 128;
+    config.frame_height = 96;
+    config.space = small_space(threads);
+    config.backends = {"paper", "streaming"};
+    config.with_pareto = true;
+    return config;
+}
 
-    // Both backends contribute evaluated points.
-    std::map<std::string, int> contributed;
-    for (const Backend_pareto::Tagged& t : merged.points) ++contributed[t.backend];
-    EXPECT_GT(contributed["paper"], 0);
-    EXPECT_GT(contributed["streaming"], 0);
+struct Tagged_point {
+    std::string backend;
+    Backend_point point;
+};
 
-    // The front really is the Pareto set of the union...
-    std::vector<Design_point> all;
-    for (std::size_t i = 0; i < merged.points.size(); ++i) {
-        all.push_back({merged.points[i].point.area_luts,
-                       merged.points[i].point.seconds_per_frame, i});
-    }
-    EXPECT_EQ(merged.front, pareto_front(all));
-
-    // ...and each member survives the front of its own backend alone
-    // (front(A + B) can only thin a backend's own front, never add to it).
-    for (const char* backend : {"paper", "streaming"}) {
-        std::vector<Design_point> own;
-        for (std::size_t i = 0; i < merged.points.size(); ++i) {
-            if (merged.points[i].backend != backend) continue;
-            own.push_back({merged.points[i].point.area_luts,
-                           merged.points[i].point.seconds_per_frame, i});
+// Every feasible point both backends produce for one kernel of
+// merged_sweep_config, priced exactly as the service prices them.
+std::vector<Tagged_point> all_backend_points(const Sweep_config& config,
+                                             const std::string& kernel) {
+    Evaluator_options options;
+    options.frame_width = config.frame_width;
+    options.frame_height = config.frame_height;
+    options.format = config.format;
+    options.synth.format = config.format;
+    options.throughput = config.throughput;
+    options.calibration_windows = config.calibration_windows;
+    Space_options space = config.space;
+    space.iterations = config.iteration_counts.at(0);
+    const Fpga_device& device = device_by_name(config.devices.at(0));
+    Cone_library library = make_library(kernel);
+    Explorer explorer(library, device, options, space);
+    Streaming_backend streaming(library, device, options, space);
+    std::vector<Tagged_point> all;
+    for (Arch_backend* backend :
+         std::vector<Arch_backend*>{&explorer.paper_backend(), &streaming}) {
+        backend->calibrate();
+        for (Backend_point& p : evaluate_all_candidates(*backend)) {
+            all.push_back({backend->name(), std::move(p)});
         }
-        std::vector<bool> on_own_front(merged.points.size(), false);
-        for (std::size_t i : pareto_front(own)) on_own_front[own[i].tag] = true;
-        for (std::size_t i : merged.front) {
-            if (merged.points[i].backend != backend) continue;
-            EXPECT_TRUE(on_own_front[i])
-                << backend << " point " << merged.points[i].point.config
+    }
+    return all;
+}
+
+// Pareto front of the points that pass `keep`, as indices into `points`.
+template <class Keep>
+std::vector<std::size_t> front_where(const std::vector<Tagged_point>& points,
+                                     Keep keep) {
+    std::vector<Design_point> dps;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (!keep(points[i])) continue;
+        dps.push_back({points[i].point.area_luts, points[i].point.seconds_per_frame, i});
+    }
+    std::vector<std::size_t> front;
+    for (std::size_t i : pareto_front(dps)) front.push_back(dps[i].tag);
+    return front;
+}
+
+bool same_objectives(const Front_point& a, const Backend_point& b) {
+    return a.area_luts == b.area_luts && a.seconds_per_frame == b.seconds_per_frame;
+}
+
+// The service's merged front is front(paper points + streaming points) over
+// both backends' FULL point sets, although it is folded from the two
+// entries' own fronts (the front-of-fronts identity); both backends
+// contribute points, and every member lies on its own backend's front.
+TEST(Backends, service_merged_front_is_front_of_union_of_full_point_sets) {
+    const Sweep_config config = merged_sweep_config(2);
+    Sweep_service service;
+    const Sweep_report report = service.run(config);
+    ASSERT_EQ(report.merged_fronts.size(), config.kernels.size());
+    for (std::size_t k = 0; k < config.kernels.size(); ++k) {
+        const std::string& kernel = config.kernels[k];
+        SCOPED_TRACE(kernel);
+        const Merged_front& merged = report.merged_fronts[k];
+        ASSERT_EQ(merged.kernel, kernel);
+        ASSERT_FALSE(merged.points.empty());
+        const std::vector<Tagged_point> all = all_backend_points(config, kernel);
+
+        std::map<std::string, int> contributed;
+        for (const Tagged_point& t : all) ++contributed[t.backend];
+        EXPECT_GT(contributed["paper"], 0);
+        EXPECT_GT(contributed["streaming"], 0);
+
+        // The front of the union, objective for objective and in order; each
+        // member names a point of its backend with those objectives (equal
+        // objectives may tie between candidates, so identity is checked by
+        // membership rather than position).
+        const std::vector<std::size_t> front =
+            front_where(all, [](const Tagged_point&) { return true; });
+        ASSERT_EQ(merged.points.size(), front.size());
+        for (std::size_t i = 0; i < front.size(); ++i) {
+            const Merged_front::Point& got = merged.points[i];
+            EXPECT_TRUE(same_objectives(got.point, all[front[i]].point)) << i;
+            EXPECT_EQ(got.point.fps, all[front[i]].point.fps) << i;
+            EXPECT_TRUE(std::any_of(all.begin(), all.end(), [&](const Tagged_point& t) {
+                return t.backend == got.backend && t.point.config == got.point.config &&
+                       same_objectives(got.point, t.point);
+            })) << got.backend << " " << got.point.config;
+        }
+
+        // ...and each member survives the front of its own backend alone
+        // (front(A + B) can only thin a backend's own front, never add to it).
+        for (const Merged_front::Point& got : merged.points) {
+            const std::vector<std::size_t> own = front_where(
+                all, [&](const Tagged_point& t) { return t.backend == got.backend; });
+            EXPECT_TRUE(std::any_of(own.begin(), own.end(), [&](std::size_t i) {
+                return same_objectives(got.point, all[i].point);
+            })) << got.backend << " point " << got.point.config
                 << " is on the merged front but not its backend's own front";
         }
     }
 }
 
-// Cross-backend exploration stays byte-identical across thread counts, like
-// every other exploration.
-TEST(Backends, cross_backend_dump_identical_across_thread_counts) {
+// The merged fronts, like every report column, are byte-identical across
+// thread counts.
+TEST(Backends, service_merged_fronts_identical_across_thread_counts) {
     std::string serial;
     for (int threads : {1, 2, 8}) {
-        Cone_library library = make_library("jacobi");
-        Explorer explorer(library, device_by_name("xc6vlx760"),
-                          small_evaluator_options(), small_space(threads));
-        Streaming_backend streaming(library, device_by_name("xc6vlx760"),
-                                    small_evaluator_options(),
-                                    small_space(threads));
-        const std::string text = dump(
-            explorer.explore_backends({&explorer.paper_backend(), &streaming}));
+        Sweep_service service;
+        const std::string text = report_table(service.run(merged_sweep_config(threads)));
         if (threads == 1) {
             serial = text;
-            EXPECT_FALSE(serial.empty());
+            EXPECT_NE(serial.find("merged pareto front"), std::string::npos);
         } else {
             EXPECT_EQ(text, serial) << "threads " << threads;
         }

@@ -84,24 +84,26 @@ TEST(Fixed_row_engine, matches_per_pixel_reference_everywhere) {
     }
 }
 
-TEST(Fixed_row_engine, run_dispatches_on_fixed_format_and_decodes) {
+TEST(Fixed_row_engine, run_fixed_to_frame_set_decodes_every_raw_word) {
+    // run_fixed is the one fixed-point entry; to_frame_set() hands its raw
+    // words back as values, each exactly from_raw of its word, in the
+    // canonical field order.
     const Kernel_def& kernel = kernel_by_name("igf");
     const Stencil_step step = extract_stencil(kernel.c_source);
     const Exec_engine engine(step);
     const Frame_set initial = kernel.make_initial(make_synthetic_scene(19, 14, 5));
     const Fixed_format fmt{12, 6};
-    Exec_options options;
-    options.fixed_format = fmt;
-    const Frame_set via_run = engine.run(initial, 2, kernel.boundary, options);
-    const Frame_set decoded =
-        engine.run_fixed(initial, 2, kernel.boundary, fmt).to_frame_set();
-    ASSERT_EQ(via_run.names(), decoded.names());
-    for (const std::string& name : via_run.names()) {
-        SCOPED_TRACE(name);
-        const Frame& a = via_run.field(name);
-        const Frame& d = decoded.field(name);
-        EXPECT_EQ(0, std::memcmp(a.data().data(), d.data().data(),
-                                 a.element_count() * sizeof(double)));
+    const Fixed_frame_result fixed = engine.run_fixed(initial, 2, kernel.boundary, fmt);
+    const Frame_set decoded = fixed.to_frame_set();
+    ASSERT_EQ(decoded.names(), fixed.names);
+    for (std::size_t f = 0; f < fixed.names.size(); ++f) {
+        SCOPED_TRACE(fixed.names[f]);
+        const Frame& d = decoded.field(fixed.names[f]);
+        ASSERT_EQ(d.data().size(), fixed.raw[f].size());
+        std::vector<double> expected;
+        for (std::int64_t word : fixed.raw[f]) expected.push_back(from_raw(word, fmt));
+        EXPECT_EQ(0, std::memcmp(d.data().data(), expected.data(),
+                                 expected.size() * sizeof(double)));
     }
 }
 

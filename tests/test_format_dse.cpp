@@ -40,12 +40,10 @@ TEST(Format_dse, explorer_grid_matches_standalone_search_and_is_thread_invariant
 
     // Every cell equals the standalone per-cone search (the grid adds
     // fan-out, never different numerics).
-    Format_search_options serial = options;
-    serial.threads = 1;
     for (const Format_cell& cell : grid.cells) {
         SCOPED_TRACE(cat("w", cell.window, " d", cell.depth));
         const Format_search_result direct = search_fixed_format(
-            library.cone(cell.window, cell.depth), content, kernel.boundary, serial);
+            library.cone(cell.window, cell.depth), content, kernel.boundary, options);
         EXPECT_EQ(cell.result.format, direct.format);
         EXPECT_EQ(cell.result.psnr_db, direct.psnr_db);
         EXPECT_EQ(cell.result.max_abs_value, direct.max_abs_value);

@@ -237,24 +237,17 @@ TEST_F(Format_search_fixture, batched_search_identical_to_interpreter_reference)
     }
 }
 
-TEST_F(Format_search_fixture, result_is_thread_count_invariant) {
-    // The partial-sum fold must be a function of the sample set alone:
-    // 1/2/8 threads (and all-hardware 0) return the bit-identical
-    // Format_search_result, for window counts below, at and well above the
-    // fixed fold-job count (16) — including ranges that do not divide evenly.
+TEST_F(Format_search_fixture, range_fold_matches_reference_at_every_sample_count) {
+    // The range-by-range partial-sum fold must equal the per-sample
+    // reference for window counts below, at and well above the fixed fold
+    // range count (16) — including ranges that do not divide evenly.
     for (int sample_windows : {5, 16, 70, 131}) {
         SCOPED_TRACE(sample_windows);
-        Format_search_options base;
-        base.sample_windows = sample_windows;
-        const Format_search_result serial =
-            search_fixed_format(cone, content, Boundary::clamp, base);
-        for (int threads : {2, 8, 0}) {
-            SCOPED_TRACE(threads);
-            Format_search_options options = base;
-            options.threads = threads;
-            expect_same_result(
-                serial, search_fixed_format(cone, content, Boundary::clamp, options));
-        }
+        Format_search_options options;
+        options.sample_windows = sample_windows;
+        expect_same_result(
+            search_fixed_format_reference(cone, content, Boundary::clamp, options),
+            search_fixed_format(cone, content, Boundary::clamp, options));
     }
 }
 

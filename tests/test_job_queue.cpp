@@ -201,21 +201,6 @@ TEST(Job_queue, running_job_observes_cancellation_at_checkpoint) {
     EXPECT_NE(outcomes[0].message.find("cancelled"), std::string::npos);
 }
 
-TEST(Job_queue, pool_mode_completes_every_job) {
-    Thread_pool pool(4);
-    Job_queue_options options;
-    options.pool = &pool;
-    Job_queue queue(options);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 32; ++i) {
-        queue.submit(cat("job-", i), [&](Job_context&) { ++ran; });
-    }
-    const std::vector<Job_outcome> outcomes = queue.drain();
-    EXPECT_EQ(ran.load(), 32);
-    EXPECT_EQ(outcomes.size(), 32u);
-    for (const Job_outcome& outcome : outcomes) EXPECT_TRUE(outcome.ok);
-}
-
 TEST(Job_queue, queue_is_reusable_after_drain) {
     Job_queue queue;
     queue.submit("first", [](Job_context&) {});

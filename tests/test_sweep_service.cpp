@@ -360,7 +360,6 @@ TEST(Sweep_records, keys_track_results_not_thread_counts) {
     // ...thread counts do not (results are thread-invariant by contract).
     changed = base;
     changed.space.threads = 16;
-    changed.format_search.threads = 8;
     EXPECT_EQ(sweep_entry_key(ir, changed, "xc6vlx760", 2, "paper"), key);
     EXPECT_EQ(sweep_request_key(changed), sweep_request_key(base));
     EXPECT_EQ(format_grid_key(ir, changed, "xc6vlx760"),
