@@ -8,6 +8,11 @@
 
 namespace islhls {
 
+const std::vector<std::string>& sweep_backends() {
+    static const std::vector<std::string> kBackends = {"paper", "streaming"};
+    return kBackends;
+}
+
 void validate_config(const Sweep_config& config) {
     // User-facing configuration errors, not internal invariants.
     if (config.kernels.empty()) {
@@ -31,11 +36,12 @@ void validate_config(const Sweep_config& config) {
     if (config.backends.empty()) {
         throw User_error("sweep needs at least one backend");
     }
+    const std::vector<std::string>& known = sweep_backends();
     for (std::size_t i = 0; i < config.backends.size(); ++i) {
         const std::string& backend = config.backends[i];
-        if (backend != "paper" && backend != "streaming") {
-            throw User_error(cat("unknown sweep backend '", backend,
-                                 "' (expected paper or streaming)"));
+        if (std::find(known.begin(), known.end(), backend) == known.end()) {
+            throw User_error(cat("unknown sweep backend '", backend, "' (expected ",
+                                 join(known, " or "), ")"));
         }
         for (std::size_t j = 0; j < i; ++j) {
             if (config.backends[j] == backend) {

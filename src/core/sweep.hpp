@@ -31,6 +31,10 @@
 
 namespace islhls {
 
+// Every architecture backend a sweep can explore, in the order
+// `--backend all` runs them.
+const std::vector<std::string>& sweep_backends();
+
 struct Sweep_config {
     std::vector<std::string> kernels;    // registry names, e.g. "igf"
     std::vector<std::string> devices;    // device names, e.g. "xc6vlx760"
@@ -43,10 +47,10 @@ struct Sweep_config {
     Space_options space;
     Throughput_params throughput;
     std::vector<int> calibration_windows = {1, 2};
-    // Architecture backends to explore per combination ("paper",
-    // "streaming"); each backend contributes its own report entry, and with
-    // more than one backend plus `with_pareto`, the per-backend fronts merge
-    // into one cross-backend front per combination.
+    // Architecture backends to explore per combination (a subset of
+    // sweep_backends()); each backend contributes its own report entry, and
+    // with more than one backend plus `with_pareto`, the per-backend fronts
+    // merge into one cross-backend front per combination.
     std::vector<std::string> backends = {"paper"};
     bool with_pareto = false;  // additionally run the Pareto sweep per combo
     // Golden validation of each feasible best fit: simulate the fitted
@@ -90,7 +94,7 @@ struct Sweep_entry {
     std::string kernel;
     std::string device;
     int iterations = 0;
-    std::string backend = "paper";   // Arch_backend that produced this entry
+    std::string backend = "paper";   // backend that produced this entry
     bool fits = false;               // a feasible device fit exists
     Arch_evaluation best;            // valid when `fits` and backend "paper"
     // Valid when `fits` and backend "streaming": the best-fps feasible

@@ -39,6 +39,17 @@ struct Evaluator_options {
     double class_overhead_luts = 24000.0;
 };
 
+// The design space an exploration walks: the (window, depth) grid, the
+// iteration count it must cover, and the Pareto sweep's caps.
+struct Space_options {
+    int iterations = 10;      // N, the total ISL iteration count
+    int max_window = 9;       // output windows 1..max (square)
+    int max_depth = 5;        // cone depths 1..max
+    int max_cores_per_sweep = 16;       // Pareto sweep: total cores cap
+    double pareto_area_cap_luts = 6e6;  // Pareto sweep: area cap
+    int threads = 1;          // DSE fan-out width; 0 = all hardware threads
+};
+
 struct Arch_evaluation {
     Arch_instance instance;
     bool feasible = true;

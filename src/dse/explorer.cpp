@@ -10,12 +10,30 @@
 
 namespace islhls {
 
+std::vector<std::vector<int>> depth_partitions(int iterations, int max_depth) {
+    std::vector<int> parts;
+    for (int d = 1; d <= max_depth; ++d) parts.push_back(d);
+    return partitions_into(iterations, parts);
+}
+
+std::vector<int> canonical_partition(int iterations, int primary_depth) {
+    check_internal(primary_depth >= 1, "primary depth must be >= 1");
+    std::vector<int> levels;
+    int remaining = iterations;
+    int depth = primary_depth;
+    while (remaining > 0) {
+        if (depth > remaining) depth = remaining;
+        levels.push_back(depth);
+        remaining -= depth;
+    }
+    return levels;
+}
+
 Explorer::Explorer(Cone_library& library, const Fpga_device& device,
                    const Evaluator_options& evaluator_options,
                    const Space_options& space_options, Thread_pool* shared_pool)
     : evaluator_(library, device, evaluator_options),
       space_(space_options),
-      paper_(evaluator_, space_options),
       external_pool_(shared_pool) {
     check_internal(space_.iterations >= 1 && space_.max_window >= 1 &&
                        space_.max_depth >= 1,
@@ -39,16 +57,62 @@ void Explorer::run_parallel(std::size_t count,
     pool_->for_each_index(count, body);
 }
 
+std::optional<Arch_evaluation> Explorer::grow_allocation(
+    Arch_instance instance, double area_budget, int max_total_cores,
+    std::vector<Arch_evaluation>* out) const {
+    std::optional<Arch_evaluation> best;
+    // Minimal allocation: one core per depth class (the paper's feasibility
+    // requirement).
+    instance.cores_per_depth.clear();
+    for (int d : instance.depth_classes()) instance.cores_per_depth[d] = 1;
+
+    for (;;) {
+        Arch_evaluation eval = evaluator_.evaluate(instance);
+        const bool fits = eval.estimated_area_luts <= area_budget && eval.feasible;
+        if (!fits) break;
+        if (out != nullptr) out->push_back(eval);
+        if (!best || eval.throughput.fps > best->throughput.fps) best = eval;
+        // Adding cores only helps while the design is core-bound.
+        if (eval.throughput.bottleneck != "core") break;
+        int total_cores = 0;
+        for (const auto& [d, n] : instance.cores_per_depth) total_cores += n;
+        if (total_cores >= max_total_cores) break;
+        // Feed the bottleneck class.
+        int bottleneck_depth = -1;
+        double worst = -1.0;
+        for (const auto& [d, cycles] : eval.throughput.class_cycles) {
+            if (cycles > worst) {
+                worst = cycles;
+                bottleneck_depth = d;
+            }
+        }
+        if (bottleneck_depth < 0) break;
+        instance.cores_per_depth[bottleneck_depth] += 1;
+    }
+    return best;
+}
+
 Pareto_result Explorer::explore_pareto() {
     // One-time alpha calibration, then every candidate evaluation is pure.
-    paper_.calibrate();
+    evaluator_.calibrate(space_.max_window, space_.max_depth);
 
-    const std::size_t count = paper_.candidate_count();
+    // Candidate i is (window, partition) in window-major order. The
+    // partitions are enumerated here, their only use: their count grows
+    // about as N^4 at the default depth cap.
+    const std::vector<std::vector<int>> partitions =
+        depth_partitions(space_.iterations, space_.max_depth);
+    const std::size_t count =
+        static_cast<std::size_t>(space_.max_window) * partitions.size();
     std::vector<std::vector<Arch_evaluation>> steps(count);
-    run_parallel(count, [&](std::size_t i) { steps[i] = paper_.candidate_steps(i); });
+    run_parallel(count, [&](std::size_t i) {
+        Arch_instance instance;
+        instance.window = static_cast<int>(i / partitions.size()) + 1;
+        instance.level_depths = partitions[i % partitions.size()];
+        grow_allocation(instance, space_.pareto_area_cap_luts,
+                        space_.max_cores_per_sweep, &steps[i]);
+    });
 
     Pareto_result result;
-    result.backend = paper_.name();
     for (const auto& candidate_steps : steps) {
         result.points.insert(result.points.end(), candidate_steps.begin(),
                              candidate_steps.end());
@@ -64,10 +128,9 @@ Pareto_result Explorer::explore_pareto() {
 }
 
 Fit_result Explorer::fit_device() {
-    paper_.calibrate();
+    evaluator_.calibrate(space_.max_window, space_.max_depth);
 
     Fit_result result;
-    result.backend = paper_.name();
     const double budget =
         static_cast<double>(evaluator_.device().usable_luts());
     const std::size_t cells =
@@ -84,10 +147,10 @@ Fit_result Explorer::fit_device() {
         Arch_instance instance;
         instance.window = w;
         instance.level_depths = canonical_partition(space_.iterations, d);
-        const Paper_backend::Grow_result grown = paper_.grow_allocation(
+        const std::optional<Arch_evaluation> grown = grow_allocation(
             instance, budget, space_.max_cores_per_sweep * 4, nullptr);
-        cell.valid = grown.any_feasible;
-        if (cell.valid) cell.eval = grown.best;
+        cell.valid = grown.has_value();
+        if (cell.valid) cell.eval = *grown;
     });
     // Best cell: first strict fps maximum in grid order, as the serial scan
     // picked it.
@@ -103,10 +166,9 @@ Fit_result Explorer::fit_device() {
 }
 
 Area_validation Explorer::validate_area_model() {
-    paper_.calibrate();
+    evaluator_.calibrate(space_.max_window, space_.max_depth);
 
     Area_validation validation;
-    validation.backend = paper_.name();
     const auto& calibration = evaluator_.options().calibration_windows;
     const std::size_t cells =
         static_cast<std::size_t>(space_.max_window) *
@@ -155,7 +217,6 @@ islhls::Format_grid Explorer::search_formats(const Frame_set& content,
     }
 
     islhls::Format_grid grid;
-    grid.backend = paper_.name();
     const std::size_t cells = static_cast<std::size_t>(space_.max_window) *
                               static_cast<std::size_t>(space_.max_depth);
     grid.cells.resize(cells);

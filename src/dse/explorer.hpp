@@ -10,6 +10,10 @@
 // Other datapath styles (dse/streaming_backend.hpp) are explored by the
 // sweep service (core/service.hpp), which merges the per-backend fronts.
 //
+// The paper's candidate axis: a Pareto candidate is one (window, iteration
+// partition) pair, a fit cell one (window, canonical partition) pair; each
+// grows its core allocation under the sweep's area cap or the device budget.
+//
 // All entry points fan independent candidates across a thread pool
 // (Space_options::threads) after a one-time serial calibration. Each
 // candidate writes into its own pre-sized slot and the cross-candidate
@@ -19,17 +23,24 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "dse/backend.hpp"
 #include "dse/evaluator.hpp"
-#include "dse/paper_backend.hpp"
 #include "dse/results.hpp"
 #include "estimate/format_search.hpp"
 #include "support/parallel.hpp"
 
 namespace islhls {
+
+// All deep-first partitions of `iterations` into parts <= max_depth.
+std::vector<std::vector<int>> depth_partitions(int iterations, int max_depth);
+
+// Canonical partition for a primary depth d: floor(N/d) levels of d, the
+// remainder split recursively (the paper's "missing iterations" handling:
+// depth 3 over N=10 becomes [3,3,3,1], depth 4 becomes [4,4,2]).
+std::vector<int> canonical_partition(int iterations, int primary_depth);
 
 class Explorer {
 public:
@@ -69,7 +80,6 @@ public:
                                        const Format_search_options& options = {});
 
     Arch_evaluator& evaluator() { return evaluator_; }
-    Paper_backend& paper_backend() { return paper_; }
     const Space_options& space() const { return space_; }
 
 private:
@@ -79,9 +89,18 @@ private:
     void run_parallel(std::size_t count,
                       const std::function<void(std::size_t)>& body);
 
+    // Grows the core allocation of `instance` from one core per depth class,
+    // always feeding the bottleneck class, while the estimated area stays
+    // within `area_budget`; records every step into `out` when given.
+    // Returns the best-fps evaluation, nullopt when even the minimal
+    // allocation does not fit. Pure once the evaluator is calibrated.
+    std::optional<Arch_evaluation> grow_allocation(Arch_instance instance,
+                                                   double area_budget,
+                                                   int max_total_cores,
+                                                   std::vector<Arch_evaluation>* out) const;
+
     Arch_evaluator evaluator_;
     Space_options space_;
-    Paper_backend paper_;
     Thread_pool* external_pool_ = nullptr;
     std::unique_ptr<Thread_pool> pool_;
 };

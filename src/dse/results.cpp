@@ -28,13 +28,6 @@ void dump_evaluation(std::ostream& os, const Arch_evaluation& e) {
 
 }  // namespace
 
-std::string dump_evaluation_line(const Arch_evaluation& eval) {
-    std::ostringstream os;
-    full_precision(os);
-    dump_evaluation(os, eval);
-    return os.str();
-}
-
 std::string dump(const Arch_evaluation& eval) {
     std::ostringstream os;
     full_precision(os);

@@ -1,13 +1,25 @@
 #include "dse/streaming_backend.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <sstream>
 
 #include "support/error.hpp"
 #include "support/numeric.hpp"
 
 namespace islhls {
+
+namespace {
+
+// The streaming candidate axes, and the infrastructure each PE and channel
+// adds on top of its datapath.
+constexpr int kVectorWidths[] = {1, 2, 4, 8};
+constexpr int kPeCounts[] = {1, 2, 4, 8};
+constexpr int kChannelCounts[] = {1, 2, 4};
+constexpr double kPeOverheadLuts = 6000.0;       // DMA engine + band control per PE
+constexpr double kChannelOverheadLuts = 9000.0;  // memory controller per channel
+constexpr double kSrlBitsPerLut = 32.0;          // SRL packing of line-buffer bits
+
+}  // namespace
 
 std::string to_string(const Streaming_config& config) {
     std::ostringstream os;
@@ -16,31 +28,14 @@ std::string to_string(const Streaming_config& config) {
     return os.str();
 }
 
-std::string dump_line(const Streaming_evaluation& eval) {
-    std::ostringstream os;
-    os << std::setprecision(17);
-    os << to_string(eval.config) << " feasible=" << eval.feasible;
-    if (!eval.feasible) os << " reason=" << eval.infeasible_reason;
-    os << " luts=" << eval.area_luts << " dp_luts=" << eval.datapath_luts
-       << " lb_luts=" << eval.line_buffer_luts
-       << " lb_kbits=" << eval.line_buffer_kbits << " f_max=" << eval.f_max_mhz
-       << " passes=" << eval.passes << " comp=" << eval.compute_cycles
-       << " mem=" << eval.memory_cycles << " cyc=" << eval.cycles_per_pass
-       << " bneck=" << eval.bottleneck << " spf=" << eval.seconds_per_frame
-       << " fps=" << eval.fps;
-    return os.str();
-}
-
 Streaming_backend::Streaming_backend(Cone_library& library,
                                      const Fpga_device& device,
                                      const Evaluator_options& evaluator_options,
-                                     const Space_options& space,
-                                     Streaming_options options)
+                                     const Space_options& space)
     : library_(library),
       device_(device),
       evaluator_options_(evaluator_options),
-      space_(space),
-      options_(std::move(options)) {
+      space_(space) {
     check_internal(space_.iterations >= 1 && space_.max_depth >= 1,
                    "invalid space options");
     // The candidate axis: fused depth x vector width x PE count x channels,
@@ -48,21 +43,14 @@ Streaming_backend::Streaming_backend(Cone_library& library,
     // iterations than asked — excluded up front.
     const int max_depth = std::min(space_.max_depth, space_.iterations);
     for (int d = 1; d <= max_depth; ++d) {
-        for (int v : options_.vector_widths) {
-            for (int p : options_.pe_counts) {
-                for (int c : options_.channel_counts) {
-                    check_internal(v >= 1 && p >= 1 && c >= 1,
-                                   "streaming axes must be positive");
+        for (int v : kVectorWidths) {
+            for (int p : kPeCounts) {
+                for (int c : kChannelCounts) {
                     configs_.push_back({d, v, p, c});
                 }
             }
         }
     }
-}
-
-const std::string& Streaming_backend::name() const {
-    static const std::string kName = "streaming";
-    return kName;
 }
 
 void Streaming_backend::calibrate() {
@@ -78,7 +66,7 @@ void Streaming_backend::calibrate() {
         // The per-width clocks below synthesize a v-column cone per
         // vectorization width — those cones must exist before any
         // concurrent evaluate() too.
-        for (int v : options_.vector_widths) library_.cone(v, d);
+        for (int v : kVectorWidths) library_.cone(v, d);
     }
     const Footprint footprint = library_.step().footprint();
     fields_in_ = library_.step().pool().field_count();
@@ -105,7 +93,7 @@ void Streaming_backend::calibrate() {
         profile.model = model;
         // One synthesis per vectorization width: the v-wide PE's clock, not
         // the one-column cone's, prices every config at that width.
-        for (int v : options_.vector_widths) {
+        for (int v : kVectorWidths) {
             const Synthesis_report& wide =
                 library_.synthesis(v, d, device_, evaluator_options_.synth);
             profile.f_max_by_width[v] =
@@ -115,8 +103,6 @@ void Streaming_backend::calibrate() {
     }
     calibrated_ = true;
 }
-
-std::size_t Streaming_backend::candidate_count() const { return configs_.size(); }
 
 Streaming_evaluation Streaming_backend::evaluate(
     const Streaming_config& config) const {
@@ -196,28 +182,14 @@ Streaming_evaluation Streaming_backend::evaluate(
         static_cast<double>(config.pe_count) * halo_rows * frame_w * fields_in_ *
         evaluator_options_.format.total_bits();
     eval.line_buffer_kbits = line_buffer_bits / 1024.0;
-    eval.line_buffer_luts = line_buffer_bits / options_.srl_bits_per_lut;
+    eval.line_buffer_luts = line_buffer_bits / kSrlBitsPerLut;
     eval.area_luts = eval.datapath_luts + eval.line_buffer_luts +
-                     config.pe_count * options_.pe_overhead_luts +
-                     config.channels * options_.channel_overhead_luts;
+                     config.pe_count * kPeOverheadLuts +
+                     config.channels * kChannelOverheadLuts;
     if (eval.area_luts > static_cast<double>(device_.usable_luts())) {
         infeasible("area exceeds device budget");
     }
     return eval;
-}
-
-std::vector<Backend_point> Streaming_backend::evaluate_candidate(
-    std::size_t index) const {
-    check_internal(index < configs_.size(), "candidate index out of range");
-    const Streaming_evaluation eval = evaluate(configs_[index]);
-    if (!eval.feasible) return {};
-    Backend_point point;
-    point.config = to_string(eval.config);
-    point.area_luts = eval.area_luts;
-    point.seconds_per_frame = eval.seconds_per_frame;
-    point.fps = eval.fps;
-    point.detail = dump_line(eval);
-    return {std::move(point)};
 }
 
 }  // namespace islhls

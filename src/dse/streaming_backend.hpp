@@ -13,15 +13,16 @@
 // Eq. 1 area model the paper backend calibrates).
 //
 // The model is validated against a cycle-approximate walk in sim/arch_sim
-// (simulate_streaming_cycles), gated on all nine kernels.
+// (simulate_streaming_cycles), gated on every registered kernel.
+//
+// The sweep service (core/service.hpp) drives it: calibrate() once, then
+// evaluate() every config.
 #pragma once
 
-#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "dse/backend.hpp"
 #include "dse/evaluator.hpp"
 
 namespace islhls {
@@ -54,37 +55,23 @@ struct Streaming_evaluation {
     double fps = 0.0;
 };
 
-// Full-precision one-line rendering (no trailing newline); the streaming
-// analogue of dump_evaluation_line.
-std::string dump_line(const Streaming_evaluation& eval);
-
-struct Streaming_options {
-    std::vector<int> vector_widths = {1, 2, 4, 8};
-    std::vector<int> pe_counts = {1, 2, 4, 8};
-    std::vector<int> channel_counts = {1, 2, 4};
-    double pe_overhead_luts = 6000.0;       // DMA engine + band control per PE
-    double channel_overhead_luts = 9000.0;  // memory controller per channel
-    double srl_bits_per_lut = 32.0;         // SRL packing of line-buffer bits
-};
-
-class Streaming_backend : public Arch_backend {
+class Streaming_backend {
 public:
     Streaming_backend(Cone_library& library, const Fpga_device& device,
                       const Evaluator_options& evaluator_options,
-                      const Space_options& space,
-                      Streaming_options options = {});
+                      const Space_options& space);
 
-    const std::string& name() const override;
-    void calibrate() override;
-    std::size_t candidate_count() const override;
-    std::vector<Backend_point> evaluate_candidate(std::size_t index) const override;
+    // One-time serial phase: builds every cone the configs price and fits
+    // the per-depth models and clocks. Idempotent.
+    void calibrate();
 
-    // Typed evaluation of one config; pure const after calibrate(). Never
-    // throws on infeasible configs (reports them).
+    // Evaluation of one config; pure const after calibrate(), so safe from
+    // many threads. Never throws on infeasible configs (reports them).
     Streaming_evaluation evaluate(const Streaming_config& config) const;
 
+    // The candidate axis: fused depth x vector width x PE count x channels,
+    // in a deterministic order.
     const std::vector<Streaming_config>& configs() const { return configs_; }
-    const Fpga_device& device() const { return device_; }
 
 private:
     // Everything evaluate() needs about one fused depth, captured during the
@@ -108,7 +95,6 @@ private:
     const Fpga_device& device_;
     Evaluator_options evaluator_options_;
     Space_options space_;
-    Streaming_options options_;
     std::vector<Streaming_config> configs_;
     std::map<int, Depth_profile> profiles_;  // per fused depth
     int fields_in_ = 0;   // fields streamed in (state + const)

@@ -1,6 +1,4 @@
-// Backend-seam tests: the Arch_backend interface must be a pure refactor of
-// the paper datapath (byte-identical dumps across every kernel and thread
-// count), the streaming backend's analytic model must track its
+// Backend tests: the streaming backend's analytic model must track its
 // cycle-approximate walk on every kernel, and the sweep service's merged
 // cross-backend front must obey the front-of-fronts identity.
 #include <gtest/gtest.h>
@@ -42,46 +40,6 @@ Space_options small_space(int threads = 1) {
 
 Cone_library make_library(const std::string& kernel) {
     return Cone_library(extract_stencil(kernel_by_name(kernel).c_source), kernel);
-}
-
-// The tentpole's refactor guarantee: routing the paper datapath through the
-// Arch_backend seam changes no bytes. For every kernel, the legacy
-// explore_pareto dump (at any thread count) must equal the generic backend
-// dump over the serial candidate walk.
-TEST(Backends, paper_dump_identical_across_kernels_and_threads) {
-    const std::vector<std::string> kernels = kernel_names();
-    ASSERT_GE(kernels.size(), 9u);
-    for (const std::string& kernel : kernels) {
-        // Serial reference through the generic seam.
-        Cone_library reference_library = make_library(kernel);
-        Explorer reference(reference_library, device_by_name("generic_small"),
-                           small_evaluator_options(), small_space());
-        Paper_backend& paper = reference.paper_backend();
-        paper.calibrate();
-        EXPECT_EQ(paper.name(), "paper");
-        const std::string seam_dump = paper.dump(evaluate_all_candidates(paper));
-        for (int threads : {1, 2, 8}) {
-            Cone_library library = make_library(kernel);
-            Explorer explorer(library, device_by_name("generic_small"),
-                              small_evaluator_options(), small_space(threads));
-            const Pareto_result result = explorer.explore_pareto();
-            EXPECT_EQ(result.backend, "paper");
-            EXPECT_EQ(dump(result), seam_dump)
-                << kernel << " at " << threads << " threads";
-        }
-    }
-}
-
-// The seam re-run on an explorer that already explored: calibration is
-// idempotent, so the generic candidate walk over the explorer's own paper
-// backend still renders the legacy dump byte for byte.
-TEST(Backends, seam_dump_matches_explore_pareto_on_one_explorer) {
-    Cone_library library = make_library("heat");
-    Explorer explorer(library, device_by_name("generic_small"),
-                      small_evaluator_options(), small_space());
-    const std::string legacy = dump(explorer.explore_pareto());
-    Paper_backend& paper = explorer.paper_backend();
-    EXPECT_EQ(paper.dump(evaluate_all_candidates(paper)), legacy);
 }
 
 // More channel bandwidth at a fixed (depth, vector, PE) shape can only ever
@@ -131,7 +89,7 @@ Sweep_config merged_sweep_config(int threads) {
 
 struct Tagged_point {
     std::string backend;
-    Backend_point point;
+    Front_point point;
 };
 
 // Every feasible point both backends produce for one kernel of
@@ -149,15 +107,19 @@ std::vector<Tagged_point> all_backend_points(const Sweep_config& config,
     space.iterations = config.iteration_counts.at(0);
     const Fpga_device& device = device_by_name(config.devices.at(0));
     Cone_library library = make_library(kernel);
-    Explorer explorer(library, device, options, space);
-    Streaming_backend streaming(library, device, options, space);
     std::vector<Tagged_point> all;
-    for (Arch_backend* backend :
-         std::vector<Arch_backend*>{&explorer.paper_backend(), &streaming}) {
-        backend->calibrate();
-        for (Backend_point& p : evaluate_all_candidates(*backend)) {
-            all.push_back({backend->name(), std::move(p)});
-        }
+    Explorer explorer(library, device, options, space);
+    for (const Arch_evaluation& e : explorer.explore_pareto().points) {
+        all.push_back({"paper", {to_string(e.instance), e.estimated_area_luts,
+                                 e.throughput.seconds_per_frame, e.throughput.fps}});
+    }
+    Streaming_backend streaming(library, device, options, space);
+    streaming.calibrate();
+    for (const Streaming_config& config : streaming.configs()) {
+        const Streaming_evaluation e = streaming.evaluate(config);
+        if (!e.feasible) continue;
+        all.push_back({"streaming", {to_string(config), e.area_luts,
+                                     e.seconds_per_frame, e.fps}});
     }
     return all;
 }
@@ -176,7 +138,7 @@ std::vector<std::size_t> front_where(const std::vector<Tagged_point>& points,
     return front;
 }
 
-bool same_objectives(const Front_point& a, const Backend_point& b) {
+bool same_objectives(const Front_point& a, const Front_point& b) {
     return a.area_luts == b.area_luts && a.seconds_per_frame == b.seconds_per_frame;
 }
 

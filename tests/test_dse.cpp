@@ -190,6 +190,52 @@ TEST_F(Explorer_fixture, device_fit_respects_budget) {
     }
 }
 
+// The fit walks canonical partitions only, so it stays cheap at an
+// iteration count whose full depth-partition list (about N^4 / 2880 lists at
+// depth cap 5) would not fit in memory. At every N it must agree with a
+// walk over the canonical partitions: a cell is valid exactly when its
+// minimal allocation fits, and the best is the first strict fps maximum.
+// (At N = 400 no minimal allocation fits: the level buffers outgrow the
+// device's on-chip memory.)
+TEST_F(Explorer_fixture, fit_matches_canonical_partition_walk_at_large_iteration_counts) {
+    const Fpga_device& device = device_by_name("xc6vlx760");
+    for (int iterations : {12, 400}) {
+        SCOPED_TRACE(iterations);
+        space.iterations = iterations;
+        space.max_depth = 5;
+        Explorer ex(library, device, evaluator_options, space);
+        const Fit_result fit = ex.fit_device();
+        ASSERT_EQ(fit.grid.size(),
+                  static_cast<std::size_t>(space.max_window * space.max_depth));
+        const Fit_cell* best = nullptr;
+        for (const Fit_cell& cell : fit.grid) {
+            Arch_instance minimal;
+            minimal.window = cell.window;
+            minimal.level_depths = canonical_partition(iterations, cell.primary_depth);
+            for (int d : minimal.depth_classes()) minimal.cores_per_depth[d] = 1;
+            const Arch_evaluation first = ex.evaluator().evaluate(minimal);
+            EXPECT_EQ(cell.valid,
+                      first.feasible && first.estimated_area_luts <=
+                                            static_cast<double>(device.usable_luts()))
+                << "w" << cell.window << " d" << cell.primary_depth;
+            if (!cell.valid) continue;
+            EXPECT_EQ(cell.eval.instance.window, cell.window);
+            EXPECT_EQ(cell.eval.instance.level_depths, minimal.level_depths);
+            EXPECT_EQ(dump(ex.evaluator().evaluate(cell.eval.instance)), dump(cell.eval));
+            if (best == nullptr || cell.eval.throughput.fps > best->eval.throughput.fps) {
+                best = &cell;
+            }
+        }
+        ASSERT_EQ(fit.has_best, best != nullptr);
+        if (iterations == 12) {
+            EXPECT_TRUE(fit.has_best);
+        }
+        if (best != nullptr) {
+            EXPECT_EQ(dump(fit.best), dump(best->eval));
+        }
+    }
+}
+
 TEST_F(Explorer_fixture, more_area_never_hurts_throughput) {
     // The same kernel fitted to a strictly bigger device must reach at least
     // the same frame rate (monotonicity sanity of the greedy allocator).

@@ -43,9 +43,9 @@ struct Run_dumps {
     std::string validation;
 };
 
-Run_dumps run_explorer(int threads, const std::string& device) {
-    Cone_library library(extract_stencil(kernel_by_name("jacobi").c_source),
-                         "jacobi");
+Run_dumps run_explorer(const std::string& kernel, int threads,
+                       const std::string& device) {
+    Cone_library library(extract_stencil(kernel_by_name(kernel).c_source), kernel);
     Explorer explorer(library, device_by_name(device), small_evaluator_options(),
                       small_space(threads));
     Run_dumps dumps;
@@ -56,13 +56,18 @@ Run_dumps run_explorer(int threads, const std::string& device) {
 }
 
 TEST(Parallel_dse, results_byte_identical_across_thread_counts) {
-    const Run_dumps serial = run_explorer(1, "generic_small");
-    EXPECT_FALSE(serial.pareto.empty());
-    for (int threads : {2, 8}) {
-        const Run_dumps parallel = run_explorer(threads, "generic_small");
-        EXPECT_EQ(parallel.pareto, serial.pareto) << "threads " << threads;
-        EXPECT_EQ(parallel.fit, serial.fit) << "threads " << threads;
-        EXPECT_EQ(parallel.validation, serial.validation) << "threads " << threads;
+    const std::vector<std::string> kernels = kernel_names();
+    ASSERT_GE(kernels.size(), 9u);
+    for (const std::string& kernel : kernels) {
+        SCOPED_TRACE(kernel);
+        const Run_dumps serial = run_explorer(kernel, 1, "generic_small");
+        EXPECT_FALSE(serial.pareto.empty());
+        for (int threads : {2, 8}) {
+            const Run_dumps parallel = run_explorer(kernel, threads, "generic_small");
+            EXPECT_EQ(parallel.pareto, serial.pareto) << "threads " << threads;
+            EXPECT_EQ(parallel.fit, serial.fit) << "threads " << threads;
+            EXPECT_EQ(parallel.validation, serial.validation) << "threads " << threads;
+        }
     }
 }
 

@@ -285,8 +285,7 @@ bool apply_sweep_option(Sweep_config& config, const std::string& name,
         config.space.threads = parse_int(value(), "thread count");
     } else if (name == "backend") {
         const std::string v = value();
-        config.backends = v == "all" ? std::vector<std::string>{"paper", "streaming"}
-                                     : parse_name_list(v);
+        config.backends = v == "all" ? sweep_backends() : parse_name_list(v);
     } else if (name == "pareto") {
         config.with_pareto = true;
     } else if (name == "validate") {
