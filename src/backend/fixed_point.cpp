@@ -1,5 +1,6 @@
 #include "backend/fixed_point.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "support/error.hpp"
@@ -55,8 +56,12 @@ std::int64_t wrap_to_bits(std::int64_t v, int bits) { return Bit_wrap(bits)(v); 
 
 std::int64_t isqrt_floor(std::int64_t v) {
     if (v <= 0) return 0;
-    std::int64_t x = v;
-    std::int64_t y = (x + 1) / 2;
+    // Newton from above reaches floor(sqrt(v)) from any start at or above
+    // it. 2^ceil(bits/2) is above sqrt(v) by less than a factor 2, so the
+    // loop ends after a handful of divides.
+    const int bits = std::bit_width(static_cast<std::uint64_t>(v));
+    std::int64_t x = std::int64_t{1} << ((bits + 1) / 2);
+    std::int64_t y = (x + v / x) / 2;
     while (y < x) {
         x = y;
         y = (x + v / x) / 2;

@@ -85,6 +85,14 @@ private:
 // Wraps `v` into the two's-complement range of `bits` (VHDL resize semantics).
 std::int64_t wrap_to_bits(std::int64_t v, int bits);
 
+// The low 64 bits of a * b as a signed word: the product the fixed multiply
+// shifts and wraps, defined even where the full product of two wide-format
+// words overflows int64.
+inline std::int64_t wrapping_mul(std::int64_t a, std::int64_t b) {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+
 // Floor integer square root of a non-negative value.
 std::int64_t isqrt_floor(std::int64_t v);
 

@@ -123,7 +123,7 @@ inline std::int64_t apply_op_fixed(Op_kind kind, const std::int64_t* o,
         case Op_kind::mul:
             // Full product then arithmetic right shift (floor), as in the
             // emitted shift_right(a*b, FRAC).
-            return wrap((o[0] * o[1]) >> frac);
+            return wrap(wrapping_mul(o[0], o[1]) >> frac);
         case Op_kind::div:
             // VHDL '/': truncation toward zero, matching C++.
             return o[1] == 0 ? 0 : wrap((o[0] << frac) / o[1]);

@@ -75,8 +75,8 @@ std::vector<int> flush_origins(int extent, int w) {
 // element type, the off-chip conversions and the per-op lane arithmetic
 // differ. Cone execution is lane-blocked in both domains: up to kTapeLane
 // cone origins of one region row advance together through the shared
-// per-ISA lane kernels (sim/tape_lanes.hpp), one kernel call per tape
-// operation — there is no per-origin scalar gather/execute/scatter loop.
+// per-ISA lane kernels (sim/tape_lanes.hpp), one whole-tape call per lane
+// block — there is no per-origin scalar gather/execute/scatter loop.
 // The kernels match the scalar references case for case (apply_op /
 // apply_op_fixed), so the batched path is exact against run_ghost_ir: 0 LSB
 // in the fixed domain, 0.0 max abs error in the double domain.
@@ -84,14 +84,15 @@ std::vector<int> flush_origins(int extent, int w) {
 // IEEE doubles over the compiled tape.
 struct Double_domain {
     using Value = double;
-    Double_lane_fn kernel = double_lane_kernel();
 
     struct Level {
         const Cone* cone = nullptr;
         const Compiled_program* tape = nullptr;
         // kTapeLane contiguous origins per tape slot; constant lanes are
-        // single-assignment, filled at bind time.
+        // single-assignment, filled at bind time. `slot` points at each
+        // slot's span for the lane walk.
         std::vector<double> lanes;
+        std::vector<double*> slot;
         // (s * w + yy) * w + xx -> producing tape slot, precomputed so the
         // scatter loop never calls output_index.
         std::vector<std::int32_t> scatter;
@@ -109,6 +110,8 @@ struct Double_domain {
                 level.lanes.data() + static_cast<std::size_t>(k.slot) * kTapeLane;
             std::fill(dst, dst + kTapeLane, k.value);
         }
+        bind_lane_slots(level.slot, level.lanes.data(),
+                        static_cast<std::size_t>(level.tape->slot_count()));
     }
     Value load(const Frame& f, int x, int y, Boundary b) const {
         return f.sample(x, y, b);
@@ -117,9 +120,7 @@ struct Double_domain {
     // The frame values feed the tape unmodified, like eval_point.
     Value wrap_input(const Level&, Value v) const { return v; }
     void run_ops(Level& level, int n) const {
-        for (const Tape_op& op : level.tape->ops()) {
-            kernel(op, level.lanes.data(), n);
-        }
+        run_tape(level.tape->ops().data(), level.tape->ops().size(), level.slot.data(), n);
     }
 };
 
@@ -131,7 +132,6 @@ struct Fixed_domain {
     using Value = std::int64_t;
     Fixed_format format;
     Raw_quantizer quantize;
-    Fixed_lane_fn kernel = fixed_lane_kernel();
 
     explicit Fixed_domain(const Fixed_format& fmt) : format(fmt), quantize(fmt) {}
 
@@ -142,6 +142,7 @@ struct Fixed_domain {
         // the raw constant words.
         std::unique_ptr<Fixed_tape> fixed;
         std::vector<std::int64_t> lanes;
+        std::vector<std::int64_t*> slot;
         std::vector<std::int32_t> scatter;
     };
 
@@ -158,6 +159,8 @@ struct Fixed_domain {
                                 static_cast<std::size_t>(constants[i].slot) * kTapeLane;
             std::fill(dst, dst + kTapeLane, level.fixed->constant_raw()[i]);
         }
+        bind_lane_slots(level.slot, level.lanes.data(),
+                        static_cast<std::size_t>(level.tape->slot_count()));
     }
     Value load(const Frame& f, int x, int y, Boundary b) const {
         return quantize(f.sample(x, y, b));
@@ -170,12 +173,9 @@ struct Fixed_domain {
         return level.fixed->wrap()(v);
     }
     void run_ops(Level& level, int n) const {
-        const Bit_wrap& wrap = level.fixed->wrap();
-        const int frac = level.fixed->frac_bits();
-        const std::int64_t one = level.fixed->fixed_one();
-        for (const Tape_op& op : level.tape->ops()) {
-            kernel(op, level.lanes.data(), n, wrap, frac, one);
-        }
+        const Fixed_tape& fixed = *level.fixed;
+        run_tape(level.tape->ops().data(), level.tape->ops().size(), level.slot.data(), n,
+                 fixed.wrap(), fixed.frac_bits(), fixed.fixed_one());
     }
 };
 
@@ -306,9 +306,9 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
 
                 // Lane-batched cone execution: up to kTapeLane origins of
                 // one region row advance together — per port one gather
-                // into the lane block, per tape operation one kernel call
-                // over the live lanes, per output element one scatter
-                // across the lanes. Overlapping flush origins write
+                // into the lane block, one whole-tape kernel call over the
+                // live lanes, per output element one scatter across the
+                // lanes. Overlapping flush origins write
                 // identical words (every covered output equals the ghost
                 // value), so the batched write order matches the scalar
                 // path bit for bit.

@@ -22,54 +22,42 @@ namespace {
 // row execution, banding, the double-buffered driver) is templated on it, so
 // the double and fixed-point engines are the same machine over different
 // element types and op semantics — they cannot diverge structurally. A
-// policy contributes its scalar border evaluation and run_ops(): the whole
-// tape over one kTapeLane lane block through its resolved per-ISA kernel
+// policy contributes its scalar border evaluation and run_tape(): the whole
+// tape over one lane block in one call into the resolved per-ISA walk
 // (sim/tape_lanes.hpp).
 
 // IEEE double over the compiled tape (the classic golden engine).
 struct Double_policy {
     using Value = double;
     const Compiled_program* cp;
-    Double_lane_fn lane_fn;
 
-    explicit Double_policy(const Compiled_program& tape)
-        : cp(&tape), lane_fn(double_lane_kernel()) {}
+    explicit Double_policy(const Compiled_program& tape) : cp(&tape) {}
 
     Value constant(std::size_t i) const { return cp->constants()[i].value; }
     void eval_point(const Value* inputs, Value* slots) const {
         cp->eval_point(inputs, slots);
     }
-    void run_ops(Value* lanes, int n) const {
-        for (const Tape_op& op : cp->ops()) lane_fn(op, lanes, n);
+    void run_tape(Value* const* slot, int n) const {
+        islhls::run_tape(cp->ops().data(), cp->ops().size(), slot, n);
     }
 };
 
-// Raw Qm.f words over the integer-lowered tape. Carries the format-derived
-// operator parameters (wrap, fraction shift, raw 1.0) resolved once per run,
-// exactly like Fixed_exec's lane loops.
+// Raw Qm.f words over the integer-lowered tape (wrap, fraction shift and
+// raw 1.0 resolved once per run by the Fixed_tape).
 struct Fixed_policy {
     using Value = std::int64_t;
     const Compiled_program* cp;
     const Fixed_tape* tape;
-    Bit_wrap wrap;
-    int frac;
-    std::int64_t one;
-    Fixed_lane_fn lane_fn;
 
-    explicit Fixed_policy(const Fixed_tape& t)
-        : cp(&t.tape()),
-          tape(&t),
-          wrap(t.wrap()),
-          frac(t.frac_bits()),
-          one(t.fixed_one()),
-          lane_fn(fixed_lane_kernel()) {}
+    explicit Fixed_policy(const Fixed_tape& t) : cp(&t.tape()), tape(&t) {}
 
     Value constant(std::size_t i) const { return tape->constant_raw()[i]; }
     void eval_point(const Value* inputs, Value* slots) const {
         tape->eval_point(inputs, slots);
     }
-    void run_ops(Value* lanes, int n) const {
-        for (const Tape_op& op : cp->ops()) lane_fn(op, lanes, n, wrap, frac, one);
+    void run_tape(Value* const* slot, int n) const {
+        islhls::run_tape(cp->ops().data(), cp->ops().size(), slot, n, tape->wrap(),
+                         tape->frac_bits(), tape->fixed_one());
     }
 };
 
@@ -96,17 +84,21 @@ struct Step_context {
     // the frame edge hold the opposite edge's content.
     std::vector<std::uint8_t> field_direct_rows;
     std::vector<Value*> out_base;          // per state field
+    // Per state field: nonzero when its slot is an op result no other output
+    // shares, written straight into the row; the rest are copied from slots.
+    std::vector<std::uint8_t> out_in_place;
     int out_row_off = 0;
     // Banded execution: pool field index of every state field (declaration
     // order), so levels can rebind just the advancing fields.
     std::vector<int> state_pool_field;
 };
 
-// Per-thread scratch bound to one frame width: the lane block, a zero row
-// backing Boundary::zero reads of out-of-range rows, and the scalar buffers
-// the border columns use. The two `band` buffers ping-pong the interim
-// levels of temporal tiling; they are sized lazily per band (edge bands
-// under Boundary::periodic can need more rows than interior bands).
+// Per-thread scratch bound to one frame width: the lane block and its slot
+// table, a zero row backing Boundary::zero reads of out-of-range rows, and
+// the scalar buffers the border columns use. The two `band` buffers
+// ping-pong the interim levels of temporal tiling; they are sized lazily per
+// band (edge bands under Boundary::periodic can need more rows than interior
+// bands).
 template <class Policy>
 struct Workspace {
     using Value = typename Policy::Value;
@@ -114,6 +106,9 @@ struct Workspace {
     // lane]). Constant lanes are filled once at bind time — slots are
     // single-assignment, so they survive every later lane block.
     std::vector<Value> lanes;
+    // Per tape slot: its lane span, or per block the frame row span of an
+    // input slot or an in-place output slot.
+    std::vector<Value*> slot;
     // Per tape input: the resolved base of the row the current output row
     // reads; the value at column x is input_row[i][x + inputs[i].dx].
     std::vector<const Value*> input_row;
@@ -133,6 +128,7 @@ void bind_workspace(Workspace<Policy>& ws, const Step_context<Policy>& c) {
         Value* r = ws.lanes.data() + static_cast<std::size_t>(constants[i].slot) * kTapeLane;
         std::fill(r, r + kTapeLane, c.policy->constant(i));
     }
+    bind_lane_slots(ws.slot, ws.lanes.data(), slots);
     ws.input_row.assign(c.cp->inputs().size(), nullptr);
     ws.zero_row.assign(static_cast<std::size_t>(c.width), Value{});
     ws.point_slots.assign(slots, Value{});
@@ -213,42 +209,39 @@ void eval_border_column(const Step_context<Policy>& c, Workspace<Policy>& ws, in
     }
 }
 
-// Interior columns [x0, x1) of row y, in kTapeLane-wide lane blocks. Per
-// block the input slots are copied (contiguously — the static dx offset
-// makes the source span contiguous) into the compact lane block, run_ops()
-// executes each tape operation over the live lanes, and the output lanes
-// are copied to the destination rows. The lane kernels match apply_op() /
-// apply_op_fixed() case for case — one elementwise operation per element —
-// so every value is bit-identical to the reference interpreters at every
-// block split (bar the sign and payload of a produced NaN, which IEEE
-// leaves open and no op lets reach a non-NaN value). Fixed frame words are
-// already wrapped (quantization and every producing op wrap), so the
-// gather needs no re-wrap.
-//
-// Operands are addressed as input_row[i][x + dx]: the column offset is
-// applied at the indexing site, never folded into the base pointer — x + dx
-// is in [0, width) for every interior x, so no pointer outside its
-// allocation is ever formed.
+// Interior columns [x0, x1) of row y, in kTapeLane-wide lane blocks: input
+// slots point straight at their row spans input_row[i] + (xb + dx) (inside
+// the row for every interior block; the walk never writes them), in-place
+// output slots at their destination span, run_tape() walks the whole tape,
+// and the other outputs are copied from their slots. The lane kernels match
+// apply_op() / apply_op_fixed() case for case — one elementwise operation
+// per element — so every value is bit-identical to the reference
+// interpreters at every block split (bar the sign and payload of a produced
+// NaN, which IEEE leaves open and no op lets reach a non-NaN value). Fixed
+// frame words are already wrapped (quantization and every producing op
+// wrap), so the inputs need no re-wrap.
 template <class Policy>
 void exec_interior(const Step_context<Policy>& c, Workspace<Policy>& ws, int y, int x0,
                    int x1) {
     using Value = typename Policy::Value;
     const std::vector<Tape_input>& inputs = c.cp->inputs();
     const std::vector<std::int32_t>& out_slots = c.cp->output_slots();
-    Value* lanes = ws.lanes.data();
+    Value** slot = ws.slot.data();
     const std::size_t out_row =
         static_cast<std::size_t>(y - c.out_row_off) * static_cast<std::size_t>(c.width);
     for (int xb = x0; xb < x1; xb += kTapeLane) {
         const int n = std::min(kTapeLane, x1 - xb);
-        const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(Value);
         for (std::size_t i = 0; i < inputs.size(); ++i) {
-            std::memcpy(lanes + static_cast<std::size_t>(inputs[i].slot) * kTapeLane,
-                        ws.input_row[i] + (xb + inputs[i].dx), bytes);
+            slot[inputs[i].slot] = const_cast<Value*>(ws.input_row[i] + (xb + inputs[i].dx));
         }
-        c.policy->run_ops(lanes, n);
         for (std::size_t s = 0; s < c.out_base.size(); ++s) {
-            std::memcpy(c.out_base[s] + out_row + xb,
-                        lanes + static_cast<std::size_t>(out_slots[s]) * kTapeLane, bytes);
+            if (c.out_in_place[s]) slot[out_slots[s]] = c.out_base[s] + out_row + xb;
+        }
+        c.policy->run_tape(slot, n);
+        for (std::size_t s = 0; s < c.out_base.size(); ++s) {
+            if (c.out_in_place[s]) continue;
+            std::memcpy(c.out_base[s] + out_row + xb, slot[out_slots[s]],
+                        static_cast<std::size_t>(n) * sizeof(Value));
         }
     }
 }
@@ -503,6 +496,13 @@ int run_buffers(const Exec_engine& engine, const Policy& policy, int w, int h,
     }
     for (const std::string& name : step.const_fields()) {
         canonical_pool_field.push_back(pool.find_field(name));
+    }
+    const std::vector<std::int32_t>& out_slots = policy.cp->output_slots();
+    for (std::int32_t out : out_slots) {
+        const auto made = [&](const Tape_op& op) { return op.dest == out; };
+        const bool unique = std::count(out_slots.begin(), out_slots.end(), out) == 1;
+        context.out_in_place.push_back(
+            unique && std::any_of(policy.cp->ops().begin(), policy.cp->ops().end(), made));
     }
     // Per parity: the pool-field read bindings, and the state-field outputs
     // written while that parity is current (i.e. into the other buffer).

@@ -11,10 +11,10 @@
 //     per pixel;
 //   - the interior of each row (where no read crosses the frame edge) runs
 //     with unclamped pointer arithmetic in kTapeLane-wide lane blocks: the
-//     input spans are copied into an L1-resident block and every tape
-//     operation is one call into the shared per-ISA lane kernels
-//     (sim/tape_lanes.hpp), the same kernels the format-search batch
-//     executor and the architecture simulator use;
+//     tape's input operands are read in place from the frame rows, and the
+//     whole tape over one block is one call into the shared per-ISA lane
+//     kernels (sim/tape_lanes.hpp), the same kernels the format-search
+//     batch executor and the architecture simulator use;
 //   - the border columns fall back to a scalar pass that resolves reads with
 //     the Boundary policy, bit-identical to the reference interpreter;
 //   - per-thread lane blocks are reused across rows and iterations (no
@@ -93,8 +93,8 @@ struct Exec_budgets {
 
 // Execution knobs. The defaults reproduce the classic engine behavior
 // (serial, one full-frame sweep per iteration). The positional constructor
-// keeps the pre-fixed_format brace call sites (threads, depth, band_rows
-// [, pool]) valid without partial-aggregate warnings.
+// serves brace call sites that set (threads, depth[, band_rows[, pool]])
+// without partial-aggregate warnings.
 struct Exec_options {
     Exec_options() = default;
     Exec_options(int threads_, int tile_iterations_, int band_rows_ = 0,

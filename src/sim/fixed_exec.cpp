@@ -41,7 +41,7 @@ std::vector<std::int64_t> run_fixed_raw(const Register_program& program,
             case Op_kind::mul: {
                 // Full product then arithmetic right shift (floor), as in the
                 // emitted shift_right(a*b, FRAC).
-                const std::int64_t prod = op(0) * op(1);
+                const std::int64_t prod = wrapping_mul(op(0), op(1));
                 v = wrap_to_bits(prod >> frac, bits);
                 break;
             }
@@ -108,10 +108,10 @@ std::vector<double> run_fixed(const Register_program& program,
     return out;
 }
 
-// The per-op lane bodies moved to sim/tape_lanes.hpp (shared with the
-// lane-blocked frame interior and the region-tiled architecture simulator,
-// and compiled per ISA level there); the batch driver below binds lanes and
-// walks the tape.
+// The lane walk lives in sim/tape_lanes.hpp (shared with the lane-blocked
+// frame interior and the region-tiled architecture simulator, and compiled
+// per ISA level there); the batch driver below binds lanes and gathers and
+// scatters the strided samples.
 static_assert(Fixed_exec::kLane == kTapeLane,
               "Fixed_exec lane width must match the shared lane kernels");
 
@@ -121,42 +121,36 @@ Fixed_exec::Fixed_exec(const Register_program& program, const Fixed_format& form
 void Fixed_exec::run_raw_batch(const std::int64_t* inputs, std::size_t samples,
                                std::int64_t* outputs, Scratch& scratch) const {
     const Compiled_program& cp = fixed_.tape();
-    const std::size_t lane_words =
-        static_cast<std::size_t>(cp.slot_count()) * static_cast<std::size_t>(kLane);
-    if (scratch.lanes.size() < lane_words) scratch.lanes.resize(lane_words);
-    std::int64_t* lanes = scratch.lanes.data();
+    const auto slots = static_cast<std::size_t>(cp.slot_count());
+    if (scratch.lanes.size() < slots * kLane) scratch.lanes.resize(slots * kLane);
+    bind_lane_slots(scratch.slot, scratch.lanes.data(), slots);
 
+    // Slots are single-assignment, so the constant lanes survive every block.
     const std::vector<Tape_constant>& constants = cp.constants();
-    const std::vector<std::int64_t>& constant_raw = fixed_.constant_raw();
+    for (std::size_t c = 0; c < constants.size(); ++c) {
+        std::int64_t* dst = scratch.slot[static_cast<std::size_t>(constants[c].slot)];
+        std::fill(dst, dst + kLane, fixed_.constant_raw()[c]);
+    }
     const std::vector<Tape_input>& ins = cp.inputs();
     const std::vector<Tape_op>& ops = cp.ops();
     const std::vector<std::int32_t>& out_slots = cp.output_slots();
     const std::size_t in_count = ins.size();
     const std::size_t out_count = out_slots.size();
     const Bit_wrap& wrap = fixed_.wrap();
-    const int frac = fixed_.frac_bits();
-    const std::int64_t fixed_one = fixed_.fixed_one();
 
     for (std::size_t s0 = 0; s0 < samples; s0 += kLane) {
         const int n = static_cast<int>(std::min<std::size_t>(kLane, samples - s0));
-        for (std::size_t c = 0; c < constants.size(); ++c) {
-            std::int64_t* dst =
-                lanes + static_cast<std::size_t>(constants[c].slot) * kLane;
-            std::fill(dst, dst + n, constant_raw[c]);
-        }
         for (std::size_t i = 0; i < in_count; ++i) {
-            std::int64_t* dst = lanes + static_cast<std::size_t>(ins[i].slot) * kLane;
+            std::int64_t* dst = scratch.slot[static_cast<std::size_t>(ins[i].slot)];
             const std::int64_t* src = inputs + s0 * in_count + i;
             for (int l = 0; l < n; ++l) {
                 dst[l] = wrap(src[static_cast<std::size_t>(l) * in_count]);
             }
         }
-        for (const Tape_op& op : ops) {
-            run_fixed_op_lanes(op, lanes, n, wrap, frac, fixed_one);
-        }
+        run_tape(ops.data(), ops.size(), scratch.slot.data(), n, wrap, fixed_.frac_bits(),
+                 fixed_.fixed_one());
         for (std::size_t o = 0; o < out_count; ++o) {
-            const std::int64_t* src =
-                lanes + static_cast<std::size_t>(out_slots[o]) * kLane;
+            const std::int64_t* src = scratch.slot[static_cast<std::size_t>(out_slots[o])];
             std::int64_t* dst = outputs + s0 * out_count + o;
             for (int l = 0; l < n; ++l) {
                 dst[static_cast<std::size_t>(l) * out_count] = src[l];

@@ -17,7 +17,7 @@
 //     each tape operation in one tight loop over a reusable lane buffer, so
 //     evaluating thousands of sample windows (fixed-point format search,
 //     fixed-mode architecture simulation) performs no per-sample allocation
-//     and amortizes the per-operation dispatch across a whole lane block.
+//     and makes one kernel call per lane block for the whole tape.
 //   - Exec_engine::run_fixed (sim/exec_engine.hpp) executes the same tape
 //     structure-of-arrays over whole frame ROWS — the frame-scale twin of
 //     Fixed_exec, memcmp-identical to a per-pixel run_fixed_raw sweep.
@@ -66,10 +66,12 @@ public:
     }
 
     // Reusable per-thread scratch: `lanes` holds kLane samples per tape
-    // slot. It grows on first use and is never shrunk, so a thread
-    // evaluating many batches allocates once.
+    // slot and `slot` points at each slot's span for the lane walk. Both
+    // grow on first use and are never shrunk, so a thread evaluating many
+    // batches allocates once.
     struct Scratch {
         std::vector<std::int64_t> lanes;
+        std::vector<std::int64_t*> slot;
     };
 
     // Batch: evaluates `samples` input vectors, row-major

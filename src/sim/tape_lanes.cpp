@@ -41,9 +41,13 @@ namespace lanes_avx512 {
 
 namespace {
 
+using Fixed_tape_fn = void (*)(const Tape_op*, std::size_t, std::int64_t* const*, int,
+                               const Bit_wrap&, int, std::int64_t);
+using Double_tape_fn = void (*)(const Tape_op*, std::size_t, double* const*, int);
+
 struct Lane_dispatch {
-    Fixed_lane_fn fixed;
-    Double_lane_fn dbl;
+    Fixed_tape_fn fixed;
+    Double_tape_fn dbl;
     const char* isa;
 };
 
@@ -51,14 +55,13 @@ Lane_dispatch resolve_lane_dispatch() {
 #if defined(ISLHLS_LANE_MULTIARCH)
     if (__builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl") &&
         __builtin_cpu_supports("avx512bw")) {
-        return {&lanes_avx512::fixed_op_lanes, &lanes_avx512::double_op_lanes,
-                "avx512"};
+        return {&lanes_avx512::fixed_tape, &lanes_avx512::double_tape, "avx512"};
     }
     if (__builtin_cpu_supports("avx2")) {
-        return {&lanes_avx2::fixed_op_lanes, &lanes_avx2::double_op_lanes, "avx2"};
+        return {&lanes_avx2::fixed_tape, &lanes_avx2::double_tape, "avx2"};
     }
 #endif
-    return {&lanes_base::fixed_op_lanes, &lanes_base::double_op_lanes, "default"};
+    return {&lanes_base::fixed_tape, &lanes_base::double_tape, "default"};
 }
 
 const Lane_dispatch& lane_dispatch() {
@@ -69,8 +72,15 @@ const Lane_dispatch& lane_dispatch() {
 
 }  // namespace
 
-Fixed_lane_fn fixed_lane_kernel() { return lane_dispatch().fixed; }
-Double_lane_fn double_lane_kernel() { return lane_dispatch().dbl; }
+void run_tape(const Tape_op* ops, std::size_t count, double* const* slot, int n) {
+    lane_dispatch().dbl(ops, count, slot, n);
+}
+
+void run_tape(const Tape_op* ops, std::size_t count, std::int64_t* const* slot, int n,
+              const Bit_wrap& wrap, int frac, std::int64_t fixed_one) {
+    lane_dispatch().fixed(ops, count, slot, n, wrap, frac, fixed_one);
+}
+
 const char* tape_lane_isa() { return lane_dispatch().isa; }
 
 }  // namespace islhls

@@ -1,35 +1,40 @@
 // Explicit SIMD lane kernels for the compiled tape.
 //
-// Every batched executor in the simulator family advances kTapeLane samples
-// through one tape operation per call: the format-search batch executor
-// (sim/fixed_exec.hpp), the lane-blocked frame interior of both domains
-// (sim/exec_engine.cpp) and the region-row-tiled architecture simulator
-// (sim/arch_sim.cpp). This header is the one home of those per-op lane
+// Every batched executor in the simulator family advances up to kTapeLane
+// samples through the WHOLE tape in one call: the format-search batch
+// executor (sim/fixed_exec.hpp), the lane-blocked frame interior of both
+// domains (sim/exec_engine.cpp) and the region-row-tiled architecture
+// simulator (sim/arch_sim.cpp). This header is the one home of those lane
 // bodies, in both value domains:
 //
-//   - fixed_lane_kernel: raw Qm.f words, case-for-case identical to
+//   - the fixed run_tape: raw Qm.f words, case-for-case identical to
 //     apply_op_fixed (ir/compiled.hpp) and therefore to the run_fixed_raw
 //     reference interpreter;
-//   - double_lane_kernel: IEEE doubles, case-for-case identical to
+//   - the double run_tape: IEEE doubles, case-for-case identical to
 //     apply_op (ir/eval.hpp). Each case is a single elementwise operation,
 //     so vectorization cannot reassociate or contract anything — results
 //     are bit-identical to the scalar path on every ISA.
 //
-// The bodies are compiled once per instruction-set level (baseline,
-// AVX2, AVX-512 on x86-64) and resolved once per process against what the
-// host actually supports — explicit, portable SIMD instead of hoping the
-// baseline auto-vectorizer covers 64-bit integer arithmetic (it does not:
-// plain x86-64 has no vector 64-bit multiply or arithmetic right shift,
-// which is exactly where the fixed-point interior used to trail the double
-// engine). Non-x86 hosts transparently get the single baseline body.
+// The tape walk and its op switch are compiled once per instruction-set
+// level (baseline, AVX2, AVX-512 on x86-64) and resolved once per process
+// against what the host actually supports — explicit, portable SIMD
+// instead of hoping the baseline auto-vectorizer covers 64-bit integer
+// arithmetic (it does not: plain x86-64 has no vector 64-bit multiply or
+// arithmetic right shift). One lane block costs one indirect call, however
+// long the tape. Non-x86 hosts transparently get the single baseline body.
 //
-// Lane layout: `lanes` holds kTapeLane contiguous samples per tape slot,
-// indexed lanes[slot * kTapeLane + lane]; `n <= kTapeLane` samples are
-// live. Constants and inputs are bound by the caller; one call executes one
-// operation over the live lanes.
+// Operand layout: `slot[s]` points at the n <= kTapeLane live samples of
+// tape slot s. The caller binds every slot the walk touches: constants and
+// op results usually live in a slot-major lane block (lanes + s *
+// kTapeLane), while input slots may point straight into frame rows and
+// output slots straight into destination rows. The walk reads input and
+// constant slots and writes each op's dest slot once, in tape order; no
+// dest span may overlap any other slot's span.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "ir/compiled.hpp"
 
@@ -37,22 +42,17 @@ namespace islhls {
 
 inline constexpr int kTapeLane = 64;
 
-using Fixed_lane_fn = void (*)(const Tape_op& op, std::int64_t* lanes, int n,
-                               const Bit_wrap& wrap, int frac,
-                               std::int64_t fixed_one);
-using Double_lane_fn = void (*)(const Tape_op& op, double* lanes, int n);
+// Runs `count` tape operations over one lane block of `n` samples.
+void run_tape(const Tape_op* ops, std::size_t count, double* const* slot, int n);
+void run_tape(const Tape_op* ops, std::size_t count, std::int64_t* const* slot, int n,
+              const Bit_wrap& wrap, int frac, std::int64_t fixed_one);
 
-// The resolved kernels for this host (widest supported ISA level). Hot
-// loops hoist the pointer once and call it per (operation, lane block);
-// the resolution itself happens once per process.
-Fixed_lane_fn fixed_lane_kernel();
-Double_lane_fn double_lane_kernel();
-
-// Convenience forwarder through the resolved fixed-point kernel.
-inline void run_fixed_op_lanes(const Tape_op& op, std::int64_t* lanes, int n,
-                               const Bit_wrap& wrap, int frac,
-                               std::int64_t fixed_one) {
-    fixed_lane_kernel()(op, lanes, n, wrap, frac, fixed_one);
+// Points slot[s] at lanes + s * kTapeLane for each of `slots` slots of a
+// slot-major lane block.
+template <class Value>
+void bind_lane_slots(std::vector<Value*>& slot, Value* lanes, std::size_t slots) {
+    slot.resize(slots);
+    for (std::size_t s = 0; s < slots; ++s) slot[s] = lanes + s * kTapeLane;
 }
 
 // "avx512" / "avx2" / "default" — which clone the host resolved to, for

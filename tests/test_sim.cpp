@@ -2,6 +2,8 @@
 // fixed-point executor and the full architecture simulator.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <climits>
 #include <cmath>
 #include <numeric>
 
@@ -9,6 +11,7 @@
 #include "sim/arch_sim.hpp"
 #include "sim/fixed_exec.hpp"
 #include "sim/golden.hpp"
+#include "sim/tape_lanes.hpp"
 #include "support/prng.hpp"
 #include "symexec/executor.hpp"
 #include "kernels/kernels.hpp"
@@ -71,24 +74,51 @@ TEST(Fixed_exec, wrap_matches_vhdl_resize) {
 TEST(Fixed_exec, isqrt_floor_values) {
     EXPECT_EQ(isqrt_floor(0), 0);
     EXPECT_EQ(isqrt_floor(1), 1);
+    EXPECT_EQ(isqrt_floor(2), 1);
     EXPECT_EQ(isqrt_floor(3), 1);
     EXPECT_EQ(isqrt_floor(4), 2);
     EXPECT_EQ(isqrt_floor(99), 9);
     EXPECT_EQ(isqrt_floor(100), 10);
     EXPECT_EQ(isqrt_floor(-5), 0);
     EXPECT_EQ(isqrt_floor(1LL << 40), 1LL << 20);
+    EXPECT_EQ(isqrt_floor((1LL << 52) - 1), (1LL << 26) - 1);
+    EXPECT_EQ(isqrt_floor(1LL << 52), 1LL << 26);
+    EXPECT_EQ(isqrt_floor((1LL << 62) - 1), (1LL << 31) - 1);
+    EXPECT_EQ(isqrt_floor(INT64_MAX), 3037000499LL);
 }
 
-// Property: isqrt_floor(v)^2 <= v < (isqrt_floor(v)+1)^2.
+// The Newton loop as it was first written, started at x = v: slow (about
+// log2(v) dependent divides) but plainly converging to the floor.
+std::int64_t isqrt_from_v(std::int64_t v) {
+    if (v <= 0) return 0;
+    std::int64_t x = v;
+    std::int64_t y = (x + 1) / 2;
+    while (y < x) {
+        x = y;
+        y = (x + v / x) / 2;
+    }
+    return x;
+}
+
+TEST(Fixed_exec, isqrt_floor_matches_the_start_at_v_loop_exhaustively) {
+    for (std::int64_t v = 0; v <= (1LL << 22); ++v) {
+        ASSERT_EQ(isqrt_floor(v), isqrt_from_v(v)) << v;
+    }
+}
+
+// Property: isqrt_floor(v)^2 <= v < (isqrt_floor(v)+1)^2, and the result
+// equals the start-at-v loop, over 40-bit and full 62-bit values.
 class Isqrt_property : public ::testing::TestWithParam<int> {};
 
 TEST_P(Isqrt_property, floor_property_holds) {
     Prng rng(static_cast<std::uint64_t>(GetParam()));
-    for (int i = 0; i < 500; ++i) {
-        const std::int64_t v = static_cast<std::int64_t>(rng.next_u64() % (1ULL << 40));
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t range = i % 2 == 0 ? 1ULL << 40 : 1ULL << 62;
+        const std::int64_t v = static_cast<std::int64_t>(rng.next_u64() % range);
         const std::int64_t r = isqrt_floor(v);
         EXPECT_LE(r * r, v);
         EXPECT_GT((r + 1) * (r + 1), v);
+        EXPECT_EQ(r, isqrt_from_v(v)) << v;
     }
 }
 
@@ -125,6 +155,117 @@ TEST(Fixed_exec, division_by_zero_yields_zero_like_the_hardware) {
     const Fixed_format fmt{10, 6};
     const auto out = run_fixed(prog, {5.0, 0.0}, fmt);
     EXPECT_EQ(out[0], 0.0);
+}
+
+// Edge operands of the lane kernels' fixed div and sqrt: those run in
+// double while |a << frac| <= 2^52 and rerun a block in integers when any
+// lane leaves that range. Every sample alternates with a small in-range
+// one, so the first full block and the partial block after it mix exact
+// double lanes with integer fallback lanes; every raw word must equal
+// apply_op_fixed.
+void check_edge_lanes(Op_kind kind, const Fixed_format& fmt,
+                      const std::vector<std::array<std::int64_t, 2>>& edges) {
+    Expr_pool pool;
+    const int u = pool.intern_field("u");
+    const Expr_id a = pool.input(u, 0, 0);
+    const Expr_id b = pool.input(u, 1, 0);
+    const Expr_id root = kind == Op_kind::div ? pool.div(a, b) : pool.sqrt_of(a);
+    const Register_program prog = build_program(pool, {root});
+    const Fixed_exec exec(prog, fmt);
+    const Fixed_tape& tape = exec.tape();
+    const int ports = exec.input_count();
+    ASSERT_EQ(ports, kind == Op_kind::div ? 2 : 1);
+    const bool a_first = prog.input_ports()[0].dx == 0;
+
+    // Every edge at least once, cycling until three blocks are filled.
+    std::vector<std::array<std::int64_t, 2>> operands;
+    for (std::size_t i = 0; i < edges.size() || operands.size() < 3 * kTapeLane; ++i) {
+        const std::int64_t x = tape.wrap()(edges[i % edges.size()][0]);
+        const std::int64_t y = tape.wrap()(edges[i % edges.size()][1]);
+        // INT64_MIN / -1 is the one quotient C++ leaves undefined.
+        if (kind == Op_kind::div && y == -1 && (x << fmt.frac_bits) == INT64_MIN) continue;
+        operands.push_back({x, y});
+        operands.push_back({static_cast<std::int64_t>(i % 29) - 14,
+                            static_cast<std::int64_t>(i % 5) + 1});
+    }
+
+    std::vector<std::int64_t> inputs;
+    for (const auto& o : operands) {
+        if (ports == 1) {
+            inputs.push_back(o[0]);
+        } else {
+            inputs.push_back(a_first ? o[0] : o[1]);
+            inputs.push_back(a_first ? o[1] : o[0]);
+        }
+    }
+    Fixed_exec::Scratch scratch;
+    for (const std::size_t samples : {std::size_t{kTapeLane}, std::size_t{kTapeLane} + 37,
+                                      operands.size()}) {
+        std::vector<std::int64_t> out(samples);
+        exec.run_raw_batch(inputs.data(), samples, out.data(), scratch);
+        for (std::size_t k = 0; k < samples; ++k) {
+            const std::int64_t expect = apply_op_fixed(kind, operands[k].data(), tape.wrap(),
+                                                       fmt.frac_bits, tape.fixed_one());
+            ASSERT_EQ(out[k], expect)
+                << to_string(fmt) << " sample " << k << " of " << samples << ": a="
+                << operands[k][0] << " b=" << operands[k][1];
+        }
+    }
+}
+
+constexpr std::int64_t kP52 = std::int64_t{1} << 52;
+
+TEST(Fixed_exec, div_lanes_exact_at_the_double_range_edge) {
+    // Q62.0: numerators straddle 2^52 word for word.
+    const std::int64_t nums[] = {kP52 - 1, kP52, kP52 + 1, 2 * kP52, (1LL << 61) - 1, 7, 0};
+    const std::int64_t dens[] = {0, 1, -1, 3, -7, 1LL << 26, (1LL << 53) + 1, -(1LL << 60)};
+    std::vector<std::array<std::int64_t, 2>> edges;
+    for (std::int64_t n : nums) {
+        for (std::int64_t d : dens) {
+            edges.push_back({n, d});
+            edges.push_back({-n, d});
+        }
+    }
+    check_edge_lanes(Op_kind::div, {62, 0}, edges);
+
+    // Q31.30 / Q40.20: a << frac crosses 2^52, and past 2^63 wraps negative.
+    for (const Fixed_format fmt : {Fixed_format{31, 30}, Fixed_format{40, 20}}) {
+        const std::int64_t edge = kP52 >> fmt.frac_bits;
+        const std::int64_t wraps = (std::int64_t{1} << (63 - fmt.frac_bits)) + 3;
+        const std::int64_t as[] = {edge - 1, edge, edge + 1, wraps, 2 * wraps + 1, 5};
+        std::vector<std::array<std::int64_t, 2>> wide;
+        for (std::int64_t n : as) {
+            for (std::int64_t d : dens) {
+                wide.push_back({n, d});
+                wide.push_back({-n, d});
+            }
+        }
+        check_edge_lanes(Op_kind::div, fmt, wide);
+    }
+}
+
+TEST(Fixed_exec, sqrt_lanes_exact_at_the_double_range_edge) {
+    // Q62.0: perfect squares and their neighbours on both sides of 2^52,
+    // and around the largest square below 2^53.
+    std::vector<std::array<std::int64_t, 2>> edges;
+    for (std::int64_t r : {(1LL << 26) - 1, 1LL << 26, (1LL << 26) + 1, 94906265LL}) {
+        for (std::int64_t d : {-1, 0, 1}) edges.push_back({r * r + d, 0});
+    }
+    const std::int64_t around[] = {kP52 - 1, kP52, kP52 + 1, (1LL << 61) - 1, 0, -1, -kP52};
+    for (std::int64_t v : around) edges.push_back({v, 0});
+    check_edge_lanes(Op_kind::sqrt_op, {62, 0}, edges);
+
+    for (const Fixed_format fmt : {Fixed_format{31, 30}, Fixed_format{40, 20}}) {
+        const std::int64_t edge = kP52 >> fmt.frac_bits;
+        const std::int64_t wraps = (std::int64_t{1} << (63 - fmt.frac_bits)) + 3;
+        std::vector<std::array<std::int64_t, 2>> wide;
+        const std::int64_t as[] = {edge - 1, edge, edge + 1, wraps, wraps / 2 + 1, 9};
+        for (std::int64_t v : as) {
+            wide.push_back({v, 0});
+            wide.push_back({-v, 0});
+        }
+        check_edge_lanes(Op_kind::sqrt_op, fmt, wide);
+    }
 }
 
 // --- architecture simulator -----------------------------------------------------------
