@@ -63,8 +63,11 @@ void bench_cone_execution(benchmark::State& state) {
     Prng rng(1);
     std::vector<double> inputs;
     for (int i = 0; i < prog.input_count(); ++i) inputs.push_back(rng.next_in(0, 255));
+    std::vector<double> regs;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(prog.run(inputs));
+        prog.run_trace_into(inputs, regs);
+        benchmark::DoNotOptimize(regs.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<long long>(prog.outputs().size()));

@@ -6,7 +6,7 @@
 // engine, each (format, sample) pair ran through run_fixed — a fresh
 // register file allocated per call, one branchy dispatch per instruction.
 // The batched path lowers the tape once per format (Fixed_tape) and
-// advances kLane samples per tape operation out of reusable scratch
+// advances kTapeLane samples per tape operation out of reusable scratch
 // (Fixed_exec::run_raw_batch).
 //
 // This bench measures the like-for-like PSNR evaluation of a fixed list of

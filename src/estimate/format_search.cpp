@@ -67,13 +67,13 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     // One batched tape pass per candidate format: quantize the flat inputs,
     // run every sample window through the integer-lowered tape, and fold the
     // squared error range by range. The ranges are a function of the sample
-    // count alone (at most kFoldRanges, never smaller than one kLane block so
-    // the batch executor's lane passes stay full); each range sums its
-    // samples in sample order and the partial sums combine in range order,
-    // which fixes the PSNR bit for bit. One lane buffer serves every range
-    // and format.
+    // count alone (at most kFoldRanges, never smaller than one kTapeLane
+    // block so the batch executor's lane passes stay full); each range sums
+    // its samples in sample order and the partial sums combine in range
+    // order, which fixes the PSNR bit for bit. One lane buffer serves every
+    // range and format.
     constexpr std::size_t kFoldRanges = 16;
-    const std::size_t lane = static_cast<std::size_t>(Fixed_exec::kLane);
+    const std::size_t lane = static_cast<std::size_t>(kTapeLane);
     const std::size_t ranges = std::max<std::size_t>(
         1, std::min(kFoldRanges, (samples + lane - 1) / lane));
     Fixed_exec::Scratch scratch;

@@ -20,7 +20,7 @@
 //
 // Every candidate format is evaluated in ONE batched pass over all sample
 // windows through the integer-lowered tape (Fixed_exec): inputs are
-// quantized into a flat raw buffer and advance kLane samples per tape
+// quantized into a flat raw buffer and advance kTapeLane samples per tape
 // operation out of one reusable scratch buffer — no per-sample interpreter
 // run, no per-sample allocation. The PSNR fold sums the squared error per
 // fixed sample range (the decomposition depends only on the sample count)

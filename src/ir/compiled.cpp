@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/eval.hpp"
-
 namespace islhls {
 
 Compiled_program::Compiled_program(const Register_program& program) {
@@ -67,41 +65,6 @@ Fixed_tape::Fixed_tape(const Compiled_program& tape, const Fixed_format& format)
     constant_raw_.reserve(tape.constants().size());
     for (const Tape_constant& c : tape.constants()) {
         constant_raw_.push_back(to_raw(c.value, format));
-    }
-}
-
-void Fixed_tape::eval_point(const std::int64_t* inputs, std::int64_t* slots) const {
-    const std::vector<Tape_constant>& constants = tape_->constants();
-    for (std::size_t i = 0; i < constants.size(); ++i) {
-        slots[constants[i].slot] = constant_raw_[i];
-    }
-    const std::vector<Tape_input>& ins = tape_->inputs();
-    for (std::size_t i = 0; i < ins.size(); ++i) {
-        slots[ins[i].slot] = wrap_(inputs[i]);
-    }
-    const int frac = format_.frac_bits;
-    for (const Tape_op& op : tape_->ops()) {
-        std::int64_t operands[3] = {0, 0, 0};
-        for (int a = 0; a < op.src_count; ++a) {
-            operands[a] = slots[op.src[static_cast<std::size_t>(a)]];
-        }
-        slots[op.dest] = apply_op_fixed(op.kind, operands, wrap_, frac, fixed_one_);
-    }
-}
-
-void Compiled_program::eval_point(const double* inputs, double* slots) const {
-    for (const Tape_constant& c : constants_) {
-        slots[c.slot] = c.value;
-    }
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        slots[inputs_[i].slot] = inputs[i];
-    }
-    for (const Tape_op& op : ops_) {
-        double operands[3] = {0.0, 0.0, 0.0};
-        for (int a = 0; a < op.src_count; ++a) {
-            operands[a] = slots[op.src[static_cast<std::size_t>(a)]];
-        }
-        slots[op.dest] = apply_op(op.kind, operands);
     }
 }
 

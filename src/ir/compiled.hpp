@@ -9,10 +9,11 @@
 //   - operations: a flat tape whose operands are slot indices.
 //
 // Because every slot is written by exactly one instruction, a consumer can
-// hold one VALUE per slot (scalar evaluation, eval_point) or one ROW per
-// slot (the simulation engine's structure-of-arrays execution, where each
-// tape operation becomes a single tight loop over a frame row). Both styles
-// share this one lowering, so they cannot diverge semantically.
+// hold one lane span per slot and advance a whole block of samples through
+// each tape operation in one tight loop. run_tape (sim/tape_lanes.hpp) is
+// the one executor of this lowering: the frame engine's interior and border
+// columns, the batched fixed executor and the architecture simulator all
+// call it, so they cannot diverge semantically.
 #pragma once
 
 #include <array>
@@ -86,12 +87,6 @@ public:
     // referenced id are absent; treat them as unused).
     const std::vector<Field_extent>& field_extents() const { return field_extents_; }
 
-    // Evaluates the whole tape for one point. `inputs[i]` must hold the
-    // value of the i-th input binding (program port order); `slots` is
-    // caller-owned scratch of slot_count() elements and is fully rewritten.
-    // Outputs are read back via output_slots(). Allocation-free.
-    void eval_point(const double* inputs, double* slots) const;
-
 private:
     std::vector<Tape_op> ops_;
     std::vector<Tape_input> inputs_;
@@ -108,10 +103,10 @@ private:
 // Bit-accurate fixed-point semantics of one tape operation on raw Qm.f
 // words, mirroring the generated VHDL operator for operator (wrap-around
 // resize, truncating multiply shift, VHDL '/' truncation toward zero, floor
-// integer square root) — the same arithmetic as the reference interpreter
-// run_fixed_raw (sim/fixed_exec.hpp). Shared by the scalar path
-// (Fixed_tape::eval_point) and the batched executor (Fixed_exec) so the
-// integer semantics cannot diverge.
+// integer square root). This is the op switch of the scalar reference
+// interpreter run_fixed_raw (sim/fixed_exec.hpp); the lane kernels of
+// run_tape (sim/tape_lanes_body.inc) are the second, independent
+// implementation the reference checks.
 inline std::int64_t apply_op_fixed(Op_kind kind, const std::int64_t* o,
                                    const Bit_wrap& wrap, int frac,
                                    std::int64_t fixed_one) {
@@ -125,8 +120,12 @@ inline std::int64_t apply_op_fixed(Op_kind kind, const std::int64_t* o,
             // emitted shift_right(a*b, FRAC).
             return wrap(wrapping_mul(o[0], o[1]) >> frac);
         case Op_kind::div:
-            // VHDL '/': truncation toward zero, matching C++.
-            return o[1] == 0 ? 0 : wrap((o[0] << frac) / o[1]);
+            // VHDL '/': truncation toward zero, matching C++. A divisor of -1
+            // negates modulo 2^64 (the exact quotient after the wrap), so
+            // INT64_MIN / -1 cannot trap.
+            if (o[1] == 0) return 0;
+            if (o[1] == -1) return wrap(wrapping_mul(o[0] << frac, -1));
+            return wrap((o[0] << frac) / o[1]);
         case Op_kind::sqrt_op:
             return o[0] <= 0 ? 0 : wrap(isqrt_floor(o[0] << frac));
         case Op_kind::min_op:
@@ -156,11 +155,9 @@ inline std::int64_t apply_op_fixed(Op_kind kind, const std::int64_t* o,
 // constants are quantized to raw two's-complement words once, and the
 // format-derived operator parameters (wrap width, fraction shift, the raw
 // value of 1.0 the comparison ops produce) are folded ahead of execution.
-// One Fixed_tape serves any number of evaluations; eval_point is the scalar
-// path (allocation-free, caller-owned slots), the lane-batched structure-
-// of-arrays executor lives in sim/fixed_exec.hpp, and the whole-frame row
-// executor (raw int64 row buffers, one integer loop per tape op per row) is
-// Exec_engine::run_fixed in sim/exec_engine.hpp.
+// One Fixed_tape serves any number of run_tape lane blocks: the batched
+// executor in sim/fixed_exec.hpp, the fixed architecture simulator, and the
+// whole-frame engine Exec_engine::run_fixed in sim/exec_engine.hpp.
 class Fixed_tape {
 public:
     Fixed_tape(const Compiled_program& tape, const Fixed_format& format);
@@ -173,13 +170,6 @@ public:
 
     // Raw words of the tape constants, parallel to tape().constants().
     const std::vector<std::int64_t>& constant_raw() const { return constant_raw_; }
-
-    // Evaluates the whole tape for one sample of raw input words (program
-    // port order; wrap-resized on load like the reference interpreter).
-    // `slots` is caller-owned scratch of tape().slot_count() elements and is
-    // fully rewritten; outputs are read back via tape().output_slots().
-    // Byte-identical to run_fixed_raw, allocation-free.
-    void eval_point(const std::int64_t* inputs, std::int64_t* slots) const;
 
 private:
     const Compiled_program* tape_;

@@ -100,18 +100,4 @@ const Compiled_program& Register_program::compiled() const {
     return *compiled_;
 }
 
-std::vector<double> Register_program::run(const std::vector<double>& inputs) const {
-    check_internal(inputs.size() == static_cast<std::size_t>(input_count_),
-                   "Register_program::run input arity mismatch");
-    if (instrs_.empty()) return {};
-    const Compiled_program& cp = compiled();
-    thread_local std::vector<double> slots;
-    if (slots.size() < instrs_.size()) slots.resize(instrs_.size());
-    cp.eval_point(inputs.data(), slots.data());
-    std::vector<double> out;
-    out.reserve(output_regs_.size());
-    for (std::int32_t r : output_regs_) out.push_back(slots[static_cast<std::size_t>(r)]);
-    return out;
-}
-
 }  // namespace islhls

@@ -51,16 +51,10 @@ public:
     int depth() const { return depth_; }
 
     // Executes the program; `inputs[i]` must hold the value for the i-th
-    // input instruction (in program order). Returns the output values.
-    //
-    // Compatibility wrapper over the compiled execution engine's scalar
-    // path: it evaluates the tape into a reused per-thread scratch buffer
-    // and only materializes the outputs (no full instruction-slot trace).
-    // Hot loops should use compiled() / Exec_engine directly.
-    std::vector<double> run(const std::vector<double>& inputs) const;
-
-    // Like run(), but returns the value of *every* instruction slot — used
-    // by range analysis (fixed-point format search) to see intermediates.
+    // input instruction (in program order). Returns the value of *every*
+    // instruction slot, so range analysis (fixed-point format search) sees
+    // the intermediates; the outputs sit at the outputs() indices. Hot
+    // loops run compiled() through run_tape instead.
     std::vector<double> run_trace(const std::vector<double>& inputs) const;
 
     // Batch-friendly run_trace: writes every instruction slot's value into

@@ -117,7 +117,7 @@ struct Double_domain {
         return f.sample(x, y, b);
     }
     double store(Value v) const { return v; }
-    // The frame values feed the tape unmodified, like eval_point.
+    // The frame values feed the tape unmodified, like run_trace_into.
     Value wrap_input(const Level&, Value v) const { return v; }
     void run_ops(Level& level, int n) const {
         run_tape(level.tape->ops().data(), level.tape->ops().size(), level.slot.data(), n);
@@ -166,9 +166,8 @@ struct Fixed_domain {
         return quantize(f.sample(x, y, b));
     }
     double store(Value v) const { return from_raw(v, format); }
-    // Fixed_tape::eval_point wraps every input word on load; the lane path
-    // mirrors that (a no-op for the in-range words the region holds, but it
-    // keeps the two paths textually equivalent).
+    // run_fixed_raw wraps every input word on load; the lane path mirrors
+    // that (a no-op for the in-range words the region holds).
     Value wrap_input(const Level& level, Value v) const {
         return level.fixed->wrap()(v);
     }

@@ -13,9 +13,10 @@
 // The simulator validates the whole flow end to end: its output must equal
 // the ghost-zone golden bit for bit in double mode, and the fixed-point mode
 // measures quantization error of a format choice. Both modes execute cones
-// over the same compiled tape — double mode through eval_point, fixed mode
-// through the integer-lowered Fixed_tape (allocation-free, byte-identical
-// to the run_fixed_raw reference interpreter). Fixed mode keeps the whole
+// over the same compiled tape through the shared run_tape lane kernels —
+// double mode on IEEE doubles, fixed mode on the integer-lowered Fixed_tape
+// (allocation-free, byte-identical to the run_fixed_raw reference
+// interpreter). Fixed mode keeps the whole
 // on-chip pipeline in raw Qm.f words: the off-chip load quantizes each
 // element exactly once and the level regions hand raw words to each other
 // directly, so the result matches the fixed frame engine's ghost golden

@@ -22,9 +22,8 @@ namespace {
 // row execution, banding, the double-buffered driver) is templated on it, so
 // the double and fixed-point engines are the same machine over different
 // element types and op semantics — they cannot diverge structurally. A
-// policy contributes its scalar border evaluation and run_tape(): the whole
-// tape over one lane block in one call into the resolved per-ISA walk
-// (sim/tape_lanes.hpp).
+// policy contributes its constants and run_tape(): the whole tape over one
+// lane block in one call into the resolved per-ISA walk (sim/tape_lanes.hpp).
 
 // IEEE double over the compiled tape (the classic golden engine).
 struct Double_policy {
@@ -34,9 +33,6 @@ struct Double_policy {
     explicit Double_policy(const Compiled_program& tape) : cp(&tape) {}
 
     Value constant(std::size_t i) const { return cp->constants()[i].value; }
-    void eval_point(const Value* inputs, Value* slots) const {
-        cp->eval_point(inputs, slots);
-    }
     void run_tape(Value* const* slot, int n) const {
         islhls::run_tape(cp->ops().data(), cp->ops().size(), slot, n);
     }
@@ -52,9 +48,6 @@ struct Fixed_policy {
     explicit Fixed_policy(const Fixed_tape& t) : cp(&t.tape()), tape(&t) {}
 
     Value constant(std::size_t i) const { return tape->constant_raw()[i]; }
-    void eval_point(const Value* inputs, Value* slots) const {
-        tape->eval_point(inputs, slots);
-    }
     void run_tape(Value* const* slot, int n) const {
         islhls::run_tape(cp->ops().data(), cp->ops().size(), slot, n, tape->wrap(),
                          tape->frac_bits(), tape->fixed_one());
@@ -94,11 +87,10 @@ struct Step_context {
 };
 
 // Per-thread scratch bound to one frame width: the lane block and its slot
-// table, a zero row backing Boundary::zero reads of out-of-range rows, and
-// the scalar buffers the border columns use. The two `band` buffers
-// ping-pong the interim levels of temporal tiling; they are sized lazily per
-// band (edge bands under Boundary::periodic can need more rows than interior
-// bands).
+// table, and a zero row backing Boundary::zero reads of out-of-range rows.
+// The two `band` buffers ping-pong the interim levels of temporal tiling;
+// they are sized lazily per band (edge bands under Boundary::periodic can
+// need more rows than interior bands).
 template <class Policy>
 struct Workspace {
     using Value = typename Policy::Value;
@@ -106,15 +98,13 @@ struct Workspace {
     // lane]). Constant lanes are filled once at bind time — slots are
     // single-assignment, so they survive every later lane block.
     std::vector<Value> lanes;
-    // Per tape slot: its lane span, or per block the frame row span of an
-    // input slot or an in-place output slot.
+    // Per tape slot: its lane span, or per interior block the frame row
+    // span of an input slot or an in-place output slot.
     std::vector<Value*> slot;
     // Per tape input: the resolved base of the row the current output row
     // reads; the value at column x is input_row[i][x + inputs[i].dx].
     std::vector<const Value*> input_row;
     std::vector<Value> zero_row;
-    std::vector<Value> point_slots;
-    std::vector<Value> point_inputs;
     std::array<std::vector<Value>, 2> band;
 };
 
@@ -131,8 +121,6 @@ void bind_workspace(Workspace<Policy>& ws, const Step_context<Policy>& c) {
     bind_lane_slots(ws.slot, ws.lanes.data(), slots);
     ws.input_row.assign(c.cp->inputs().size(), nullptr);
     ws.zero_row.assign(static_cast<std::size_t>(c.width), Value{});
-    ws.point_slots.assign(slots, Value{});
-    ws.point_inputs.assign(c.cp->inputs().size(), Value{});
 }
 
 // Reusable workspaces for the parallel row blocks; scratch contents never
@@ -167,47 +155,6 @@ private:
     std::mutex mutex_;
     std::vector<std::unique_ptr<Workspace<Policy>>> free_;
 };
-
-// Scalar fallback for one border column: every read goes through the
-// Boundary policy, exactly like the reference interpreter (raw 0 backs
-// Boundary::zero in the fixed domain, like run_fixed_raw's gathered zeros).
-template <class Policy>
-void eval_border_column(const Step_context<Policy>& c, Workspace<Policy>& ws, int x,
-                        int y) {
-    using Value = typename Policy::Value;
-    const std::vector<Tape_input>& inputs = c.cp->inputs();
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const Tape_input& in = inputs[i];
-        const auto f = static_cast<std::size_t>(in.field);
-        const int rx = resolve_coordinate(x + in.dx, c.width, c.boundary);
-        Value v{};
-        if (c.field_direct_rows[f]) {
-            // Wrapped-halo band buffer: the read row sits at its unclamped
-            // coordinate (possibly negative) — no boundary resolution, the
-            // buffer row already holds the torus content.
-            const int ry = y + in.dy;
-            if (rx >= 0) {
-                v = c.field_base[f][static_cast<std::size_t>(ry - c.field_row_off[f]) *
-                                        c.width +
-                                    rx];
-            }
-        } else {
-            const int ry = resolve_coordinate(y + in.dy, c.height, c.boundary);
-            if (rx >= 0 && ry >= 0) {
-                v = c.field_base[f][static_cast<std::size_t>(ry - c.field_row_off[f]) *
-                                        c.width +
-                                    rx];
-            }
-        }
-        ws.point_inputs[i] = v;
-    }
-    c.policy->eval_point(ws.point_inputs.data(), ws.point_slots.data());
-    const std::vector<std::int32_t>& out_slots = c.cp->output_slots();
-    for (std::size_t s = 0; s < c.out_base.size(); ++s) {
-        c.out_base[s][static_cast<std::size_t>(y - c.out_row_off) * c.width + x] =
-            ws.point_slots[static_cast<std::size_t>(out_slots[s])];
-    }
-}
 
 // Interior columns [x0, x1) of row y, in kTapeLane-wide lane blocks: input
 // slots point straight at their row spans input_row[i] + (xb + dx) (inside
@@ -246,6 +193,52 @@ void exec_interior(const Step_context<Policy>& c, Workspace<Policy>& ws, int y, 
     }
 }
 
+// Border columns [0, x0) and [x1, w) of row y through the same lane walk:
+// the border columns are packed kTapeLane to a lane block, every input lane
+// is gathered at its boundary-resolved column (raw 0 backs Boundary::zero in
+// the fixed domain, like run_fixed_raw's gathered zeros), and the outputs
+// are scattered back into the row. As in the interior, frame words are not
+// re-wrapped.
+template <class Policy>
+void exec_border(const Step_context<Policy>& c, Workspace<Policy>& ws, int y, int x0,
+                 int x1) {
+    using Value = typename Policy::Value;
+    const int w = c.width;
+    const std::vector<Tape_input>& inputs = c.cp->inputs();
+    const std::vector<std::int32_t>& out_slots = c.cp->output_slots();
+    const std::size_t out_row =
+        static_cast<std::size_t>(y - c.out_row_off) * static_cast<std::size_t>(w);
+    // exec_interior leaves input and in-place output slots pointing into
+    // frame rows; point them back at their own lane spans.
+    Value** slot = ws.slot.data();
+    for (const Tape_input& in : inputs) {
+        slot[in.slot] = ws.lanes.data() + static_cast<std::size_t>(in.slot) * kTapeLane;
+    }
+    for (std::int32_t out : out_slots) {
+        slot[out] = ws.lanes.data() + static_cast<std::size_t>(out) * kTapeLane;
+    }
+    // Border column k is frame column k below x0, k + (x1 - x0) above.
+    const int count = x0 + (w - x1);
+    for (int kb = 0; kb < count; kb += kTapeLane) {
+        const int n = std::min(kTapeLane, count - kb);
+        const auto column = [&](int l) { return kb + l < x0 ? kb + l : kb + l + x1 - x0; };
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            Value* dst = slot[inputs[i].slot];
+            for (int l = 0; l < n; ++l) {
+                const int rx = resolve_coordinate(column(l) + inputs[i].dx, w, c.boundary);
+                dst[l] = rx < 0 ? Value{} : ws.input_row[i][rx];
+            }
+        }
+        c.policy->run_tape(slot, n);
+        for (std::size_t s = 0; s < c.out_base.size(); ++s) {
+            const Value* src = slot[out_slots[s]];
+            for (int l = 0; l < n; ++l) {
+                c.out_base[s][out_row + static_cast<std::size_t>(column(l))] = src[l];
+            }
+        }
+    }
+}
+
 template <class Policy>
 void exec_rows(const Step_context<Policy>& c, Workspace<Policy>& ws, int y0, int y1) {
     using Value = typename Policy::Value;
@@ -257,32 +250,27 @@ void exec_rows(const Step_context<Policy>& c, Workspace<Policy>& ws, int y0, int
     const int x1 = std::max(x0, w - c.right_margin);
 
     for (int y = y0; y < y1; ++y) {
-        for (int x = 0; x < x0; ++x) eval_border_column(c, ws, x, y);
-        if (x1 > x0) {
-            // Resolve the input row bases once per row; the static column
-            // offsets complete the addressing. Direct-row bindings
-            // (wrapped-halo band buffers) skip the boundary policy — they
-            // hold the unclamped row itself.
-            for (std::size_t i = 0; i < inputs.size(); ++i) {
-                const Tape_input& in = inputs[i];
-                const auto f = static_cast<std::size_t>(in.field);
-                const Value* base;
-                if (c.field_direct_rows[f]) {
-                    base = c.field_base[f] +
-                           static_cast<std::size_t>(y + in.dy - c.field_row_off[f]) * w;
-                } else {
-                    const int ry = resolve_coordinate(y + in.dy, h, c.boundary);
-                    base = ry < 0
-                               ? ws.zero_row.data()
-                               : c.field_base[f] +
-                                     static_cast<std::size_t>(ry - c.field_row_off[f]) *
-                                         w;
-                }
-                ws.input_row[i] = base;
+        // Resolve the input row bases once per row, for both passes; the
+        // column offsets complete the addressing. Direct-row bindings
+        // (wrapped-halo band buffers) skip the boundary policy — they hold
+        // the unclamped row itself.
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            const Tape_input& in = inputs[i];
+            const auto f = static_cast<std::size_t>(in.field);
+            const Value* base;
+            if (c.field_direct_rows[f]) {
+                base = c.field_base[f] +
+                       static_cast<std::size_t>(y + in.dy - c.field_row_off[f]) * w;
+            } else {
+                const int ry = resolve_coordinate(y + in.dy, h, c.boundary);
+                base = ry < 0 ? ws.zero_row.data()
+                              : c.field_base[f] +
+                                    static_cast<std::size_t>(ry - c.field_row_off[f]) * w;
             }
-            exec_interior(c, ws, y, x0, x1);
+            ws.input_row[i] = base;
         }
-        for (int x = x1; x < w; ++x) eval_border_column(c, ws, x, y);
+        exec_interior(c, ws, y, x0, x1);
+        if (x0 > 0 || x1 < w) exec_border(c, ws, y, x0, x1);
     }
 }
 

@@ -15,8 +15,10 @@
 //     whole tape over one block is one call into the shared per-ISA lane
 //     kernels (sim/tape_lanes.hpp), the same kernels the format-search
 //     batch executor and the architecture simulator use;
-//   - the border columns fall back to a scalar pass that resolves reads with
-//     the Boundary policy, bit-identical to the reference interpreter;
+//   - the border columns run through the same lane kernels: they are
+//     packed into lane blocks whose input lanes are gathered through the
+//     Boundary policy, so edge cells take the interior's datapath and only
+//     their reads are redirected;
 //   - per-thread lane blocks are reused across rows and iterations (no
 //     allocation inside the pixel loop), and iteration double-buffers two
 //     frame sets instead of copy-constructing one per timestep.
@@ -29,7 +31,7 @@
 // Band edges grow trapezoidally — level k of a band recomputes the halo rows
 // level k+1 needs, sized from the per-field read extents the compiled tape
 // records — and every row at every level is computed by exactly the same
-// row code as the untiled sweep (interior fast path + scalar border pass),
+// row code as the untiled sweep (interior and border lane blocks),
 // so the result is byte-identical to the double-buffered path for every
 // boundary mode, tile depth, band height and thread count. Under
 // Boundary::periodic the interim levels of a band keep UNCLAMPED row
@@ -54,17 +56,16 @@
 // at any thread count (the same determinism contract the DSE engine holds).
 //
 // The engine runs in two value domains over the SAME row machinery (one
-// templated implementation with one lane-block interior, so the paths cannot
-// diverge structurally):
+// templated implementation whose every cell goes through run_tape, so the
+// paths cannot diverge structurally):
 //
 //   - double (run): the tape's IEEE semantics, the classic golden engine;
 //   - fixed point (run_fixed): the program is lowered once per run into a
 //     Fixed_tape (ir/compiled.hpp) and executed over raw int64 Qm.f row
-//     buffers — the initial frames are quantized once, every iteration reads
-//     and writes raw words (no per-level re-quantization), and the border
-//     pass goes through Fixed_tape::eval_point. The raw words are
-//     memcmp-identical to a per-pixel run_fixed_raw sweep for every kernel,
-//     boundary, format, thread count and tile depth.
+//     buffers — the initial frames are quantized once and every iteration
+//     reads and writes raw words (no per-level re-quantization). The raw
+//     words are memcmp-identical to a per-pixel run_fixed_raw sweep for
+//     every kernel, boundary, format, thread count and tile depth.
 #pragma once
 
 #include <cstddef>

@@ -136,15 +136,15 @@ TEST_P(Cone_equivalence, cone_computes_d_iterations) {
             const Frame& f = initial.field(step.pool().field_name(port.field));
             inputs.push_back(f.sample(ox + port.dx, oy + port.dy, kernel.boundary));
         }
-        const std::vector<double> outs = prog.run(inputs);
+        const std::vector<double> regs = prog.run_trace(inputs);
         for (int s = 0; s < step.state_field_count(); ++s) {
             const Frame& gold =
                 golden.field(step.state_fields()[static_cast<std::size_t>(s)]);
             for (int yy = 0; yy < window && oy + yy < 14; ++yy) {
                 for (int xx = 0; xx < window && ox + xx < 20; ++xx) {
-                    EXPECT_EQ(outs[static_cast<std::size_t>(
-                                  cone.output_index(s, xx, yy))],
-                              gold.at(ox + xx, oy + yy))
+                    const std::int32_t out = prog.outputs()[static_cast<std::size_t>(
+                        cone.output_index(s, xx, yy))];
+                    EXPECT_EQ(regs[static_cast<std::size_t>(out)], gold.at(ox + xx, oy + yy))
                         << kernel_name << " w" << window << " d" << depth << " at ("
                         << ox + xx << "," << oy + yy << ")";
                 }

@@ -14,6 +14,7 @@
 #include "kernels/kernels.hpp"
 #include "sim/exec_engine.hpp"
 #include "sim/golden.hpp"
+#include "sim/tape_lanes.hpp"
 #include "support/parallel.hpp"
 #include "support/prng.hpp"
 #include "symexec/executor.hpp"
@@ -132,35 +133,44 @@ TEST(Exec_engine, run_ir_wrapper_matches_reference_and_supports_threads) {
                       run_step_ir(step, initial, kernel.boundary));
 }
 
-// The compiled tape's scalar path must reproduce the reference interpreter
-// slot for slot (this is what run() and the arch simulator execute).
-TEST(Compiled_program, eval_point_reproduces_interpreter_trace) {
+// One run_tape lane block must reproduce the reference interpreter slot
+// for slot in every lane, for a single lane, a partial block and a full one
+// (the frame engine's border blocks, interior tails and interior blocks).
+TEST(Compiled_program, run_tape_reproduces_interpreter_trace) {
     const Kernel_def& kernel = kernel_by_name("perona_malik");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{3, 3, 2});
     const Register_program& program = cone.program();
     const Compiled_program& tape = program.compiled();
-    ASSERT_EQ(tape.slot_count(),
-              static_cast<int>(program.instructions().size()));
+    const auto slots = static_cast<std::size_t>(tape.slot_count());
+    ASSERT_EQ(slots, program.instructions().size());
 
     Prng rng(17);
-    std::vector<double> inputs(static_cast<std::size_t>(program.input_count()));
-    std::vector<double> slots(static_cast<std::size_t>(tape.slot_count()));
+    std::vector<double> lanes(slots * kTapeLane);
+    std::vector<double*> slot;
+    bind_lane_slots(slot, lanes.data(), slots);
+    for (const Tape_constant& k : tape.constants()) {
+        std::fill_n(slot[static_cast<std::size_t>(k.slot)], kTapeLane, k.value);
+    }
+    std::vector<std::vector<double>> sample_inputs(kTapeLane);
     std::vector<double> regs;
-    for (int trial = 0; trial < 20; ++trial) {
-        for (double& v : inputs) v = rng.next_in(-4.0, 260.0);
-        program.run_trace_into(inputs, regs);
-        tape.eval_point(inputs.data(), slots.data());
-        ASSERT_EQ(regs.size(), slots.size());
-        EXPECT_EQ(0, std::memcmp(regs.data(), slots.data(),
-                                 regs.size() * sizeof(double)))
-            << trial;
-        // run() (the compatibility wrapper) returns exactly the output slots.
-        const std::vector<double> outs = program.run(inputs);
-        ASSERT_EQ(outs.size(), program.outputs().size());
-        for (std::size_t o = 0; o < outs.size(); ++o) {
-            EXPECT_EQ(outs[o],
-                      regs[static_cast<std::size_t>(program.outputs()[o])]);
+    for (int n : {1, kTapeLane - 1, kTapeLane}) {
+        SCOPED_TRACE(n);
+        for (int l = 0; l < n; ++l) {
+            std::vector<double>& inputs = sample_inputs[static_cast<std::size_t>(l)];
+            inputs.resize(tape.inputs().size());
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+                inputs[i] = rng.next_in(-4.0, 260.0);
+                slot[static_cast<std::size_t>(tape.inputs()[i].slot)][l] = inputs[i];
+            }
+        }
+        run_tape(tape.ops().data(), tape.ops().size(), slot.data(), n);
+        for (int l = 0; l < n; ++l) {
+            program.run_trace_into(sample_inputs[static_cast<std::size_t>(l)], regs);
+            for (std::size_t s = 0; s < slots; ++s) {
+                ASSERT_EQ(0, std::memcmp(&regs[s], &slot[s][l], sizeof(double)))
+                    << "lane " << l << " slot " << s;
+            }
         }
     }
 }

@@ -1,13 +1,10 @@
 // Property fuzz for the frame engine in both value domains: random register
 // programs (random op mix, offsets, constants — the moral extension of
 // test_frontend_fuzz.cpp's random-input robustness to the execution layer)
-// must evaluate identically through independent routes. Fixed point:
-//
-//   1. the whole-frame integer row engine (Exec_engine::run_fixed),
-//   2. the scalar integer tape (Fixed_tape::eval_point) applied per pixel,
-//   3. the reference interpreter (run_fixed_raw) applied per pixel.
-//
-// Double: the whole-frame engine (Exec_engine::run) bit for bit against the
+// must evaluate identically through independent routes. Fixed point: the
+// whole-frame integer row engine (Exec_engine::run_fixed) memcmp-identical
+// to the reference interpreter (run_fixed_raw) applied per pixel. Double:
+// the whole-frame engine (Exec_engine::run) bit for bit against the
 // per-pixel reference interpreter (run_ir_reference). Every trial checks a
 // narrow frame and a wide one whose interior straddles the kTapeLane lane
 // block.
@@ -135,7 +132,6 @@ void check_all_paths(const Exec_engine& engine, const Frame_set& initial, int it
                      std::uint64_t seed) {
     const Stencil_step& step = engine.step();
     const Register_program& program = engine.program();
-    const Compiled_program& cp = program.compiled();
     const int w = initial.width();
     const int h = initial.height();
     const std::string schedule =
@@ -158,11 +154,9 @@ void check_all_paths(const Exec_engine& engine, const Frame_set& initial, int it
 
     const Fixed_frame_result engine_out =
         engine.run_fixed(initial, iterations, b, fmt, options);
-    // Per-pixel references: quantize once, then iterate pixel by pixel
-    // through (a) run_fixed_raw and (b) Fixed_tape::eval_point.
+    // Per-pixel reference: quantize once, then iterate pixel by pixel
+    // through run_fixed_raw.
     const Raw_quantizer quantize(fmt);
-    const Fixed_tape tape(cp, fmt);
-    std::vector<std::int64_t> slots(static_cast<std::size_t>(cp.slot_count()));
     const auto& ports = program.input_ports();
     std::vector<std::int64_t> inputs(ports.size());
 
@@ -188,13 +182,11 @@ void check_all_paths(const Exec_engine& engine, const Frame_set& initial, int it
                 static_cast<int>(i++);
         }
     }
-    std::vector<std::vector<std::int64_t>> raw_tape = raw;
 
     for (int it = 0; it < iterations; ++it) {
-        std::vector<std::vector<std::int64_t>> next(states), next_tape(states);
+        std::vector<std::vector<std::int64_t>> next(states);
         for (std::size_t s = 0; s < states; ++s) {
             next[s].assign(static_cast<std::size_t>(w) * h, 0);
-            next_tape[s].assign(static_cast<std::size_t>(w) * h, 0);
         }
         for (int y = 0; y < h; ++y) {
             for (int x = 0; x < w; ++x) {
@@ -209,25 +201,15 @@ void check_all_paths(const Exec_engine& engine, const Frame_set& initial, int it
                                  [static_cast<std::size_t>(ry) * w + rx];
                 }
                 const std::vector<std::int64_t> out = run_fixed_raw(program, inputs, fmt);
-                tape.eval_point(inputs.data(), slots.data());
                 for (std::size_t s = 0; s < states; ++s) {
                     next[s][static_cast<std::size_t>(y) * w + x] = out[s];
-                    next_tape[s][static_cast<std::size_t>(y) * w + x] =
-                        slots[static_cast<std::size_t>(cp.output_slots()[s])];
                 }
             }
         }
-        for (std::size_t s = 0; s < states; ++s) {
-            raw[s] = std::move(next[s]);
-            raw_tape[s] = std::move(next_tape[s]);
-        }
+        for (std::size_t s = 0; s < states; ++s) raw[s] = std::move(next[s]);
     }
 
     for (std::size_t i = 0; i < engine_out.names.size(); ++i) {
-        ASSERT_EQ(0, std::memcmp(raw[i].data(), raw_tape[i].data(),
-                                 raw[i].size() * sizeof(std::int64_t)))
-            << "interpreter vs tape diverged: seed=" << seed << " field "
-            << engine_out.names[i];
         ASSERT_EQ(0, std::memcmp(raw[i].data(), engine_out.raw[i].data(),
                                  raw[i].size() * sizeof(std::int64_t)))
             << "row engine vs interpreter diverged: seed=" << seed << " field "

@@ -1,7 +1,7 @@
-// Fixed-point tape engine equivalence: the integer-lowered tape (Fixed_tape
-// scalar path and Fixed_exec batched path) must be byte-identical to the
-// run_fixed_raw reference interpreter for every kernel and format — the
-// same memcmp contract the double engine holds against run_ir_reference.
+// Fixed-point tape engine equivalence: the integer-lowered tape run through
+// the Fixed_exec batched path must be byte-identical to the run_fixed_raw
+// reference interpreter for every kernel and format — the same memcmp
+// contract the double engine holds against run_ir_reference.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -50,9 +50,8 @@ std::vector<std::vector<std::int64_t>> gather_raw_inputs(
     return sets;
 }
 
-// Checks both compiled paths against the interpreter on the given samples:
-// the Fixed_tape scalar path slot for slot, and the Fixed_exec batch in one
-// memcmp over the whole output array.
+// Checks the Fixed_exec batch against the interpreter on the given samples,
+// in one memcmp over the whole output array.
 void expect_tape_matches_interpreter(
     const Register_program& program, const Fixed_format& fmt,
     const std::vector<std::vector<std::int64_t>>& input_sets) {
@@ -66,20 +65,6 @@ void expect_tape_matches_interpreter(
     for (const auto& inputs : input_sets) {
         const std::vector<std::int64_t> out = run_fixed_raw(program, inputs, fmt);
         expected.insert(expected.end(), out.begin(), out.end());
-    }
-
-    // Scalar tape path.
-    const Fixed_tape tape(program.compiled(), fmt);
-    std::vector<std::int64_t> slots(
-        static_cast<std::size_t>(program.compiled().slot_count()));
-    for (std::size_t s = 0; s < samples; ++s) {
-        tape.eval_point(input_sets[s].data(), slots.data());
-        for (std::size_t o = 0; o < out_count; ++o) {
-            ASSERT_EQ(slots[static_cast<std::size_t>(
-                          program.compiled().output_slots()[o])],
-                      expected[s * out_count + o])
-                << to_string(fmt) << " sample " << s << " output " << o;
-        }
     }
 
     // Batched path, whole batch in one pass.
@@ -186,15 +171,14 @@ TEST(Fixed_tape, out_of_range_raw_inputs_wrap_like_the_interpreter) {
 }
 
 TEST(Fixed_exec, partial_and_multi_block_batches) {
-    // Batch sizes around the lane width: 1, kLane - 1, kLane, kLane + 1 and
-    // several full blocks plus a remainder.
+    // Batch sizes around the lane width: 1, kTapeLane - 1, kTapeLane,
+    // kTapeLane + 1 and several full blocks plus a remainder.
     const Kernel_def& kernel = kernel_by_name("heat");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{2, 2, 1});
     const Frame_set content = kernel.make_initial(make_synthetic_scene(23, 17, 4));
     const Fixed_format fmt{10, 6};
-    for (int samples : {1, Fixed_exec::kLane - 1, Fixed_exec::kLane,
-                        Fixed_exec::kLane + 1, 3 * Fixed_exec::kLane + 7}) {
+    for (int samples : {1, kTapeLane - 1, kTapeLane, kTapeLane + 1, 3 * kTapeLane + 7}) {
         SCOPED_TRACE(samples);
         const auto inputs = gather_raw_inputs(cone.program(), step, content,
                                               kernel.boundary, fmt, samples, 31);

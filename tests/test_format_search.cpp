@@ -66,7 +66,7 @@ Format_search_result search_fixed_format_reference(
         // smaller than one lane block (a function of the sample count
         // alone), combined in range order.
         const std::size_t samples = input_sets.size();
-        const std::size_t lane = static_cast<std::size_t>(Fixed_exec::kLane);
+        const std::size_t lane = static_cast<std::size_t>(kTapeLane);
         const std::size_t jobs = std::max<std::size_t>(
             1, std::min<std::size_t>(16, (samples + lane - 1) / lane));
         double se = 0.0;

@@ -108,7 +108,8 @@ TEST_F(Ir_fixture, program_run_matches_direct_evaluation) {
         for (const auto& port : prog.input_ports()) {
             inputs.push_back(resolve(port.field, port.dx, port.dy));
         }
-        const double via_program = prog.run(inputs)[0];
+        const double via_program =
+            prog.run_trace(inputs)[static_cast<std::size_t>(prog.outputs()[0])];
         EXPECT_EQ(direct, via_program) << "trial " << trial;
     }
 }
@@ -181,9 +182,11 @@ TEST_P(Random_dag, lowering_preserves_semantics) {
         for (const auto& port : prog.input_ports()) {
             inputs.push_back(resolve(port.field, port.dx, port.dy));
         }
-        const auto lowered = prog.run(inputs);
-        ASSERT_EQ(direct.size(), lowered.size());
-        for (std::size_t i = 0; i < direct.size(); ++i) EXPECT_EQ(direct[i], lowered[i]);
+        const auto regs = prog.run_trace(inputs);
+        ASSERT_EQ(direct.size(), prog.outputs().size());
+        for (std::size_t i = 0; i < direct.size(); ++i) {
+            EXPECT_EQ(direct[i], regs[static_cast<std::size_t>(prog.outputs()[i])]);
+        }
     }
 }
 

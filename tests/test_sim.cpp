@@ -137,12 +137,14 @@ TEST(Fixed_exec, tracks_double_execution_within_tolerance) {
         for (int i = 0; i < prog.input_count(); ++i) {
             inputs.push_back(quantize(rng.next_in(0.0, 255.0), fmt));
         }
-        const auto exact = prog.run(inputs);
+        const auto regs = prog.run_trace(inputs);
         const auto fixed = run_fixed(prog, inputs, fmt);
-        for (std::size_t o = 0; o < exact.size(); ++o) {
+        ASSERT_EQ(fixed.size(), prog.outputs().size());
+        for (std::size_t o = 0; o < fixed.size(); ++o) {
             // Binomial filter of depth 2: error accumulates over ~2 levels of
             // truncating multiplies; stay within a generous bound.
-            EXPECT_NEAR(fixed[o], exact[o], 0.25) << trial;
+            const double exact = regs[static_cast<std::size_t>(prog.outputs()[o])];
+            EXPECT_NEAR(fixed[o], exact, 0.25) << trial;
         }
     }
 }
@@ -155,6 +157,45 @@ TEST(Fixed_exec, division_by_zero_yields_zero_like_the_hardware) {
     const Fixed_format fmt{10, 6};
     const auto out = run_fixed(prog, {5.0, 0.0}, fmt);
     EXPECT_EQ(out[0], 0.0);
+}
+
+TEST(Fixed_exec, div_of_int64_min_by_minus_one_wraps_instead_of_trapping) {
+    // In Q31.30, a = -2^33 shifts to a << 30 == INT64_MIN; a raw divisor of
+    // -1 negates that modulo 2^64, and the 61-bit wrap of -2^63 is 0.
+    const Fixed_format fmt{31, 30};
+    const std::int64_t a = -(std::int64_t{1} << 33);
+    const std::int64_t b = -1;
+    ASSERT_EQ(a << fmt.frac_bits, INT64_MIN);
+    Expr_pool pool;
+    const int u = pool.intern_field("u");
+    const Expr_id q = pool.div(pool.input(u, 0, 0), pool.input(u, 1, 0));
+    const Register_program prog = build_program(pool, {q});
+    const Fixed_tape tape(prog.compiled(), fmt);
+    const std::int64_t operands[2] = {a, b};
+    EXPECT_EQ(apply_op_fixed(Op_kind::div, operands, tape.wrap(), fmt.frac_bits,
+                             tape.fixed_one()),
+              0);
+
+    const Compiled_program& cp = prog.compiled();
+    std::vector<std::int64_t> inputs;
+    for (const Tape_input& in : cp.inputs()) inputs.push_back(in.dx == 0 ? a : b);
+    EXPECT_EQ(run_fixed_raw(prog, inputs, fmt), std::vector<std::int64_t>{0});
+
+    const auto slots = static_cast<std::size_t>(cp.slot_count());
+    std::vector<std::int64_t> lanes(slots * kTapeLane);
+    std::vector<std::int64_t*> slot;
+    bind_lane_slots(slot, lanes.data(), slots);
+    for (std::size_t i = 0; i < cp.inputs().size(); ++i) {
+        std::fill_n(slot[static_cast<std::size_t>(cp.inputs()[i].slot)], kTapeLane, inputs[i]);
+    }
+    std::int64_t* out = slot[static_cast<std::size_t>(cp.output_slots()[0])];
+    for (int n : {kTapeLane, 5}) {
+        SCOPED_TRACE(n);
+        std::fill_n(out, n, -1);
+        run_tape(cp.ops().data(), cp.ops().size(), slot.data(), n, tape.wrap(),
+                 fmt.frac_bits, tape.fixed_one());
+        for (int l = 0; l < n; ++l) EXPECT_EQ(out[l], 0) << "lane " << l;
+    }
 }
 
 // Edge operands of the lane kernels' fixed div and sqrt: those run in
@@ -182,8 +223,6 @@ void check_edge_lanes(Op_kind kind, const Fixed_format& fmt,
     for (std::size_t i = 0; i < edges.size() || operands.size() < 3 * kTapeLane; ++i) {
         const std::int64_t x = tape.wrap()(edges[i % edges.size()][0]);
         const std::int64_t y = tape.wrap()(edges[i % edges.size()][1]);
-        // INT64_MIN / -1 is the one quotient C++ leaves undefined.
-        if (kind == Op_kind::div && y == -1 && (x << fmt.frac_bits) == INT64_MIN) continue;
         operands.push_back({x, y});
         operands.push_back({static_cast<std::int64_t>(i % 29) - 14,
                             static_cast<std::int64_t>(i % 5) + 1});
