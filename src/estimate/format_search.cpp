@@ -1,9 +1,11 @@
 #include "estimate/format_search.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "sim/fixed_exec.hpp"
+#include "sim/tape_lanes.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
 
@@ -24,35 +26,68 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
                            rng.next_int(0, std::max(0, content.height() - 1))});
     }
 
-    // Gather the per-origin inputs (flat, row-major samples x ports) and the
-    // double reference. One batched trace per origin (into a reused buffer)
-    // serves both the range analysis and the reference outputs — no second
-    // execution, no per-origin trace allocation.
+    // One double lane walk over the sample windows serves the range
+    // analysis and the reference outputs. Inputs go into their lanes and
+    // into the flat, row-major [samples][ports] buffer the fixed candidates
+    // quantize; run_tape fills every slot, so the intermediates and the
+    // outputs are read straight off the lane block.
+    const Compiled_program& cp = program.compiled();
+    const std::vector<Tape_input>& ins = cp.inputs();
+    const std::vector<std::int32_t>& out_slots = cp.output_slots();
     const std::size_t samples = origins.size();
-    const std::size_t in_count = program.input_ports().size();
-    const std::size_t out_count = program.outputs().size();
+    const std::size_t in_count = ins.size();
+    const std::size_t out_count = out_slots.size();
+    const std::size_t stride = lane_stride(samples);
     std::vector<double> flat_inputs(samples * in_count);
     std::vector<double> references(samples * out_count);
-    std::vector<double> inputs(in_count);
-    std::vector<double> trace;
     double max_abs = 0.0;
-    for (std::size_t s = 0; s < samples; ++s) {
-        const auto [ox, oy] = origins[s];
-        for (std::size_t p = 0; p < in_count; ++p) {
-            const auto& port = program.input_ports()[p];
-            const Frame& f = content.field(step.pool().field_name(port.field));
-            inputs[p] = f.sample(ox + port.dx, oy + port.dy, boundary);
+    {
+        // Scoped so the double block is freed before the fixed candidates
+        // allocate theirs.
+        const auto slots = static_cast<std::size_t>(cp.slot_count());
+        std::vector<double> lanes(slots * stride);
+        std::vector<double*> slot;
+        bind_lane_slots(slot, lanes.data(), slots, stride);
+        for (const Tape_constant& c : cp.constants()) {
+            double* dst = slot[static_cast<std::size_t>(c.slot)];
+            std::fill(dst, dst + stride, c.value);
         }
-        // Range analysis over every intermediate register.
-        program.run_trace_into(inputs, trace);
-        for (double v : trace) {
-            max_abs = std::max(max_abs, std::fabs(v));
+        std::vector<const Frame*> frames(in_count);
+        for (std::size_t i = 0; i < in_count; ++i) {
+            frames[i] = &content.field(step.pool().field_name(ins[i].field));
         }
-        std::copy(inputs.begin(), inputs.end(), flat_inputs.begin() + s * in_count);
-        for (std::size_t o = 0; o < out_count; ++o) {
-            references[s * out_count + o] =
-                trace[static_cast<std::size_t>(program.outputs()[o])];
+        // Lane-wise running max of |v|, folded once at the end. It equals
+        // the sequential std::max(max_abs, |v|) over every slot of every
+        // sample: both forms skip NaN (a comparison with NaN is false, so
+        // the running value is kept), fabs makes every other value >= +0,
+        // and the max of such a set does not depend on the visiting order.
+        std::array<double, kTapeLane> lane_max{};
+        for (std::size_t s0 = 0; s0 < samples; s0 += stride) {
+            const std::size_t n = std::min(stride, samples - s0);
+            for (std::size_t i = 0; i < in_count; ++i) {
+                const Tape_input& in = ins[i];
+                double* dst = slot[static_cast<std::size_t>(in.slot)];
+                for (std::size_t l = 0; l < n; ++l) {
+                    const auto [ox, oy] = origins[s0 + l];
+                    dst[l] = frames[i]->sample(ox + in.dx, oy + in.dy, boundary);
+                    flat_inputs[(s0 + l) * in_count + i] = dst[l];
+                }
+            }
+            run_tape(cp.ops().data(), cp.ops().size(), slot.data(), static_cast<int>(n));
+            for (const double* v : slot) {
+                for (std::size_t l = 0; l < n; ++l) {
+                    const double f = std::fabs(v[l]);
+                    lane_max[l] = lane_max[l] < f ? f : lane_max[l];
+                }
+            }
+            for (std::size_t o = 0; o < out_count; ++o) {
+                const double* src = slot[static_cast<std::size_t>(out_slots[o])];
+                for (std::size_t l = 0; l < n; ++l) {
+                    references[(s0 + l) * out_count + o] = src[l];
+                }
+            }
         }
+        for (const double m : lane_max) max_abs = max_abs < m ? m : max_abs;
     }
 
     Format_search_result result;
@@ -67,11 +102,10 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     // One batched tape pass per candidate format: quantize the flat inputs,
     // run every sample window through the integer-lowered tape, and fold the
     // squared error range by range. The ranges are a function of the sample
-    // count alone (at most kFoldRanges, never smaller than one kTapeLane
-    // block so the batch executor's lane passes stay full); each range sums
-    // its samples in sample order and the partial sums combine in range
-    // order, which fixes the PSNR bit for bit. One lane buffer serves every
-    // range and format.
+    // count alone (at most kFoldRanges, and at most one per kTapeLane
+    // samples); each range sums its samples in sample order and the partial
+    // sums combine in range order, which fixes the PSNR bit for bit. One
+    // lane buffer serves every range and format.
     constexpr std::size_t kFoldRanges = 16;
     const std::size_t lane = static_cast<std::size_t>(kTapeLane);
     const std::size_t ranges = std::max<std::size_t>(
@@ -84,6 +118,13 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     // a real decibel number — never a sentinel. `raw_outputs` holds the
     // candidate's output words after the call, which is what the shrink
     // phase compares against.
+    //
+    // NaN rule: a NaN reference (sqrt of a negative, 0/0 in the double
+    // program) propagates through the fold, so mse and psnr_db are NaN:
+    // never exact, never accepted, and the search ends unsatisfiable. The
+    // range analysis skips NaN (above). Records keep doubles as raw bits,
+    // so the NaN's sign matters: it is the one the double tape produced
+    // (IEEE leaves it open only where NaNs of both signs meet in one op).
     struct Accuracy {
         bool exact = false;
         double psnr_db = 0.0;

@@ -2,14 +2,17 @@
 //
 // The paper fixes the hardware number format by hand; this extension picks
 // the narrowest Qm.f automatically for a given accuracy target:
-//   1. run the cone in double over sample windows, recording the dynamic
-//      range of every intermediate register — that fixes the integer bits
-//      (plus one guard bit against rounding growth);
+//   1. run the cone's double tape once over the sample windows, up to
+//      kTapeLane windows per run_tape call: the lane-wise max of |v| over
+//      every slot is the dynamic range of every intermediate register, which
+//      fixes the integer bits (plus one guard bit against rounding growth),
+//      and the output slots are the double reference;
 //   2. grow the fraction bits until the bit-accurate fixed-point execution
-//      reaches the requested PSNR against the double reference (or matches
-//      it exactly — exactness is modelled as an explicit flag, never as a
+//      reaches the requested PSNR against that reference (or matches it
+//      exactly — exactness is modelled as an explicit flag, never as a
 //      sentinel decibel value; integer-native kernels accept on exactness
-//      alone and skip PSNR pruning entirely);
+//      alone and skip PSNR pruning entirely; a NaN reference makes the PSNR
+//      NaN, which no target accepts);
 //   3. shrink the integer bits back below the range-derived floor while the
 //      raw fixed-point outputs stay byte-identical to the accepted format —
 //      kernels whose intermediates stay tiny (chambolle's duals) drop below
@@ -18,11 +21,15 @@
 // Narrower formats mean cheaper operators everywhere in the cost model, so
 // this directly trades accuracy against area.
 //
-// Every candidate format is evaluated in ONE batched pass over all sample
-// windows through the integer-lowered tape (Fixed_exec): inputs are
-// quantized into a flat raw buffer and advance kTapeLane samples per tape
-// operation out of one reusable scratch buffer — no per-sample interpreter
-// run, no per-sample allocation. The PSNR fold sums the squared error per
+// Both value domains run on the lane walk (sim/tape_lanes.hpp), with slot
+// spans sized to the batch (lane_stride) rather than a whole kTapeLane, so
+// the default 32 windows touch half the footprint. The double block is
+// freed before the fixed candidates run. Every candidate format is then
+// evaluated in ONE batched pass over all sample windows through the
+// integer-lowered tape (Fixed_exec): the inputs gathered in step 1 are
+// quantized into a flat raw buffer and walk the whole tape per run_tape
+// call out of one reusable scratch buffer — no per-sample interpreter run,
+// no per-sample allocation. The PSNR fold sums the squared error per
 // fixed sample range (the decomposition depends only on the sample count)
 // and combines the partials in range order, so the selected format,
 // achieved PSNR and formats_tried are deterministic bit for bit. Callers

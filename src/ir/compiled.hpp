@@ -1,8 +1,9 @@
 // Scanline-compiled form of a register program.
 //
-// Register_program::run_trace_into() interprets the instruction vector one
-// pixel at a time, branching on the instruction kind at every slot. The
-// compiled form splits the program once into its three static parts:
+// Register_program's scalar reference interpreter walks the instruction
+// vector one pixel at a time, branching on the instruction kind at every
+// slot. The compiled form splits the program once into its three static
+// parts:
 //
 //   - constants:  (slot, value) pairs, bound ahead of execution;
 //   - inputs:     (slot, field, dx, dy) bindings in program port order;
@@ -12,8 +13,9 @@
 // hold one lane span per slot and advance a whole block of samples through
 // each tape operation in one tight loop. run_tape (sim/tape_lanes.hpp) is
 // the one executor of this lowering: the frame engine's interior and border
-// columns, the batched fixed executor and the architecture simulator all
-// call it, so they cannot diverge semantically.
+// columns, the fixed-point format search (range, references and
+// candidates), the batched fixed executor and the architecture simulator
+// all call it, so they cannot diverge semantically.
 #pragma once
 
 #include <array>

@@ -52,9 +52,9 @@ public:
 
     // Executes the program; `inputs[i]` must hold the value for the i-th
     // input instruction (in program order). Returns the value of *every*
-    // instruction slot, so range analysis (fixed-point format search) sees
-    // the intermediates; the outputs sit at the outputs() indices. Hot
-    // loops run compiled() through run_tape instead.
+    // instruction slot; the outputs sit at the outputs() indices. A scalar
+    // reference for tests and the golden oracle: product paths (format
+    // search, frame engine, simulators) run compiled() through run_tape.
     std::vector<double> run_trace(const std::vector<double>& inputs) const;
 
     // Batch-friendly run_trace: writes every instruction slot's value into

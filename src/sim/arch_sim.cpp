@@ -117,7 +117,7 @@ struct Double_domain {
         return f.sample(x, y, b);
     }
     double store(Value v) const { return v; }
-    // The frame values feed the tape unmodified, like run_trace_into.
+    // The frame values feed the tape unmodified, as in the scalar reference.
     Value wrap_input(const Level&, Value v) const { return v; }
     void run_ops(Level& level, int n) const {
         run_tape(level.tape->ops().data(), level.tape->ops().size(), level.slot.data(), n);

@@ -71,14 +71,15 @@ void Fixed_exec::run_raw_batch(const std::int64_t* inputs, std::size_t samples,
                                std::int64_t* outputs, Scratch& scratch) const {
     const Compiled_program& cp = fixed_.tape();
     const auto slots = static_cast<std::size_t>(cp.slot_count());
-    if (scratch.lanes.size() < slots * kTapeLane) scratch.lanes.resize(slots * kTapeLane);
-    bind_lane_slots(scratch.slot, scratch.lanes.data(), slots);
+    const std::size_t stride = lane_stride(samples);
+    if (scratch.lanes.size() < slots * stride) scratch.lanes.resize(slots * stride);
+    bind_lane_slots(scratch.slot, scratch.lanes.data(), slots, stride);
 
     // Slots are single-assignment, so the constant lanes survive every block.
     const std::vector<Tape_constant>& constants = cp.constants();
     for (std::size_t c = 0; c < constants.size(); ++c) {
         std::int64_t* dst = scratch.slot[static_cast<std::size_t>(constants[c].slot)];
-        std::fill(dst, dst + kTapeLane, fixed_.constant_raw()[c]);
+        std::fill(dst, dst + stride, fixed_.constant_raw()[c]);
     }
     const std::vector<Tape_input>& ins = cp.inputs();
     const std::vector<Tape_op>& ops = cp.ops();
@@ -87,8 +88,8 @@ void Fixed_exec::run_raw_batch(const std::int64_t* inputs, std::size_t samples,
     const std::size_t out_count = out_slots.size();
     const Bit_wrap& wrap = fixed_.wrap();
 
-    for (std::size_t s0 = 0; s0 < samples; s0 += kTapeLane) {
-        const int n = static_cast<int>(std::min<std::size_t>(kTapeLane, samples - s0));
+    for (std::size_t s0 = 0; s0 < samples; s0 += stride) {
+        const int n = static_cast<int>(std::min(stride, samples - s0));
         for (std::size_t i = 0; i < in_count; ++i) {
             std::int64_t* dst = scratch.slot[static_cast<std::size_t>(ins[i].slot)];
             const std::int64_t* src = inputs + s0 * in_count + i;

@@ -57,10 +57,10 @@ public:
         return static_cast<int>(fixed_.tape().output_slots().size());
     }
 
-    // Reusable per-thread scratch: `lanes` holds kTapeLane samples per tape
-    // slot and `slot` points at each slot's span for the lane walk. Both
-    // grow on first use and are never shrunk, so a thread evaluating many
-    // batches allocates once.
+    // Reusable per-thread scratch: `lanes` holds lane_stride(samples)
+    // words per tape slot and `slot` points at each slot's span for the
+    // lane walk. Both grow on first use and are never shrunk, so a thread
+    // evaluating many batches allocates once.
     struct Scratch {
         std::vector<std::int64_t> lanes;
         std::vector<std::int64_t*> slot;
@@ -68,8 +68,8 @@ public:
 
     // Batch: evaluates `samples` input vectors, row-major
     // [samples][input_count()] raw words, into row-major
-    // [samples][output_count()] raw outputs, kTapeLane samples per tape
-    // pass. Byte-identical to run_fixed_raw on every sample.
+    // [samples][output_count()] raw outputs, up to kTapeLane samples per
+    // tape pass. Byte-identical to run_fixed_raw on every sample.
     void run_raw_batch(const std::int64_t* inputs, std::size_t samples,
                        std::int64_t* outputs, Scratch& scratch) const;
 

@@ -25,13 +25,14 @@
 //
 // Operand layout: `slot[s]` points at the n <= kTapeLane live samples of
 // tape slot s. The caller binds every slot the walk touches: constants and
-// op results usually live in a slot-major lane block (lanes + s *
-// kTapeLane), while input slots may point straight into frame rows and
+// op results usually live in a slot-major lane block (lanes + s * stride,
+// stride >= n), while input slots may point straight into frame rows and
 // output slots straight into destination rows. The walk reads input and
 // constant slots and writes each op's dest slot once, in tape order; no
 // dest span may overlap any other slot's span.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -47,12 +48,20 @@ void run_tape(const Tape_op* ops, std::size_t count, double* const* slot, int n)
 void run_tape(const Tape_op* ops, std::size_t count, std::int64_t* const* slot, int n,
               const Bit_wrap& wrap, int frac, std::int64_t fixed_one);
 
-// Points slot[s] at lanes + s * kTapeLane for each of `slots` slots of a
-// slot-major lane block.
+// Points slot[s] at lanes + s * stride for each of `slots` slots of a
+// slot-major lane block. A walk over n samples needs stride >= n.
 template <class Value>
-void bind_lane_slots(std::vector<Value*>& slot, Value* lanes, std::size_t slots) {
+void bind_lane_slots(std::vector<Value*>& slot, Value* lanes, std::size_t slots,
+                     std::size_t stride = kTapeLane) {
     slot.resize(slots);
-    for (std::size_t s = 0; s < slots; ++s) slot[s] = lanes + s * kTapeLane;
+    for (std::size_t s = 0; s < slots; ++s) slot[s] = lanes + s * stride;
+}
+
+// Slot stride of a lane block for a batch of `samples`: a whole lane when
+// the batch fills one, else the batch rounded up to 8 words (one 64-byte
+// cache line), so a short batch does not drag dead lanes through the walk.
+inline std::size_t lane_stride(std::size_t samples) {
+    return std::min<std::size_t>((samples + 7) / 8 * 8, kTapeLane);
 }
 
 // "avx512" / "avx2" / "default" — which clone the host resolved to, for

@@ -16,7 +16,9 @@ namespace {
 
 std::string errno_text() { return std::strerror(errno); }
 
-bool write_fd_flushed(int fd, const std::string& data, std::string* error) {
+// Writes `data` to a freshly opened `fd` and closes it, fsyncing first
+// when `flush` is set.
+bool write_fd(int fd, const std::string& data, bool flush, std::string* error) {
     if (fd < 0) {
         if (error) *error = errno_text();
         return false;
@@ -36,7 +38,7 @@ bool write_fd_flushed(int fd, const std::string& data, std::string* error) {
     // Flush before the caller renames over the final name: a record must
     // never become reachable before its bytes are durable, or a crash could
     // leave a valid-looking name with torn contents.
-    if (::fsync(fd) != 0) {
+    if (flush && ::fsync(fd) != 0) {
         if (error) *error = errno_text();
         ::close(fd);
         return false;
@@ -50,14 +52,15 @@ bool write_fd_flushed(int fd, const std::string& data, std::string* error) {
 
 bool real_write_file(const std::string& path, const std::string& data,
                      std::string* error) {
-    return write_fd_flushed(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644),
-                            data, error);
+    return write_fd(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644), data,
+                    /*flush=*/true, error);
 }
 
 bool real_create_exclusive(const std::string& path, const std::string& data,
                            std::string* error) {
-    return write_fd_flushed(::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644),
-                            data, error);
+    // No fsync: the lock stamp needs no durability (see Env_hooks).
+    return write_fd(::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644), data,
+                    /*flush=*/false, error);
 }
 
 bool real_process_alive(std::int64_t pid) {

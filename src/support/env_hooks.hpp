@@ -43,10 +43,12 @@ struct Env_hooks {
     // Removes `path`; false when it could not be removed (absent is fine).
     std::function<bool(const std::string& path)> remove_file;
 
-    // Creates `path` exclusively (O_CREAT|O_EXCL) and writes `data`, flushed
-    // before returning. False when the file already exists or on I/O
-    // failure: the existence race is the point — this backs the advisory
-    // multi-process cache lock, where exactly one contender's create wins.
+    // Creates `path` exclusively (O_CREAT|O_EXCL) and writes `data`, without
+    // flushing: the stamp needs no durability, because a lock that outlives
+    // a crash is stale by definition and an empty or torn stamp parses as
+    // stale. False when the file already exists or on I/O failure: the
+    // existence race is the point — this backs the advisory multi-process
+    // cache lock, where exactly one contender's create wins.
     std::function<bool(const std::string& path, const std::string& data,
                        std::string* error)>
         create_exclusive;

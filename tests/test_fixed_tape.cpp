@@ -171,14 +171,17 @@ TEST(Fixed_tape, out_of_range_raw_inputs_wrap_like_the_interpreter) {
 }
 
 TEST(Fixed_exec, partial_and_multi_block_batches) {
-    // Batch sizes around the lane width: 1, kTapeLane - 1, kTapeLane,
-    // kTapeLane + 1 and several full blocks plus a remainder.
+    // Batch sizes around the slot stride (the batch rounded up to 8 words,
+    // capped at kTapeLane) and the lane width: 1, 5, 8, 31, 32, 33,
+    // kTapeLane - 1, kTapeLane, kTapeLane + 1 and several full blocks plus
+    // a remainder.
     const Kernel_def& kernel = kernel_by_name("heat");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{2, 2, 1});
     const Frame_set content = kernel.make_initial(make_synthetic_scene(23, 17, 4));
     const Fixed_format fmt{10, 6};
-    for (int samples : {1, kTapeLane - 1, kTapeLane, kTapeLane + 1, 3 * kTapeLane + 7}) {
+    for (int samples : {1, 5, 8, 31, 32, 33, kTapeLane - 1, kTapeLane, kTapeLane + 1,
+                        3 * kTapeLane + 7}) {
         SCOPED_TRACE(samples);
         const auto inputs = gather_raw_inputs(cone.program(), step, content,
                                               kernel.boundary, fmt, samples, 31);

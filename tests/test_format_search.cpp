@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "estimate/format_search.hpp"
 #include "grid/frame_ops.hpp"
@@ -241,7 +243,7 @@ TEST_F(Format_search_fixture, range_fold_matches_reference_at_every_sample_count
     // The range-by-range partial-sum fold must equal the per-sample
     // reference for window counts below, at and well above the fixed fold
     // range count (16) — including ranges that do not divide evenly.
-    for (int sample_windows : {5, 16, 70, 131}) {
+    for (int sample_windows : {5, 16, 32, 64, 65, 70, 131}) {
         SCOPED_TRACE(sample_windows);
         Format_search_options options;
         options.sample_windows = sample_windows;
@@ -249,6 +251,46 @@ TEST_F(Format_search_fixture, range_fold_matches_reference_at_every_sample_count
             search_fixed_format_reference(cone, content, Boundary::clamp, options),
             search_fixed_format(cone, content, Boundary::clamp, options));
     }
+}
+
+TEST(Format_search, nan_reference_matches_reference_bit_for_bit) {
+    // sqrt of a negative makes the double reference NaN wherever u < 128;
+    // the fixed sqrt of a negative is 0. The NaN poisons the PSNR, so no
+    // format is accepted — and because records store doubles as raw bits,
+    // the NaN's sign and payload must match the reference search too. The
+    // cone yields one NaN bit pattern, so the result does not hang on the
+    // operand order of an op where NaNs of both signs meet (IEEE leaves
+    // that sign open).
+    const char* source = R"(
+void nan_step(float u_out[H][W], const float u[H][W]) {
+    for (int y = 0; y < H; y++) {
+        for (int x = 0; x < W; x++) {
+            u_out[y][x] = sqrtf(u[y][x] - 128.0f) + 0.5f * u[y][x+1];
+        }
+    }
+}
+)";
+    Stencil_step step = extract_stencil(source);
+    const Cone cone(step, Cone_spec{2, 2, 1});
+    Frame_set content(24, 20);
+    content.add_field("u", make_synthetic_scene(24, 20, 5));
+    Format_search_options options;
+    options.max_total_bits = 24;
+    const Format_search_result reference =
+        search_fixed_format_reference(cone, content, Boundary::clamp, options);
+    const Format_search_result batched =
+        search_fixed_format(cone, content, Boundary::clamp, options);
+    ASSERT_TRUE(std::isnan(reference.psnr_db));
+    EXPECT_FALSE(batched.satisfiable);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.psnr_db),
+              std::bit_cast<std::uint64_t>(reference.psnr_db));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.max_abs_value),
+              std::bit_cast<std::uint64_t>(reference.max_abs_value));
+    EXPECT_EQ(batched.format, reference.format);
+    EXPECT_EQ(batched.exact, reference.exact);
+    EXPECT_EQ(batched.range_integer_bits, reference.range_integer_bits);
+    EXPECT_EQ(batched.formats_tried, reference.formats_tried);
+    EXPECT_EQ(batched.satisfiable, reference.satisfiable);
 }
 
 TEST(Format_search, batched_matches_reference_across_kernels) {
