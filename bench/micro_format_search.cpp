@@ -6,8 +6,8 @@
 // engine, each (format, sample) pair ran through run_fixed — a fresh
 // register file allocated per call, one branchy dispatch per instruction.
 // The batched path lowers the tape once per format (Fixed_tape) and
-// advances kTapeLane samples per tape operation out of reusable scratch
-// (Fixed_exec::run_raw_batch).
+// advances kTapeLane samples per tape operation out of one reusable lane
+// block (run_raw_batch).
 //
 // This bench measures the like-for-like PSNR evaluation of a fixed list of
 // candidate formats over the same sample set both ways, and checks the
@@ -141,14 +141,13 @@ double mse_batched(const Register_program& program, const Sample_set& set,
                    const Fixed_format& fmt,
                    std::vector<std::int64_t>& raw_inputs,
                    std::vector<std::int64_t>& raw_outputs,
-                   Fixed_exec::Scratch& scratch) {
-    const Fixed_exec exec(program, fmt);
+                   Lane_block<Fixed_tape>& block) {
+    const Fixed_tape tape(program.compiled(), fmt);
     const Raw_quantizer quantize(fmt);
     for (std::size_t k = 0; k < set.flat_inputs.size(); ++k) {
         raw_inputs[k] = quantize(set.flat_inputs[k]);
     }
-    exec.run_raw_batch(raw_inputs.data(), set.inputs.size(), raw_outputs.data(),
-                       scratch);
+    run_raw_batch(tape, raw_inputs.data(), set.inputs.size(), raw_outputs.data(), block);
     double se = 0.0;
     long long count = 0;
     for (std::size_t k = 0; k < set.inputs.size() * set.out_count; ++k) {
@@ -197,15 +196,15 @@ int main(int argc, char** argv) {
     // --- correctness: batched raw outputs byte-identical to run_fixed_raw ----
     std::vector<std::int64_t> raw_inputs(set.flat_inputs.size());
     std::vector<std::int64_t> raw_outputs(kSamples * set.out_count);
-    Fixed_exec::Scratch scratch;
+    Lane_block<Fixed_tape> block;
     bool raw_identical = true;
     for (const Fixed_format& fmt :
          {formats.front(), formats[formats.size() / 2], formats.back()}) {
-        const Fixed_exec exec(program, fmt);
+        const Fixed_tape tape(program.compiled(), fmt);
         for (std::size_t k = 0; k < set.flat_inputs.size(); ++k) {
             raw_inputs[k] = to_raw(set.flat_inputs[k], fmt);
         }
-        exec.run_raw_batch(raw_inputs.data(), kSamples, raw_outputs.data(), scratch);
+        run_raw_batch(tape, raw_inputs.data(), kSamples, raw_outputs.data(), block);
         for (std::size_t s = 0; s < kSamples && raw_identical; ++s) {
             std::vector<std::int64_t> one(raw_inputs.begin() + s * set.in_count,
                                           raw_inputs.begin() + (s + 1) * set.in_count);
@@ -227,7 +226,7 @@ int main(int argc, char** argv) {
     const double batched_s = min_seconds(3, [&] {
         for (std::size_t f = 0; f < formats.size(); ++f) {
             batched_mse[f] = mse_batched(program, set, formats[f], raw_inputs,
-                                         raw_outputs, scratch);
+                                         raw_outputs, block);
         }
     });
     const bool mse_identical = interp_mse == batched_mse;

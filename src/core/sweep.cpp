@@ -50,6 +50,13 @@ void validate_config(const Sweep_config& config) {
             }
         }
     }
+    const Fixed_format& format = config.format;
+    if (format.integer_bits < 1 || format.frac_bits < 0 || format.total_bits() < 2 ||
+        format.total_bits() > 62) {
+        throw User_error(cat("sweep format ", to_string(format),
+                             " needs m >= 1 integer bits (the sign bit), f >= 0 and "
+                             "2..62 bits in all"));
+    }
     if (config.validate_fixed) {
         // The raw-word comparison reconstructs the simulator's words from
         // its from_raw outputs, which is exact only while every raw word

@@ -44,14 +44,8 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     {
         // Scoped so the double block is freed before the fixed candidates
         // allocate theirs.
-        const auto slots = static_cast<std::size_t>(cp.slot_count());
-        std::vector<double> lanes(slots * stride);
-        std::vector<double*> slot;
-        bind_lane_slots(slot, lanes.data(), slots, stride);
-        for (const Tape_constant& c : cp.constants()) {
-            double* dst = slot[static_cast<std::size_t>(c.slot)];
-            std::fill(dst, dst + stride, c.value);
-        }
+        Lane_block<Compiled_program> block(cp, stride);
+        double** slot = block.slot();
         std::vector<const Frame*> frames(in_count);
         for (std::size_t i = 0; i < in_count; ++i) {
             frames[i] = &content.field(step.pool().field_name(ins[i].field));
@@ -66,22 +60,23 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
             const std::size_t n = std::min(stride, samples - s0);
             for (std::size_t i = 0; i < in_count; ++i) {
                 const Tape_input& in = ins[i];
-                double* dst = slot[static_cast<std::size_t>(in.slot)];
+                double* dst = slot[in.slot];
                 for (std::size_t l = 0; l < n; ++l) {
                     const auto [ox, oy] = origins[s0 + l];
                     dst[l] = frames[i]->sample(ox + in.dx, oy + in.dy, boundary);
                     flat_inputs[(s0 + l) * in_count + i] = dst[l];
                 }
             }
-            run_tape(cp.ops().data(), cp.ops().size(), slot.data(), static_cast<int>(n));
-            for (const double* v : slot) {
+            run_tape(cp, slot, static_cast<int>(n));
+            for (int s = 0; s < cp.slot_count(); ++s) {
+                const double* v = slot[s];
                 for (std::size_t l = 0; l < n; ++l) {
                     const double f = std::fabs(v[l]);
                     lane_max[l] = lane_max[l] < f ? f : lane_max[l];
                 }
             }
             for (std::size_t o = 0; o < out_count; ++o) {
-                const double* src = slot[static_cast<std::size_t>(out_slots[o])];
+                const double* src = slot[out_slots[o]];
                 for (std::size_t l = 0; l < n; ++l) {
                     references[(s0 + l) * out_count + o] = src[l];
                 }
@@ -110,7 +105,7 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     const std::size_t lane = static_cast<std::size_t>(kTapeLane);
     const std::size_t ranges = std::max<std::size_t>(
         1, std::min(kFoldRanges, (samples + lane - 1) / lane));
-    Fixed_exec::Scratch scratch;
+    Lane_block<Fixed_tape> block;
     std::vector<std::int64_t> raw_inputs(samples * in_count);
     std::vector<std::int64_t> raw_outputs(samples * out_count);
 
@@ -130,7 +125,7 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
         double psnr_db = 0.0;
     };
     auto measure = [&](const Fixed_format& fmt) -> Accuracy {
-        const Fixed_exec exec(program, fmt);
+        const Fixed_tape tape(cp, fmt);
         const Raw_quantizer quantize(fmt);
         double se = 0.0;
         for (std::size_t j = 0; j < ranges; ++j) {
@@ -139,8 +134,8 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
             for (std::size_t k = s0 * in_count; k < s1 * in_count; ++k) {
                 raw_inputs[k] = quantize(flat_inputs[k]);
             }
-            exec.run_raw_batch(raw_inputs.data() + s0 * in_count, s1 - s0,
-                               raw_outputs.data() + s0 * out_count, scratch);
+            run_raw_batch(tape, raw_inputs.data() + s0 * in_count, s1 - s0,
+                          raw_outputs.data() + s0 * out_count, block);
             double partial = 0.0;
             for (std::size_t k = s0 * out_count; k < s1 * out_count; ++k) {
                 const double d = from_raw(raw_outputs[k], fmt) - references[k];

@@ -21,15 +21,16 @@
 // Narrower formats mean cheaper operators everywhere in the cost model, so
 // this directly trades accuracy against area.
 //
-// Both value domains run on the lane walk (sim/tape_lanes.hpp), with slot
-// spans sized to the batch (lane_stride) rather than a whole kTapeLane, so
-// the default 32 windows touch half the footprint. The double block is
-// freed before the fixed candidates run. Every candidate format is then
-// evaluated in ONE batched pass over all sample windows through the
-// integer-lowered tape (Fixed_exec): the inputs gathered in step 1 are
-// quantized into a flat raw buffer and walk the whole tape per run_tape
-// call out of one reusable scratch buffer — no per-sample interpreter run,
-// no per-sample allocation. The PSNR fold sums the squared error per
+// Both value domains run on the lane walk (sim/tape_lanes.hpp), each in a
+// Lane_block whose slot spans are sized to the batch (lane_stride) rather
+// than a whole kTapeLane, so the default 32 windows touch half the
+// footprint. The double block is freed before the fixed candidates run.
+// Every candidate format is then evaluated in ONE batched pass over all
+// sample windows through its integer-lowered Fixed_tape (run_raw_batch,
+// sim/fixed_exec.hpp): the inputs gathered in step 1 are quantized into a
+// flat raw buffer and walk the whole tape per run_tape call out of one
+// reusable lane block — no per-sample interpreter run, no per-sample
+// allocation. The PSNR fold sums the squared error per
 // fixed sample range (the decomposition depends only on the sample count)
 // and combines the partials in range order, so the selected format,
 // achieved PSNR and formats_tried are deterministic bit for bit. Callers

@@ -62,6 +62,10 @@ Fixed_tape::Fixed_tape(const Compiled_program& tape, const Fixed_format& format)
       format_(format),
       wrap_(format.total_bits()),
       fixed_one_(to_raw(1.0, format)) {
+    // A negative fraction would shift by a negative count in the fixed ops;
+    // the integer bits include the sign bit.
+    check_internal(format.frac_bits >= 0 && format.integer_bits >= 1,
+                   "Fixed_tape needs a Qm.f format with m >= 1 and f >= 0");
     constant_raw_.reserve(tape.constants().size());
     for (const Tape_constant& c : tape.constants()) {
         constant_raw_.push_back(to_raw(c.value, format));

@@ -12,10 +12,11 @@
 // Because every slot is written by exactly one instruction, a consumer can
 // hold one lane span per slot and advance a whole block of samples through
 // each tape operation in one tight loop. run_tape (sim/tape_lanes.hpp) is
-// the one executor of this lowering: the frame engine's interior and border
-// columns, the fixed-point format search (range, references and
-// candidates), the batched fixed executor and the architecture simulator
-// all call it, so they cannot diverge semantically.
+// the one executor of this lowering, over the slot-major Lane_block laid
+// out there: the frame engine's interior and border columns, the
+// fixed-point format search (range, references and candidates), the
+// batched fixed executor and the architecture simulator all call it, so
+// they cannot diverge semantically.
 #pragma once
 
 #include <array>
@@ -157,9 +158,13 @@ inline std::int64_t apply_op_fixed(Op_kind kind, const std::int64_t* o,
 // constants are quantized to raw two's-complement words once, and the
 // format-derived operator parameters (wrap width, fraction shift, the raw
 // value of 1.0 the comparison ops produce) are folded ahead of execution.
-// One Fixed_tape serves any number of run_tape lane blocks: the batched
-// executor in sim/fixed_exec.hpp, the fixed architecture simulator, and the
-// whole-frame engine Exec_engine::run_fixed in sim/exec_engine.hpp.
+// The tape carries its domain: run_tape(const Fixed_tape&, ...) reads those
+// parameters from it, and a Lane_block<Fixed_tape> fills its constant lanes
+// from constant_raw() (sim/tape_lanes.hpp). One Fixed_tape serves any
+// number of lane blocks: the batched run_raw_batch in sim/fixed_exec.hpp,
+// the fixed architecture simulator, and the whole-frame engine
+// Exec_engine::run_fixed in sim/exec_engine.hpp. The format must have
+// m >= 1 (the sign bit) and f >= 0.
 class Fixed_tape {
 public:
     Fixed_tape(const Compiled_program& tape, const Fixed_format& format);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <type_traits>
 
 #include "ir/compiled.hpp"
 #include "sim/tape_lanes.hpp"
@@ -72,117 +72,78 @@ std::vector<int> flush_origins(int extent, int w) {
 //
 // One domain per arithmetic mode; the simulation loop below is templated on
 // it, so both modes run the identical tiling/coverage machinery and only the
-// element type, the off-chip conversions and the per-op lane arithmetic
-// differ. Cone execution is lane-blocked in both domains: up to kTapeLane
-// cone origins of one region row advance together through the shared
-// per-ISA lane kernels (sim/tape_lanes.hpp), one whole-tape call per lane
-// block — there is no per-origin scalar gather/execute/scatter loop.
-// The kernels match the scalar references case for case (apply_op /
-// apply_op_fixed), so the batched path is exact against run_ghost_ir: 0 LSB
-// in the fixed domain, 0.0 max abs error in the double domain.
+// element type, the tape and the off-chip conversions differ. Cone
+// execution is lane-blocked in both domains: up to kTapeLane cone origins of
+// one region row advance together through the shared per-ISA lane kernels
+// (sim/tape_lanes.hpp), one whole-tape call per lane block — there is no
+// per-origin scalar gather/execute/scatter loop. The kernels match the
+// scalar references case for case (apply_op / apply_op_fixed), so the
+// batched path is exact against run_ghost_ir: 0 LSB in the fixed domain,
+// 0.0 max abs error in the double domain.
 
 // IEEE doubles over the compiled tape.
 struct Double_domain {
-    using Value = double;
-
-    struct Level {
-        const Cone* cone = nullptr;
-        const Compiled_program* tape = nullptr;
-        // kTapeLane contiguous origins per tape slot; constant lanes are
-        // single-assignment, filled at bind time. `slot` points at each
-        // slot's span for the lane walk.
-        std::vector<double> lanes;
-        std::vector<double*> slot;
-        // (s * w + yy) * w + xx -> producing tape slot, precomputed so the
-        // scatter loop never calls output_index.
-        std::vector<std::int32_t> scatter;
-    };
-
-    void bind(Level& level, const Cone& cone) const {
-        level.cone = &cone;
-        level.tape = &cone.program().compiled();
-        level.lanes.assign(static_cast<std::size_t>(level.tape->slot_count()) *
-                               static_cast<std::size_t>(kTapeLane),
-                           0.0);
-        const std::vector<Tape_constant>& constants = level.tape->constants();
-        for (const Tape_constant& k : constants) {
-            double* dst =
-                level.lanes.data() + static_cast<std::size_t>(k.slot) * kTapeLane;
-            std::fill(dst, dst + kTapeLane, k.value);
-        }
-        bind_lane_slots(level.slot, level.lanes.data(),
-                        static_cast<std::size_t>(level.tape->slot_count()));
-    }
-    Value load(const Frame& f, int x, int y, Boundary b) const {
+    using Tape = Compiled_program;
+    double load(const Frame& f, int x, int y, Boundary b) const {
         return f.sample(x, y, b);
     }
-    double store(Value v) const { return v; }
-    // The frame values feed the tape unmodified, as in the scalar reference.
-    Value wrap_input(const Level&, Value v) const { return v; }
-    void run_ops(Level& level, int n) const {
-        run_tape(level.tape->ops().data(), level.tape->ops().size(), level.slot.data(), n);
-    }
+    double store(double v) const { return v; }
 };
 
 // Raw Qm.f words over the integer-lowered tape, byte-identical to the
 // run_fixed_raw reference interpreter. The off-chip load quantizes every
-// element exactly once; levels hand raw words to each other directly,
-// matching the fixed frame engine word for word.
+// element exactly once (saturating into the format's range); levels hand
+// raw words to each other directly, matching the fixed frame engine word
+// for word. Every region word is thus a quantized load or an op result,
+// both already wrapped, so the gather needs no re-wrap.
 struct Fixed_domain {
-    using Value = std::int64_t;
+    using Tape = Fixed_tape;
     Fixed_format format;
     Raw_quantizer quantize;
 
     explicit Fixed_domain(const Fixed_format& fmt) : format(fmt), quantize(fmt) {}
 
-    struct Level {
-        const Cone* cone = nullptr;
-        const Compiled_program* tape = nullptr;
-        // Integer lowering of this cone's tape: wrap/shift parameters and
-        // the raw constant words.
-        std::unique_ptr<Fixed_tape> fixed;
-        std::vector<std::int64_t> lanes;
-        std::vector<std::int64_t*> slot;
-        std::vector<std::int32_t> scatter;
-    };
-
-    void bind(Level& level, const Cone& cone) const {
-        level.cone = &cone;
-        level.tape = &cone.program().compiled();
-        level.fixed = std::make_unique<Fixed_tape>(cone.program().compiled(), format);
-        level.lanes.assign(static_cast<std::size_t>(level.tape->slot_count()) *
-                               static_cast<std::size_t>(kTapeLane),
-                           0);
-        const std::vector<Tape_constant>& constants = level.tape->constants();
-        for (std::size_t i = 0; i < constants.size(); ++i) {
-            std::int64_t* dst = level.lanes.data() +
-                                static_cast<std::size_t>(constants[i].slot) * kTapeLane;
-            std::fill(dst, dst + kTapeLane, level.fixed->constant_raw()[i]);
-        }
-        bind_lane_slots(level.slot, level.lanes.data(),
-                        static_cast<std::size_t>(level.tape->slot_count()));
-    }
-    Value load(const Frame& f, int x, int y, Boundary b) const {
+    std::int64_t load(const Frame& f, int x, int y, Boundary b) const {
         return quantize(f.sample(x, y, b));
     }
-    double store(Value v) const { return from_raw(v, format); }
-    // run_fixed_raw wraps every input word on load; the lane path mirrors
-    // that (a no-op for the in-range words the region holds).
-    Value wrap_input(const Level& level, Value v) const {
-        return level.fixed->wrap()(v);
+    double store(std::int64_t v) const { return from_raw(v, format); }
+};
+
+// Per-level cone execution state, resolved once: the memoized cone, the
+// tape it runs (the cone's compiled program in the double domain, its
+// integer lowering at the run's format in the fixed domain), the lane
+// block (constants prefilled) and the output scatter map
+// (s * w + yy) * w + xx -> producing tape slot, so the scatter loop never
+// calls output_index. Cone executions are then allocation-free.
+template <class Tape>
+struct Level {
+    using Held = std::conditional_t<std::is_same_v<Tape, Fixed_tape>, Fixed_tape,
+                                    const Compiled_program&>;
+
+    Level(const Cone& c, const Fixed_format& format)
+        : cone(&c), tape(lower(c.program().compiled(), format)), block(tape) {}
+
+    static Held lower(const Compiled_program& cp,
+                      [[maybe_unused]] const Fixed_format& format) {
+        if constexpr (std::is_same_v<Tape, Fixed_tape>) {
+            return Fixed_tape(cp, format);
+        } else {
+            return cp;
+        }
     }
-    void run_ops(Level& level, int n) const {
-        const Fixed_tape& fixed = *level.fixed;
-        run_tape(level.tape->ops().data(), level.tape->ops().size(), level.slot.data(), n,
-                 fixed.wrap(), fixed.frac_bits(), fixed.fixed_one());
-    }
+
+    const Cone* cone;
+    Held tape;
+    Lane_block<Tape> block;
+    std::vector<std::int32_t> scatter;
 };
 
 template <class Domain>
 Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instance,
                               const Frame_set& initial, const Arch_sim_options& options,
                               const Domain& domain) {
-    using Value = typename Domain::Value;
+    using Tape = typename Domain::Tape;
+    using Value = Lane_word<Tape>;
     const Stencil_step& step = library.step();
     const Footprint fp = step.footprint();
     const int w = instance.window;
@@ -224,16 +185,13 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
             step.pool().find_field(step.state_fields()[static_cast<std::size_t>(s)]);
     }
 
-    // Per-level cone execution state, resolved once: the memoized cone, its
-    // compiled tape, the domain's lane block (constants prefilled) and the
-    // output scatter map (s * w + yy) * w + xx -> producing tape slot. Cone
-    // executions below are then allocation-free in both modes.
-    std::vector<typename Domain::Level> level_exec(level_count);
+    std::vector<Level<Tape>> level_exec;
+    level_exec.reserve(level_count);
     for (std::size_t k = 0; k < level_count; ++k) {
         const Cone& cone = library.cone(w, instance.level_depths[k]);
-        typename Domain::Level& le = level_exec[k];
-        domain.bind(le, cone);
-        const std::vector<std::int32_t>& out_slots = le.tape->output_slots();
+        Level<Tape>& le = level_exec.emplace_back(cone, options.format);
+        const std::vector<std::int32_t>& out_slots =
+            cone.program().compiled().output_slots();
         le.scatter.assign(static_cast<std::size_t>(state_count) *
                               static_cast<std::size_t>(w) * static_cast<std::size_t>(w),
                           0);
@@ -281,9 +239,8 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
 
             // --- run the levels deep-first ---------------------------------------
             for (std::size_t k = 0; k < level_count; ++k) {
-                typename Domain::Level& le = level_exec[k];
-                const Cone& cone = *le.cone;
-                const Register_program& program = cone.program();
+                Level<Tape>& le = level_exec[k];
+                const Register_program& program = le.cone->program();
                 const Footprint out_halo = suffix[k + 1];
                 Window out_region{tx - out_halo.left, ty - out_halo.up,
                                   w + out_halo.width_growth(),
@@ -313,8 +270,8 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
                 // path bit for bit.
                 const std::vector<int> sub_x = flush_origins(out_region.width, w);
                 const std::vector<int> sub_y = flush_origins(out_region.height, w);
-                const std::vector<Tape_input>& ports = le.tape->inputs();
-                Value* lanes = le.lanes.data();
+                const std::vector<Tape_input>& ports = program.compiled().inputs();
+                Value** slot = le.block.slot();
                 for (int oy : sub_y) {
                     const int origin_y = out_region.y0 + oy;
                     for (std::size_t c0 = 0; c0 < sub_x.size(); c0 += kTapeLane) {
@@ -327,31 +284,25 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
                             static_cast<long long>(program.register_count()) * n;
 
                         for (const Tape_input& port : ports) {
-                            Value* dst =
-                                lanes + static_cast<std::size_t>(port.slot) * kTapeLane;
+                            Value* dst = slot[port.slot];
                             const int py = origin_y + port.dy;
                             for (int l = 0; l < n; ++l) {
-                                dst[l] = domain.wrap_input(
-                                    le, current.get(port.field,
-                                                    out_region.x0 + sub_x[c0 + l] +
-                                                        port.dx,
-                                                    py));
+                                dst[l] = current.get(
+                                    port.field, out_region.x0 + sub_x[c0 + l] + port.dx,
+                                    py);
                             }
                         }
-                        domain.run_ops(le, n);
+                        run_tape(le.tape, slot, n);
                         for (int s = 0; s < state_count; ++s) {
                             const int field = state_field[static_cast<std::size_t>(s)];
                             for (int yy = 0; yy < w; ++yy) {
                                 const int py = origin_y + yy;
                                 for (int xx = 0; xx < w; ++xx) {
                                     const Value* src =
-                                        lanes +
-                                        static_cast<std::size_t>(
-                                            le.scatter[(static_cast<std::size_t>(s) * w +
-                                                        static_cast<std::size_t>(yy)) *
-                                                           w +
-                                                       static_cast<std::size_t>(xx)]) *
-                                            kTapeLane;
+                                        slot[le.scatter[(static_cast<std::size_t>(s) * w +
+                                                         static_cast<std::size_t>(yy)) *
+                                                            w +
+                                                        static_cast<std::size_t>(xx)]];
                                     for (int l = 0; l < n; ++l) {
                                         next.set(field,
                                                  out_region.x0 + sub_x[c0 + l] + xx, py,

@@ -13,14 +13,17 @@
 // The simulator validates the whole flow end to end: its output must equal
 // the ghost-zone golden bit for bit in double mode, and the fixed-point mode
 // measures quantization error of a format choice. Both modes execute cones
-// over the same compiled tape through the shared run_tape lane kernels —
-// double mode on IEEE doubles, fixed mode on the integer-lowered Fixed_tape
-// (allocation-free, byte-identical to the run_fixed_raw reference
-// interpreter). Fixed mode keeps the whole
-// on-chip pipeline in raw Qm.f words: the off-chip load quantizes each
-// element exactly once and the level regions hand raw words to each other
-// directly, so the result matches the fixed frame engine's ghost golden
-// (sim/golden.hpp run_ghost_ir fixed overload) word for word.
+// through one level type — a tape and its Lane_block (sim/tape_lanes.hpp) —
+// and the shared run_tape lane kernels: double mode runs the cone's
+// compiled program on IEEE doubles, fixed mode its integer-lowered
+// Fixed_tape (allocation-free, byte-identical to the run_fixed_raw
+// reference interpreter). The two modes differ only in the off-chip load
+// and store. Fixed mode keeps the whole on-chip pipeline in raw Qm.f words:
+// the off-chip load quantizes each element exactly once (saturating into
+// the format's range) and the level regions hand raw, already-wrapped
+// words to each other directly, so the result matches the fixed frame
+// engine's ghost golden (sim/golden.hpp run_ghost_ir fixed overload) word
+// for word.
 #pragma once
 
 #include "backend/fixed_point.hpp"

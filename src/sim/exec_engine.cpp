@@ -16,53 +16,22 @@ namespace islhls {
 
 namespace {
 
-// --- value-domain policies --------------------------------------------------------
-//
-// One policy per arithmetic domain; everything below (contexts, workspaces,
-// row execution, banding, the double-buffered driver) is templated on it, so
-// the double and fixed-point engines are the same machine over different
-// element types and op semantics — they cannot diverge structurally. A
-// policy contributes its constants and run_tape(): the whole tape over one
-// lane block in one call into the resolved per-ISA walk (sim/tape_lanes.hpp).
-
-// IEEE double over the compiled tape (the classic golden engine).
-struct Double_policy {
-    using Value = double;
-    const Compiled_program* cp;
-
-    explicit Double_policy(const Compiled_program& tape) : cp(&tape) {}
-
-    Value constant(std::size_t i) const { return cp->constants()[i].value; }
-    void run_tape(Value* const* slot, int n) const {
-        islhls::run_tape(cp->ops().data(), cp->ops().size(), slot, n);
-    }
-};
-
-// Raw Qm.f words over the integer-lowered tape (wrap, fraction shift and
-// raw 1.0 resolved once per run by the Fixed_tape).
-struct Fixed_policy {
-    using Value = std::int64_t;
-    const Compiled_program* cp;
-    const Fixed_tape* tape;
-
-    explicit Fixed_policy(const Fixed_tape& t) : cp(&t.tape()), tape(&t) {}
-
-    Value constant(std::size_t i) const { return tape->constant_raw()[i]; }
-    void run_tape(Value* const* slot, int n) const {
-        islhls::run_tape(cp->ops().data(), cp->ops().size(), slot, n, tape->wrap(),
-                         tape->frac_bits(), tape->fixed_one());
-    }
-};
+// Everything below (contexts, workspaces, row execution, banding, the
+// double-buffered driver) is templated on the tape type, so the double
+// (Compiled_program) and fixed-point (Fixed_tape) engines are the same
+// machine over different element types and op semantics — they cannot
+// diverge structurally. Each lane block is one run_tape call: the whole
+// tape in one call into the resolved per-ISA walk (sim/tape_lanes.hpp).
 
 // Everything one step execution needs, fixed before the row loops start.
 // The banded path copies this per band and retargets the field bindings at
 // every fused level; `field_row_off` / `out_row_off` translate full-frame
 // row coordinates into band-buffer rows (zero when a binding points at a
 // whole frame).
-template <class Policy>
+template <class Tape>
 struct Step_context {
-    using Value = typename Policy::Value;
-    const Policy* policy = nullptr;
+    using Value = Lane_word<Tape>;
+    const Tape* tape = nullptr;
     const Compiled_program* cp = nullptr;
     int left_margin = 0;
     int right_margin = 0;
@@ -86,21 +55,18 @@ struct Step_context {
     std::vector<int> state_pool_field;
 };
 
-// Per-thread scratch bound to one frame width: the lane block and its slot
-// table, and a zero row backing Boundary::zero reads of out-of-range rows.
-// The two `band` buffers ping-pong the interim levels of temporal tiling;
-// they are sized lazily per band (edge bands under Boundary::periodic can
-// need more rows than interior bands).
-template <class Policy>
+// Per-thread scratch bound to one frame width: the lane block, and a zero
+// row backing Boundary::zero reads of out-of-range rows. The two `band`
+// buffers ping-pong the interim levels of temporal tiling; they are sized
+// lazily per band (edge bands under Boundary::periodic can need more rows
+// than interior bands).
+template <class Tape>
 struct Workspace {
-    using Value = typename Policy::Value;
-    // kTapeLane contiguous samples per tape slot (lanes[slot * kTapeLane +
-    // lane]). Constant lanes are filled once at bind time — slots are
-    // single-assignment, so they survive every later lane block.
-    std::vector<Value> lanes;
-    // Per tape slot: its lane span, or per interior block the frame row
-    // span of an input slot or an in-place output slot.
-    std::vector<Value*> slot;
+    using Value = Lane_word<Tape>;
+    // kTapeLane samples per tape slot. Its slot table points at each slot's
+    // own span, or per interior block at the frame row span of an input
+    // slot or an in-place output slot.
+    Lane_block<Tape> block;
     // Per tape input: the resolved base of the row the current output row
     // reads; the value at column x is input_row[i][x + inputs[i].dx].
     std::vector<const Value*> input_row;
@@ -108,17 +74,10 @@ struct Workspace {
     std::array<std::vector<Value>, 2> band;
 };
 
-template <class Policy>
-void bind_workspace(Workspace<Policy>& ws, const Step_context<Policy>& c) {
-    using Value = typename Policy::Value;
-    const auto slots = static_cast<std::size_t>(c.cp->slot_count());
-    ws.lanes.assign(slots * static_cast<std::size_t>(kTapeLane), Value{});
-    const std::vector<Tape_constant>& constants = c.cp->constants();
-    for (std::size_t i = 0; i < constants.size(); ++i) {
-        Value* r = ws.lanes.data() + static_cast<std::size_t>(constants[i].slot) * kTapeLane;
-        std::fill(r, r + kTapeLane, c.policy->constant(i));
-    }
-    bind_lane_slots(ws.slot, ws.lanes.data(), slots);
+template <class Tape>
+void bind_workspace(Workspace<Tape>& ws, const Step_context<Tape>& c) {
+    using Value = Lane_word<Tape>;
+    ws.block.bind(*c.tape);
     ws.input_row.assign(c.cp->inputs().size(), nullptr);
     ws.zero_row.assign(static_cast<std::size_t>(c.width), Value{});
 }
@@ -126,34 +85,34 @@ void bind_workspace(Workspace<Policy>& ws, const Step_context<Policy>& c) {
 // Reusable workspaces for the parallel row blocks; scratch contents never
 // influence results, so which worker gets which workspace is irrelevant to
 // the determinism contract.
-template <class Policy>
+template <class Tape>
 class Workspace_pool {
 public:
-    explicit Workspace_pool(const Step_context<Policy>& context) : context_(&context) {}
+    explicit Workspace_pool(const Step_context<Tape>& context) : context_(&context) {}
 
-    std::unique_ptr<Workspace<Policy>> acquire() {
+    std::unique_ptr<Workspace<Tape>> acquire() {
         {
             const std::lock_guard<std::mutex> lock(mutex_);
             if (!free_.empty()) {
-                std::unique_ptr<Workspace<Policy>> ws = std::move(free_.back());
+                std::unique_ptr<Workspace<Tape>> ws = std::move(free_.back());
                 free_.pop_back();
                 return ws;
             }
         }
-        auto ws = std::make_unique<Workspace<Policy>>();
+        auto ws = std::make_unique<Workspace<Tape>>();
         bind_workspace(*ws, *context_);
         return ws;
     }
 
-    void release(std::unique_ptr<Workspace<Policy>> ws) {
+    void release(std::unique_ptr<Workspace<Tape>> ws) {
         const std::lock_guard<std::mutex> lock(mutex_);
         free_.push_back(std::move(ws));
     }
 
 private:
-    const Step_context<Policy>* context_;
+    const Step_context<Tape>* context_;
     std::mutex mutex_;
-    std::vector<std::unique_ptr<Workspace<Policy>>> free_;
+    std::vector<std::unique_ptr<Workspace<Tape>>> free_;
 };
 
 // Interior columns [x0, x1) of row y, in kTapeLane-wide lane blocks: input
@@ -167,13 +126,13 @@ private:
 // NaN, which IEEE leaves open and no op lets reach a non-NaN value). Fixed
 // frame words are already wrapped (quantization and every producing op
 // wrap), so the inputs need no re-wrap.
-template <class Policy>
-void exec_interior(const Step_context<Policy>& c, Workspace<Policy>& ws, int y, int x0,
+template <class Tape>
+void exec_interior(const Step_context<Tape>& c, Workspace<Tape>& ws, int y, int x0,
                    int x1) {
-    using Value = typename Policy::Value;
+    using Value = Lane_word<Tape>;
     const std::vector<Tape_input>& inputs = c.cp->inputs();
     const std::vector<std::int32_t>& out_slots = c.cp->output_slots();
-    Value** slot = ws.slot.data();
+    Value** slot = ws.block.slot();
     const std::size_t out_row =
         static_cast<std::size_t>(y - c.out_row_off) * static_cast<std::size_t>(c.width);
     for (int xb = x0; xb < x1; xb += kTapeLane) {
@@ -184,7 +143,7 @@ void exec_interior(const Step_context<Policy>& c, Workspace<Policy>& ws, int y, 
         for (std::size_t s = 0; s < c.out_base.size(); ++s) {
             if (c.out_in_place[s]) slot[out_slots[s]] = c.out_base[s] + out_row + xb;
         }
-        c.policy->run_tape(slot, n);
+        run_tape(*c.tape, slot, n);
         for (std::size_t s = 0; s < c.out_base.size(); ++s) {
             if (c.out_in_place[s]) continue;
             std::memcpy(c.out_base[s] + out_row + xb, slot[out_slots[s]],
@@ -199,10 +158,10 @@ void exec_interior(const Step_context<Policy>& c, Workspace<Policy>& ws, int y, 
 // the fixed domain, like run_fixed_raw's gathered zeros), and the outputs
 // are scattered back into the row. As in the interior, frame words are not
 // re-wrapped.
-template <class Policy>
-void exec_border(const Step_context<Policy>& c, Workspace<Policy>& ws, int y, int x0,
+template <class Tape>
+void exec_border(const Step_context<Tape>& c, Workspace<Tape>& ws, int y, int x0,
                  int x1) {
-    using Value = typename Policy::Value;
+    using Value = Lane_word<Tape>;
     const int w = c.width;
     const std::vector<Tape_input>& inputs = c.cp->inputs();
     const std::vector<std::int32_t>& out_slots = c.cp->output_slots();
@@ -210,13 +169,9 @@ void exec_border(const Step_context<Policy>& c, Workspace<Policy>& ws, int y, in
         static_cast<std::size_t>(y - c.out_row_off) * static_cast<std::size_t>(w);
     // exec_interior leaves input and in-place output slots pointing into
     // frame rows; point them back at their own lane spans.
-    Value** slot = ws.slot.data();
-    for (const Tape_input& in : inputs) {
-        slot[in.slot] = ws.lanes.data() + static_cast<std::size_t>(in.slot) * kTapeLane;
-    }
-    for (std::int32_t out : out_slots) {
-        slot[out] = ws.lanes.data() + static_cast<std::size_t>(out) * kTapeLane;
-    }
+    Value** slot = ws.block.slot();
+    for (const Tape_input& in : inputs) slot[in.slot] = ws.block.span(in.slot);
+    for (std::int32_t out : out_slots) slot[out] = ws.block.span(out);
     // Border column k is frame column k below x0, k + (x1 - x0) above.
     const int count = x0 + (w - x1);
     for (int kb = 0; kb < count; kb += kTapeLane) {
@@ -229,7 +184,7 @@ void exec_border(const Step_context<Policy>& c, Workspace<Policy>& ws, int y, in
                 dst[l] = rx < 0 ? Value{} : ws.input_row[i][rx];
             }
         }
-        c.policy->run_tape(slot, n);
+        run_tape(*c.tape, slot, n);
         for (std::size_t s = 0; s < c.out_base.size(); ++s) {
             const Value* src = slot[out_slots[s]];
             for (int l = 0; l < n; ++l) {
@@ -239,9 +194,9 @@ void exec_border(const Step_context<Policy>& c, Workspace<Policy>& ws, int y, in
     }
 }
 
-template <class Policy>
-void exec_rows(const Step_context<Policy>& c, Workspace<Policy>& ws, int y0, int y1) {
-    using Value = typename Policy::Value;
+template <class Tape>
+void exec_rows(const Step_context<Tape>& c, Workspace<Tape>& ws, int y0, int y1) {
+    using Value = Lane_word<Tape>;
     const int w = c.width;
     const int h = c.height;
     const std::vector<Tape_input>& inputs = c.cp->inputs();
@@ -369,10 +324,10 @@ std::vector<Band_plan> plan_bands(int h, int band_rows, int depth, int up, int d
 // interim levels index them at the unclamped row with no boundary
 // resolution, while level-1 reads and const-field reads still wrap against
 // the frame.
-template <class Policy>
-void exec_band(const Step_context<Policy>& c, Workspace<Policy>& ws,
+template <class Tape>
+void exec_band(const Step_context<Tape>& c, Workspace<Tape>& ws,
                const Band_plan& plan) {
-    using Value = typename Policy::Value;
+    using Value = Lane_word<Tape>;
     const int depth = static_cast<int>(plan.level.size()) - 1;
     const auto w = static_cast<std::size_t>(c.width);
     const std::size_t stride = static_cast<std::size_t>(plan.interim_rows) * w;
@@ -383,7 +338,7 @@ void exec_band(const Step_context<Policy>& c, Workspace<Policy>& ws,
         }
     }
 
-    Step_context<Policy> local = c;
+    Step_context<Tape> local = c;
     const bool direct = c.boundary == Boundary::periodic;
     for (int k = 1; k <= depth; ++k) {
         const Band_level out = plan.level[static_cast<std::size_t>(k)];
@@ -453,25 +408,26 @@ int auto_band_rows(int width, int h, int depth, int states, int growth, int thre
 
 // --- double-buffered driver -------------------------------------------------------
 
-// Runs `iterations` steps of the engine's program under `policy` over a pair
+// Runs `iterations` steps of the engine's program as `tape` over a pair
 // of frame buffers. `buffers[p]` holds the storage of every field of buffer
 // parity p in canonical order (state fields in declaration order, then const
 // fields); const fields may share storage across parities, since they are
 // never written. Returns the parity holding the final frames.
-template <class Policy>
-int run_buffers(const Exec_engine& engine, const Policy& policy, int w, int h,
+template <class Tape>
+int run_buffers(const Exec_engine& engine, const Tape& tape, int w, int h,
                 int iterations, Boundary b, const Exec_options& options,
-                const std::array<std::vector<typename Policy::Value*>, 2>& buffers) {
-    using Value = typename Policy::Value;
+                const std::array<std::vector<Lane_word<Tape>*>, 2>& buffers) {
+    using Value = Lane_word<Tape>;
     const Stencil_step& step = engine.step();
     const Expr_pool& pool = step.pool();
     const std::size_t states = step.state_fields().size();
 
-    Step_context<Policy> context;
-    context.policy = &policy;
-    context.cp = policy.cp;
-    context.left_margin = std::max(0, -policy.cp->min_dx());
-    context.right_margin = std::max(0, policy.cp->max_dx());
+    Step_context<Tape> context;
+    const Compiled_program& cp = engine.compiled();
+    context.tape = &tape;
+    context.cp = &cp;
+    context.left_margin = std::max(0, -cp.min_dx());
+    context.right_margin = std::max(0, cp.max_dx());
     context.width = w;
     context.height = h;
     context.boundary = b;
@@ -485,12 +441,12 @@ int run_buffers(const Exec_engine& engine, const Policy& policy, int w, int h,
     for (const std::string& name : step.const_fields()) {
         canonical_pool_field.push_back(pool.find_field(name));
     }
-    const std::vector<std::int32_t>& out_slots = policy.cp->output_slots();
+    const std::vector<std::int32_t>& out_slots = cp.output_slots();
     for (std::int32_t out : out_slots) {
         const auto made = [&](const Tape_op& op) { return op.dest == out; };
         const bool unique = std::count(out_slots.begin(), out_slots.end(), out) == 1;
         context.out_in_place.push_back(
-            unique && std::any_of(policy.cp->ops().begin(), policy.cp->ops().end(), made));
+            unique && std::any_of(cp.ops().begin(), cp.ops().end(), made));
     }
     // Per parity: the pool-field read bindings, and the state-field outputs
     // written while that parity is current (i.e. into the other buffer).
@@ -557,9 +513,9 @@ int run_buffers(const Exec_engine& engine, const Policy& policy, int w, int h,
         }
     }
 
-    Workspace<Policy> serial_ws;
+    Workspace<Tape> serial_ws;
     if (!thread_pool) bind_workspace(serial_ws, context);
-    Workspace_pool<Policy> workspaces(context);
+    Workspace_pool<Tape> workspaces(context);
 
     int cur = 0;
     int it = 0;
@@ -576,7 +532,7 @@ int run_buffers(const Exec_engine& engine, const Policy& policy, int w, int h,
                 const std::size_t blocks = static_cast<std::size_t>(
                     std::min(h, thread_pool->thread_count() * 4));
                 thread_pool->for_each_index(blocks, [&](std::size_t i) {
-                    std::unique_ptr<Workspace<Policy>> ws = workspaces.acquire();
+                    std::unique_ptr<Workspace<Tape>> ws = workspaces.acquire();
                     const int b0 =
                         static_cast<int>(i * static_cast<std::size_t>(h) / blocks);
                     const int b1 = static_cast<int>((i + 1) *
@@ -594,7 +550,7 @@ int run_buffers(const Exec_engine& engine, const Policy& policy, int w, int h,
                 }
             } else {
                 thread_pool->for_each_index(plans.size(), [&](std::size_t i) {
-                    std::unique_ptr<Workspace<Policy>> ws = workspaces.acquire();
+                    std::unique_ptr<Workspace<Tape>> ws = workspaces.acquire();
                     exec_band(context, *ws, plans[i]);
                     workspaces.release(std::move(ws));
                 });
@@ -657,8 +613,8 @@ Frame_set Exec_engine::run(const Frame_set& initial, int iterations, Boundary b,
         buffers[0].push_back(buf_a.frame_at(i).data().data());
         buffers[1].push_back(buf_b.frame_at(i).data().data());
     }
-    const Double_policy policy(program_.compiled());
-    const int final_parity = run_buffers(*this, policy, w, h, iterations, b, options, buffers);
+    const int final_parity =
+        run_buffers(*this, program_.compiled(), w, h, iterations, b, options, buffers);
     return std::move(final_parity == 0 ? buf_a : buf_b);
 }
 
@@ -716,8 +672,7 @@ Fixed_frame_result Exec_engine::run_fixed(const Frame_set& initial, int iteratio
     }
     // One integer lowering per run; every fused level executes it.
     const Fixed_tape tape(program_.compiled(), format);
-    const Fixed_policy policy(tape);
-    const int final_parity = run_buffers(*this, policy, w, h, iterations, b, options, buffers);
+    const int final_parity = run_buffers(*this, tape, w, h, iterations, b, options, buffers);
     return finish(final_parity == 0 ? std::move(state_a) : std::move(state_b));
 }
 

@@ -55,17 +55,20 @@
 // regardless of the schedule, so results are byte-identical to a serial run
 // at any thread count (the same determinism contract the DSE engine holds).
 //
-// The engine runs in two value domains over the SAME row machinery (one
-// templated implementation whose every cell goes through run_tape, so the
-// paths cannot diverge structurally):
+// The engine runs in two value domains over the SAME row machinery: one
+// implementation templated on the tape type, whose per-thread Lane_block
+// (sim/tape_lanes.hpp) lays out and binds the lanes and whose every cell
+// goes through run_tape, so the paths cannot diverge structurally:
 //
-//   - double (run): the tape's IEEE semantics, the classic golden engine;
+//   - double (run): the Compiled_program's IEEE semantics, the classic
+//     golden engine;
 //   - fixed point (run_fixed): the program is lowered once per run into a
-//     Fixed_tape (ir/compiled.hpp) and executed over raw int64 Qm.f row
-//     buffers — the initial frames are quantized once and every iteration
-//     reads and writes raw words (no per-level re-quantization). The raw
-//     words are memcmp-identical to a per-pixel run_fixed_raw sweep for
-//     every kernel, boundary, format, thread count and tile depth.
+//     Fixed_tape (ir/compiled.hpp), which carries its format's operator
+//     parameters, and executed over raw int64 Qm.f row buffers — the
+//     initial frames are quantized once and every iteration reads and
+//     writes raw words (no per-level re-quantization). The raw words are
+//     memcmp-identical to a per-pixel run_fixed_raw sweep for every kernel,
+//     boundary, format, thread count and tile depth.
 #pragma once
 
 #include <cstddef>

@@ -59,48 +59,29 @@ std::vector<double> run_fixed(const Register_program& program,
     return out;
 }
 
-// The lane walk lives in sim/tape_lanes.hpp (shared with the lane-blocked
-// frame engine and the region-tiled architecture simulator, and compiled
-// per ISA level there); the batch driver below binds lanes and gathers and
-// scatters the strided samples.
-
-Fixed_exec::Fixed_exec(const Register_program& program, const Fixed_format& format)
-    : program_(&program), fixed_(program.compiled(), format) {}
-
-void Fixed_exec::run_raw_batch(const std::int64_t* inputs, std::size_t samples,
-                               std::int64_t* outputs, Scratch& scratch) const {
-    const Compiled_program& cp = fixed_.tape();
-    const auto slots = static_cast<std::size_t>(cp.slot_count());
+void run_raw_batch(const Fixed_tape& tape, const std::int64_t* inputs, std::size_t samples,
+                   std::int64_t* outputs, Lane_block<Fixed_tape>& block) {
     const std::size_t stride = lane_stride(samples);
-    if (scratch.lanes.size() < slots * stride) scratch.lanes.resize(slots * stride);
-    bind_lane_slots(scratch.slot, scratch.lanes.data(), slots, stride);
-
-    // Slots are single-assignment, so the constant lanes survive every block.
-    const std::vector<Tape_constant>& constants = cp.constants();
-    for (std::size_t c = 0; c < constants.size(); ++c) {
-        std::int64_t* dst = scratch.slot[static_cast<std::size_t>(constants[c].slot)];
-        std::fill(dst, dst + stride, fixed_.constant_raw()[c]);
-    }
-    const std::vector<Tape_input>& ins = cp.inputs();
-    const std::vector<Tape_op>& ops = cp.ops();
-    const std::vector<std::int32_t>& out_slots = cp.output_slots();
+    block.bind(tape, stride);
+    std::int64_t** slot = block.slot();
+    const std::vector<Tape_input>& ins = tape.tape().inputs();
+    const std::vector<std::int32_t>& out_slots = tape.tape().output_slots();
     const std::size_t in_count = ins.size();
     const std::size_t out_count = out_slots.size();
-    const Bit_wrap& wrap = fixed_.wrap();
+    const Bit_wrap& wrap = tape.wrap();
 
     for (std::size_t s0 = 0; s0 < samples; s0 += stride) {
         const int n = static_cast<int>(std::min(stride, samples - s0));
         for (std::size_t i = 0; i < in_count; ++i) {
-            std::int64_t* dst = scratch.slot[static_cast<std::size_t>(ins[i].slot)];
+            std::int64_t* dst = slot[ins[i].slot];
             const std::int64_t* src = inputs + s0 * in_count + i;
             for (int l = 0; l < n; ++l) {
                 dst[l] = wrap(src[static_cast<std::size_t>(l) * in_count]);
             }
         }
-        run_tape(ops.data(), ops.size(), scratch.slot.data(), n, wrap, fixed_.frac_bits(),
-                 fixed_.fixed_one());
+        run_tape(tape, slot, n);
         for (std::size_t o = 0; o < out_count; ++o) {
-            const std::int64_t* src = scratch.slot[static_cast<std::size_t>(out_slots[o])];
+            const std::int64_t* src = slot[out_slots[o]];
             std::int64_t* dst = outputs + s0 * out_count + o;
             for (int l = 0; l < n; ++l) {
                 dst[static_cast<std::size_t>(l) * out_count] = src[l];

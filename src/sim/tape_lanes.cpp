@@ -72,14 +72,46 @@ const Lane_dispatch& lane_dispatch() {
 
 }  // namespace
 
-void run_tape(const Tape_op* ops, std::size_t count, double* const* slot, int n) {
-    lane_dispatch().dbl(ops, count, slot, n);
+void run_tape(const Compiled_program& tape, double* const* slot, int n) {
+    lane_dispatch().dbl(tape.ops().data(), tape.ops().size(), slot, n);
 }
 
-void run_tape(const Tape_op* ops, std::size_t count, std::int64_t* const* slot, int n,
-              const Bit_wrap& wrap, int frac, std::int64_t fixed_one) {
-    lane_dispatch().fixed(ops, count, slot, n, wrap, frac, fixed_one);
+void run_tape(const Fixed_tape& tape, std::int64_t* const* slot, int n) {
+    const std::vector<Tape_op>& ops = tape.tape().ops();
+    lane_dispatch().fixed(ops.data(), ops.size(), slot, n, tape.wrap(), tape.frac_bits(),
+                          tape.fixed_one());
 }
+
+namespace {
+
+const Compiled_program& program_of(const Compiled_program& tape) { return tape; }
+const Compiled_program& program_of(const Fixed_tape& tape) { return tape.tape(); }
+double constant_word(const Compiled_program& tape, std::size_t i) {
+    return tape.constants()[i].value;
+}
+std::int64_t constant_word(const Fixed_tape& tape, std::size_t i) {
+    return tape.constant_raw()[i];
+}
+
+}  // namespace
+
+template <class Tape>
+void Lane_block<Tape>::bind(const Tape& tape, std::size_t stride) {
+    const Compiled_program& cp = program_of(tape);
+    const auto slots = static_cast<std::size_t>(cp.slot_count());
+    if (lanes_.size() < slots * stride) lanes_.resize(slots * stride);
+    stride_ = stride;
+    slot_.resize(slots);
+    for (std::size_t s = 0; s < slots; ++s) slot_[s] = span(static_cast<std::int32_t>(s));
+    const std::vector<Tape_constant>& constants = cp.constants();
+    for (std::size_t i = 0; i < constants.size(); ++i) {
+        Value* dst = slot_[static_cast<std::size_t>(constants[i].slot)];
+        std::fill(dst, dst + stride, constant_word(tape, i));
+    }
+}
+
+template class Lane_block<Compiled_program>;
+template class Lane_block<Fixed_tape>;
 
 const char* tape_lane_isa() { return lane_dispatch().isa; }
 

@@ -146,11 +146,10 @@ TEST(Compiled_program, run_tape_reproduces_interpreter_trace) {
     ASSERT_EQ(slots, program.instructions().size());
 
     Prng rng(17);
-    std::vector<double> lanes(slots * kTapeLane);
-    std::vector<double*> slot;
-    bind_lane_slots(slot, lanes.data(), slots);
+    Lane_block<Compiled_program> block(tape);
+    double** slot = block.slot();
     for (const Tape_constant& k : tape.constants()) {
-        std::fill_n(slot[static_cast<std::size_t>(k.slot)], kTapeLane, k.value);
+        for (int l = 0; l < kTapeLane; ++l) ASSERT_EQ(slot[k.slot][l], k.value);
     }
     std::vector<std::vector<double>> sample_inputs(kTapeLane);
     std::vector<double> regs;
@@ -164,7 +163,7 @@ TEST(Compiled_program, run_tape_reproduces_interpreter_trace) {
                 slot[static_cast<std::size_t>(tape.inputs()[i].slot)][l] = inputs[i];
             }
         }
-        run_tape(tape.ops().data(), tape.ops().size(), slot.data(), n);
+        run_tape(tape, slot, n);
         for (int l = 0; l < n; ++l) {
             program.run_trace_into(sample_inputs[static_cast<std::size_t>(l)], regs);
             for (std::size_t s = 0; s < slots; ++s) {

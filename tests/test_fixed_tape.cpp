@@ -1,5 +1,5 @@
 // Fixed-point tape engine equivalence: the integer-lowered tape run through
-// the Fixed_exec batched path must be byte-identical to the run_fixed_raw
+// the run_raw_batch lane path must be byte-identical to the run_fixed_raw
 // reference interpreter for every kernel and format — the same memcmp
 // contract the double engine holds against run_ir_reference.
 #include <gtest/gtest.h>
@@ -50,7 +50,7 @@ std::vector<std::vector<std::int64_t>> gather_raw_inputs(
     return sets;
 }
 
-// Checks the Fixed_exec batch against the interpreter on the given samples,
+// Checks the run_raw_batch lanes against the interpreter on the given samples,
 // in one memcmp over the whole output array.
 void expect_tape_matches_interpreter(
     const Register_program& program, const Fixed_format& fmt,
@@ -73,10 +73,10 @@ void expect_tape_matches_interpreter(
         std::copy(input_sets[s].begin(), input_sets[s].end(),
                   flat.begin() + s * in_count);
     }
-    const Fixed_exec exec(program, fmt);
-    Fixed_exec::Scratch scratch;
+    const Fixed_tape tape(program.compiled(), fmt);
+    Lane_block<Fixed_tape> block;
     std::vector<std::int64_t> batched(samples * out_count, -1);
-    exec.run_raw_batch(flat.data(), samples, batched.data(), scratch);
+    run_raw_batch(tape, flat.data(), samples, batched.data(), block);
     EXPECT_EQ(std::memcmp(batched.data(), expected.data(),
                           expected.size() * sizeof(std::int64_t)),
               0)
@@ -170,7 +170,7 @@ TEST(Fixed_tape, out_of_range_raw_inputs_wrap_like_the_interpreter) {
     expect_tape_matches_interpreter(cone.program(), fmt, sets);
 }
 
-TEST(Fixed_exec, partial_and_multi_block_batches) {
+TEST(Fixed_batch, partial_and_multi_block_batches) {
     // Batch sizes around the slot stride (the batch rounded up to 8 words,
     // capped at kTapeLane) and the lane width: 1, 5, 8, 31, 32, 33,
     // kTapeLane - 1, kTapeLane, kTapeLane + 1 and several full blocks plus
@@ -189,15 +189,15 @@ TEST(Fixed_exec, partial_and_multi_block_batches) {
     }
 }
 
-TEST(Fixed_exec, scratch_is_reusable_across_formats_and_programs) {
-    // One Scratch object serving programs of different slot counts and
-    // formats of different widths must not leak state between runs.
+TEST(Fixed_batch, lane_block_is_reusable_across_formats_and_programs) {
+    // One lane block serving programs of different slot counts and formats
+    // of different widths must not leak state between runs.
     const Kernel_def& igf = kernel_by_name("igf");
     Stencil_step igf_step = extract_stencil(igf.c_source);
     const Cone big(igf_step, Cone_spec{3, 3, 2});
     const Cone small(igf_step, Cone_spec{1, 1, 1});
     const Frame_set content = igf.make_initial(make_synthetic_scene(19, 15, 6));
-    Fixed_exec::Scratch scratch;
+    Lane_block<Fixed_tape> block;
     for (const Cone* cone : {&big, &small, &big}) {
         for (const Fixed_format& fmt : test_formats()) {
             const auto inputs = gather_raw_inputs(cone->program(), igf_step, content,
@@ -209,9 +209,9 @@ TEST(Fixed_exec, scratch_is_reusable_across_formats_and_programs) {
                 std::copy(inputs[s].begin(), inputs[s].end(),
                           flat.begin() + s * in_count);
             }
-            const Fixed_exec exec(cone->program(), fmt);
+            const Fixed_tape tape(cone->program().compiled(), fmt);
             std::vector<std::int64_t> batched(inputs.size() * out_count);
-            exec.run_raw_batch(flat.data(), inputs.size(), batched.data(), scratch);
+            run_raw_batch(tape, flat.data(), inputs.size(), batched.data(), block);
             for (std::size_t s = 0; s < inputs.size(); ++s) {
                 const std::vector<std::int64_t> expected =
                     run_fixed_raw(cone->program(), inputs[s], fmt);
@@ -237,6 +237,19 @@ TEST(Fixed_tape, constants_are_prequantized) {
     }
     EXPECT_EQ(tape.fixed_one(), to_raw(1.0, fmt));
     EXPECT_EQ(tape.wrap().bits(), fmt.total_bits());
+}
+
+TEST(Fixed_tape, refuses_a_negative_fraction_or_no_sign_bit) {
+    // Q20.-4 would shift by -4 in the fixed ops; Q0.8 has no sign bit.
+    // The user-facing checks refuse both first (validate_config and the
+    // CLI's format parser); reaching the lowering is an internal error.
+    const Kernel_def& kernel = kernel_by_name("heat");
+    Stencil_step step = extract_stencil(kernel.c_source);
+    const Cone cone(step, Cone_spec{1, 1, 1});
+    const Compiled_program& cp = cone.program().compiled();
+    EXPECT_THROW(Fixed_tape(cp, Fixed_format{20, -4}), Internal_error);
+    EXPECT_THROW(Fixed_tape(cp, Fixed_format{0, 8}), Internal_error);
+    EXPECT_NO_THROW(Fixed_tape(cp, Fixed_format{1, 8}));
 }
 
 }  // namespace

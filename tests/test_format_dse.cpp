@@ -223,6 +223,19 @@ TEST(Format_dse, fixed_validation_rejects_formats_beyond_double_exactness) {
     EXPECT_THROW(validate_config(config), Error);
     config.format_search.max_total_bits = 32;
     EXPECT_NO_THROW(validate_config(config));
+    // A negative fraction (Q20.-4) would shift by a negative count, and
+    // Q0.8 has no sign bit: both are refused with or without fixed
+    // validation.
+    for (const Fixed_format bad : {Fixed_format{20, -4}, Fixed_format{0, 8}}) {
+        SCOPED_TRACE(to_string(bad));
+        config.format = bad;
+        config.validate_fixed = true;
+        EXPECT_THROW(validate_config(config), User_error);
+        config.validate_fixed = false;
+        EXPECT_THROW(validate_config(config), User_error);
+    }
+    config.format = Fixed_format{10, 6};
+    EXPECT_NO_THROW(validate_config(config));
 }
 
 TEST(Format_dse, plain_sweep_report_keeps_the_classic_columns) {

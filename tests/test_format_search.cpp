@@ -98,8 +98,8 @@ Format_search_result search_fixed_format_reference(
         return acc.exact || acc.psnr_db >= options.target_psnr_db;
     };
     // The reference shrink walks the per-sample raw interpreter (the batched
-    // search compares its own batch buffers — byte-identical by the Fixed_exec
-    // contract), accepting while every output word matches the accepted
+    // search compares its own batch buffers — byte-identical by the
+    // run_raw_batch contract), accepting while every output word matches the accepted
     // format's.
     auto raw_outputs_of = [&](const Fixed_format& fmt) {
         const Raw_quantizer quantize(fmt);

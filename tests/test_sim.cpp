@@ -62,7 +62,7 @@ TEST(Golden, ghost_native_matches_ghost_ir) {
 
 // --- fixed-point executor ----------------------------------------------------------
 
-TEST(Fixed_exec, wrap_matches_vhdl_resize) {
+TEST(Fixed_raw, wrap_matches_vhdl_resize) {
     EXPECT_EQ(wrap_to_bits(5, 8), 5);
     EXPECT_EQ(wrap_to_bits(127, 8), 127);
     EXPECT_EQ(wrap_to_bits(128, 8), -128);  // overflow wraps
@@ -71,7 +71,7 @@ TEST(Fixed_exec, wrap_matches_vhdl_resize) {
     EXPECT_EQ(wrap_to_bits(-1, 8), -1);
 }
 
-TEST(Fixed_exec, isqrt_floor_values) {
+TEST(Fixed_raw, isqrt_floor_values) {
     EXPECT_EQ(isqrt_floor(0), 0);
     EXPECT_EQ(isqrt_floor(1), 1);
     EXPECT_EQ(isqrt_floor(2), 1);
@@ -100,7 +100,7 @@ std::int64_t isqrt_from_v(std::int64_t v) {
     return x;
 }
 
-TEST(Fixed_exec, isqrt_floor_matches_the_start_at_v_loop_exhaustively) {
+TEST(Fixed_raw, isqrt_floor_matches_the_start_at_v_loop_exhaustively) {
     for (std::int64_t v = 0; v <= (1LL << 22); ++v) {
         ASSERT_EQ(isqrt_floor(v), isqrt_from_v(v)) << v;
     }
@@ -124,7 +124,7 @@ TEST_P(Isqrt_property, floor_property_holds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Isqrt_property, ::testing::Range(1, 5));
 
-TEST(Fixed_exec, tracks_double_execution_within_tolerance) {
+TEST(Fixed_raw, tracks_double_execution_within_tolerance) {
     const Kernel_def& kernel = kernel_by_name("igf");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{2, 2, 2});
@@ -149,7 +149,7 @@ TEST(Fixed_exec, tracks_double_execution_within_tolerance) {
     }
 }
 
-TEST(Fixed_exec, division_by_zero_yields_zero_like_the_hardware) {
+TEST(Fixed_raw, division_by_zero_yields_zero_like_the_hardware) {
     Expr_pool pool;
     const int u = pool.intern_field("u");
     const Expr_id q = pool.div(pool.input(u, 0, 0), pool.input(u, 1, 0));
@@ -159,7 +159,7 @@ TEST(Fixed_exec, division_by_zero_yields_zero_like_the_hardware) {
     EXPECT_EQ(out[0], 0.0);
 }
 
-TEST(Fixed_exec, div_of_int64_min_by_minus_one_wraps_instead_of_trapping) {
+TEST(Fixed_raw, div_of_int64_min_by_minus_one_wraps_instead_of_trapping) {
     // In Q31.30, a = -2^33 shifts to a << 30 == INT64_MIN; a raw divisor of
     // -1 negates that modulo 2^64, and the 61-bit wrap of -2^63 is 0.
     const Fixed_format fmt{31, 30};
@@ -181,19 +181,16 @@ TEST(Fixed_exec, div_of_int64_min_by_minus_one_wraps_instead_of_trapping) {
     for (const Tape_input& in : cp.inputs()) inputs.push_back(in.dx == 0 ? a : b);
     EXPECT_EQ(run_fixed_raw(prog, inputs, fmt), std::vector<std::int64_t>{0});
 
-    const auto slots = static_cast<std::size_t>(cp.slot_count());
-    std::vector<std::int64_t> lanes(slots * kTapeLane);
-    std::vector<std::int64_t*> slot;
-    bind_lane_slots(slot, lanes.data(), slots);
+    Lane_block<Fixed_tape> block(tape);
+    std::int64_t** slot = block.slot();
     for (std::size_t i = 0; i < cp.inputs().size(); ++i) {
-        std::fill_n(slot[static_cast<std::size_t>(cp.inputs()[i].slot)], kTapeLane, inputs[i]);
+        std::fill_n(slot[cp.inputs()[i].slot], kTapeLane, inputs[i]);
     }
-    std::int64_t* out = slot[static_cast<std::size_t>(cp.output_slots()[0])];
+    std::int64_t* out = slot[cp.output_slots()[0]];
     for (int n : {kTapeLane, 5}) {
         SCOPED_TRACE(n);
         std::fill_n(out, n, -1);
-        run_tape(cp.ops().data(), cp.ops().size(), slot.data(), n, tape.wrap(),
-                 fmt.frac_bits, tape.fixed_one());
+        run_tape(tape, slot, n);
         for (int l = 0; l < n; ++l) EXPECT_EQ(out[l], 0) << "lane " << l;
     }
 }
@@ -212,9 +209,8 @@ void check_edge_lanes(Op_kind kind, const Fixed_format& fmt,
     const Expr_id b = pool.input(u, 1, 0);
     const Expr_id root = kind == Op_kind::div ? pool.div(a, b) : pool.sqrt_of(a);
     const Register_program prog = build_program(pool, {root});
-    const Fixed_exec exec(prog, fmt);
-    const Fixed_tape& tape = exec.tape();
-    const int ports = exec.input_count();
+    const Fixed_tape tape(prog.compiled(), fmt);
+    const auto ports = static_cast<int>(prog.compiled().inputs().size());
     ASSERT_EQ(ports, kind == Op_kind::div ? 2 : 1);
     const bool a_first = prog.input_ports()[0].dx == 0;
 
@@ -237,11 +233,11 @@ void check_edge_lanes(Op_kind kind, const Fixed_format& fmt,
             inputs.push_back(a_first ? o[1] : o[0]);
         }
     }
-    Fixed_exec::Scratch scratch;
+    Lane_block<Fixed_tape> block;
     for (const std::size_t samples : {std::size_t{kTapeLane}, std::size_t{kTapeLane} + 37,
                                       operands.size()}) {
         std::vector<std::int64_t> out(samples);
-        exec.run_raw_batch(inputs.data(), samples, out.data(), scratch);
+        run_raw_batch(tape, inputs.data(), samples, out.data(), block);
         for (std::size_t k = 0; k < samples; ++k) {
             const std::int64_t expect = apply_op_fixed(kind, operands[k].data(), tape.wrap(),
                                                        fmt.frac_bits, tape.fixed_one());
@@ -254,7 +250,7 @@ void check_edge_lanes(Op_kind kind, const Fixed_format& fmt,
 
 constexpr std::int64_t kP52 = std::int64_t{1} << 52;
 
-TEST(Fixed_exec, div_lanes_exact_at_the_double_range_edge) {
+TEST(Fixed_raw, div_lanes_exact_at_the_double_range_edge) {
     // Q62.0: numerators straddle 2^52 word for word.
     const std::int64_t nums[] = {kP52 - 1, kP52, kP52 + 1, 2 * kP52, (1LL << 61) - 1, 7, 0};
     const std::int64_t dens[] = {0, 1, -1, 3, -7, 1LL << 26, (1LL << 53) + 1, -(1LL << 60)};
@@ -283,7 +279,7 @@ TEST(Fixed_exec, div_lanes_exact_at_the_double_range_edge) {
     }
 }
 
-TEST(Fixed_exec, sqrt_lanes_exact_at_the_double_range_edge) {
+TEST(Fixed_raw, sqrt_lanes_exact_at_the_double_range_edge) {
     // Q62.0: perfect squares and their neighbours on both sides of 2^52,
     // and around the largest square below 2^53.
     std::vector<std::array<std::int64_t, 2>> edges;
@@ -440,20 +436,26 @@ TEST(Arch_sim, lane_batched_region_rows_exact_in_both_domains) {
             max_abs_diff(dbl.final_state.field(field), golden.field(field)), 0.0);
     }
 
-    Arch_sim_options fx = options;
-    fx.fixed_point = true;
-    fx.format = Fixed_format{12, 6};
-    const Arch_sim_result fixed =
-        simulate_architecture(library, instance, initial, fx);
-    const Frame_set fixed_golden =
-        run_ghost_ir(library.step(), initial, iterations, kernel.boundary,
-                     fx.format)
-            .to_frame_set();
-    for (const std::string& field : kernel.state_fields) {
-        SCOPED_TRACE(field);
-        EXPECT_EQ(max_abs_diff(fixed.final_state.field(field),
-                               fixed_golden.field(field)),
-                  0.0);
+    // Q12.6 holds the 0..255 scene; Q5.2 saturates every input above 15.75
+    // and its sums wrap, so region words at the format's edges reach the
+    // next level's gather without a re-wrap there.
+    for (const Fixed_format& format : {Fixed_format{12, 6}, Fixed_format{5, 2}}) {
+        SCOPED_TRACE(to_string(format));
+        Arch_sim_options fx = options;
+        fx.fixed_point = true;
+        fx.format = format;
+        const Arch_sim_result fixed =
+            simulate_architecture(library, instance, initial, fx);
+        const Frame_set fixed_golden =
+            run_ghost_ir(library.step(), initial, iterations, kernel.boundary,
+                         fx.format)
+                .to_frame_set();
+        for (const std::string& field : kernel.state_fields) {
+            SCOPED_TRACE(field);
+            EXPECT_EQ(max_abs_diff(fixed.final_state.field(field),
+                                   fixed_golden.field(field)),
+                      0.0);
+        }
     }
 }
 

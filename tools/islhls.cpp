@@ -163,6 +163,10 @@ Fixed_format parse_format(const std::string& text) {
     Fixed_format fmt;
     fmt.integer_bits = parse_int(text.substr(1, dot - 1), "format");
     fmt.frac_bits = parse_int(text.substr(dot + 1), "format");
+    if (fmt.integer_bits < 1 || fmt.frac_bits < 0) {
+        throw User_error(cat("format '", text,
+                             "' needs m >= 1 integer bits (the sign bit) and f >= 0"));
+    }
     if (fmt.total_bits() < 2 || fmt.total_bits() > 62) {
         throw User_error(cat("format '", text, "' out of the 2..62 bit range"));
     }
