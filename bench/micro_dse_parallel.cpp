@@ -6,7 +6,7 @@
 // bench then checks the refactor's two contracts:
 //
 //   1. determinism — the parallel Pareto front and device-fit grid are
-//      byte-identical to the serial results (full-precision dump compare);
+//      byte-identical to the serial results (serialize_record compare);
 //   2. speedup — the sweep's synthesis workload (the dominating modeled
 //      cost: the virtual tool runtimes are minutes to hours per cone, which
 //      is exactly why the paper estimates instead of synthesizing) consists
@@ -36,6 +36,7 @@
 
 #include "bench_common.hpp"
 #include "core/service.hpp"
+#include "core/sweep_records.hpp"
 #include "dse/explorer.hpp"
 #include "kernels/kernels.hpp"
 #include "support/parallel.hpp"
@@ -48,8 +49,8 @@ namespace {
 using namespace islhls;
 
 struct Sweep_run {
-    std::string pareto_dump;
-    std::string fit_dump;
+    std::string pareto_record;
+    std::string fit_record;
     double wall_ms = 0.0;
     double synthesis_cpu_seconds = 0.0;
     std::vector<double> synthesis_costs;
@@ -78,8 +79,8 @@ Sweep_run run_sweep(int threads) {
     const auto stop = std::chrono::steady_clock::now();
 
     Sweep_run run;
-    run.pareto_dump = dump(pareto);
-    run.fit_dump = dump(fit);
+    run.pareto_record = serialize_record(pareto);
+    run.fit_record = serialize_record(fit);
     run.wall_ms = std::chrono::duration<double, std::milli>(stop - start).count();
     run.synthesis_cpu_seconds = library.synthesis_cpu_seconds();
     run.synthesis_costs = library.synthesis_costs();
@@ -171,10 +172,10 @@ int main(int argc, char** argv) {
     int deviations = 0;
     deviations += islhls_bench::report_claim(
         "parallel Pareto front is byte-identical to the serial sweep",
-        parallel.pareto_dump == serial.pareto_dump);
+        parallel.pareto_record == serial.pareto_record);
     deviations += islhls_bench::report_claim(
         "parallel device-fit grid is byte-identical to the serial sweep",
-        parallel.fit_dump == serial.fit_dump);
+        parallel.fit_record == serial.fit_record);
     deviations += islhls_bench::report_claim(
         "same synthesis workload discovered by both schedules",
         parallel.synthesis_costs == serial.synthesis_costs);

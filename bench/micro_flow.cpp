@@ -8,6 +8,7 @@
 #include "core/flow.hpp"
 #include "grid/frame_ops.hpp"
 #include "dse/pareto.hpp"
+#include "oracle/reference.hpp"
 #include "sim/arch_sim.hpp"
 #include "sim/golden.hpp"
 #include "support/prng.hpp"
@@ -65,7 +66,7 @@ void bench_cone_execution(benchmark::State& state) {
     for (int i = 0; i < prog.input_count(); ++i) inputs.push_back(rng.next_in(0, 255));
     std::vector<double> regs;
     for (auto _ : state) {
-        prog.run_trace_into(inputs, regs);
+        run_trace_into(prog, inputs, regs);
         benchmark::DoNotOptimize(regs.data());
         benchmark::ClobberMemory();
     }

@@ -41,6 +41,7 @@
 #include "estimate/format_search.hpp"
 #include "grid/frame_ops.hpp"
 #include "kernels/kernels.hpp"
+#include "oracle/reference.hpp"
 #include "sim/fixed_exec.hpp"
 #include "support/prng.hpp"
 #include "support/text.hpp"
@@ -88,7 +89,8 @@ struct Sample_set {
 Sample_set gather_samples(const Register_program& program, const Stencil_step& step,
                           const Frame_set& content, Boundary boundary) {
     Sample_set set;
-    set.in_count = program.input_ports().size();
+    const std::vector<Instruction> ports = input_instructions(program);
+    set.in_count = ports.size();
     set.out_count = program.outputs().size();
     Prng rng(kSeed);
     std::vector<double> trace;
@@ -98,11 +100,11 @@ Sample_set gather_samples(const Register_program& program, const Stencil_step& s
         const int oy = rng.next_int(0, content.height() - 1);
         std::vector<double> inputs;
         inputs.reserve(set.in_count);
-        for (const auto& port : program.input_ports()) {
+        for (const Instruction& port : ports) {
             const Frame& f = content.field(step.pool().field_name(port.field));
             inputs.push_back(f.sample(ox + port.dx, oy + port.dy, boundary));
         }
-        program.run_trace_into(inputs, trace);
+        run_trace_into(program, inputs, trace);
         for (double v : trace) max_abs = std::max(max_abs, std::fabs(v));
         std::vector<double> reference;
         for (std::int32_t r : program.outputs()) {

@@ -35,7 +35,6 @@
 #include "grid/frame_ops.hpp"
 #include "kernels/kernels.hpp"
 #include "sim/exec_engine.hpp"
-#include "sim/fixed_exec.hpp"
 #include "sim/golden.hpp"
 #include "sim/tape_lanes.hpp"
 #include "support/cache_info.hpp"
@@ -329,7 +328,7 @@ Fixed_result bench_fixed() {
     const double cells = kLegacyW * kLegacyH * static_cast<double>(kLegacyIters);
 
     Fixed_result r;
-    // The reference is the product's own per-pixel sweep (sim/golden.hpp),
+    // The reference is the oracle's per-pixel sweep (oracle/reference.hpp),
     // shared with the row engine's memcmp test suite.
     auto t0 = std::chrono::steady_clock::now();
     const Fixed_frame_result reference = run_ir_fixed_reference(

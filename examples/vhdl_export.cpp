@@ -12,7 +12,7 @@
 #include "backend/vhdl.hpp"
 #include "core/flow.hpp"
 #include "grid/frame_ops.hpp"
-#include "sim/fixed_exec.hpp"
+#include "oracle/reference.hpp"
 #include "support/prng.hpp"
 #include "support/text.hpp"
 

@@ -219,6 +219,41 @@ void fields(V& v, Format_grid& g) {
     v.rows("cells", g.cells);
 }
 
+// Writer-only field lists: in-memory exploration results that are compared
+// byte for byte but never persisted.
+
+template <class V>
+void fields(V& v, Pareto_result& r) {
+    v.rows("points", r.points);
+    v("front", r.front);
+}
+
+template <class V>
+void fields(V& v, Fit_cell& c) {
+    v("fit_cell", c.window, c.primary_depth, c.valid);
+    fields(v, c.eval);
+}
+
+template <class V>
+void fields(V& v, Fit_result& r) {
+    v.rows("grid", r.grid);
+    v("has_best", r.has_best);
+    fields(v, r.best);
+}
+
+template <class V>
+void fields(V& v, Area_point& p) {
+    v("area_point", p.window, p.depth, p.registers, p.estimated_luts, p.actual_luts,
+      p.is_calibration, p.rel_error);
+}
+
+template <class V>
+void fields(V& v, Area_validation& a) {
+    v.rows("points", a.points);
+    v("max_rel_error", a.max_rel_error);
+    v("avg_rel_error", a.avg_rel_error);
+}
+
 template <class V>
 void fields(V& v, Synthesis_report& r) {
     v("design", r.design_name);
@@ -392,6 +427,22 @@ std::string serialize_record(const Synthesis_report& report) {
 bool parse_record(const std::string& text, Synthesis_report* report,
                   std::string* error) {
     return read_record(kSynthesisHeader, text, report, error);
+}
+
+std::string serialize_record(const Arch_evaluation& eval) {
+    return write_record("arch-evaluation", eval);
+}
+
+std::string serialize_record(const Pareto_result& result) {
+    return write_record("pareto-result", result);
+}
+
+std::string serialize_record(const Fit_result& result) {
+    return write_record("fit-result", result);
+}
+
+std::string serialize_record(const Area_validation& validation) {
+    return write_record("area-validation", validation);
 }
 
 // --- cache keys -------------------------------------------------------------------

@@ -45,6 +45,15 @@ std::string serialize_record(const Synthesis_report& report);
 bool parse_record(const std::string& text, Synthesis_report* report,
                   std::string* error);
 
+// Writer-only records of in-memory exploration results, in the same canonical
+// text (doubles as bit patterns, so -0.0 and NaN payloads are told apart).
+// Tests and benches compare them byte for byte across thread counts and
+// recomputations; they are never persisted, so they have no parser.
+std::string serialize_record(const Arch_evaluation& eval);
+std::string serialize_record(const Pareto_result& result);
+std::string serialize_record(const Fit_result& result);
+std::string serialize_record(const Area_validation& validation);
+
 // --- cache keys ------------------------------------------------------------------
 // The kernel's IR identity: name, boundary, const fields and one s-expr per
 // state-field update. This is the part of every cache key that pins *what*

@@ -1,6 +1,7 @@
 // Result types of the paper-datapath explorations (dse/explorer.hpp), kept
 // apart from the Explorer so caches, reports and tests can carry them
-// without the Explorer type.
+// without the Explorer type. Their canonical text is serialize_record
+// (core/sweep_records.hpp).
 #pragma once
 
 #include <cstddef>
@@ -74,14 +75,5 @@ struct Format_grid {
                      static_cast<std::size_t>(depth - 1)];
     }
 };
-
-// Deterministic full-precision renderings, used to assert byte-identity
-// between serial and parallel explorations (tests, benches) and to diff
-// results across code changes.
-std::string dump(const Arch_evaluation& eval);
-std::string dump(const Pareto_result& result);
-std::string dump(const Fit_result& result);
-std::string dump(const Area_validation& validation);
-std::string dump(const Format_grid& grid);
 
 }  // namespace islhls

@@ -12,8 +12,9 @@
 // (charged as SRL LUTs on top of the per-PE datapath cost from the same
 // Eq. 1 area model the paper backend calibrates).
 //
-// The model is validated against a cycle-approximate walk in sim/arch_sim
-// (simulate_streaming_cycles), gated on every registered kernel.
+// The model is validated against a cycle-approximate walk, the test oracle
+// simulate_streaming_cycles (oracle/streaming_walk.hpp), gated on every
+// registered kernel.
 //
 // The sweep service (core/service.hpp) drives it: calibrate() once, then
 // evaluate() every config.

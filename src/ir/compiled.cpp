@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/error.hpp"
+
 namespace islhls {
 
 Compiled_program::Compiled_program(const Register_program& program) {

@@ -1,9 +1,8 @@
 // Scanline-compiled form of a register program.
 //
-// Register_program's scalar reference interpreter walks the instruction
-// vector one pixel at a time, branching on the instruction kind at every
-// slot. The compiled form splits the program once into its three static
-// parts:
+// Walking a Register_program's instruction vector per sample branches on
+// the instruction kind at every slot. The compiled form splits the program
+// once into its three static parts:
 //
 //   - constants:  (slot, value) pairs, bound ahead of execution;
 //   - inputs:     (slot, field, dx, dy) bindings in program port order;
@@ -16,7 +15,8 @@
 // out there: the frame engine's interior and border columns, the
 // fixed-point format search (range, references and candidates), the
 // batched fixed executor and the architecture simulator all call it, so
-// they cannot diverge semantically.
+// they cannot diverge semantically. The scalar interpreters that walk the
+// instruction vector instead are test oracles (oracle/reference.hpp).
 #pragma once
 
 #include <array>
@@ -25,7 +25,6 @@
 
 #include "backend/fixed_point.hpp"
 #include "ir/program.hpp"
-#include "support/error.hpp"
 
 namespace islhls {
 
@@ -103,57 +102,6 @@ private:
     int max_dy_ = 0;
 };
 
-// Bit-accurate fixed-point semantics of one tape operation on raw Qm.f
-// words, mirroring the generated VHDL operator for operator (wrap-around
-// resize, truncating multiply shift, VHDL '/' truncation toward zero, floor
-// integer square root). This is the op switch of the scalar reference
-// interpreter run_fixed_raw (sim/fixed_exec.hpp); the lane kernels of
-// run_tape (sim/tape_lanes_body.inc) are the second, independent
-// implementation the reference checks.
-inline std::int64_t apply_op_fixed(Op_kind kind, const std::int64_t* o,
-                                   const Bit_wrap& wrap, int frac,
-                                   std::int64_t fixed_one) {
-    switch (kind) {
-        case Op_kind::add:
-            return wrap(o[0] + o[1]);
-        case Op_kind::sub:
-            return wrap(o[0] - o[1]);
-        case Op_kind::mul:
-            // Full product then arithmetic right shift (floor), as in the
-            // emitted shift_right(a*b, FRAC).
-            return wrap(wrapping_mul(o[0], o[1]) >> frac);
-        case Op_kind::div:
-            // VHDL '/': truncation toward zero, matching C++. A divisor of -1
-            // negates modulo 2^64 (the exact quotient after the wrap), so
-            // INT64_MIN / -1 cannot trap.
-            if (o[1] == 0) return 0;
-            if (o[1] == -1) return wrap(wrapping_mul(o[0] << frac, -1));
-            return wrap((o[0] << frac) / o[1]);
-        case Op_kind::sqrt_op:
-            return o[0] <= 0 ? 0 : wrap(isqrt_floor(o[0] << frac));
-        case Op_kind::min_op:
-            return o[0] < o[1] ? o[0] : o[1];
-        case Op_kind::max_op:
-            return o[0] > o[1] ? o[0] : o[1];
-        case Op_kind::neg:
-            return wrap(-o[0]);
-        case Op_kind::abs_op:
-            return wrap(o[0] < 0 ? -o[0] : o[0]);
-        case Op_kind::lt:
-            return o[0] < o[1] ? fixed_one : 0;
-        case Op_kind::le:
-            return o[0] <= o[1] ? fixed_one : 0;
-        case Op_kind::eq:
-            return o[0] == o[1] ? fixed_one : 0;
-        case Op_kind::select:
-            return o[0] != 0 ? o[1] : o[2];
-        case Op_kind::constant:
-        case Op_kind::input:
-            break;
-    }
-    throw Internal_error("leaf kind in apply_op_fixed");
-}
-
 // Integer-slot lowering of a compiled tape for one Qm.f format: the literal
 // constants are quantized to raw two's-complement words once, and the
 // format-derived operator parameters (wrap width, fraction shift, the raw
@@ -163,8 +111,10 @@ inline std::int64_t apply_op_fixed(Op_kind kind, const std::int64_t* o,
 // from constant_raw() (sim/tape_lanes.hpp). One Fixed_tape serves any
 // number of lane blocks: the batched run_raw_batch in sim/fixed_exec.hpp,
 // the fixed architecture simulator, and the whole-frame engine
-// Exec_engine::run_fixed in sim/exec_engine.hpp. The format must have
-// m >= 1 (the sign bit) and f >= 0.
+// Exec_engine::run_fixed in sim/exec_engine.hpp. Its operator semantics
+// are those of the reference interpreter run_fixed_raw
+// (oracle/reference.hpp), which tests check it against word for word. The
+// format must have m >= 1 (the sign bit) and f >= 0.
 class Fixed_tape {
 public:
     Fixed_tape(const Compiled_program& tape, const Fixed_format& format);

@@ -4,7 +4,6 @@
 
 #include "ir/analysis.hpp"
 #include "ir/compiled.hpp"
-#include "ir/eval.hpp"
 #include "support/error.hpp"
 
 namespace islhls {
@@ -37,7 +36,6 @@ Register_program build_program(const Expr_pool& pool, const std::vector<Expr_id>
                 instr.field = n.field;
                 instr.dx = n.dx;
                 instr.dy = n.dy;
-                prog.ports_.push_back({n.field, n.dx, n.dy});
                 prog.input_count_ += 1;
                 break;
             default:
@@ -58,40 +56,6 @@ Register_program build_program(const Expr_pool& pool, const std::vector<Expr_id>
     // tape freely.
     prog.compiled_ = std::make_shared<const Compiled_program>(prog);
     return prog;
-}
-
-void Register_program::run_trace_into(const std::vector<double>& inputs,
-                                      std::vector<double>& regs) const {
-    check_internal(inputs.size() == static_cast<std::size_t>(input_count_),
-                   "Register_program::run_trace input arity mismatch");
-    regs.assign(instrs_.size(), 0.0);
-    std::size_t next_input = 0;
-    for (std::size_t i = 0; i < instrs_.size(); ++i) {
-        const Instruction& instr = instrs_[i];
-        switch (instr.kind) {
-            case Op_kind::constant:
-                regs[i] = instr.value;
-                break;
-            case Op_kind::input:
-                regs[i] = inputs[next_input++];
-                break;
-            default: {
-                double operands[3] = {0.0, 0.0, 0.0};
-                for (int a = 0; a < instr.operand_count; ++a) {
-                    operands[a] = regs[static_cast<std::size_t>(
-                        instr.operands[static_cast<std::size_t>(a)])];
-                }
-                regs[i] = apply_op(instr.kind, operands);
-                break;
-            }
-        }
-    }
-}
-
-std::vector<double> Register_program::run_trace(const std::vector<double>& inputs) const {
-    std::vector<double> regs;
-    run_trace_into(inputs, regs);
-    return regs;
 }
 
 const Compiled_program& Register_program::compiled() const {

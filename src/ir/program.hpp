@@ -4,7 +4,9 @@
 // explicit: each DAG node becomes exactly one instruction whose destination
 // is one hardware register; any further use of the value reads that register.
 // The same structure drives the VHDL emitter, the virtual synthesizer's
-// netlist costing, and the fast functional executor in the simulator.
+// netlist costing, and (lowered once to a Compiled_program) the simulator's
+// run_tape executor. The scalar interpreter that walks the instruction
+// vector directly, run_trace, is a test oracle (oracle/reference.hpp).
 #pragma once
 
 #include <array>
@@ -50,33 +52,11 @@ public:
     // Pipeline depth (maximum level over all instructions).
     int depth() const { return depth_; }
 
-    // Executes the program; `inputs[i]` must hold the value for the i-th
-    // input instruction (in program order). Returns the value of *every*
-    // instruction slot; the outputs sit at the outputs() indices. A scalar
-    // reference for tests and the golden oracle: product paths (format
-    // search, frame engine, simulators) run compiled() through run_tape.
-    std::vector<double> run_trace(const std::vector<double>& inputs) const;
-
-    // Batch-friendly run_trace: writes every instruction slot's value into
-    // `regs` (resized to the instruction count), reusing its capacity so a
-    // caller tracing many input sets performs no per-call allocation. This
-    // is the reference interpreter the compiled engine is validated against.
-    void run_trace_into(const std::vector<double>& inputs,
-                        std::vector<double>& regs) const;
-
     // The scanline-compiled form of this program. Built eagerly by
     // build_program() (a single linear pass) and shared by copies, so this
     // accessor is a plain read — no synchronization, valid for the
     // program's lifetime. Throws on a default-constructed program.
     const Compiled_program& compiled() const;
-
-    // Input ports in program order, as (field, dx, dy) triples.
-    struct Port {
-        int field = -1;
-        int dx = 0;
-        int dy = 0;
-    };
-    const std::vector<Port>& input_ports() const { return ports_; }
 
     friend Register_program build_program(const Expr_pool& pool,
                                           const std::vector<Expr_id>& roots,
@@ -85,7 +65,6 @@ public:
 private:
     std::vector<Instruction> instrs_;
     std::vector<std::int32_t> output_regs_;
-    std::vector<Port> ports_;
     int register_count_ = 0;
     int input_count_ = 0;
     int constant_count_ = 0;

@@ -646,14 +646,4 @@ std::vector<std::string> kernel_names() {
     return names;
 }
 
-Frame_set run_native(const Kernel_def& kernel, const Frame_set& initial,
-                     int iterations) {
-    check_internal(iterations >= 0, "run_native requires iterations >= 0");
-    Frame_set current = initial;
-    for (int i = 0; i < iterations; ++i) {
-        current = kernel.native_step(current, kernel.boundary);
-    }
-    return current;
-}
-
 }  // namespace islhls

@@ -4,8 +4,10 @@
 // Each kernel carries (a) its C source in the canonical ISL form consumed by
 // the frontend, and (b) an independent native C++ implementation of one
 // step. Tests cross-validate the whole frontend+symexec+cone chain against
-// the native implementation, so the two must agree bit-for-bit in double
-// arithmetic.
+// the native implementation (through the test oracle run_ghost_native in
+// oracle/reference.hpp), so the two must agree bit-for-bit in double
+// arithmetic. The two stay one definition here, so adding a kernel touches
+// one module.
 #pragma once
 
 #include <functional>
@@ -53,9 +55,5 @@ const Kernel_def& kernel_by_name(const std::string& name);
 
 // Registry keys in order.
 std::vector<std::string> kernel_names();
-
-// Runs `iterations` native steps.
-Frame_set run_native(const Kernel_def& kernel, const Frame_set& initial,
-                     int iterations);
 
 }  // namespace islhls

@@ -17,7 +17,7 @@
 // and the shared run_tape lane kernels: double mode runs the cone's
 // compiled program on IEEE doubles, fixed mode its integer-lowered
 // Fixed_tape (allocation-free, byte-identical to the run_fixed_raw
-// reference interpreter). The two modes differ only in the off-chip load
+// reference interpreter in oracle/reference.hpp). The two modes differ only in the off-chip load
 // and store. Fixed mode keeps the whole on-chip pipeline in raw Qm.f words:
 // the off-chip load quantizes each element exactly once (saturating into
 // the format's range) and the level regions hand raw, already-wrapped
@@ -29,7 +29,6 @@
 #include "backend/fixed_point.hpp"
 #include "dse/architecture.hpp"
 #include "dse/cone_library.hpp"
-#include "dse/streaming_backend.hpp"
 #include "grid/frame_set.hpp"
 
 namespace islhls {
@@ -68,35 +67,5 @@ Arch_sim_result simulate_architecture(Cone_library& library,
                                       const Arch_instance& instance,
                                       const Frame_set& initial,
                                       const Arch_sim_options& options = {});
-
-// --- cycle-approximate streaming mode ---------------------------------------------
-//
-// Validates the Streaming_backend's analytic throughput model: walks the
-// passes and row bands of a streaming multi-PE configuration cycle by cycle
-// (rows stream through each PE in vector groups, halos clamp exactly at the
-// frame edges, off-chip transfers cost ceil(elements / bandwidth)), without
-// executing any arithmetic. The analytic model must stay within a gated
-// tolerance of this walk on every kernel (tests/test_backends.cpp).
-
-struct Streaming_sim_options {
-    int iterations = 1;   // N; the walk runs ceil(N / depth) passes
-    int fields_in = 1;    // fields streamed in per element
-    int fields_out = 1;   // state fields streamed back out
-    // Total off-chip bandwidth of the configuration, elements per cycle
-    // (device channel rate x Streaming_config::channels).
-    double elems_per_cycle = 8.0;
-};
-
-struct Streaming_sim_result {
-    int passes = 0;
-    long long compute_cycles = 0;  // sum over passes of the slowest band
-    long long memory_cycles = 0;   // sum over passes of the channel transfer
-    long long total_cycles = 0;    // sum over passes of max(compute, memory)
-    Transfer_stats stats;          // off-chip traffic of the walk
-};
-
-Streaming_sim_result simulate_streaming_cycles(
-    Cone_library& library, const Streaming_config& config, int frame_width,
-    int frame_height, const Streaming_sim_options& options);
 
 }  // namespace islhls

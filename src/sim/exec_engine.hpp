@@ -1,11 +1,11 @@
 // Vectorized, allocation-free execution engine for stencil steps.
 //
-// The legacy golden path interpreted the step program per pixel: for every
-// element it looked fields up by name, resolved every read through the
-// boundary policy, and heap-allocated a full instruction trace (see
-// run_ir_reference in sim/golden.hpp). This engine executes the
-// scanline-compiled tape (ir/compiled.hpp) structure-of-arrays over whole
-// frame rows instead:
+// The reference sweep run_ir_reference (oracle/reference.hpp, a test oracle
+// outside the product library) interprets the step program per pixel: for
+// every element it looks fields up by name, resolves every read through the
+// boundary policy, and heap-allocates a full instruction trace. This engine
+// executes the scanline-compiled tape (ir/compiled.hpp) structure-of-arrays
+// over whole frame rows instead:
 //
 //   - field base pointers and strides are resolved once per step, not once
 //     per pixel;
@@ -67,7 +67,8 @@
 //     parameters, and executed over raw int64 Qm.f row buffers — the
 //     initial frames are quantized once and every iteration reads and
 //     writes raw words (no per-level re-quantization). The raw words are
-//     memcmp-identical to a per-pixel run_fixed_raw sweep for every kernel,
+//     memcmp-identical to the per-pixel run_fixed_raw sweep
+//     run_ir_fixed_reference (oracle/reference.hpp) for every kernel,
 //     boundary, format, thread count and tile depth.
 #pragma once
 
@@ -185,8 +186,8 @@ public:
     // Whole-frame fixed-point run: quantizes `initial` once (Raw_quantizer
     // semantics, like every production caller), lowers the program into a
     // Fixed_tape for `format`, and carries raw int64 words through all
-    // iterations — byte-identical to a per-pixel run_fixed_raw sweep at any
-    // thread count and tile depth. With iterations <= 0 the result holds the
+    // iterations — byte-identical to run_ir_fixed_reference at any thread
+    // count and tile depth. With iterations <= 0 the result holds the
     // quantized initial frames; to_frame_set() decodes the words.
     Fixed_frame_result run_fixed(const Frame_set& initial, int iterations, Boundary b,
                                  const Fixed_format& format,

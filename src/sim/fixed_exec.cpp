@@ -6,59 +6,6 @@
 
 namespace islhls {
 
-std::vector<std::int64_t> run_fixed_raw(const Register_program& program,
-                                        const std::vector<std::int64_t>& inputs,
-                                        const Fixed_format& fmt) {
-    check_internal(inputs.size() == static_cast<std::size_t>(program.input_count()),
-                   "run_fixed_raw input arity mismatch");
-    const Bit_wrap wrap(fmt.total_bits());
-    const int frac = fmt.frac_bits;
-    const std::int64_t fixed_one = to_raw(1.0, fmt);
-
-    const auto& instrs = program.instructions();
-    std::vector<std::int64_t> regs(instrs.size(), 0);
-    std::size_t next_input = 0;
-    for (std::size_t i = 0; i < instrs.size(); ++i) {
-        const Instruction& in = instrs[i];
-        switch (in.kind) {
-            case Op_kind::constant:
-                regs[i] = to_raw(in.value, fmt);
-                break;
-            case Op_kind::input:
-                regs[i] = wrap(inputs[next_input++]);
-                break;
-            default: {
-                std::int64_t operands[3] = {0, 0, 0};
-                for (int a = 0; a < in.operand_count; ++a) {
-                    operands[a] = regs[static_cast<std::size_t>(
-                        in.operands[static_cast<std::size_t>(a)])];
-                }
-                regs[i] = apply_op_fixed(in.kind, operands, wrap, frac, fixed_one);
-                break;
-            }
-        }
-    }
-    std::vector<std::int64_t> out;
-    out.reserve(program.outputs().size());
-    for (std::int32_t r : program.outputs()) {
-        out.push_back(regs[static_cast<std::size_t>(r)]);
-    }
-    return out;
-}
-
-std::vector<double> run_fixed(const Register_program& program,
-                              const std::vector<double>& inputs,
-                              const Fixed_format& fmt) {
-    std::vector<std::int64_t> raw;
-    raw.reserve(inputs.size());
-    for (double v : inputs) raw.push_back(to_raw(v, fmt));
-    const std::vector<std::int64_t> out_raw = run_fixed_raw(program, raw, fmt);
-    std::vector<double> out;
-    out.reserve(out_raw.size());
-    for (std::int64_t r : out_raw) out.push_back(from_raw(r, fmt));
-    return out;
-}
-
 void run_raw_batch(const Fixed_tape& tape, const std::int64_t* inputs, std::size_t samples,
                    std::int64_t* outputs, Lane_block<Fixed_tape>& block) {
     const std::size_t stride = lane_stride(samples);

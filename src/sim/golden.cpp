@@ -1,53 +1,9 @@
 #include "sim/golden.hpp"
 
-#include "ir/program.hpp"
 #include "sim/exec_engine.hpp"
-#include "sim/fixed_exec.hpp"
 #include "support/error.hpp"
 
 namespace islhls {
-
-Frame_set run_step_ir_reference(const Stencil_step& step, const Frame_set& current,
-                                Boundary b) {
-    const Register_program program = build_program(step.pool(), step.updates());
-    Frame_set next(current.width(), current.height());
-    std::vector<Frame*> out_fields;
-    for (const std::string& name : step.state_fields()) {
-        out_fields.push_back(&next.add_field(name));
-    }
-    std::vector<double> inputs(static_cast<std::size_t>(program.input_count()));
-    for (int y = 0; y < current.height(); ++y) {
-        for (int x = 0; x < current.width(); ++x) {
-            const auto& ports = program.input_ports();
-            for (std::size_t i = 0; i < ports.size(); ++i) {
-                const Frame& f = current.field(step.pool().field_name(ports[i].field));
-                inputs[i] = f.sample(x + ports[i].dx, y + ports[i].dy, b);
-            }
-            // Deliberately the interpreter path (not the compiled tape), so
-            // this stays an independent reference; the per-pixel trace
-            // allocation is the legacy behavior being benchmarked against.
-            const std::vector<double> regs = program.run_trace(inputs);
-            for (std::size_t s = 0; s < out_fields.size(); ++s) {
-                out_fields[s]->at(x, y) =
-                    regs[static_cast<std::size_t>(program.outputs()[s])];
-            }
-        }
-    }
-    // Constant fields pass through unchanged.
-    for (const std::string& name : step.const_fields()) {
-        next.add_field(name, current.field(name));
-    }
-    return next;
-}
-
-Frame_set run_ir_reference(const Stencil_step& step, const Frame_set& initial,
-                           int iterations, Boundary b) {
-    Frame_set current = initial;
-    for (int i = 0; i < iterations; ++i) {
-        current = run_step_ir_reference(step, current, b);
-    }
-    return current;
-}
 
 Frame_set run_step_ir(const Stencil_step& step, const Frame_set& current, Boundary b) {
     return Exec_engine(step).run(current, 1, b);
@@ -71,66 +27,6 @@ Fixed_frame_result run_ir(const Stencil_step& step, const Frame_set& initial,
                           int iterations, Boundary b, const Fixed_format& format,
                           const Exec_options& options) {
     return Exec_engine(step).run_fixed(initial, iterations, b, format, options);
-}
-
-Fixed_frame_result run_ir_fixed_reference(const Stencil_step& step,
-                                          const Frame_set& initial, int iterations,
-                                          Boundary b, const Fixed_format& format) {
-    const Register_program program = build_program(step.pool(), step.updates());
-    const int w = initial.width();
-    const int h = initial.height();
-    const Raw_quantizer quantize(format);
-
-    Fixed_frame_result frames;
-    frames.width = w;
-    frames.height = h;
-    frames.format = format;
-    // Canonical field order (state first), plus the pool-field -> raw-buffer
-    // mapping the per-pixel gathers resolve through.
-    std::vector<int> field_index(static_cast<std::size_t>(step.pool().field_count()),
-                                 -1);
-    auto add = [&](const std::string& name) {
-        const Frame& f = initial.field(name);
-        std::vector<std::int64_t> raw(f.element_count());
-        for (std::size_t i = 0; i < raw.size(); ++i) raw[i] = quantize(f.data()[i]);
-        field_index[static_cast<std::size_t>(step.pool().find_field(name))] =
-            static_cast<int>(frames.raw.size());
-        frames.names.push_back(name);
-        frames.raw.push_back(std::move(raw));
-    };
-    for (const std::string& name : step.state_fields()) add(name);
-    for (const std::string& name : step.const_fields()) add(name);
-
-    const std::size_t states = step.state_fields().size();
-    const auto& ports = program.input_ports();
-    std::vector<std::int64_t> inputs(ports.size());
-    for (int it = 0; it < iterations; ++it) {
-        std::vector<std::vector<std::int64_t>> next(states);
-        for (std::size_t s = 0; s < states; ++s) {
-            next[s].assign(static_cast<std::size_t>(w) * h, 0);
-        }
-        for (int y = 0; y < h; ++y) {
-            for (int x = 0; x < w; ++x) {
-                for (std::size_t i = 0; i < ports.size(); ++i) {
-                    const int rx = resolve_coordinate(x + ports[i].dx, w, b);
-                    const int ry = resolve_coordinate(y + ports[i].dy, h, b);
-                    const int fi =
-                        field_index[static_cast<std::size_t>(ports[i].field)];
-                    inputs[i] = (rx < 0 || ry < 0)
-                                    ? 0
-                                    : frames.raw[static_cast<std::size_t>(fi)]
-                                               [static_cast<std::size_t>(ry) * w + rx];
-                }
-                const std::vector<std::int64_t> out =
-                    run_fixed_raw(program, inputs, format);
-                for (std::size_t s = 0; s < states; ++s) {
-                    next[s][static_cast<std::size_t>(y) * w + x] = out[s];
-                }
-            }
-        }
-        for (std::size_t s = 0; s < states; ++s) frames.raw[s] = std::move(next[s]);
-    }
-    return frames;
 }
 
 Frame pad_frame(const Frame& frame, int left, int right, int up, int down, Boundary b) {
@@ -225,19 +121,6 @@ Fixed_frame_result run_ghost_ir(const Stencil_step& step, const Frame_set& initi
         cropped.raw.push_back(std::move(inner));
     }
     return cropped;
-}
-
-Frame_set run_ghost_native(const Kernel_def& kernel, const Frame_set& initial,
-                           int iterations) {
-    // The native step's footprint is not directly known; conservatively use
-    // reach 2 per iteration and direction (all built-in kernels are within).
-    const Footprint halo{2 * iterations, 2 * iterations, 2 * iterations,
-                         2 * iterations};
-    Frame_set padded = pad_set(initial, halo, kernel.boundary);
-    for (int i = 0; i < iterations; ++i) {
-        padded = kernel.native_step(padded, kernel.boundary);
-    }
-    return crop_set(padded, halo, initial.names());
 }
 
 }  // namespace islhls

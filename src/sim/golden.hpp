@@ -1,18 +1,20 @@
 // Golden reference execution of ISL algorithms.
 //
 // Two semantics exist and tests use both:
-//   - run_step_ir / run_native: apply one step over the frame, resolving
+//   - run_step_ir / run_ir: apply one step over the frame, resolving
 //     out-of-range reads with the boundary policy *at every iteration* (what
 //     a software implementation does);
-//   - ghost semantics (run_ghost_*): extend the initial frame once by the
+//   - ghost semantics (run_ghost_ir): extend the initial frame once by the
 //     total halo, then iterate without further boundary involvement. This is
 //     what the cone architecture computes (every intermediate value derives
 //     from the initial window), so the architecture simulator is compared
 //     against the ghost golden — and the two goldens agree on the interior.
+//
+// Every golden here runs the frame engine (sim/exec_engine.hpp). Its
+// per-pixel reference sweeps are test oracles (oracle/reference.hpp).
 #pragma once
 
 #include "grid/frame_set.hpp"
-#include "kernels/kernels.hpp"
 #include "sim/exec_engine.hpp"
 #include "symexec/stencil_step.hpp"
 
@@ -35,29 +37,26 @@ Frame_set run_ir(const Stencil_step& step, const Frame_set& initial, int iterati
 
 // Fixed-point overload: quantizes `initial` once and iterates the integer
 // row engine under `format`, returning the raw Qm.f words of every field
-// (sim/exec_engine.hpp). Byte-identical to a per-pixel run_fixed_raw sweep
-// for every boundary, thread count and tile depth — this is the whole-frame
+// (sim/exec_engine.hpp). Byte-identical to run_ir_fixed_reference for every
+// boundary, thread count and tile depth — this is the whole-frame
 // fixed-point golden the DSE's fixed-mode validation compares against.
 Fixed_frame_result run_ir(const Stencil_step& step, const Frame_set& initial,
                           int iterations, Boundary b, const Fixed_format& format,
                           const Exec_options& options = {});
 
-// Legacy per-pixel interpreter path: field lookups by name, a boundary-
-// resolved sample per read, and an interpreted, trace-allocating program
-// execution per element — independent of the compiled tape. Kept as the
-// reference the engine equivalence suite and the throughput bench compare
-// against; not a production path.
-Frame_set run_step_ir_reference(const Stencil_step& step, const Frame_set& current,
-                                Boundary b);
+// Per-pixel reference sweeps of the interpreters in oracle/reference.hpp,
+// declared here because the repository benchmark reaches them through this
+// header. They are defined in the islhls_oracles library (src/oracle/), so
+// a product target that calls one fails to link. run_ir_reference
+// interprets the step program per pixel (field lookups by name, a
+// boundary-resolved sample per read, a trace-allocating run_trace per
+// element), independent of the compiled tape. run_ir_fixed_reference
+// quantizes `initial` once (Raw_quantizer semantics), then advances raw
+// words through run_fixed_raw at every pixel with boundary-resolved gathers
+// (raw 0 backs Boundary::zero); iterations <= 0 returns the quantized
+// initial frames.
 Frame_set run_ir_reference(const Stencil_step& step, const Frame_set& initial,
                            int iterations, Boundary b);
-
-// Per-pixel fixed-point reference: quantizes `initial` once (Raw_quantizer
-// semantics), then advances raw words by interpreting run_fixed_raw at
-// every pixel with boundary-resolved gathers (raw 0 backs Boundary::zero).
-// The one source of the frame-scale scalar sweep the integer row engine's
-// memcmp suite and the throughput bench both compare against; not a
-// production path. iterations <= 0 returns the quantized initial frames.
 Fixed_frame_result run_ir_fixed_reference(const Stencil_step& step,
                                           const Frame_set& initial, int iterations,
                                           Boundary b, const Fixed_format& format);
@@ -85,9 +84,5 @@ Frame_set run_ghost_ir(const Stencil_step& step, const Frame_set& initial,
 Fixed_frame_result run_ghost_ir(const Stencil_step& step, const Frame_set& initial,
                                 int iterations, Boundary b, const Fixed_format& format,
                                 const Exec_options& options = {});
-
-// Ghost-zone golden using a kernel's native step.
-Frame_set run_ghost_native(const Kernel_def& kernel, const Frame_set& initial,
-                           int iterations);
 
 }  // namespace islhls

@@ -10,14 +10,14 @@
 // those lane bodies, in both value domains; the tape names its domain:
 //
 //   - run_tape(const Fixed_tape&, ...): raw Qm.f words, case-for-case
-//     identical to apply_op_fixed (ir/compiled.hpp) and therefore to the
-//     run_fixed_raw reference interpreter; the wrap width, fraction shift
-//     and raw 1.0 come from the Fixed_tape;
+//     identical to the reference interpreter's apply_op_fixed
+//     (oracle/reference.hpp, a test oracle outside the product library);
+//     the wrap width, fraction shift and raw 1.0 come from the Fixed_tape;
 //   - run_tape(const Compiled_program&, ...): IEEE doubles, case-for-case
-//     identical to apply_op (ir/eval.hpp). Each case is a single
-//     elementwise operation, so vectorization cannot reassociate or
-//     contract anything — results are bit-identical to the scalar path on
-//     every ISA.
+//     identical to the reference apply_op (oracle/reference.hpp). Each case
+//     is a single elementwise operation, so vectorization cannot reassociate
+//     or contract anything — results are bit-identical to the scalar
+//     reference on every ISA.
 //
 // The tape walk and its op switch are compiled once per instruction-set
 // level (baseline, AVX2, AVX-512 on x86-64) and resolved once per process

@@ -1,7 +1,6 @@
 #include "support/numeric.hpp"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "support/error.hpp"
 
@@ -20,31 +19,7 @@ std::vector<int> divisors(int n) {
     return small;
 }
 
-int gcd(int a, int b) {
-    while (b != 0) {
-        const int t = a % b;
-        a = b;
-        b = t;
-    }
-    return std::abs(a);
-}
-
 namespace {
-
-void compositions_rec(int remaining, const std::vector<int>& parts,
-                      std::vector<int>& current,
-                      std::vector<std::vector<int>>& out) {
-    if (remaining == 0) {
-        out.push_back(current);
-        return;
-    }
-    for (int p : parts) {
-        if (p <= 0 || p > remaining) continue;
-        current.push_back(p);
-        compositions_rec(remaining - p, parts, current, out);
-        current.pop_back();
-    }
-}
 
 void partitions_rec(int remaining, int max_part, const std::vector<int>& parts,
                     std::vector<int>& current,
@@ -65,50 +40,11 @@ void partitions_rec(int remaining, int max_part, const std::vector<int>& parts,
 
 }  // namespace
 
-std::vector<std::vector<int>> compositions_into(int n, const std::vector<int>& parts) {
-    std::vector<std::vector<int>> out;
-    std::vector<int> current;
-    compositions_rec(n, parts, current, out);
-    return out;
-}
-
 std::vector<std::vector<int>> partitions_into(int n, const std::vector<int>& parts) {
     std::vector<std::vector<int>> out;
     std::vector<int> current;
     partitions_rec(n, n, parts, current, out);
     return out;
-}
-
-Linear_fit fit_line(const std::vector<double>& xs, const std::vector<double>& ys) {
-    check_internal(xs.size() == ys.size(), "fit_line() size mismatch");
-    check_internal(xs.size() >= 2, "fit_line() needs at least two points");
-    const double n = static_cast<double>(xs.size());
-    double sum_x = 0.0, sum_y = 0.0, sum_xx = 0.0, sum_xy = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        sum_x += xs[i];
-        sum_y += ys[i];
-        sum_xx += xs[i] * xs[i];
-        sum_xy += xs[i] * ys[i];
-    }
-    const double denom = n * sum_xx - sum_x * sum_x;
-    Linear_fit fit;
-    if (denom == 0.0) {
-        // All x equal: fall back to a horizontal line through the mean.
-        fit.slope = 0.0;
-        fit.intercept = sum_y / n;
-    } else {
-        fit.slope = (n * sum_xy - sum_x * sum_y) / denom;
-        fit.intercept = (sum_y - fit.slope * sum_x) / n;
-    }
-    const double mean_y = sum_y / n;
-    double ss_tot = 0.0, ss_res = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double pred = fit.slope * xs[i] + fit.intercept;
-        ss_tot += (ys[i] - mean_y) * (ys[i] - mean_y);
-        ss_res += (ys[i] - pred) * (ys[i] - pred);
-    }
-    fit.r_squared = ss_tot == 0.0 ? 1.0 : 1.0 - ss_res / ss_tot;
-    return fit;
 }
 
 double fit_through_origin(const std::vector<double>& xs, const std::vector<double>& ys) {

@@ -13,30 +13,10 @@ std::vector<int> divisors(int n);
 // Ceiling division for non-negative integers.
 constexpr int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
-// Greatest common divisor (non-negative inputs).
-int gcd(int a, int b);
-
-// All compositions of `n` into parts drawn from `parts` (order matters):
-// compositions_into(3, {1,2}) = {(1,1,1),(1,2),(2,1)}. The enumeration is
-// depth-first and deterministic. Used to enumerate level-depth sequences.
-std::vector<std::vector<int>> compositions_into(int n, const std::vector<int>& parts);
-
 // All multisets (non-increasing sequences) of `n` into parts from `parts`:
 // partitions_into(3, {1,2}) = {(2,1),(1,1,1)}. Used when level order is
 // irrelevant for cost.
 std::vector<std::vector<int>> partitions_into(int n, const std::vector<int>& parts);
-
-// Result of a 1-D least squares fit y ~ slope*x + intercept.
-struct Linear_fit {
-    double slope = 0.0;
-    double intercept = 0.0;
-    // Coefficient of determination in [0,1]; 1 means perfect fit.
-    double r_squared = 0.0;
-};
-
-// Ordinary least squares over the given points (xs.size() == ys.size() >= 2).
-// With exactly two points this degenerates to the line through them.
-Linear_fit fit_line(const std::vector<double>& xs, const std::vector<double>& ys);
 
 // Fit of y ~ alpha * x through the origin (used for Eq. 1 alpha calibration
 // in its through-origin variant). Requires at least one x != 0.

@@ -45,33 +45,6 @@ std::string Table::to_text() const {
     return os.str();
 }
 
-namespace {
-std::string csv_escape(const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string out = "\"";
-    for (char c : cell) {
-        if (c == '"') out += "\"\"";
-        else out.push_back(c);
-    }
-    out += '"';
-    return out;
-}
-}  // namespace
-
-std::string Table::to_csv() const {
-    std::ostringstream os;
-    auto emit = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c != 0) os << ',';
-            os << csv_escape(row[c]);
-        }
-        os << '\n';
-    };
-    emit(header_);
-    for (const auto& row : rows_) emit(row);
-    return os.str();
-}
-
 std::ostream& operator<<(std::ostream& os, const Table& t) { return os << t.to_text(); }
 
 namespace detail {

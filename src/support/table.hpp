@@ -1,7 +1,7 @@
-// Plain-text and CSV table rendering for bench/report output.
+// Plain-text table rendering for bench/report output.
 //
 // The bench binaries regenerate the paper's figures as textual tables; this
-// helper keeps their formatting uniform (aligned columns, optional CSV dump).
+// helper keeps their formatting uniform (aligned columns).
 #pragma once
 
 #include <iosfwd>
@@ -22,17 +22,8 @@ public:
     template <typename... Cells>
     void add(const Cells&... cells);
 
-    std::size_t row_count() const { return rows_.size(); }
-    std::size_t column_count() const { return header_.size(); }
-    const std::vector<std::string>& header() const { return header_; }
-    const std::vector<std::string>& row(std::size_t i) const { return rows_.at(i); }
-
     // Renders with space-padded aligned columns and a separator rule.
     std::string to_text() const;
-
-    // Renders as RFC-4180-ish CSV (cells containing comma/quote/newline are
-    // quoted, quotes doubled).
-    std::string to_csv() const;
 
     // Writes to_text() to the stream.
     friend std::ostream& operator<<(std::ostream& os, const Table& t);

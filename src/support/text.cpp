@@ -12,12 +12,6 @@ std::string format_fixed(double value, int decimals) {
     return os.str();
 }
 
-std::string format_sci(double value, int decimals) {
-    std::ostringstream os;
-    os << std::scientific << std::setprecision(decimals) << value;
-    return os.str();
-}
-
 std::string format_grouped(long long value) {
     const bool negative = value < 0;
     std::string digits = std::to_string(negative ? -value : value);
@@ -82,32 +76,6 @@ std::string pad_left(const std::string& s, std::size_t width) {
 std::string pad_right(const std::string& s, std::size_t width) {
     if (s.size() >= width) return s;
     return s + std::string(width - s.size(), ' ');
-}
-
-std::string to_lower(const std::string& s) {
-    std::string out = s;
-    std::transform(out.begin(), out.end(), out.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    return out;
-}
-
-std::string replace_all(std::string s, const std::string& from, const std::string& to) {
-    if (from.empty()) return s;
-    std::size_t pos = 0;
-    while ((pos = s.find(from, pos)) != std::string::npos) {
-        s.replace(pos, from.size(), to);
-        pos += to.size();
-    }
-    return s;
-}
-
-bool is_identifier(const std::string& name) {
-    if (name.empty()) return false;
-    const unsigned char first = static_cast<unsigned char>(name.front());
-    if (!std::isalpha(first) && name.front() != '_') return false;
-    return std::all_of(name.begin() + 1, name.end(), [](char c) {
-        return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-    });
 }
 
 }  // namespace islhls

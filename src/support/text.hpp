@@ -19,9 +19,6 @@ std::string cat(const Args&... args) {
 // Fixed-precision decimal rendering, e.g. format_fixed(3.14159, 2) == "3.14".
 std::string format_fixed(double value, int decimals);
 
-// Scientific rendering with `decimals` digits after the point.
-std::string format_sci(double value, int decimals);
-
 // Formats `value` with thousands separators: 1234567 -> "1,234,567".
 std::string format_grouped(long long value);
 
@@ -43,14 +40,5 @@ std::string pad_left(const std::string& s, std::size_t width);
 
 // Returns `s` right-padded (left-aligned) to `width` with spaces.
 std::string pad_right(const std::string& s, std::size_t width);
-
-// Lowercases ASCII letters.
-std::string to_lower(const std::string& s);
-
-// Replaces every occurrence of `from` (non-empty) in `s` with `to`.
-std::string replace_all(std::string s, const std::string& from, const std::string& to);
-
-// True if `name` is a valid C identifier ([A-Za-z_][A-Za-z0-9_]*).
-bool is_identifier(const std::string& name);
 
 }  // namespace islhls

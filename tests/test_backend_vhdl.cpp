@@ -6,7 +6,7 @@
 #include "backend/vhdl.hpp"
 #include "ir/analysis.hpp"
 #include "kernels/kernels.hpp"
-#include "sim/fixed_exec.hpp"
+#include "oracle/reference.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
 #include "symexec/executor.hpp"

@@ -15,6 +15,7 @@
 #include "dse/pareto.hpp"
 #include "dse/streaming_backend.hpp"
 #include "kernels/kernels.hpp"
+#include "oracle/streaming_walk.hpp"
 #include "sim/arch_sim.hpp"
 #include "symexec/executor.hpp"
 #include "synth/device.hpp"

@@ -6,6 +6,7 @@
 #include "cone/cone.hpp"
 #include "grid/frame_ops.hpp"
 #include "kernels/kernels.hpp"
+#include "oracle/reference.hpp"
 #include "sim/golden.hpp"
 #include "support/error.hpp"
 #include "symexec/executor.hpp"
@@ -27,9 +28,9 @@ TEST(Cone, input_window_grows_with_depth) {
         EXPECT_EQ(in.x0, -d);
         EXPECT_EQ(in.y0, -d);
         // Every input the program reads lies inside the reported window.
-        EXPECT_EQ(cone.stats().input_count,
-                  static_cast<int>(cone.program().input_ports().size()));
-        for (const auto& port : cone.program().input_ports()) {
+        const std::vector<Instruction> ports = input_instructions(cone.program());
+        EXPECT_EQ(cone.stats().input_count, static_cast<int>(ports.size()));
+        for (const Instruction& port : ports) {
             EXPECT_GE(port.dx, in.x0);
             EXPECT_LT(port.dx, in.x0 + in.width);
             EXPECT_GE(port.dy, in.y0);
@@ -129,14 +130,15 @@ TEST_P(Cone_equivalence, cone_computes_d_iterations) {
     const Frame_set golden = run_ghost_ir(step, initial, depth, kernel.boundary);
 
     const Register_program& prog = cone.program();
+    const std::vector<Instruction> ports = input_instructions(prog);
     for (const auto& [ox, oy] : {std::pair{5, 4}, std::pair{0, 0}, std::pair{14, 9}}) {
         std::vector<double> inputs;
-        inputs.reserve(prog.input_ports().size());
-        for (const auto& port : prog.input_ports()) {
+        inputs.reserve(ports.size());
+        for (const Instruction& port : ports) {
             const Frame& f = initial.field(step.pool().field_name(port.field));
             inputs.push_back(f.sample(ox + port.dx, oy + port.dy, kernel.boundary));
         }
-        const std::vector<double> regs = prog.run_trace(inputs);
+        const std::vector<double> regs = run_trace(prog, inputs);
         for (int s = 0; s < step.state_field_count(); ++s) {
             const Frame& gold =
                 golden.field(step.state_fields()[static_cast<std::size_t>(s)]);

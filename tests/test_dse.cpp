@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "core/sweep_records.hpp"
 #include "dse/architecture.hpp"
 #include "dse/explorer.hpp"
 #include "dse/pareto.hpp"
@@ -221,7 +222,8 @@ TEST_F(Explorer_fixture, fit_matches_canonical_partition_walk_at_large_iteration
             if (!cell.valid) continue;
             EXPECT_EQ(cell.eval.instance.window, cell.window);
             EXPECT_EQ(cell.eval.instance.level_depths, minimal.level_depths);
-            EXPECT_EQ(dump(ex.evaluator().evaluate(cell.eval.instance)), dump(cell.eval));
+            EXPECT_EQ(serialize_record(ex.evaluator().evaluate(cell.eval.instance)),
+                      serialize_record(cell.eval));
             if (best == nullptr || cell.eval.throughput.fps > best->eval.throughput.fps) {
                 best = &cell;
             }
@@ -231,7 +233,7 @@ TEST_F(Explorer_fixture, fit_matches_canonical_partition_walk_at_large_iteration
             EXPECT_TRUE(fit.has_best);
         }
         if (best != nullptr) {
-            EXPECT_EQ(dump(fit.best), dump(best->eval));
+            EXPECT_EQ(serialize_record(fit.best), serialize_record(best->eval));
         }
     }
 }

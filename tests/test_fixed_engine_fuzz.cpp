@@ -21,8 +21,8 @@
 
 #include "fuzz_env.hpp"
 #include "grid/frame_ops.hpp"
+#include "oracle/reference.hpp"
 #include "sim/exec_engine.hpp"
-#include "sim/fixed_exec.hpp"
 #include "sim/golden.hpp"
 #include "sim/tape_lanes.hpp"
 #include "support/prng.hpp"
@@ -157,7 +157,7 @@ void check_all_paths(const Exec_engine& engine, const Frame_set& initial, int it
     // Per-pixel reference: quantize once, then iterate pixel by pixel
     // through run_fixed_raw.
     const Raw_quantizer quantize(fmt);
-    const auto& ports = program.input_ports();
+    const std::vector<Instruction> ports = input_instructions(program);
     std::vector<std::int64_t> inputs(ports.size());
 
     const std::size_t states = step.state_fields().size();

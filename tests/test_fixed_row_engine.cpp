@@ -12,7 +12,6 @@
 #include "grid/frame_ops.hpp"
 #include "kernels/kernels.hpp"
 #include "sim/exec_engine.hpp"
-#include "sim/fixed_exec.hpp"
 #include "sim/golden.hpp"
 #include "support/parallel.hpp"
 #include "support/text.hpp"
@@ -31,8 +30,8 @@ const std::vector<Fixed_format>& test_formats() {
     return formats;
 }
 
-// The per-pixel reference is the product's own run_ir_fixed_reference
-// (sim/golden.hpp) — one source of the scalar sweep, shared with the
+// The per-pixel reference is the oracle run_ir_fixed_reference
+// (oracle/reference.hpp) — one source of the scalar sweep, shared with the
 // throughput bench; the engine must reproduce its raw words exactly.
 
 void expect_raw_equal(const Fixed_frame_result& expected,

@@ -10,7 +10,9 @@
 #include "cone/cone.hpp"
 #include "grid/frame_ops.hpp"
 #include "kernels/kernels.hpp"
+#include "oracle/reference.hpp"
 #include "sim/fixed_exec.hpp"
+#include "support/error.hpp"
 #include "support/prng.hpp"
 #include "symexec/executor.hpp"
 
@@ -35,13 +37,14 @@ std::vector<std::vector<std::int64_t>> gather_raw_inputs(
     int count, std::uint64_t seed) {
     Prng rng(seed);
     const Raw_quantizer quantize(fmt);
+    const std::vector<Instruction> ports = input_instructions(program);
     std::vector<std::vector<std::int64_t>> sets;
     for (int s = 0; s < count; ++s) {
         const int ox = rng.next_int(0, content.width() - 1);
         const int oy = rng.next_int(0, content.height() - 1);
         std::vector<std::int64_t> raw;
-        raw.reserve(program.input_ports().size());
-        for (const auto& port : program.input_ports()) {
+        raw.reserve(ports.size());
+        for (const Instruction& port : ports) {
             const Frame& f = content.field(step.pool().field_name(port.field));
             raw.push_back(quantize(f.sample(ox + port.dx, oy + port.dy, boundary)));
         }
@@ -55,7 +58,7 @@ std::vector<std::vector<std::int64_t>> gather_raw_inputs(
 void expect_tape_matches_interpreter(
     const Register_program& program, const Fixed_format& fmt,
     const std::vector<std::vector<std::int64_t>>& input_sets) {
-    const std::size_t in_count = program.input_ports().size();
+    const auto in_count = static_cast<std::size_t>(program.input_count());
     const std::size_t out_count = program.outputs().size();
     const std::size_t samples = input_sets.size();
 
@@ -160,7 +163,7 @@ TEST(Fixed_tape, out_of_range_raw_inputs_wrap_like_the_interpreter) {
     std::vector<std::vector<std::int64_t>> sets;
     for (int s = 0; s < 40; ++s) {
         std::vector<std::int64_t> raw;
-        for (std::size_t i = 0; i < cone.program().input_ports().size(); ++i) {
+        for (int i = 0; i < cone.program().input_count(); ++i) {
             // Far outside the 8-bit range, both signs.
             raw.push_back(static_cast<std::int64_t>(rng.next_int(-2000000, 2000000)) *
                           1021);
@@ -202,7 +205,7 @@ TEST(Fixed_batch, lane_block_is_reusable_across_formats_and_programs) {
         for (const Fixed_format& fmt : test_formats()) {
             const auto inputs = gather_raw_inputs(cone->program(), igf_step, content,
                                                   igf.boundary, fmt, 33, 13);
-            const std::size_t in_count = cone->program().input_ports().size();
+            const auto in_count = static_cast<std::size_t>(cone->program().input_count());
             const std::size_t out_count = cone->program().outputs().size();
             std::vector<std::int64_t> flat(inputs.size() * in_count);
             for (std::size_t s = 0; s < inputs.size(); ++s) {

@@ -8,6 +8,7 @@
 
 #include "core/service.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_records.hpp"
 #include "support/error.hpp"
 #include "dse/explorer.hpp"
 #include "estimate/format_search.hpp"
@@ -59,12 +60,13 @@ TEST(Format_dse, explorer_grid_matches_standalone_search_and_is_thread_invariant
         }
     }
 
-    // Thread-count invariance of the whole grid, via the dump serialization.
+    // Thread-count invariance of the whole grid, via its record text.
     Space_options threaded = space;
     threaded.threads = 4;
     Explorer parallel_explorer(library, device, evaluator_options, threaded);
-    EXPECT_EQ(dump(grid), dump(parallel_explorer.search_formats(
-                              content, kernel.boundary, options)));
+    EXPECT_EQ(serialize_record(grid),
+              serialize_record(
+                  parallel_explorer.search_formats(content, kernel.boundary, options)));
 }
 
 TEST(Format_dse, estimated_area_is_monotone_in_word_width) {

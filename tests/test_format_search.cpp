@@ -8,6 +8,7 @@
 #include "estimate/format_search.hpp"
 #include "grid/frame_ops.hpp"
 #include "kernels/kernels.hpp"
+#include "oracle/reference.hpp"
 #include "sim/fixed_exec.hpp"
 #include "support/prng.hpp"
 #include "symexec/executor.hpp"
@@ -36,13 +37,14 @@ Format_search_result search_fixed_format_reference(
     std::vector<std::vector<double>> references;
     std::vector<double> trace;
     double max_abs = 0.0;
+    const std::vector<Instruction> ports = input_instructions(program);
     for (const auto& [ox, oy] : origins) {
         std::vector<double> inputs;
-        for (const auto& port : program.input_ports()) {
+        for (const Instruction& port : ports) {
             const Frame& f = content.field(step.pool().field_name(port.field));
             inputs.push_back(f.sample(ox + port.dx, oy + port.dy, boundary));
         }
-        program.run_trace_into(inputs, trace);
+        run_trace_into(program, inputs, trace);
         for (double v : trace) max_abs = std::max(max_abs, std::fabs(v));
         std::vector<double> reference;
         for (const std::int32_t r : program.outputs()) {
@@ -364,13 +366,14 @@ TEST(Format_search, chambolle_shrink_drops_below_the_range_floor_and_stays_exact
     const Register_program& program = cone.program();
     const Raw_quantizer q_wide(wide.format);
     const Raw_quantizer q_shrunk(shrunk.format);
+    const std::vector<Instruction> ports = input_instructions(program);
     Prng rng(7);
     for (int s = 0; s < 16; ++s) {
         const int ox = rng.next_int(0, content.width() - 1);
         const int oy = rng.next_int(0, content.height() - 1);
         std::vector<std::int64_t> raw_wide;
         std::vector<std::int64_t> raw_shrunk;
-        for (const auto& port : program.input_ports()) {
+        for (const Instruction& port : ports) {
             const Frame& f = content.field(step.pool().field_name(port.field));
             const double v = f.sample(ox + port.dx, oy + port.dy, kernel.boundary);
             raw_wide.push_back(q_wide(v));

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "ir/analysis.hpp"
-#include "ir/eval.hpp"
+#include "oracle/reference.hpp"
 #include "ir/expr.hpp"
 #include "ir/program.hpp"
 #include "support/prng.hpp"
@@ -93,6 +93,7 @@ TEST_F(Ir_fixture, program_run_matches_direct_evaluation) {
                  pool.max_of(y, pool.constant(0.25))),
         pool.sub(pool.min_of(x, z), pool.neg(y)));
     const Register_program prog = build_program(pool, {e});
+    const std::vector<Instruction> ports = input_instructions(prog);
 
     Prng rng(2024);
     for (int trial = 0; trial < 200; ++trial) {
@@ -105,11 +106,11 @@ TEST_F(Ir_fixture, program_run_matches_direct_evaluation) {
         };
         const double direct = evaluate(pool, e, resolve);
         std::vector<double> inputs;
-        for (const auto& port : prog.input_ports()) {
+        for (const Instruction& port : ports) {
             inputs.push_back(resolve(port.field, port.dx, port.dy));
         }
         const double via_program =
-            prog.run_trace(inputs)[static_cast<std::size_t>(prog.outputs()[0])];
+            run_trace(prog, inputs)[static_cast<std::size_t>(prog.outputs()[0])];
         EXPECT_EQ(direct, via_program) << "trial " << trial;
     }
 }
@@ -173,16 +174,17 @@ TEST_P(Random_dag, lowering_preserves_semantics) {
     }
     const std::vector<Expr_id> roots{nodes.back(), nodes[nodes.size() / 2]};
     const Register_program prog = build_program(pool, roots);
+    const std::vector<Instruction> ports = input_instructions(prog);
     for (int trial = 0; trial < 20; ++trial) {
         std::vector<double> cell(5);
         for (double& v : cell) v = rng.next_in(-4.0, 4.0);
         auto resolve = [&](int, int dx, int) { return cell[static_cast<std::size_t>(dx + 2)]; };
         const auto direct = evaluate_many(pool, roots, resolve);
         std::vector<double> inputs;
-        for (const auto& port : prog.input_ports()) {
+        for (const Instruction& port : ports) {
             inputs.push_back(resolve(port.field, port.dx, port.dy));
         }
-        const auto regs = prog.run_trace(inputs);
+        const auto regs = run_trace(prog, inputs);
         ASSERT_EQ(direct.size(), prog.outputs().size());
         for (std::size_t i = 0; i < direct.size(); ++i) {
             EXPECT_EQ(direct[i], regs[static_cast<std::size_t>(prog.outputs()[i])]);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/service.hpp"
+#include "core/sweep_records.hpp"
 #include "core/sweep.hpp"
 #include "dse/explorer.hpp"
 #include "kernels/kernels.hpp"
@@ -37,22 +38,22 @@ Space_options small_space(int threads) {
 
 // Each run gets a cold cache so the serial baseline and the parallel runs
 // exercise the same build/synthesis paths, not just cache lookups.
-struct Run_dumps {
+struct Run_records {
     std::string pareto;
     std::string fit;
     std::string validation;
 };
 
-Run_dumps run_explorer(const std::string& kernel, int threads,
+Run_records run_explorer(const std::string& kernel, int threads,
                        const std::string& device) {
     Cone_library library(extract_stencil(kernel_by_name(kernel).c_source), kernel);
     Explorer explorer(library, device_by_name(device), small_evaluator_options(),
                       small_space(threads));
-    Run_dumps dumps;
-    dumps.pareto = dump(explorer.explore_pareto());
-    dumps.fit = dump(explorer.fit_device());
-    dumps.validation = dump(explorer.validate_area_model());
-    return dumps;
+    Run_records records;
+    records.pareto = serialize_record(explorer.explore_pareto());
+    records.fit = serialize_record(explorer.fit_device());
+    records.validation = serialize_record(explorer.validate_area_model());
+    return records;
 }
 
 TEST(Parallel_dse, results_byte_identical_across_thread_counts) {
@@ -60,10 +61,10 @@ TEST(Parallel_dse, results_byte_identical_across_thread_counts) {
     ASSERT_GE(kernels.size(), 9u);
     for (const std::string& kernel : kernels) {
         SCOPED_TRACE(kernel);
-        const Run_dumps serial = run_explorer(kernel, 1, "generic_small");
+        const Run_records serial = run_explorer(kernel, 1, "generic_small");
         EXPECT_FALSE(serial.pareto.empty());
         for (int threads : {2, 8}) {
-            const Run_dumps parallel = run_explorer(kernel, threads, "generic_small");
+            const Run_records parallel = run_explorer(kernel, threads, "generic_small");
             EXPECT_EQ(parallel.pareto, serial.pareto) << "threads " << threads;
             EXPECT_EQ(parallel.fit, serial.fit) << "threads " << threads;
             EXPECT_EQ(parallel.validation, serial.validation) << "threads " << threads;
@@ -87,10 +88,10 @@ TEST(Parallel_dse, evaluator_pure_after_calibration) {
     instance.window = 3;
     instance.level_depths = {2, 2, 2};
     instance.cores_per_depth = {{2, 2}};
-    const std::string reference = dump(evaluator.evaluate(instance));
+    const std::string reference = serialize_record(evaluator.evaluate(instance));
     std::vector<std::string> seen(16);
     parallel_for(seen.size(), 8, [&](std::size_t i) {
-        seen[i] = dump(evaluator.evaluate(instance));
+        seen[i] = serialize_record(evaluator.evaluate(instance));
     });
     for (const std::string& s : seen) EXPECT_EQ(s, reference);
 }
@@ -174,7 +175,7 @@ TEST(Parallel_dse, sweep_session_matches_standalone_explorers) {
         const Fit_result fit = explorer.fit_device();
         ASSERT_EQ(entry.fits, fit.has_best);
         if (entry.fits) {
-            EXPECT_EQ(dump(entry.best), dump(fit.best));
+            EXPECT_EQ(serialize_record(entry.best), serialize_record(fit.best));
         }
     }
 
@@ -213,7 +214,7 @@ TEST(Parallel_dse, sweep_validation_is_exact_and_changes_nothing_else) {
         EXPECT_FALSE(p.validated);
         EXPECT_EQ(p.fits, v.fits);
         if (p.fits) {
-            EXPECT_EQ(dump(p.best), dump(v.best));
+            EXPECT_EQ(serialize_record(p.best), serialize_record(v.best));
             // Double-mode architecture simulation must reproduce the ghost
             // golden exactly — any deviation is a flow bug.
             EXPECT_TRUE(v.validated);
@@ -227,7 +228,7 @@ TEST(Parallel_dse, sweep_validation_is_exact_and_changes_nothing_else) {
 }
 
 TEST(Parallel_dse, explorer_shared_pool_results_are_byte_identical) {
-    // An explorer on an injected pool must produce the dumps of a serial
+    // An explorer on an injected pool must produce the records of a serial
     // explorer; the same pool serves several explorers in sequence (the
     // sweep session's usage pattern).
     const Kernel_def& kernel = kernel_by_name("igf");
@@ -240,8 +241,10 @@ TEST(Parallel_dse, explorer_shared_pool_results_are_byte_identical) {
         Cone_library pooled_lib(extract_stencil(kernel.c_source), kernel.name);
         Explorer pooled(pooled_lib, device_by_name(device),
                         small_evaluator_options(), small_space(1), &pool);
-        EXPECT_EQ(dump(serial.explore_pareto()), dump(pooled.explore_pareto()));
-        EXPECT_EQ(dump(serial.fit_device()), dump(pooled.fit_device()));
+        EXPECT_EQ(serialize_record(serial.explore_pareto()),
+                  serialize_record(pooled.explore_pareto()));
+        EXPECT_EQ(serialize_record(serial.fit_device()),
+                  serialize_record(pooled.fit_device()));
     }
 }
 

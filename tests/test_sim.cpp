@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "grid/frame_ops.hpp"
+#include "oracle/reference.hpp"
 #include "sim/arch_sim.hpp"
 #include "sim/fixed_exec.hpp"
 #include "sim/golden.hpp"
@@ -137,7 +138,7 @@ TEST(Fixed_raw, tracks_double_execution_within_tolerance) {
         for (int i = 0; i < prog.input_count(); ++i) {
             inputs.push_back(quantize(rng.next_in(0.0, 255.0), fmt));
         }
-        const auto regs = prog.run_trace(inputs);
+        const auto regs = run_trace(prog, inputs);
         const auto fixed = run_fixed(prog, inputs, fmt);
         ASSERT_EQ(fixed.size(), prog.outputs().size());
         for (std::size_t o = 0; o < fixed.size(); ++o) {
@@ -212,7 +213,7 @@ void check_edge_lanes(Op_kind kind, const Fixed_format& fmt,
     const Fixed_tape tape(prog.compiled(), fmt);
     const auto ports = static_cast<int>(prog.compiled().inputs().size());
     ASSERT_EQ(ports, kind == Op_kind::div ? 2 : 1);
-    const bool a_first = prog.input_ports()[0].dx == 0;
+    const bool a_first = input_instructions(prog)[0].dx == 0;
 
     // Every edge at least once, cycling until three blocks are filled.
     std::vector<std::array<std::int64_t, 2>> operands;

@@ -34,26 +34,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Divisors_property,
                          ::testing::Values(1, 2, 3, 4, 6, 10, 12, 16, 24, 30, 49, 60,
                                            97, 100, 144, 210));
 
-TEST(Numeric, gcd_basics) {
-    EXPECT_EQ(gcd(12, 18), 6);
-    EXPECT_EQ(gcd(7, 13), 1);
-    EXPECT_EQ(gcd(0, 5), 5);
-    EXPECT_EQ(gcd(5, 0), 5);
-}
-
 TEST(Numeric, ceil_div_rounds_up) {
     EXPECT_EQ(ceil_div(10, 3), 4);
     EXPECT_EQ(ceil_div(9, 3), 3);
     EXPECT_EQ(ceil_div(1, 5), 1);
     EXPECT_EQ(ceil_div(0, 5), 0);
-}
-
-TEST(Numeric, compositions_order_matters) {
-    const auto comps = compositions_into(3, {1, 2});
-    EXPECT_EQ(comps.size(), 3u);  // 1+1+1, 1+2, 2+1
-    for (const auto& c : comps) {
-        EXPECT_EQ(std::accumulate(c.begin(), c.end(), 0), 3);
-    }
 }
 
 TEST(Numeric, partitions_are_non_increasing_and_complete) {
@@ -79,22 +64,6 @@ TEST(Numeric, partitions_respect_part_menu) {
     ASSERT_EQ(parts.size(), 1u);
     EXPECT_EQ(parts[0], (std::vector<int>{2, 2}));
     EXPECT_TRUE(partitions_into(3, {2}).empty());
-}
-
-TEST(Numeric, fit_line_recovers_exact_line) {
-    const std::vector<double> xs{1, 2, 3, 4};
-    std::vector<double> ys;
-    for (double x : xs) ys.push_back(3.5 * x - 2.0);
-    const Linear_fit fit = fit_line(xs, ys);
-    EXPECT_NEAR(fit.slope, 3.5, 1e-12);
-    EXPECT_NEAR(fit.intercept, -2.0, 1e-12);
-    EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-}
-
-TEST(Numeric, fit_line_two_points_passes_through_both) {
-    const Linear_fit fit = fit_line({1.0, 3.0}, {10.0, 20.0});
-    EXPECT_NEAR(fit.slope * 1.0 + fit.intercept, 10.0, 1e-12);
-    EXPECT_NEAR(fit.slope * 3.0 + fit.intercept, 20.0, 1e-12);
 }
 
 TEST(Numeric, fit_through_origin_matches_ratio) {
@@ -126,7 +95,6 @@ TEST(Numeric, hash_to_unit_is_roughly_uniform) {
 
 TEST(Numeric, guards_throw_internal_error) {
     EXPECT_THROW(divisors(0), Internal_error);
-    EXPECT_THROW(fit_line({1.0}, {1.0}), Internal_error);
     EXPECT_THROW(fit_through_origin({0.0}, {1.0}), Internal_error);
 }
 

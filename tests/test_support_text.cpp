@@ -17,10 +17,6 @@ TEST(Text, format_fixed_rounds) {
     EXPECT_EQ(format_fixed(-1.005, 1), "-1.0");
 }
 
-TEST(Text, format_sci_uses_exponent) {
-    EXPECT_EQ(format_sci(12345.678, 2), "1.23e+04");
-}
-
 TEST(Text, format_grouped_inserts_separators) {
     EXPECT_EQ(format_grouped(0), "0");
     EXPECT_EQ(format_grouped(999), "999");
@@ -59,24 +55,6 @@ TEST(Text, padding_aligns) {
     EXPECT_EQ(pad_left("7", 3), "  7");
     EXPECT_EQ(pad_right("7", 3), "7  ");
     EXPECT_EQ(pad_left("long", 2), "long");
-}
-
-TEST(Text, replace_all_handles_overlaps) {
-    EXPECT_EQ(replace_all("aaa", "aa", "b"), "ba");
-    EXPECT_EQ(replace_all("x", "", "y"), "x");
-    EXPECT_EQ(replace_all("WIDTH-1 WIDTH", "WIDTH", "16"), "16-1 16");
-}
-
-TEST(Text, identifier_validation) {
-    EXPECT_TRUE(is_identifier("u_out"));
-    EXPECT_TRUE(is_identifier("_tmp1"));
-    EXPECT_FALSE(is_identifier("1abc"));
-    EXPECT_FALSE(is_identifier(""));
-    EXPECT_FALSE(is_identifier("a-b"));
-}
-
-TEST(Text, to_lower_ascii) {
-    EXPECT_EQ(to_lower("Virtex-6 LX760"), "virtex-6 lx760");
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "grid/frame_ops.hpp"
-#include "ir/eval.hpp"
+#include "oracle/reference.hpp"
 #include "ir/print.hpp"
 #include "sim/golden.hpp"
 #include "support/error.hpp"

@@ -397,19 +397,18 @@ std::vector<Sweep_config> parse_requests(const std::string& path) {
         const std::string rest =
             space == std::string::npos ? std::string() : trim(line.substr(space + 1));
         auto value = [&]() -> std::string {
-            if (rest.empty()) {
-                throw User_error(cat(where, ": option '", name, "' needs a value"));
-            }
+            if (rest.empty()) throw User_error(cat("option '", name, "' needs a value"));
             return rest;
         };
+        // Everything applying the line raises is a user mistake on that line.
+        bool known = false;
         try {
-            if (!apply_sweep_option(config, name, value)) {
-                throw User_error(cat(where, ": unknown request option '", name, "'"));
-            }
-        } catch (const Islhls_error&) {
-            throw;  // already carries context (or is the unknown-option error)
+            known = apply_sweep_option(config, name, value);
         } catch (const Error& e) {
             throw User_error(cat(where, ": ", e.what()));
+        }
+        if (!known) {
+            throw User_error(cat(where, ": unknown request option '", name, "'"));
         }
         if (!rest.empty() && (name == "pareto" || name == "validate" ||
                               name == "search-formats" || name == "validate-fixed")) {

@@ -23,7 +23,7 @@ def write_record(directory, name, metrics, raw=None, optional=None):
             record = {"bench": name, "gated_metrics": metrics}
             if optional is not None:
                 record["optional_gated_metrics"] = optional
-            json.dump(record, f)
+            f.write(json.dumps(record))
     return path
 
 
