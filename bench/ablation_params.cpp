@@ -112,5 +112,5 @@ int main() {
                      "the bandwidth sweep",
                      in_band);
     }
-    return 0;
+    return claims_exit_code();
 }

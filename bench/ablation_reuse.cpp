@@ -68,5 +68,5 @@ int main() {
               << "x)\n";
     report_claim("cone buffers are orders of magnitude below whole-frame buffers",
                  eval.memory.saving_factor > 100.0);
-    return 0;
+    return claims_exit_code();
 }

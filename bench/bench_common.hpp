@@ -29,11 +29,23 @@ inline islhls::Flow_options paper_options() {
     return options;
 }
 
-// Uniform PASS/INFO line formatting for the claim checks.
+// Claims reported as [DEVIATION] so far in this process.
+inline int& deviation_count() {
+    static int count = 0;
+    return count;
+}
+
+// Uniform PASS/DEVIATION line formatting for the claim checks; returns 1 on
+// a deviation, which is also counted for claims_exit_code().
 inline int report_claim(const std::string& claim, bool holds) {
     std::cout << (holds ? "[PASS] " : "[DEVIATION] ") << claim << "\n";
+    if (!holds) ++deviation_count();
     return holds ? 0 : 1;
 }
+
+// Exit status of a paper-reproduction bench: 1 when any claim deviated, so
+// a broken reproduction fails the run instead of only printing.
+inline int claims_exit_code() { return deviation_count() == 0 ? 0 : 1; }
 
 // Atomic perf-record writer shared by the BENCH_*.json producers: `body`
 // streams the record into a temp file, which replaces `path` only on a

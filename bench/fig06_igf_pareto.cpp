@@ -56,5 +56,5 @@ int main() {
     report_claim(cat("front spans >50x in time per frame (spread ",
                      format_fixed(spread, 0), "x)"),
                  spread > 50.0);
-    return 0;
+    return claims_exit_code();
 }

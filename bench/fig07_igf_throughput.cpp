@@ -77,5 +77,5 @@ int main() {
     report_claim("throughput is not monotone in the window size", non_monotone);
     report_claim("the overall best depth divides N=10",
                  fit.has_best && 10 % fit.best.instance.level_depths.front() == 0);
-    return 0;
+    return claims_exit_code();
 }

@@ -44,5 +44,5 @@ int main() {
                      return flow.explorer().evaluator().actual_cone_area(4, 2) >
                             igf.explorer().evaluator().actual_cone_area(4, 2);
                  }());
-    return 0;
+    return claims_exit_code();
 }

@@ -47,5 +47,5 @@ int main() {
     report_claim(cat("at 300 kLUTs, Chambolle is >=3x slower than IGF (",
                      format_fixed(chamb / igf, 1), "x)"),
                  chamb > 3.0 * igf);
-    return 0;
+    return claims_exit_code();
 }

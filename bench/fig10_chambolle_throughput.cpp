@@ -77,5 +77,5 @@ int main() {
                      "x; paper: ~4.6x)"),
                  igf_fit.best.throughput.fps > 3.0 * fit.best.throughput.fps &&
                      igf_fit.best.throughput.fps < 12.0 * fit.best.throughput.fps);
-    return 0;
+    return claims_exit_code();
 }

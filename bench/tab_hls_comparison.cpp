@@ -62,5 +62,5 @@ int main() {
     report_claim(cat("cone flow is orders of magnitude faster (",
                      format_fixed(fit.best.throughput.fps / best.fps, 0), "x)"),
                  fit.best.throughput.fps / best.fps > 100.0);
-    return 0;
+    return claims_exit_code();
 }

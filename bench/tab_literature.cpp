@@ -91,5 +91,5 @@ int main() {
                      }
                      return true;
                  }());
-    return 0;
+    return claims_exit_code();
 }

@@ -38,12 +38,12 @@ struct Golden {
 double validate_fit(Cone_library& library, const Kernel_def& kernel,
                     const Arch_instance& instance, int iterations,
                     const std::optional<Fixed_format>& format, const Frame_set& initial,
-                    Thread_pool* pool, std::vector<Golden>& goldens) {
+                    Thread_pool& pool, std::vector<Golden>& goldens) {
     auto golden = std::find_if(goldens.begin(), goldens.end(), [&](const Golden& g) {
         return g.iterations == iterations && g.format == format;
     });
     if (golden == goldens.end()) {
-        const Exec_options exec{1, 0, 0, pool};
+        const Exec_options exec{1, 0, 0, &pool};
         Frame_set frames = format ? run_ghost_ir(library.step(), initial, iterations,
                                                  kernel.boundary, *format, exec)
                                         .to_frame_set()
@@ -96,9 +96,9 @@ struct Backend_run {
 // candidates across `pool` through one Explorer.
 Backend_run run_paper(Cone_library& lib, const Fpga_device& device,
                       const Evaluator_options& options, const Space_options& space,
-                      bool with_pareto, Thread_pool* pool, Sweep_entry& entry) {
+                      bool with_pareto, Thread_pool& pool, Sweep_entry& entry) {
     Backend_run run;
-    Explorer explorer(lib, device, options, space, pool);
+    Explorer explorer(lib, device, options, space, &pool);
     const Fit_result fit = explorer.fit_device();
     if (with_pareto) {
         Pareto_result pareto = explorer.explore_pareto();
@@ -279,8 +279,8 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
     const Sweep_report before = total_meters(libraries_);
 
     // Serial front: every kernel's frontend, symbolic execution and IR key,
-    // and every combination the cache can serve. Deadlines and cancellation
-    // interrupt between combinations, the unit a retried attempt resumes at.
+    // and every combination the cache can serve. Deadlines interrupt
+    // between combinations, the unit a retried attempt resumes at.
     std::vector<Combination> combinations;
     std::set<std::string> seen_keys;
     for (const std::string& kernel : config.kernels) {
@@ -311,8 +311,9 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
         }
     }
 
-    // Fan-out: one task per kernel with work left, on a pool created on the
-    // first entry miss (see the header for the single-owner rule).
+    // Fan-out: one task per kernel with work left, on the request's pool,
+    // which spawns workers only when an entry missed (see the header for
+    // the single-owner rule).
     std::vector<Kernel_task> tasks;
     std::map<std::string, std::size_t> task_of;
     for (Combination& c : combinations) {
@@ -321,27 +322,18 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
         if (fresh) tasks.emplace_back();
         tasks[it->second].combinations.push_back(&c);
     }
-    std::optional<Thread_pool> pool;
-    if (!tasks.empty() && resolve_thread_count(config.space.threads) > 1) {
-        pool.emplace(config.space.threads);
-    }
-    Thread_pool* shared_pool = pool ? &*pool : nullptr;
-    auto run_task = [&](std::size_t t) {
+    Thread_pool pool(tasks.empty() ? 1 : config.space.threads);
+    pool.for_each_index(tasks.size(), [&](std::size_t t) {
         Kernel_task& task = tasks[t];
         for (Combination* c : task.combinations) {
             if (job != nullptr) job->checkpoint();
             if (c->repeat && load_entry(*c, task.counts)) continue;
-            c->entry = explore(config, c->entry, shared_pool, task);
+            c->entry = explore(config, c->entry, pool, task);
             if (cache_ && cache_->store(c->entry_key, serialize_record(c->entry))) {
                 ++task.counts.entry_stores;
             }
         }
-    };
-    if (shared_pool != nullptr) {
-        shared_pool->for_each_index(tasks.size(), run_task);
-    } else {
-        for (std::size_t t = 0; t < tasks.size(); ++t) run_task(t);
-    }
+    });
 
     // Merge in config order: the report is the one a serial run produces.
     for (const Kernel_task& task : tasks) {
@@ -401,7 +393,7 @@ bool Sweep_service::load_entry(Combination& c, Sweep_report& counts) {
 }
 
 Sweep_entry Sweep_service::explore(const Sweep_config& config, Sweep_entry entry,
-                                   Thread_pool* pool, Kernel_task& task) {
+                                   Thread_pool& pool, Kernel_task& task) {
     // The serial front created every library, so this only reads the map.
     Cone_library& lib = *libraries_.at(entry.kernel);
     const Fpga_device& device = device_by_name(entry.device);
@@ -496,7 +488,7 @@ const Format_grid& Sweep_service::format_grid(const Sweep_config& config,
                                               const Sweep_entry& entry,
                                               const Evaluator_options& evaluator_options,
                                               const Space_options& space,
-                                              Thread_pool* pool, Kernel_task& task) {
+                                              Thread_pool& pool, Kernel_task& task) {
     const std::string gkey =
         format_grid_key(ir_keys_.at(entry.kernel), config, entry.device);
     {
@@ -512,7 +504,7 @@ const Format_grid& Sweep_service::format_grid(const Sweep_config& config,
     } else {
         const Kernel_def& kernel = kernel_by_name(entry.kernel);
         Explorer explorer(*libraries_.at(entry.kernel), device_by_name(entry.device),
-                          evaluator_options, space, pool);
+                          evaluator_options, space, &pool);
         grid = explorer.search_formats(task.kernel_frames(config, kernel),
                                        kernel.boundary, config.format_search);
         if (cache_) {

@@ -25,7 +25,8 @@
 // Execution of one request: a serial front runs every kernel's frontend and
 // symbolic execution and serves every combination the cache holds; then the
 // kernels with work left fan out, one task per kernel, over the request's
-// Thread_pool (created only on the first entry miss). Kernels share nothing
+// Thread_pool (workers spawn only on an entry miss; at one thread the tasks
+// run inline, in order, on the same path). Kernels share nothing
 // but the result cache and the format-grid map (behind a narrow lock): each
 // task has its own Cone_library, counters, validation frames and goldens.
 // Every combination then runs one exploration routine: a backend-specific
@@ -106,8 +107,8 @@ private:
     struct Kernel_task;
 
     // The actual sweep; `job` (when batch-driven) is checkpointed between
-    // combinations so deadlines and cancellation interrupt long requests at
-    // clean boundaries.
+    // combinations so deadlines interrupt long requests at clean
+    // boundaries.
     Sweep_report run_impl(const Sweep_config& config, Job_context* job);
 
     // Serves one combination from the cache, counting the hit or miss in
@@ -117,7 +118,7 @@ private:
     // Fills one combination's entry (identity fields already set) inside
     // its kernel's task.
     Sweep_entry explore(const Sweep_config& config, Sweep_entry entry,
-                        Thread_pool* pool, Kernel_task& task);
+                        Thread_pool& pool, Kernel_task& task);
 
     // The combination's per-(window, depth) format grid. It is
     // N-independent but carries device-priced per-format evaluations, so it
@@ -125,7 +126,7 @@ private:
     // counts, backends and requests.
     const Format_grid& format_grid(const Sweep_config& config, const Sweep_entry& entry,
                                    const Evaluator_options& evaluator_options,
-                                   const Space_options& space, Thread_pool* pool,
+                                   const Space_options& space, Thread_pool& pool,
                                    Kernel_task& task);
 
     Service_options options_;

@@ -42,19 +42,8 @@ Explorer::Explorer(Cone_library& library, const Fpga_device& device,
 
 void Explorer::run_parallel(std::size_t count,
                             const std::function<void(std::size_t)>& body) {
-    if (count == 0) return;
-    const int threads = external_pool_ ? external_pool_->thread_count()
-                                       : resolve_thread_count(space_.threads);
-    if (threads <= 1 || count == 1) {
-        for (std::size_t i = 0; i < count; ++i) body(i);
-        return;
-    }
-    if (external_pool_) {
-        external_pool_->for_each_index(count, body);
-        return;
-    }
-    if (!pool_) pool_ = std::make_unique<Thread_pool>(space_.threads);
-    pool_->for_each_index(count, body);
+    if (!external_pool_ && !pool_) pool_ = std::make_unique<Thread_pool>(space_.threads);
+    (external_pool_ ? *external_pool_ : *pool_).for_each_index(count, body);
 }
 
 std::optional<Arch_evaluation> Explorer::grow_allocation(

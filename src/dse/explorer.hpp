@@ -84,8 +84,9 @@ public:
 
 private:
     // Fans body(0..count-1) across the shared pool when one was injected,
-    // otherwise the explorer's own pool (created on first use, reused by
-    // every subsequent exploration); inline when threads <= 1.
+    // otherwise the explorer's own pool (created on first use from
+    // Space_options::threads, reused by every subsequent exploration; one
+    // thread runs the bodies inline).
     void run_parallel(std::size_t count,
                       const std::function<void(std::size_t)>& body);
 

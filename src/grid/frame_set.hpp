@@ -2,12 +2,9 @@
 //
 // An ISL state can span several fields (Chambolle advances the dual fields
 // p1 and p2 and additionally reads the constant input image g). A Frame_set
-// holds one Frame per field name, all with identical dimensions.
-//
-// Field names are interned into process-wide Field_ids so per-call lookups
-// compare integers instead of strings: hot callers (the execution engine's
-// per-iteration rebinding, the ghost goldens' pad/crop loops) resolve a name
-// once with intern_field() and then use the id or positional accessors.
+// holds one Frame per field name, all with identical dimensions. A set
+// holds a handful of fields, so a lookup by name is a linear compare over
+// them; callers visiting every field use the positional accessors.
 #pragma once
 
 #include <deque>
@@ -17,22 +14,6 @@
 #include "grid/frame.hpp"
 
 namespace islhls {
-
-// A process-wide interned field name. Equal names always intern to the same
-// id, so id equality == name equality.
-using Field_id = int;
-
-// Returns the id of `name`, creating one on first use. Thread-safe;
-// lookups of already-interned names take a shared lock only.
-Field_id intern_field(const std::string& name);
-
-// Lookup without interning: the id of `name`, or -1 when no Frame_set has
-// ever used it. Keeps negative queries (has_field on arbitrary names)
-// side-effect free — probing never grows the registry.
-Field_id find_field_id(const std::string& name);
-
-// The name behind an id; throws on an id intern_field never returned.
-const std::string& field_name(Field_id id);
 
 class Frame_set {
 public:
@@ -47,39 +28,27 @@ public:
     Frame& add_field(const std::string& name);
     // Adds a field initialized from `frame`; dimensions must match.
     Frame& add_field(const std::string& name, Frame frame);
-    Frame& add_field(Field_id id, Frame frame);
 
     bool has_field(const std::string& name) const;
-    bool has_field(Field_id id) const { return index_of(id) >= 0; }
     Frame& field(const std::string& name);
     const Frame& field(const std::string& name) const;
-    Frame& field(Field_id id);
-    const Frame& field(Field_id id) const;
 
     // Positional access (insertion order) for callers iterating every field.
-    Field_id id_at(std::size_t i) const { return ids_[i]; }
     Frame& frame_at(std::size_t i) { return frames_[i]; }
     const Frame& frame_at(std::size_t i) const { return frames_[i]; }
 
-    // Position of an interned field within this set; -1 when absent.
-    int index_of(Field_id id) const;
-
     // Field names in insertion order (deterministic iteration).
     const std::vector<std::string>& names() const { return names_; }
-    // Interned ids parallel to names().
-    const std::vector<Field_id>& ids() const { return ids_; }
 
-    bool operator==(const Frame_set& other) const {
-        // ids_ is derived from names_, so it carries no extra information.
-        return width_ == other.width_ && height_ == other.height_ &&
-               names_ == other.names_ && frames_ == other.frames_;
-    }
+    bool operator==(const Frame_set& other) const = default;
 
 private:
+    // Position of `name` within this set; -1 when absent.
+    int index_of(const std::string& name) const;
+
     int width_ = 0;
     int height_ = 0;
     std::vector<std::string> names_;
-    std::vector<Field_id> ids_;  // parallel to names_
     // deque: references returned by add_field()/field() stay valid when more
     // fields are added later (vector reallocation would dangle them).
     std::deque<Frame> frames_;

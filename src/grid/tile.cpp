@@ -1,16 +1,9 @@
 #include "grid/tile.hpp"
 
-#include <algorithm>
-
 #include "support/error.hpp"
 #include "support/text.hpp"
 
 namespace islhls {
-
-Footprint union_of(const Footprint& a, const Footprint& b) {
-    return Footprint{std::max(a.left, b.left), std::max(a.right, b.right),
-                     std::max(a.up, b.up), std::max(a.down, b.down)};
-}
 
 Footprint compose(const Footprint& a, const Footprint& b) {
     return Footprint{a.left + b.left, a.right + b.right, a.up + b.up, a.down + b.down};

@@ -26,9 +26,6 @@ struct Footprint {
     bool operator==(const Footprint&) const = default;
 };
 
-// Smallest footprint covering both arguments.
-Footprint union_of(const Footprint& a, const Footprint& b);
-
 // Footprint of applying `a` then `b` (dependency composition = Minkowski sum).
 Footprint compose(const Footprint& a, const Footprint& b);
 

@@ -142,26 +142,6 @@ Op_census count_ops(const Expr_pool& pool, const std::vector<Expr_id>& roots) {
     return census;
 }
 
-int dag_depth(const Expr_pool& pool, const std::vector<Expr_id>& roots) {
-    std::vector<int> depth(id_bound(roots));
-    int worst = 0;
-    for (Expr_id id : reachable_nodes(pool, roots)) {
-        const Expr_node& n = pool.node(id);
-        int d = 0;
-        if (is_operation(n.kind)) {
-            int operand_max = 0;
-            for (int i = 0; i < n.arg_count(); ++i) {
-                operand_max = std::max(operand_max,
-                                       depth[n.args[static_cast<std::size_t>(i)]]);
-            }
-            d = operand_max + 1;
-        }
-        depth[id] = d;
-        worst = std::max(worst, d);
-    }
-    return worst;
-}
-
 std::vector<Input_ref> input_support(const Expr_pool& pool,
                                      const std::vector<Expr_id>& roots) {
     std::vector<Input_ref> refs;

@@ -53,11 +53,6 @@ std::vector<Expr_id> reachable_nodes(
 
 Op_census count_ops(const Expr_pool& pool, const std::vector<Expr_id>& roots);
 
-// Longest operand chain through operation nodes (leaves depth 0; an op node
-// is 1 + max over operands). Equals the number of pipeline levels the
-// backend emits for this DAG.
-int dag_depth(const Expr_pool& pool, const std::vector<Expr_id>& roots);
-
 // A reference to one distinct input element used by an expression.
 struct Input_ref {
     int field = -1;

@@ -316,7 +316,7 @@ Frame_set run_ghost_native(const Kernel_def& kernel, const Frame_set& initial,
     const int r = 2 * iterations;
     Frame_set padded(initial.width() + 2 * r, initial.height() + 2 * r);
     for (std::size_t i = 0; i < initial.field_count(); ++i) {
-        padded.add_field(initial.id_at(i),
+        padded.add_field(initial.names()[i],
                          pad_frame(initial.frame_at(i), r, r, r, r, kernel.boundary));
     }
     for (int i = 0; i < iterations; ++i) {

@@ -82,7 +82,7 @@ void bind_workspace(Workspace<Tape>& ws, const Step_context<Tape>& c) {
     ws.zero_row.assign(static_cast<std::size_t>(c.width), Value{});
 }
 
-// Reusable workspaces for the parallel row blocks; scratch contents never
+// Reusable workspaces for the bands of a run; scratch contents never
 // influence results, so which worker gets which workspace is irrelevant to
 // the determinism contract.
 template <class Tape>
@@ -316,9 +316,11 @@ std::vector<Band_plan> plan_bands(int h, int band_rows, int depth, int up, int d
 //   level T        reads the last band buffer, writes the output frame
 //                  (only the band's own rows — bands never overlap there).
 //
-// Const fields always read the full input frame, and every level runs the
-// same exec_rows code as the untiled sweep, so each cell value is computed
-// by the identical instruction sequence as in the double-buffered path.
+// An unfused block is the T = 1 case: its one level reads the input frame
+// and writes the output frame, and no band buffer is sized. Const fields
+// always read the full input frame, and every level runs the same exec_rows
+// code, so each cell value is computed by the identical instruction
+// sequence at every depth.
 // Under Boundary::periodic the band-buffer bindings are marked direct-row:
 // the buffers hold unclamped (wrapped-halo) intervals, so reads between
 // interim levels index them at the unclamped row with no boundary
@@ -491,73 +493,38 @@ int run_buffers(const Exec_engine& engine, const Tape& tape, int w, int h,
 
     // A run has at most two distinct fused depths: the full blocks and one
     // shorter tail block. Plan both up front; the plans are reused across
-    // every block of that depth.
-    const int tail_depth = depth > 1 ? iterations % depth : 0;
-    std::vector<Band_plan> full_plans;
-    std::vector<Band_plan> tail_plans;
-    if (depth > 1) full_plans = plan_bands(h, band_rows, depth, state_up, state_down, b);
-    if (tail_depth > 1) {
-        tail_plans = plan_bands(h, band_rows, tail_depth, state_up, state_down, b);
-    }
+    // every block of that depth. An unfused block is a depth-1 plan over
+    // the untiled row split (four blocks per thread for load balance).
+    const int untiled_blocks = std::min(h, 4 * total_threads);
+    const int untiled_rows = (h + untiled_blocks - 1) / untiled_blocks;
+    const auto plan = [&](int d) {
+        return plan_bands(h, d > 1 ? band_rows : untiled_rows, d, state_up, state_down,
+                          b);
+    };
+    const int tail_depth = iterations % depth;
+    const std::vector<Band_plan> full_plans = plan(depth);
+    const std::vector<Band_plan> tail_plans =
+        tail_depth > 0 ? plan(tail_depth) : std::vector<Band_plan>{};
 
-    // The row/band fan-out: an external pool when the caller shares one,
-    // otherwise a pool owned by this run.
+    // The band fan-out: an external pool when the caller shares one,
+    // otherwise a pool owned by this run (a one-thread pool runs inline).
     std::optional<Thread_pool> own_pool;
-    Thread_pool* thread_pool = nullptr;
-    if (total_threads > 1 && h > 1) {
-        if (options.pool) {
-            thread_pool = options.pool;
-        } else {
-            own_pool.emplace(total_threads);
-            thread_pool = &*own_pool;
-        }
-    }
-
-    Workspace<Tape> serial_ws;
-    if (!thread_pool) bind_workspace(serial_ws, context);
+    if (!options.pool) own_pool.emplace(h > 1 ? total_threads : 1);
+    Thread_pool& thread_pool = options.pool ? *options.pool : *own_pool;
     Workspace_pool<Tape> workspaces(context);
 
     int cur = 0;
-    int it = 0;
-    while (it < iterations) {
-        const int block = std::min(depth, iterations - it);
+    for (int it = 0; it < iterations; it += depth) {
+        const std::vector<Band_plan>& plans =
+            iterations - it >= depth ? full_plans : tail_plans;
         context.field_base = bases[static_cast<std::size_t>(cur)];
         context.out_base = outs[static_cast<std::size_t>(cur)];
-        if (block <= 1) {
-            // Classic untiled sweep: one pass over the frame, row blocks
-            // fanned across the pool.
-            if (!thread_pool) {
-                exec_rows(context, serial_ws, 0, h);
-            } else {
-                const std::size_t blocks = static_cast<std::size_t>(
-                    std::min(h, thread_pool->thread_count() * 4));
-                thread_pool->for_each_index(blocks, [&](std::size_t i) {
-                    std::unique_ptr<Workspace<Tape>> ws = workspaces.acquire();
-                    const int b0 =
-                        static_cast<int>(i * static_cast<std::size_t>(h) / blocks);
-                    const int b1 = static_cast<int>((i + 1) *
-                                                    static_cast<std::size_t>(h) / blocks);
-                    exec_rows(context, *ws, b0, b1);
-                    workspaces.release(std::move(ws));
-                });
-            }
-        } else {
-            const std::vector<Band_plan>& plans =
-                block == depth ? full_plans : tail_plans;
-            if (!thread_pool) {
-                for (const Band_plan& plan : plans) {
-                    exec_band(context, serial_ws, plan);
-                }
-            } else {
-                thread_pool->for_each_index(plans.size(), [&](std::size_t i) {
-                    std::unique_ptr<Workspace<Tape>> ws = workspaces.acquire();
-                    exec_band(context, *ws, plans[i]);
-                    workspaces.release(std::move(ws));
-                });
-            }
-        }
+        thread_pool.for_each_index(plans.size(), [&](std::size_t i) {
+            std::unique_ptr<Workspace<Tape>> ws = workspaces.acquire();
+            exec_band(context, *ws, plans[i]);
+            workspaces.release(std::move(ws));
+        });
         cur ^= 1;
-        it += block;
     }
     return cur;
 }

@@ -31,9 +31,9 @@
 // Band edges grow trapezoidally — level k of a band recomputes the halo rows
 // level k+1 needs, sized from the per-field read extents the compiled tape
 // records — and every row at every level is computed by exactly the same
-// row code as the untiled sweep (interior and border lane blocks),
-// so the result is byte-identical to the double-buffered path for every
-// boundary mode, tile depth, band height and thread count. Under
+// row code as an unfused (depth-1) block (interior and border lane blocks),
+// so the result is byte-identical to one-iteration-per-sweep execution for
+// every boundary mode, tile depth, band height and thread count. Under
 // Boundary::periodic the interim levels of a band keep UNCLAMPED row
 // intervals: a band touching a frame edge carries a wrapped halo — its
 // buffer rows extend past the frame edge and hold the opposite edge's
@@ -50,10 +50,13 @@
 // Budgets only steer the schedule, never the values: every budget choice is
 // byte-identical.
 //
-// Work (row blocks untiled, whole bands tiled) is fanned across a
-// support/parallel.hpp Thread_pool; every row is computed identically
-// regardless of the schedule, so results are byte-identical to a serial run
-// at any thread count (the same determinism contract the DSE engine holds).
+// Every block of iterations is one band plan: an unfused block is a
+// depth-1 plan over the row split (four bands per thread), a fused block a
+// depth-T plan over trapezoidal bands. The bands of a block are fanned
+// across a support/parallel.hpp Thread_pool — a serial run is a one-thread
+// pool, which runs them inline — and every row is computed identically
+// regardless of the schedule, so results are byte-identical at any thread
+// count and tile depth (the same determinism contract the DSE engine holds).
 //
 // The engine runs in two value domains over the SAME row machinery: one
 // implementation templated on the tape type, whose per-thread Lane_block
@@ -96,8 +99,8 @@ struct Exec_budgets {
     std::size_t band_bytes = 0;   // target working set of one band
 };
 
-// Execution knobs. The defaults reproduce the classic engine behavior
-// (serial, one full-frame sweep per iteration). The positional constructor
+// Execution knobs. The defaults run one thread and one unfused (depth-1)
+// band plan per iteration. The positional constructor
 // serves brace call sites that set (threads, depth[, band_rows[, pool]])
 // without partial-aggregate warnings.
 struct Exec_options {
@@ -112,24 +115,26 @@ struct Exec_options {
     // Total parallelism, following resolve_thread_count (0 = all hardware
     // threads). Any thread count produces byte-identical frames.
     int threads = 1;
-    // Fused iterations per band sweep: 1 = untiled double-buffered sweeps,
-    // n > 1 = carry n iterations through each row band, 0 = auto (tile only
+    // Fused iterations per band sweep: 1 = one frame-to-frame level per
+    // band, n > 1 = carry n iterations through each row band, 0 = auto (tile only
     // when the double-buffered working set overflows the tile budget —
     // Boundary::periodic included, edge bands carry wrapped halos). Every
     // depth produces byte-identical frames.
     int tile_iterations = 1;
-    // Output rows per band when tiling; 0 = auto (sized so a band's working
-    // set stays cache-resident and the halo recompute overhead stays small).
+    // Output rows per band when tiling (fused depths only; unfused blocks
+    // split the frame four bands per thread); 0 = auto (sized so a band's
+    // working set stays cache-resident and the halo recompute overhead
+    // stays small).
     int band_rows = 0;
     // Cache budgets for the auto heuristics above; zero fields resolve from
     // the probed topology.
     Exec_budgets budgets;
-    // External thread pool to fan row blocks / bands across. When set, the
-    // engine reuses it instead of constructing a pool per run() call and
-    // the pool's thread count supersedes `threads`; callers batching many
-    // runs (DSE validation sweeps, golden checks) share one fan-out this
-    // way. The pool must not be running another job concurrently. Results
-    // stay byte-identical to a serial run either way.
+    // External thread pool to fan bands across. When set, the engine
+    // reuses it instead of constructing a pool per run() call and the
+    // pool's thread count supersedes `threads`; callers batching many runs
+    // (DSE validation sweeps, golden checks) share one fan-out this way.
+    // The pool must not be running another job concurrently. Results stay
+    // byte-identical at any pool width either way.
     Thread_pool* pool = nullptr;
 };
 

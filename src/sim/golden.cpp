@@ -53,13 +53,12 @@ Frame crop_frame(const Frame& frame, int left, int right, int up, int down) {
 
 namespace {
 
-// Pads every field of the set by the N-iteration halo. Positional iteration
-// plus interned-id insertion: no per-field name scan.
+// Pads every field of the set by the N-iteration halo.
 Frame_set pad_set(const Frame_set& fs, const Footprint& halo, Boundary b) {
     Frame_set padded(fs.width() + halo.width_growth(), fs.height() + halo.height_growth());
     for (std::size_t i = 0; i < fs.field_count(); ++i) {
-        padded.add_field(fs.id_at(i), pad_frame(fs.frame_at(i), halo.left, halo.right,
-                                                halo.up, halo.down, b));
+        padded.add_field(fs.names()[i], pad_frame(fs.frame_at(i), halo.left, halo.right,
+                                                  halo.up, halo.down, b));
     }
     return padded;
 }
@@ -69,9 +68,8 @@ Frame_set crop_set(const Frame_set& fs, const Footprint& halo,
     Frame_set cropped(fs.width() - halo.width_growth(),
                       fs.height() - halo.height_growth());
     for (const std::string& name : keep) {
-        const Field_id id = intern_field(name);
-        cropped.add_field(id, crop_frame(fs.field(id), halo.left, halo.right,
-                                         halo.up, halo.down));
+        cropped.add_field(name, crop_frame(fs.field(name), halo.left, halo.right,
+                                           halo.up, halo.down));
     }
     return cropped;
 }

@@ -25,7 +25,7 @@ enum class Error_kind {
     user,      // bad input: options, source, request files, unknown names
     io,        // filesystem / stream failure (possibly transient: ENOSPC, ...)
     corrupt,   // on-disk record failed validation (quarantined, recomputed)
-    timeout,   // a job exceeded its deadline or was cancelled
+    timeout,   // a job exceeded its deadline
     internal,  // invariant violation: a bug in the library
 };
 
@@ -101,13 +101,6 @@ public:
         : Islhls_error(Error_kind::user, what) {}
 };
 
-// Virtual synthesis failure (e.g. design does not fit any device variant).
-class Synthesis_error : public Islhls_error {
-public:
-    explicit Synthesis_error(const std::string& what)
-        : Islhls_error(Error_kind::user, what) {}
-};
-
 // Design space exploration failure (e.g. empty feasible set).
 class Dse_error : public Islhls_error {
 public:
@@ -122,16 +115,7 @@ public:
         : Islhls_error(Error_kind::io, what) {}
 };
 
-// An on-disk record failed validation (bad magic, checksum mismatch,
-// truncation). The result cache handles these internally by quarantining
-// the record and recomputing; the type exists for the verify tooling.
-class Corrupt_error : public Islhls_error {
-public:
-    explicit Corrupt_error(const std::string& what)
-        : Islhls_error(Error_kind::corrupt, what) {}
-};
-
-// A job ran past its deadline or was cancelled cooperatively.
+// A job ran past its deadline (checked cooperatively at its checkpoints).
 class Timeout_error : public Islhls_error {
 public:
     explicit Timeout_error(const std::string& what)

@@ -9,17 +9,12 @@
 namespace islhls {
 
 void Job_context::checkpoint() const {
-    if (queue_.cancelled()) {
-        throw User_error(cat("job '", key_, "' cancelled"));
-    }
     if (deadline_ > 0 && queue_.hooks().now_ms() > deadline_) {
         throw Timeout_error(cat("job '", key_, "' exceeded its ",
                                 queue_.deadline_ms(), " ms deadline (attempt ",
                                 attempt_, ")"));
     }
 }
-
-bool Job_context::cancelled() const { return queue_.cancelled(); }
 
 Job_queue::Job_queue(Job_queue_options options)
     : options_(options),
@@ -42,15 +37,7 @@ std::size_t Job_queue::submit(std::string key,
 }
 
 void Job_queue::run_attempt(Job& job) {
-    if (cancelled_.load()) {
-        job.done = true;
-        job.ok = false;
-        job.kind = Error_kind::user;
-        job.message = cat("job '", job.key, "' cancelled");
-        return;
-    }
     ++job.attempts;
-    executed_attempts_.fetch_add(1, std::memory_order_relaxed);
     const std::int64_t start = hooks_->now_ms();
     const std::int64_t deadline =
         options_.deadline_ms > 0 ? start + options_.deadline_ms : 0;
@@ -130,7 +117,6 @@ std::vector<Job_outcome> Job_queue::drain() {
     jobs_.clear();
     requests_.clear();
     by_key_.clear();
-    cancelled_.store(false);
     return outcomes;
 }
 

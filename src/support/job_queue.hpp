@@ -9,10 +9,10 @@
 //     shares that job's single execution and outcome (the "thousands of
 //     identical sweep requests" case — the work runs once).
 //   - Deadlines: each *attempt* gets deadline_ms on the injected clock.
-//     Cancellation is cooperative: job bodies call Job_context::checkpoint()
-//     at convenient boundaries and a past-deadline (or cancelled) job
-//     surfaces as a structured Timeout_error / User_error instead of
-//     running forever — a stuck job becomes a reported timeout, not a hang.
+//     They are cooperative: job bodies call Job_context::checkpoint() at
+//     convenient boundaries and a past-deadline job surfaces as a
+//     structured Timeout_error instead of running forever — a stuck job
+//     becomes a reported timeout, not a hang.
 //   - Retry: attempts that fail with a transient kind (io, timeout) are
 //     re-queued with exponential backoff up to Retry_policy::max_attempts;
 //     user/corrupt/internal failures never retry. Backoff sleeps go through
@@ -22,7 +22,6 @@
 // Job_outcome carrying the error taxonomy kind.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -59,15 +58,14 @@ struct Job_outcome {
 
 class Job_queue;
 
-// Handed to each job body; the cooperative cancellation surface.
+// Handed to each job body; the cooperative deadline surface.
 class Job_context {
 public:
-    // Throws Timeout_error when the attempt's deadline has passed, or
-    // User_error when the queue was cancelled. Job bodies call this at
-    // natural boundaries (e.g. between sweep combinations).
+    // Throws Timeout_error when the attempt's deadline has passed. Job
+    // bodies call this at natural boundaries (e.g. between sweep
+    // combinations).
     void checkpoint() const;
 
-    bool cancelled() const;
     int attempt() const { return attempt_; }
     std::int64_t deadline_ms() const { return deadline_; }  // absolute; 0 = none
 
@@ -99,15 +97,6 @@ public:
     // The queue is reusable afterwards (drained jobs are cleared).
     std::vector<Job_outcome> drain();
 
-    // Cooperative cancellation: jobs not yet started fail fast with kind
-    // user; running jobs observe it at their next checkpoint().
-    void cancel_all() { cancelled_.store(true); }
-    bool cancelled() const { return cancelled_.load(); }
-
-    // Distinct job bodies actually executed (dedup effectiveness; a retried
-    // job counts once per attempt).
-    long long executed_attempts() const { return executed_attempts_.load(); }
-
     const Env_hooks& hooks() const { return *hooks_; }
     std::int64_t deadline_ms() const { return options_.deadline_ms; }
 
@@ -130,8 +119,6 @@ private:
     std::vector<std::unique_ptr<Job>> jobs_;
     std::vector<std::pair<std::size_t, bool>> requests_;  // (job, deduplicated)
     std::map<std::string, std::size_t> by_key_;
-    std::atomic<bool> cancelled_{false};
-    std::atomic<long long> executed_attempts_{0};
 };
 
 }  // namespace islhls

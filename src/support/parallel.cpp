@@ -42,13 +42,18 @@ void Thread_pool::run_job(Job& job) {
     for (;;) {
         const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
         if (i >= job.count) return;
-        try {
-            (*job.body)(i);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(job.error_mutex);
-            if (!job.error || i < job.error_index) {
-                job.error = std::current_exception();
-                job.error_index = i;
+        // Indices are claimed in order, so every index below a failed one
+        // has already started: skipping the ones above it cannot change
+        // which exception is the first by index order.
+        if (i < job.failed.load()) {
+            try {
+                (*job.body)(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(job.error_mutex);
+                if (i < job.failed.load()) {
+                    job.error = std::current_exception();
+                    job.failed.store(i);
+                }
             }
         }
         job.finished.fetch_add(1, std::memory_order_release);
@@ -108,17 +113,6 @@ void Thread_pool::for_each_index(std::size_t count,
         });
     }
     if (job.error) std::rethrow_exception(job.error);
-}
-
-void parallel_for(std::size_t count, int threads,
-                  const std::function<void(std::size_t)>& body) {
-    if (count == 0) return;
-    if (resolve_thread_count(threads) <= 1 || count == 1) {
-        for (std::size_t i = 0; i < count; ++i) body(i);
-        return;
-    }
-    Thread_pool pool(threads);
-    pool.for_each_index(count, body);
 }
 
 double lpt_makespan(std::vector<double> costs, int workers) {

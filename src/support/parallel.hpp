@@ -5,8 +5,12 @@
 // counter so the load balances dynamically. Determinism is the caller's
 // contract — every body writes only to slot `i` of a pre-sized result
 // container, and any cross-index aggregation happens after the join, in
-// index order. Under that contract the results are byte-identical to a
-// serial run regardless of the thread count or the OS schedule.
+// index order. Under that contract the results are byte-identical at any
+// thread count and OS schedule.
+//
+// A pool is the only fan-out path: Thread_pool(1) spawns no workers and
+// runs every body inline on the calling thread in index order, so a serial
+// run is a one-thread pool run, not a second code path.
 //
 // Nested use has a single owner: while a fanned-out job runs, its bodies
 // own the pool, and a for_each_index call made from inside one of them runs
@@ -21,6 +25,7 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -45,9 +50,11 @@ public:
     int thread_count() const { return static_cast<int>(workers_.size()) + 1; }
 
     // Runs body(i) for every i in [0, count), blocking until all complete.
-    // The first exception by index order is rethrown after the join. Called
-    // from inside a running body of this pool, it runs inline (see above).
-    // Calls from outside the pool come from one thread at a time.
+    // The first exception by index order is rethrown after the join; once
+    // a body has thrown, higher indices that have not started are skipped,
+    // so a one-thread pool stops at the first exception like a plain loop.
+    // Called from inside a running body of this pool, it runs inline (see
+    // above). Calls from outside the pool come from one thread at a time.
     void for_each_index(std::size_t count,
                         const std::function<void(std::size_t)>& body);
 
@@ -58,8 +65,9 @@ private:
         std::atomic<std::size_t> next{0};
         std::atomic<std::size_t> finished{0};
         int active_workers = 0;  // guarded by the pool mutex
+        // Lowest index whose body threw so far; its exception is `error`.
+        std::atomic<std::size_t> failed{std::numeric_limits<std::size_t>::max()};
         std::mutex error_mutex;
-        std::size_t error_index = 0;
         std::exception_ptr error;
     };
 
@@ -74,12 +82,6 @@ private:
     std::uint64_t generation_ = 0;
     bool stopping_ = false;
 };
-
-// One-shot convenience: runs body over [0, count) on a transient pool of
-// `threads` total threads (0 = all hardware threads). With threads <= 1 the
-// body runs inline on the calling thread in index order.
-void parallel_for(std::size_t count, int threads,
-                  const std::function<void(std::size_t)>& body);
 
 // Longest-processing-time-first makespan of scheduling `costs` across
 // `workers` (>= 1): the wall time the job set would take with that much

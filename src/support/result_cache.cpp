@@ -200,9 +200,6 @@ std::string Result_cache::record_path(const std::string& key) const {
 std::string Result_cache::lock_path() const { return dir_ + "/.islhls.lock"; }
 
 bool Result_cache::acquire_dir_lock() {
-    // Hooks without the lock primitives (older injected harnesses) simply
-    // run unlocked, as before the lock existed.
-    if (!hooks_->create_exclusive || !hooks_->process_alive) return false;
     const std::string path = lock_path();
     const std::int64_t deadline = hooks_->now_ms() + kLockWaitMs;
     for (;;) {

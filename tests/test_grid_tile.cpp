@@ -6,12 +6,6 @@
 namespace islhls {
 namespace {
 
-TEST(Footprint, union_takes_maxima) {
-    const Footprint a{1, 0, 2, 0};
-    const Footprint b{0, 3, 1, 1};
-    EXPECT_EQ(union_of(a, b), (Footprint{1, 3, 2, 1}));
-}
-
 TEST(Footprint, compose_is_minkowski_sum) {
     const Footprint a{1, 1, 1, 1};
     const Footprint b{0, 2, 1, 0};

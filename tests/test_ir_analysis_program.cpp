@@ -33,15 +33,6 @@ TEST_F(Ir_fixture, census_counts_unique_nodes_once) {
     EXPECT_EQ(census.constant_count, 0);
 }
 
-TEST_F(Ir_fixture, depth_is_longest_operand_chain) {
-    EXPECT_EQ(dag_depth(pool, {in(0, 0)}), 0);
-    const Expr_id s1 = pool.add(in(0, 0), in(1, 0));
-    EXPECT_EQ(dag_depth(pool, {s1}), 1);
-    const Expr_id s2 = pool.add(s1, in(2, 0));
-    const Expr_id s3 = pool.mul(s2, s1);
-    EXPECT_EQ(dag_depth(pool, {s3}), 3);
-}
-
 TEST_F(Ir_fixture, support_is_sorted_and_unique) {
     const Expr_id e =
         pool.add(pool.add(in(-1, 2), in(3, -1)), pool.mul(in(-1, 2), in(0, 0)));

@@ -1,7 +1,6 @@
 // Job_queue unit tests: dedup of identical requests, per-attempt deadlines
-// on the injected clock, cooperative cancellation, bounded retry with
-// backoff for transient faults — and the invariant that drain() never lets
-// an exception escape.
+// on the injected clock, bounded retry with backoff for transient faults —
+// and the invariant that drain() never lets an exception escape.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +8,6 @@
 
 #include "support/error.hpp"
 #include "support/job_queue.hpp"
-#include "support/parallel.hpp"
 #include "support/text.hpp"
 
 namespace islhls {
@@ -59,7 +57,6 @@ TEST(Job_queue, identical_keys_execute_once) {
     }
     const std::vector<Job_outcome> outcomes = queue.drain();
     EXPECT_EQ(executions, 1);
-    EXPECT_EQ(queue.executed_attempts(), 1);
     ASSERT_EQ(outcomes.size(), 5u);
     EXPECT_FALSE(outcomes[0].deduplicated);
     for (std::size_t i = 1; i < outcomes.size(); ++i) {
@@ -169,36 +166,6 @@ TEST(Job_queue, deadline_leaves_fast_jobs_alone) {
     const std::vector<Job_outcome> outcomes = queue.drain();
     EXPECT_TRUE(outcomes[0].ok);
     EXPECT_EQ(outcomes[0].attempts, 1);
-}
-
-TEST(Job_queue, cancel_all_fails_pending_jobs_fast) {
-    Job_queue queue;
-    int second_ran = 0;
-    queue.submit("canceller", [&](Job_context&) { queue.cancel_all(); });
-    queue.submit("victim", [&](Job_context&) { ++second_ran; });
-    const std::vector<Job_outcome> outcomes = queue.drain();
-    ASSERT_EQ(outcomes.size(), 2u);
-    EXPECT_TRUE(outcomes[0].ok);  // completed before the flag was checked
-    EXPECT_FALSE(outcomes[1].ok);
-    EXPECT_EQ(outcomes[1].kind, Error_kind::user);
-    EXPECT_EQ(second_ran, 0);
-    // The queue resets after drain: new submissions run normally.
-    queue.submit("next", [&](Job_context&) { ++second_ran; });
-    EXPECT_TRUE(queue.drain()[0].ok);
-    EXPECT_EQ(second_ran, 1);
-}
-
-TEST(Job_queue, running_job_observes_cancellation_at_checkpoint) {
-    Job_queue queue;
-    queue.submit("self-cancel", [&](Job_context& job) {
-        queue.cancel_all();
-        job.checkpoint();  // must throw; the loop below must not run
-        ADD_FAILURE() << "checkpoint did not observe cancellation";
-    });
-    const std::vector<Job_outcome> outcomes = queue.drain();
-    EXPECT_FALSE(outcomes[0].ok);
-    EXPECT_EQ(outcomes[0].kind, Error_kind::user);
-    EXPECT_NE(outcomes[0].message.find("cancelled"), std::string::npos);
 }
 
 TEST(Job_queue, queue_is_reusable_after_drain) {

@@ -90,7 +90,7 @@ TEST(Parallel_dse, evaluator_pure_after_calibration) {
     instance.cores_per_depth = {{2, 2}};
     const std::string reference = serialize_record(evaluator.evaluate(instance));
     std::vector<std::string> seen(16);
-    parallel_for(seen.size(), 8, [&](std::size_t i) {
+    Thread_pool(8).for_each_index(seen.size(), [&](std::size_t i) {
         seen[i] = serialize_record(evaluator.evaluate(instance));
     });
     for (const std::string& s : seen) EXPECT_EQ(s, reference);
@@ -109,24 +109,23 @@ TEST(Parallel_dse, cone_library_survives_concurrent_hammering) {
     std::vector<const Cone*> first_pass(
         static_cast<std::size_t>(max_window * max_depth), nullptr);
     std::atomic<long long> checksum{0};
-    parallel_for(static_cast<std::size_t>(max_window * max_depth) * 8, 8,
-                 [&](std::size_t i) {
-                     const std::size_t cell = i % (max_window * max_depth);
-                     const int w = static_cast<int>(cell) / max_depth + 1;
-                     const int d = static_cast<int>(cell) % max_depth + 1;
-                     const Cone& cone = library.cone(w, d);
-                     checksum.fetch_add(library.stats(w, d).register_count);
-                     const Synthesis_report& report =
-                         library.synthesis(w, d, device, synth);
-                     EXPECT_GT(report.lut_count, 0.0);
-                     // The first writer records the address; later readers of
-                     // the same cell must see the same object.
-                     const Cone* expected = nullptr;
-                     if (!std::atomic_ref<const Cone*>(first_pass[cell])
-                              .compare_exchange_strong(expected, &cone)) {
-                         EXPECT_EQ(expected, &cone);
-                     }
-                 });
+    Thread_pool(8).for_each_index(
+        static_cast<std::size_t>(max_window * max_depth) * 8, [&](std::size_t i) {
+            const std::size_t cell = i % (max_window * max_depth);
+            const int w = static_cast<int>(cell) / max_depth + 1;
+            const int d = static_cast<int>(cell) % max_depth + 1;
+            const Cone& cone = library.cone(w, d);
+            checksum.fetch_add(library.stats(w, d).register_count);
+            const Synthesis_report& report = library.synthesis(w, d, device, synth);
+            EXPECT_GT(report.lut_count, 0.0);
+            // The first writer records the address; later readers of the
+            // same cell must see the same object.
+            const Cone* expected = nullptr;
+            if (!std::atomic_ref<const Cone*>(first_pass[cell])
+                     .compare_exchange_strong(expected, &cone)) {
+                EXPECT_EQ(expected, &cone);
+            }
+        });
 
     EXPECT_EQ(library.cone_builds(), max_window * max_depth);
     EXPECT_EQ(library.synthesis_runs(), max_window * max_depth);

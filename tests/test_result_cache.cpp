@@ -395,17 +395,6 @@ TEST_F(Result_cache_test, failed_lock_unlink_never_stalls_later_stores) {
     EXPECT_EQ(second.load("a2").value(), "v");
 }
 
-TEST_F(Result_cache_test, hooks_without_lock_primitives_run_unlocked) {
-    Env_hooks hooks = real_env_hooks();
-    hooks.create_exclusive = nullptr;
-    hooks.process_alive = nullptr;
-    Result_cache cache(dir_, &hooks);
-    EXPECT_TRUE(cache.store("k", "v"));
-    EXPECT_EQ(cache.load("k").value(), "v");
-    EXPECT_EQ(cache.verify(true).records_ok, 1);
-    EXPECT_FALSE(fs::exists(cache.lock_path()));
-}
-
 TEST_F(Result_cache_test, two_processes_store_and_gc_concurrently_without_loss) {
     constexpr int kRecords = 40;
     {

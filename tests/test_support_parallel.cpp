@@ -1,4 +1,4 @@
-// Thread-pool utility: deterministic parallel-for, exception order, LPT.
+// Thread-pool utility: deterministic fan-out, exception order, LPT.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,7 +23,7 @@ TEST(Parallel, every_index_runs_exactly_once) {
         const std::size_t count = 257;
         std::vector<std::atomic<int>> runs(count);
         for (auto& r : runs) r = 0;
-        parallel_for(count, threads, [&](std::size_t i) { runs[i] += 1; });
+        Thread_pool(threads).for_each_index(count, [&](std::size_t i) { runs[i] += 1; });
         for (std::size_t i = 0; i < count; ++i) {
             EXPECT_EQ(runs[i].load(), 1) << "index " << i << " threads " << threads;
         }
@@ -32,16 +32,17 @@ TEST(Parallel, every_index_runs_exactly_once) {
 
 TEST(Parallel, zero_and_single_counts) {
     int calls = 0;
-    parallel_for(0, 8, [&](std::size_t) { calls += 1; });
+    Thread_pool pool(8);
+    pool.for_each_index(0, [&](std::size_t) { calls += 1; });
     EXPECT_EQ(calls, 0);
-    parallel_for(1, 8, [&](std::size_t) { calls += 1; });
+    pool.for_each_index(1, [&](std::size_t) { calls += 1; });
     EXPECT_EQ(calls, 1);
 }
 
 TEST(Parallel, results_identical_across_thread_counts) {
     auto compute = [](int threads) {
         std::vector<double> out(100);
-        parallel_for(out.size(), threads, [&](std::size_t i) {
+        Thread_pool(threads).for_each_index(out.size(), [&](std::size_t i) {
             out[i] = static_cast<double>(i) * 1.5 + 7.0;
         });
         return out;
@@ -54,7 +55,7 @@ TEST(Parallel, results_identical_across_thread_counts) {
 TEST(Parallel, lowest_index_exception_wins) {
     for (int threads : {1, 2, 8}) {
         try {
-            parallel_for(64, threads, [](std::size_t i) {
+            Thread_pool(threads).for_each_index(64, [](std::size_t i) {
                 throw std::runtime_error(std::to_string(i));
             });
             FAIL() << "expected an exception";
@@ -62,6 +63,28 @@ TEST(Parallel, lowest_index_exception_wins) {
             EXPECT_STREQ(e.what(), "0") << "threads " << threads;
         }
     }
+}
+
+TEST(Parallel, one_thread_pool_runs_inline_in_order_and_stops_at_first_exception) {
+    // A serial run is a one-thread pool run: no worker, bodies in index
+    // order on the calling thread, and nothing past the first failure.
+    Thread_pool pool(1);
+    EXPECT_EQ(pool.thread_count(), 1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    bool foreign = false;
+    try {
+        pool.for_each_index(10, [&](std::size_t i) {
+            foreign |= std::this_thread::get_id() != caller;
+            order.push_back(i);
+            if (i == 3 || i == 6) throw std::runtime_error(std::to_string(i));
+        });
+        FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "3");
+    }
+    EXPECT_FALSE(foreign);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST(Parallel, pool_is_reusable_across_jobs) {
