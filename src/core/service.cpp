@@ -14,7 +14,9 @@
 #include "kernels/kernels.hpp"
 #include "sim/arch_sim.hpp"
 #include "sim/golden.hpp"
+#include "support/error.hpp"
 #include "support/parallel.hpp"
+#include "support/text.hpp"
 #include "symexec/executor.hpp"
 #include "synth/device.hpp"
 
@@ -75,13 +77,23 @@ double validate_fit(Cone_library& library, const Kernel_def& kernel,
     return max_err;
 }
 
+// The Pareto front over (area, seconds per frame), as indices into `points`.
+std::vector<std::size_t> front_of(const std::vector<Front_point>& points) {
+    std::vector<Design_point> dps;
+    dps.reserve(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        dps.push_back({points[i].area_luts, points[i].seconds_per_frame, i});
+    }
+    return pareto_front(dps);
+}
+
 // One backend's contribution to a sweep entry, as neutral data: explore()
-// runs the same front fill, covering, re-pricing and validation on it.
+// runs the same covering, re-pricing and validation on it.
 struct Backend_run {
-    // Feasible candidate points (with_pareto only), `config` left empty:
-    // `label` names a point, and runs for the front members alone.
-    std::vector<Front_point> points;
-    std::function<std::string(std::size_t)> label;
+    // The labelled Pareto front over the feasible candidates, and the
+    // candidate count (with_pareto only).
+    std::vector<Front_point> front;
+    std::size_t candidates = 0;
     // The (window, depth) format-grid cells the fit's format must cover.
     std::vector<std::pair<int, int>> covering;
     // The fit fully re-evaluated under other evaluator options.
@@ -101,15 +113,13 @@ Backend_run run_paper(Cone_library& lib, const Fpga_device& device,
     Explorer explorer(lib, device, options, space, &pool);
     const Fit_result fit = explorer.fit_device();
     if (with_pareto) {
-        Pareto_result pareto = explorer.explore_pareto();
-        run.points.reserve(pareto.points.size());
-        for (const Arch_evaluation& e : pareto.points) {
-            run.points.push_back({"", e.estimated_area_luts,
-                                  e.throughput.seconds_per_frame, e.throughput.fps});
+        const Pareto_result pareto = explorer.explore_pareto();
+        for (std::size_t i : pareto.front) {
+            const Arch_evaluation& e = pareto.points[i];
+            run.front.push_back({to_string(e.instance), e.estimated_area_luts,
+                                 e.throughput.seconds_per_frame, e.throughput.fps});
         }
-        run.label = [points = std::move(pareto.points)](std::size_t i) {
-            return to_string(points[i].instance);
-        };
+        run.candidates = pareto.points.size();
     }
     entry.fits = fit.has_best;
     if (!entry.fits) return run;
@@ -134,7 +144,8 @@ Backend_run run_streaming(Cone_library& lib, const Fpga_device& device,
     Backend_run run;
     Streaming_backend streaming(lib, device, options, space);
     streaming.calibrate();
-    std::vector<Streaming_config> configs;  // one per run.points entry
+    std::vector<Front_point> points;        // feasible candidates, unlabelled
+    std::vector<Streaming_config> configs;  // one per points entry
     for (const Streaming_config& candidate : streaming.configs()) {
         const Streaming_evaluation eval = streaming.evaluate(candidate);
         if (!eval.feasible) continue;
@@ -143,13 +154,15 @@ Backend_run run_streaming(Cone_library& lib, const Fpga_device& device,
             entry.fits = true;
         }
         if (with_pareto) {
-            run.points.push_back({"", eval.area_luts, eval.seconds_per_frame, eval.fps});
+            points.push_back({"", eval.area_luts, eval.seconds_per_frame, eval.fps});
             configs.push_back(eval.config);
         }
     }
-    run.label = [configs = std::move(configs)](std::size_t i) {
-        return to_string(configs[i]);
-    };
+    for (std::size_t i : front_of(points)) {
+        run.front.push_back(std::move(points[i]));
+        run.front.back().config = to_string(configs[i]);
+    }
+    run.candidates = points.size();
     if (!entry.fits) return run;
     // A streaming PE fuses `depth` one-column cones: the covering cell is
     // (window 1, fused depth). Re-pricing rebuilds the backend, which
@@ -191,21 +204,19 @@ std::optional<Record> load_record(Result_cache& cache, const std::string& key) {
     return record;
 }
 
-// The Pareto front over (area, seconds per frame), as indices into `points`.
-std::vector<std::size_t> front_of(const std::vector<Front_point>& points) {
-    std::vector<Design_point> dps;
-    dps.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        dps.push_back({points[i].area_luts, points[i].seconds_per_frame, i});
-    }
-    return pareto_front(dps);
-}
-
 }  // namespace
 
 Sweep_service::Sweep_service(Service_options options)
     : options_(std::move(options)),
       hooks_(options_.hooks ? options_.hooks : &real_env_hooks()) {
+    if (options_.deadline_ms < 0) {
+        throw User_error(cat("request deadline ", options_.deadline_ms,
+                             " ms must be >= 0 (0 = none)"));
+    }
+    if (options_.max_attempts < 1 || options_.max_attempts > max_request_attempts) {
+        throw User_error(cat("attempts per request ", options_.max_attempts,
+                             " must be 1..", max_request_attempts));
+    }
     if (!options_.cache_dir.empty()) {
         cache_ = std::make_unique<Result_cache>(options_.cache_dir, hooks_);
     }
@@ -243,7 +254,7 @@ Cone_library& Sweep_service::library(const std::string& kernel) {
 
 Sweep_report Sweep_service::run(const Sweep_config& config) {
     validate_config(config);
-    return run_impl(config, nullptr);
+    return run_impl(config);
 }
 
 // One (kernel, device, N, backend) cell of a request, in config order.
@@ -273,10 +284,18 @@ struct Sweep_service::Kernel_task {
     }
 };
 
-Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* job) {
+Sweep_report Sweep_service::run_impl(const Sweep_config& config, std::int64_t deadline,
+                                     int attempt) {
     const auto start = std::chrono::steady_clock::now();
     Sweep_report report;
     const Sweep_report before = total_meters(libraries_);
+    auto checkpoint = [&] {
+        if (deadline > 0 && hooks_->now_ms() > deadline) {
+            throw Timeout_error(cat("job '", sweep_request_key(config), "' exceeded its ",
+                                    options_.deadline_ms, " ms deadline (attempt ",
+                                    attempt, ")"));
+        }
+    };
 
     // Serial front: every kernel's frontend, symbolic execution and IR key,
     // and every combination the cache can serve. Deadlines interrupt
@@ -290,7 +309,7 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
             device_by_name(device_name);  // an unknown device fails before any work
             for (int iterations : config.iteration_counts) {
                 for (const std::string& backend_name : config.backends) {
-                    if (job != nullptr) job->checkpoint();
+                    checkpoint();
                     Combination c;
                     c.entry.kernel = kernel;
                     c.entry.device = device_name;
@@ -326,7 +345,7 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, Job_context* jo
     pool.for_each_index(tasks.size(), [&](std::size_t t) {
         Kernel_task& task = tasks[t];
         for (Combination* c : task.combinations) {
-            if (job != nullptr) job->checkpoint();
+            checkpoint();
             if (c->repeat && load_entry(*c, task.counts)) continue;
             c->entry = explore(config, c->entry, pool, task);
             if (cache_ && cache_->store(c->entry_key, serialize_record(c->entry))) {
@@ -418,13 +437,9 @@ Sweep_entry Sweep_service::explore(const Sweep_config& config, Sweep_entry entry
                                       config.with_pareto, pool, entry);
 
     if (config.with_pareto) {
-        const std::vector<std::size_t> front = front_of(run.points);
-        entry.pareto_points = run.points.size();
-        entry.pareto_front_size = front.size();
-        for (std::size_t i : front) {
-            entry.front_points.push_back(std::move(run.points[i]));
-            entry.front_points.back().config = run.label(i);
-        }
+        entry.pareto_points = run.candidates;
+        entry.pareto_front_size = run.front.size();
+        entry.front_points = std::move(run.front);
     }
     if (config.search_formats && entry.fits) {
         // Narrowest format covering every cell of the fit: integer and
@@ -518,32 +533,47 @@ const Format_grid& Sweep_service::format_grid(const Sweep_config& config,
 
 std::vector<Request_outcome> Sweep_service::run_requests(
     const std::vector<Sweep_config>& requests) {
-    // Requests drain serially (deterministic batch reports); each request
-    // parallelizes internally through its own pool.
-    Job_queue_options queue_options;
-    queue_options.deadline_ms = options_.deadline_ms;
-    queue_options.retry = options_.retry;
-    queue_options.hooks = hooks_;
-    Job_queue queue(queue_options);
-    std::map<std::string, Sweep_report> reports;
-    for (const Sweep_config& config : requests) {
-        std::string key = sweep_request_key(config);
-        queue.submit(key, [this, config, key, &reports](Job_context& job) {
-            validate_config(config);
-            reports[key] = run_impl(config, &job);
-        });
+    // Requests run serially, so batch reports are deterministic; each
+    // request parallelizes internally through its own pool. The first
+    // occurrence of a key runs, and its duplicates copy its outcome.
+    std::vector<Request_outcome> outcomes(requests.size());
+    std::map<std::string, std::size_t> first_of;
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        outcomes[i].key = sweep_request_key(requests[i]);
+        outcomes[i].deduplicated = !first_of.emplace(outcomes[i].key, i).second;
+        if (!outcomes[i].deduplicated) pending.push_back(i);
     }
-    std::vector<Job_outcome> outcomes = queue.drain();
-    std::vector<Request_outcome> results;
-    results.reserve(outcomes.size());
-    for (Job_outcome& outcome : outcomes) {
-        Request_outcome result{std::move(outcome.key), outcome.ok, outcome.kind,
-                               std::move(outcome.message), outcome.attempts,
-                               outcome.deduplicated, {}};
-        if (result.ok) result.report = reports.at(result.key);
-        results.push_back(std::move(result));
+    // Round k runs attempt k of every request still pending, after one
+    // 100 << (k - 2) ms backoff; only timed-out requests stay pending.
+    for (int round = 1; !pending.empty(); ++round) {
+        if (round > 1) hooks_->sleep_ms(std::int64_t{100} << (round - 2));
+        std::vector<std::size_t> timed_out;
+        for (std::size_t i : pending) {
+            Request_outcome& outcome = outcomes[i];
+            outcome.attempts = round;
+            try {
+                validate_config(requests[i]);
+                const std::int64_t deadline =
+                    options_.deadline_ms > 0 ? hooks_->now_ms() + options_.deadline_ms : 0;
+                outcome.report = run_impl(requests[i], deadline, round);
+                outcome.ok = true;
+            } catch (const std::exception& e) {
+                outcome.kind = classify_error(e);
+                outcome.message = e.what();
+                if (outcome.kind == Error_kind::timeout && round < options_.max_attempts) {
+                    timed_out.push_back(i);
+                }
+            }
+        }
+        pending = std::move(timed_out);
     }
-    return results;
+    for (Request_outcome& outcome : outcomes) {
+        if (!outcome.deduplicated) continue;
+        outcome = outcomes[first_of.at(outcome.key)];
+        outcome.deduplicated = true;
+    }
+    return outcomes;
 }
 
 }  // namespace islhls

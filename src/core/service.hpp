@@ -13,14 +13,17 @@
 //     written atomically and passes checksum + schema validation, or the
 //     service recomputes. Corrupt records are quarantined, never trusted,
 //     and never abort a request.
-//   - Batch mode (run_requests) drains requests through a Job_queue:
-//     identical requests (by content key) execute once, each attempt gets a
-//     deadline on the injected clock, and transient faults (io, timeout)
-//     retry with backoff. Every outcome is structured — one bad request
+//   - Batch mode (run_requests) runs its requests serially, in request
+//     order: identical requests (by content key) execute once, each attempt
+//     gets a deadline on the injected clock, checked between combinations,
+//     and a timed-out request retries after a 100, 200, 400 ... ms backoff.
+//     Timeouts are the only transient failure: the cache degrades to
+//     recompute instead of throwing, and user, corrupt and internal
+//     failures never retry. Every outcome is structured — one bad request
 //     cannot take down the batch.
 //   - All filesystem and clock traffic goes through Env_hooks, so the fault
 //     harness (tests/test_fault_injection.cpp) can exercise torn writes,
-//     ENOSPC and stuck jobs deterministically.
+//     ENOSPC and stuck requests deterministically.
 //
 // Execution of one request: a serial front runs every kernel's frontend and
 // symbolic execution and serves every combination the cache holds; then the
@@ -39,6 +42,7 @@
 // the report is byte-identical at any thread count.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,7 +52,7 @@
 
 #include "core/sweep.hpp"
 #include "support/env_hooks.hpp"
-#include "support/job_queue.hpp"
+#include "support/error.hpp"
 #include "support/result_cache.hpp"
 
 namespace islhls {
@@ -59,11 +63,15 @@ struct Service_options {
     // directory fails construction with a named Io_error.
     std::string cache_dir;
     const Env_hooks* hooks = nullptr;  // filesystem + clock seam
-    // Batch mode: per-attempt deadline (0 = none) and transient-fault
-    // retry policy for each request.
+    // Batch mode: per-attempt deadline in ms (0 = none) and total attempts
+    // per timed-out request (1..max_request_attempts).
     std::int64_t deadline_ms = 0;
-    Retry_policy retry;
+    int max_attempts = 3;
 };
+
+// The most attempts a request may be given: the backoff before attempt k
+// is 100 << (k - 2) ms, so the cap also bounds the longest sleep.
+constexpr int max_request_attempts = 10;
 
 // One batch request's result: either a report or a structured failure.
 struct Request_outcome {
@@ -78,7 +86,9 @@ struct Request_outcome {
 
 class Sweep_service {
 public:
-    // Throws Io_error when cache_dir exists but cannot be used.
+    // Throws User_error for a negative deadline or max_attempts outside
+    // 1..max_request_attempts, and Io_error when cache_dir exists but
+    // cannot be used.
     explicit Sweep_service(Service_options options = {});
     ~Sweep_service();
 
@@ -87,9 +97,10 @@ public:
     // degrades to recompute instead of throwing.
     Sweep_report run(const Sweep_config& config);
 
-    // Batch front: queue every request, dedup identical ones, drain with
-    // deadlines + retry. Never throws for per-request failures — each
-    // outcome carries its own taxonomy kind. Outcomes are request-ordered.
+    // Batch front: dedup identical requests (the first occurrence runs),
+    // then run attempts in rounds, in request order, retrying timeouts.
+    // Never throws for per-request failures — each outcome carries its own
+    // taxonomy kind. Outcomes are request-ordered.
     std::vector<Request_outcome> run_requests(
         const std::vector<Sweep_config>& requests);
 
@@ -106,10 +117,12 @@ private:
     struct Combination;
     struct Kernel_task;
 
-    // The actual sweep; `job` (when batch-driven) is checkpointed between
-    // combinations so deadlines interrupt long requests at clean
-    // boundaries.
-    Sweep_report run_impl(const Sweep_config& config, Job_context* job);
+    // The actual sweep. A batch attempt passes its absolute `deadline` on
+    // the hooks clock (0 = none), checked between combinations so a
+    // deadline interrupts a long request at a clean boundary with a
+    // Timeout_error naming the request and its `attempt`.
+    Sweep_report run_impl(const Sweep_config& config, std::int64_t deadline = 0,
+                          int attempt = 1);
 
     // Serves one combination from the cache, counting the hit or miss in
     // `counts`; false when it must be computed.

@@ -13,6 +13,13 @@ const std::vector<std::string>& sweep_backends() {
     return kBackends;
 }
 
+void validate_thread_count(int threads) {
+    if (threads < 0 || threads > max_threads) {
+        throw User_error(cat("thread count ", threads, " must be 0 (all cores) or 1..",
+                             max_threads));
+    }
+}
+
 void validate_config(const Sweep_config& config) {
     // User-facing configuration errors, not internal invariants.
     if (config.kernels.empty()) {
@@ -33,6 +40,7 @@ void validate_config(const Sweep_config& config) {
         throw User_error(cat("sweep frame ", config.frame_width, "x",
                              config.frame_height, " must be positive"));
     }
+    validate_thread_count(config.space.threads);
     if (config.backends.empty()) {
         throw User_error("sweep needs at least one backend");
     }

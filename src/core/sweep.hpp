@@ -172,6 +172,14 @@ struct Sweep_report {
     int synthesis_loads = 0;  // syntheses served from the persistent cache
 };
 
+// The widest fan-out a request may ask for: thread counts come from
+// untrusted flags and request files, and each one is a started thread.
+constexpr int max_threads = 256;
+
+// Throws a User_error unless `threads` is 0 (all hardware threads) or
+// 1..max_threads.
+void validate_thread_count(int threads);
+
 // Validates a sweep configuration, throwing a named user error (kind
 // Error_kind::user) for each way a config can be malformed. Sweep_service
 // runs it on every request.

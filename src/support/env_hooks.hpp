@@ -1,8 +1,9 @@
 // Injectable environment seam: filesystem, clock and sleep.
 //
-// The crash-safe result cache (support/result_cache.hpp) and the job queue
-// (support/job_queue.hpp) never touch the OS directly — every mutation and
-// every time read goes through an Env_hooks instance. Production code uses
+// The crash-safe result cache (support/result_cache.hpp) and the sweep
+// service's batch loop (core/service.hpp) never touch the OS directly —
+// every mutation, every time read and every backoff sleep goes through an
+// Env_hooks instance. Production code uses
 // real_env_hooks() (POSIX whole-file I/O with an fsync before the atomic
 // rename, steady-clock milliseconds); the fault-injection harness wraps the
 // real hooks to inject torn writes, ENOSPC, rename failures, frozen or
@@ -57,7 +58,7 @@ struct Env_hooks {
     // counting as alive). Used to detect a crashed lock holder.
     std::function<bool(std::int64_t pid)> process_alive;
 
-    // Monotonic milliseconds (steady clock). Job deadlines and retry
+    // Monotonic milliseconds (steady clock). Request deadlines and retry
     // backoff are computed against this, never against wall time.
     std::function<std::int64_t()> now_ms;
 

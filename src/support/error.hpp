@@ -4,9 +4,10 @@
 // types; they all derive from islhls::Error so callers can catch the whole
 // family at the API boundary. Each concrete type additionally carries an
 // Error_kind — the structured taxonomy the long-lived sweep service routes
-// on: `user` mistakes report and stop, `io`/`timeout` are transient and may
-// be retried, `corrupt` records are quarantined and recomputed, `internal`
-// is a bug in the library itself. Constructors take a human-readable
+// on: `user` mistakes report and stop, a `timeout` is transient and is
+// retried, `io` faults are reported (the result cache absorbs its own),
+// `corrupt` records are quarantined and recomputed, `internal` is a bug in
+// the library itself. Constructors take a human-readable
 // message; frontend errors additionally carry a source location.
 #pragma once
 
@@ -25,7 +26,7 @@ enum class Error_kind {
     user,      // bad input: options, source, request files, unknown names
     io,        // filesystem / stream failure (possibly transient: ENOSPC, ...)
     corrupt,   // on-disk record failed validation (quarantined, recomputed)
-    timeout,   // a job exceeded its deadline
+    timeout,   // a batch request exceeded its deadline
     internal,  // invariant violation: a bug in the library
 };
 
@@ -115,7 +116,8 @@ public:
         : Islhls_error(Error_kind::io, what) {}
 };
 
-// A job ran past its deadline (checked cooperatively at its checkpoints).
+// A batch request's attempt ran past its deadline (checked between sweep
+// combinations); the only failure the sweep service retries.
 class Timeout_error : public Islhls_error {
 public:
     explicit Timeout_error(const std::string& what)

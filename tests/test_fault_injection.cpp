@@ -1,6 +1,6 @@
 // Fault-injection harness for the sweep service: every fault the Env_hooks
 // seam can produce — ENOSPC, torn writes, orphaned temp files, bit-flipped
-// records, stuck jobs on a frozen clock — is driven through a REAL sweep,
+// records, stuck requests on a frozen clock — is driven through a REAL sweep,
 // and the contract is always the same: the run completes with a
 // byte-identical report table and zero aborts; the cache degrades to
 // recompute instead of failing the request.
@@ -254,7 +254,7 @@ TEST(Fault_injection, stuck_request_times_out_then_service_recovers) {
     Service_options options;
     options.hooks = &hooks;
     options.deadline_ms = 10;
-    options.retry.max_attempts = 2;
+    options.max_attempts = 2;
     Sweep_service service(options);
 
     clock.tick = 50;  // every clock read blows the 10ms deadline

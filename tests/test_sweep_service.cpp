@@ -2,12 +2,15 @@
 // type, cache-key discipline, and the headline service contract — a warm
 // cache re-serves a request byte-identically while running zero syntheses,
 // zero cone builds and zero format searches; batch mode dedups identical
-// requests and reports structured per-request failures.
+// requests, retries timeouts with backoff on an injected clock and reports
+// structured per-request failures; untrusted counts are bounded.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <vector>
 
 #include "core/service.hpp"
 #include "core/sweep.hpp"
@@ -497,6 +500,189 @@ TEST(Sweep_service, batch_dedups_and_isolates_failures) {
     EXPECT_FALSE(outcomes[3].ok);
     EXPECT_EQ(outcomes[3].kind, Error_kind::user);
     EXPECT_NE(outcomes[3].message.find(">= 1"), std::string::npos);
+}
+
+// --- batch loop on an injected clock -----------------------------------------------
+
+// Deterministic clock: every now_ms read advances `tick` ms, and sleep_ms
+// records its request and advances the clock by it. No real time passes.
+// `unstick_on_sleep` drops the tick to 0 at the first sleep, so a request
+// that timed out runs fast on its retry.
+struct Fake_clock {
+    std::int64_t now = 0;
+    std::int64_t tick = 0;
+    bool unstick_on_sleep = false;
+    int reads = 0;
+    std::vector<std::int64_t> sleeps;
+
+    Env_hooks hooks() {
+        Env_hooks hooks = real_env_hooks();
+        hooks.now_ms = [this] {
+            ++reads;
+            return now += tick;
+        };
+        hooks.sleep_ms = [this](std::int64_t ms) {
+            sleeps.push_back(ms);
+            now += ms;
+            if (unstick_on_sleep) tick = 0;
+        };
+        return hooks;
+    }
+};
+
+// A request whose first checkpoint already comes after its library exists:
+// one kernel, one combination, no Pareto sweep, format search or golden.
+Sweep_config quick_config() {
+    Sweep_config config = small_config();
+    config.validate = false;
+    config.search_formats = false;
+    return config;
+}
+
+TEST(Sweep_service, batch_runs_requests_once_each_in_request_order) {
+    Sweep_service service;
+    Sweep_config heat = quick_config();
+    heat.kernels = {"heat"};
+    const std::vector<Request_outcome> outcomes =
+        service.run_requests({quick_config(), heat});
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_EQ(outcomes[0].key, sweep_request_key(quick_config()));
+    EXPECT_EQ(outcomes[1].key, sweep_request_key(heat));
+    for (const Request_outcome& outcome : outcomes) {
+        EXPECT_TRUE(outcome.ok) << outcome.message;
+        EXPECT_EQ(outcome.attempts, 1);
+        EXPECT_FALSE(outcome.deduplicated);
+    }
+    EXPECT_EQ(outcomes[0].report.entries.at(0).kernel, "igf");
+    EXPECT_EQ(outcomes[1].report.entries.at(0).kernel, "heat");
+}
+
+TEST(Sweep_service, identical_requests_execute_once) {
+    // Every attempt reads the clock twice before it times out (its deadline,
+    // then its first checkpoint), so the read count counts executions.
+    Fake_clock clock;
+    clock.tick = 50;
+    const Env_hooks hooks = clock.hooks();
+    Service_options options;
+    options.hooks = &hooks;
+    options.deadline_ms = 10;
+    options.max_attempts = 1;
+    Sweep_service service(options);
+    const std::vector<Request_outcome> outcomes =
+        service.run_requests(std::vector<Sweep_config>(5, quick_config()));
+    EXPECT_EQ(clock.reads, 2);
+    ASSERT_EQ(outcomes.size(), 5u);
+    EXPECT_FALSE(outcomes[0].deduplicated);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        EXPECT_EQ(outcomes[i].kind, Error_kind::timeout) << i;
+        EXPECT_EQ(outcomes[i].message, outcomes[0].message) << i;
+        EXPECT_EQ(outcomes[i].deduplicated, i > 0) << i;
+    }
+}
+
+TEST(Sweep_service, timed_out_request_retries_after_one_backoff) {
+    Fake_clock clock;
+    clock.tick = 50;  // every clock read blows the 10 ms deadline...
+    clock.unstick_on_sleep = true;  // ...until the first backoff sleep
+    const Env_hooks hooks = clock.hooks();
+    Service_options options;
+    options.hooks = &hooks;
+    options.deadline_ms = 10;
+    Sweep_service service(options);
+    const std::vector<Request_outcome> outcomes = service.run_requests({quick_config()});
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].message;
+    EXPECT_EQ(outcomes[0].attempts, 2);
+    EXPECT_EQ(clock.sleeps, (std::vector<std::int64_t>{100}));
+    EXPECT_EQ(report_table(outcomes[0].report),
+              report_table(Sweep_service().run(quick_config())));
+}
+
+TEST(Sweep_service, timeouts_exhaust_into_a_structured_outcome) {
+    Fake_clock clock;
+    clock.tick = 50;
+    const Env_hooks hooks = clock.hooks();
+    Service_options options;
+    options.hooks = &hooks;
+    options.deadline_ms = 10;
+    options.max_attempts = 3;
+    Sweep_service service(options);
+    const std::vector<Request_outcome> outcomes = service.run_requests({quick_config()});
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_FALSE(outcomes[0].ok);
+    EXPECT_EQ(outcomes[0].kind, Error_kind::timeout);
+    EXPECT_EQ(outcomes[0].attempts, 3);
+    EXPECT_EQ(clock.sleeps, (std::vector<std::int64_t>{100, 200}));
+    EXPECT_EQ(outcomes[0].message,
+              cat("job '", sweep_request_key(quick_config()),
+                  "' exceeded its 10 ms deadline (attempt 3)"));
+}
+
+TEST(Sweep_service, fast_request_under_a_deadline_succeeds_first_time) {
+    Fake_clock clock;
+    clock.tick = 1;
+    const Env_hooks hooks = clock.hooks();
+    Service_options options;
+    options.hooks = &hooks;
+    options.deadline_ms = 1000;
+    Sweep_service service(options);
+    const std::vector<Request_outcome> outcomes = service.run_requests({quick_config()});
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].message;
+    EXPECT_EQ(outcomes[0].attempts, 1);
+    EXPECT_TRUE(clock.sleeps.empty());
+}
+
+TEST(Sweep_service, user_errors_never_retry) {
+    Fake_clock clock;
+    const Env_hooks hooks = clock.hooks();
+    Service_options options;
+    options.hooks = &hooks;
+    options.deadline_ms = 10;
+    Sweep_service service(options);
+    Sweep_config bad = quick_config();
+    bad.kernels = {"no_such_kernel"};
+    const std::vector<Request_outcome> outcomes = service.run_requests({bad});
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_FALSE(outcomes[0].ok);
+    EXPECT_EQ(outcomes[0].kind, Error_kind::user);
+    EXPECT_EQ(outcomes[0].attempts, 1);
+    EXPECT_TRUE(clock.sleeps.empty());
+}
+
+// --- bounds on untrusted counts -----------------------------------------------------
+
+TEST(Sweep_service, thread_counts_are_bounded) {
+    Sweep_config config = quick_config();
+    for (int threads : {-1, -100000, max_threads + 1, 100000}) {
+        config.space.threads = threads;
+        EXPECT_THROW(validate_config(config), User_error) << threads;
+        EXPECT_THROW(validate_thread_count(threads), User_error) << threads;
+    }
+    for (int threads : {0, 1, max_threads}) {
+        config.space.threads = threads;
+        EXPECT_NO_THROW(validate_config(config)) << threads;
+    }
+}
+
+TEST(Sweep_service, batch_options_are_bounded) {
+    auto rejects = [](std::int64_t deadline_ms, int max_attempts) {
+        Service_options options;
+        options.deadline_ms = deadline_ms;
+        options.max_attempts = max_attempts;
+        try {
+            Sweep_service service(options);
+        } catch (const User_error&) {
+            return true;
+        }
+        return false;
+    };
+    EXPECT_TRUE(rejects(-1, 3));
+    EXPECT_TRUE(rejects(0, 0));
+    EXPECT_TRUE(rejects(0, max_request_attempts + 1));
+    EXPECT_TRUE(rejects(0, 64));
+    EXPECT_FALSE(rejects(0, 1));
+    EXPECT_FALSE(rejects(60000, max_request_attempts));
 }
 
 TEST(Sweep_service, run_rejects_an_invalid_config_as_a_user_error) {

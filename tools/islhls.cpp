@@ -11,7 +11,7 @@
 //   --frame WxH         frame size (default 1024x768)
 //   --device NAME       target FPGA (default xc6vlx760; see --list-devices)
 //   --format Qm.f       fixed-point format (default Q10.6)
-//   --threads N         DSE fan-out threads (default 1; 0 = all cores)
+//   --threads N         DSE fan-out threads, 0..256 (default 1; 0 = all cores)
 //   --describe          print the dependency analysis and exit
 //   --pareto            print the Pareto set (default action)
 //   --fit               print the best design for the device
@@ -43,8 +43,8 @@
 //                         warm cache serves repeats without recomputing
 //
 // The `serve` subcommand runs a batch of sweep requests from a file through
-// the fault-tolerant sweep service (core/service.hpp): identical requests
-// run once, each gets a deadline + transient-fault retries, and one bad
+// the sweep service (core/service.hpp): identical requests run once, each
+// attempt gets a deadline, a timed-out request is retried, and one bad
 // request never takes down the batch (see README for the file format).
 //
 // Exit codes follow the error taxonomy: 0 ok, 2 user error, 3 I/O fault,
@@ -58,12 +58,12 @@
 //   islhls serve --requests requests.txt --cache-dir .islhls-cache
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <sstream>
 
 #include "backend/vhdl_toplevel.hpp"
 #include "core/flow.hpp"
+#include "core/requests.hpp"
 #include "core/service.hpp"
 #include "core/sweep.hpp"
 #include "support/error.hpp"
@@ -84,7 +84,7 @@ using namespace islhls;
   --frame WxH       frame size (default 1024x768)
   --device NAME     target FPGA (default xc6vlx760)
   --format Qm.f     fixed-point format (default Q10.6)
-  --threads N       DSE fan-out threads (default 1; 0 = all cores)
+  --threads N       DSE fan-out threads, 0..256 (default 1; 0 = all cores)
   --describe        print the dependency analysis
   --pareto          print the Pareto set (default)
   --fit             print the best design for the device
@@ -116,8 +116,9 @@ service options (serve):
   --requests FILE      request file: `request` ... `end` blocks of sweep
                        options without the leading --, one per line
   --cache-dir DIR      persistent result cache shared by all requests
-  --deadline-ms N      per-attempt deadline per request (default: none)
-  --retries N          max attempts per request on transient faults (default 3)
+  --deadline-ms N      per-attempt deadline per request, >= 0 ms
+                       (default 0: none)
+  --retries N          max attempts per timed-out request, 1..10 (default 3)
 cache options:
   --cache-dir DIR      the cache to inspect (required)
   --verify             validate every record; exit 4 if any is corrupt
@@ -137,40 +138,6 @@ std::string read_file(const std::string& path) {
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
-}
-
-// std::stoi with option-parse errors turned into named user errors.
-int parse_int(const std::string& text, const std::string& what) {
-    try {
-        std::size_t consumed = 0;
-        const int value = std::stoi(text, &consumed);
-        if (consumed != text.size()) throw Error("");
-        return value;
-    } catch (const std::exception&) {
-        throw User_error(cat("bad ", what, " '", text, "', expected an integer"));
-    }
-}
-
-Fixed_format parse_format(const std::string& text) {
-    // "Q10.6" -> {10, 6}
-    if (text.size() < 4 || (text[0] != 'Q' && text[0] != 'q')) {
-        throw User_error(cat("bad format '", text, "', expected Qm.f"));
-    }
-    const auto dot = text.find('.');
-    if (dot == std::string::npos) {
-        throw User_error(cat("bad format '", text, "', expected Qm.f"));
-    }
-    Fixed_format fmt;
-    fmt.integer_bits = parse_int(text.substr(1, dot - 1), "format");
-    fmt.frac_bits = parse_int(text.substr(dot + 1), "format");
-    if (fmt.integer_bits < 1 || fmt.frac_bits < 0) {
-        throw User_error(cat("format '", text,
-                             "' needs m >= 1 integer bits (the sign bit) and f >= 0"));
-    }
-    if (fmt.total_bits() < 2 || fmt.total_bits() > 62) {
-        throw User_error(cat("format '", text, "' out of the 2..62 bit range"));
-    }
-    return fmt;
 }
 
 void print_pareto(Hls_flow& flow) {
@@ -243,83 +210,6 @@ void emit_vhdl(Hls_flow& flow, const std::string& dir) {
     for (const auto& f : files) std::cout << "  " << f << "\n";
 }
 
-std::vector<std::string> parse_name_list(const std::string& value) {
-    std::vector<std::string> names;
-    for (const std::string& part : split(value, ',')) {
-        const std::string name = trim(part);
-        if (!name.empty()) names.push_back(name);
-    }
-    if (names.empty()) throw User_error(cat("empty list '", value, "'"));
-    return names;
-}
-
-// One sweep option applied to a config. `name` is the bare option name (no
-// leading --); `value` produces its argument on demand and may throw a named
-// user error when none is available. Returns false for unknown names, so the
-// CLI and the request-file parser share one option table.
-bool apply_sweep_option(Sweep_config& config, const std::string& name,
-                        const std::function<std::string()>& value) {
-    if (name == "kernels") {
-        const std::string v = value();
-        config.kernels = v == "all" ? kernel_names() : parse_name_list(v);
-    } else if (name == "devices") {
-        const std::string v = value();
-        if (v == "all") {
-            config.devices.clear();
-            for (const Fpga_device& d : all_devices()) config.devices.push_back(d.name);
-        } else {
-            config.devices = parse_name_list(v);
-        }
-    } else if (name == "iterations") {
-        config.iteration_counts.clear();
-        for (const std::string& n : parse_name_list(value())) {
-            config.iteration_counts.push_back(parse_int(n, "iteration count"));
-        }
-    } else if (name == "frame") {
-        const std::string v = value();
-        const auto x = v.find('x');
-        if (x == std::string::npos) {
-            throw User_error(cat("bad frame '", v, "', expected WxH"));
-        }
-        config.frame_width = parse_int(v.substr(0, x), "frame width");
-        config.frame_height = parse_int(v.substr(x + 1), "frame height");
-    } else if (name == "format") {
-        config.format = parse_format(value());
-    } else if (name == "threads") {
-        config.space.threads = parse_int(value(), "thread count");
-    } else if (name == "backend") {
-        const std::string v = value();
-        config.backends = v == "all" ? sweep_backends() : parse_name_list(v);
-    } else if (name == "pareto") {
-        config.with_pareto = true;
-    } else if (name == "validate") {
-        config.validate = true;
-    } else if (name == "search-formats") {
-        config.search_formats = true;
-    } else if (name == "psnr") {
-        const std::string v = value();
-        try {
-            std::size_t consumed = 0;
-            config.format_search.target_psnr_db = std::stod(v, &consumed);
-            if (consumed != v.size()) throw Error("");
-        } catch (const std::exception&) {
-            throw User_error(cat("bad PSNR target '", v, "', expected a number"));
-        }
-    } else if (name == "validate-fixed") {
-        config.validate_fixed = true;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-Sweep_config default_sweep_config() {
-    Sweep_config config;
-    config.iteration_counts = {10};
-    config.devices = {"xc6vlx760"};
-    return config;
-}
-
 int run_sweep(int argc, char** argv) {
     Sweep_config config = default_sweep_config();
     std::string cache_dir;
@@ -353,80 +243,6 @@ int run_sweep(int argc, char** argv) {
     return 0;
 }
 
-// Parses a request file: `request` ... `end` blocks of bare sweep options,
-// one per line; blank lines and # comments anywhere. Every error carries
-// file:line so a bad batch pinpoints itself.
-std::vector<Sweep_config> parse_requests(const std::string& path) {
-    const std::string text = read_file(path);
-    std::vector<Sweep_config> requests;
-    bool in_request = false;
-    int request_line = 0;
-    Sweep_config config;
-    const std::vector<std::string> lines = split(text, '\n');
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::string line = trim(lines[i]);
-        const std::string where = cat(path, ":", i + 1);
-        if (line.empty() || line[0] == '#') continue;
-        if (line == "request") {
-            if (in_request) {
-                throw User_error(cat(where, ": 'request' inside a request "
-                                     "(missing 'end'?)"));
-            }
-            in_request = true;
-            request_line = static_cast<int>(i + 1);
-            config = default_sweep_config();
-            continue;
-        }
-        if (line == "end") {
-            if (!in_request) {
-                throw User_error(cat(where, ": 'end' without a 'request'"));
-            }
-            if (config.kernels.empty()) {
-                throw User_error(cat(path, ":", request_line,
-                                     ": request needs a 'kernels' line"));
-            }
-            requests.push_back(std::move(config));
-            in_request = false;
-            continue;
-        }
-        if (!in_request) {
-            throw User_error(cat(where, ": expected 'request', got '", line, "'"));
-        }
-        const auto space = line.find(' ');
-        const std::string name = line.substr(0, space);
-        const std::string rest =
-            space == std::string::npos ? std::string() : trim(line.substr(space + 1));
-        auto value = [&]() -> std::string {
-            if (rest.empty()) throw User_error(cat("option '", name, "' needs a value"));
-            return rest;
-        };
-        // Everything applying the line raises is a user mistake on that line.
-        bool known = false;
-        try {
-            known = apply_sweep_option(config, name, value);
-        } catch (const Error& e) {
-            throw User_error(cat(where, ": ", e.what()));
-        }
-        if (!known) {
-            throw User_error(cat(where, ": unknown request option '", name, "'"));
-        }
-        if (!rest.empty() && (name == "pareto" || name == "validate" ||
-                              name == "search-formats" || name == "validate-fixed")) {
-            throw User_error(cat(where, ": option '", name,
-                                 "' does not take a value"));
-        }
-    }
-    if (in_request) {
-        throw User_error(cat(path, ":", request_line,
-                             ": request never closed (missing 'end')"));
-    }
-    if (requests.empty()) {
-        throw User_error(cat(path, ": no requests (expected 'request' ... 'end' "
-                             "blocks)"));
-    }
-    return requests;
-}
-
 int exit_code_for(Error_kind kind) {
     switch (kind) {
         case Error_kind::user: return 2;
@@ -455,10 +271,7 @@ int run_serve(int argc, char** argv) {
         else if (arg == "--deadline-ms") {
             options.deadline_ms = parse_int(next_value(), "deadline");
         } else if (arg == "--retries") {
-            options.retry.max_attempts = parse_int(next_value(), "retry count");
-            if (options.retry.max_attempts < 1) {
-                throw User_error("--retries must be >= 1");
-            }
+            options.max_attempts = parse_int(next_value(), "retry count");
         } else {
             throw User_error(cat("unknown serve option '", arg,
                                  "' (see islhls --help)"));
@@ -467,7 +280,8 @@ int run_serve(int argc, char** argv) {
     if (requests_path.empty()) {
         throw User_error("serve needs --requests FILE (see islhls --help)");
     }
-    const std::vector<Sweep_config> requests = parse_requests(requests_path);
+    const std::vector<Sweep_config> requests =
+        parse_requests(read_file(requests_path), requests_path);
     Sweep_service service(options);
     const std::vector<Request_outcome> outcomes = service.run_requests(requests);
     int failures = 0;
@@ -612,6 +426,7 @@ int main(int argc, char** argv) {
                 options.format = parse_format(next_value());
             } else if (arg == "--threads") {
                 options.space.threads = parse_int(next_value(), "thread count");
+                validate_thread_count(options.space.threads);
             } else if (arg == "--describe") {
                 do_describe = true;
             } else if (arg == "--pareto") {
