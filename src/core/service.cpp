@@ -291,9 +291,9 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, std::int64_t de
     const Sweep_report before = total_meters(libraries_);
     auto checkpoint = [&] {
         if (deadline > 0 && hooks_->now_ms() > deadline) {
-            throw Timeout_error(cat("job '", sweep_request_key(config), "' exceeded its ",
-                                    options_.deadline_ms, " ms deadline (attempt ",
-                                    attempt, ")"));
+            throw Timeout_error(cat("request ", fnv1a64_hex(sweep_request_key(config)),
+                                    " exceeded its ", options_.deadline_ms,
+                                    " ms deadline (attempt ", attempt, ")"));
         }
     };
 
@@ -350,6 +350,8 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, std::int64_t de
             c->entry = explore(config, c->entry, pool, task);
             if (cache_ && cache_->store(c->entry_key, serialize_record(c->entry))) {
                 ++task.counts.entry_stores;
+                std::lock_guard<std::mutex> lock(memo_mutex_);
+                entries_.emplace(c->entry_key, c->entry);
             }
         }
     });
@@ -402,9 +404,20 @@ Sweep_report Sweep_service::run_impl(const Sweep_config& config, std::int64_t de
 }
 
 bool Sweep_service::load_entry(Combination& c, Sweep_report& counts) {
+    {
+        std::lock_guard<std::mutex> lock(memo_mutex_);
+        const auto it = entries_.find(c.entry_key);
+        if (it != entries_.end()) {
+            ++counts.entry_hits;
+            c.entry = it->second;
+            return true;
+        }
+    }
     if (auto cached = load_record<Sweep_entry>(*cache_, c.entry_key)) {
         ++counts.entry_hits;
         c.entry = std::move(*cached);
+        std::lock_guard<std::mutex> lock(memo_mutex_);
+        entries_.emplace(c.entry_key, c.entry);
         return true;
     }
     ++counts.entry_misses;
@@ -507,7 +520,7 @@ const Format_grid& Sweep_service::format_grid(const Sweep_config& config,
     const std::string gkey =
         format_grid_key(ir_keys_.at(entry.kernel), config, entry.device);
     {
-        std::lock_guard<std::mutex> lock(format_grids_mutex_);
+        std::lock_guard<std::mutex> lock(memo_mutex_);
         auto it = format_grids_.find(gkey);
         if (it != format_grids_.end()) return it->second;
     }
@@ -527,7 +540,7 @@ const Format_grid& Sweep_service::format_grid(const Sweep_config& config,
             cache_->store(gkey, serialize_record(*grid));
         }
     }
-    std::lock_guard<std::mutex> lock(format_grids_mutex_);
+    std::lock_guard<std::mutex> lock(memo_mutex_);
     return format_grids_.emplace(gkey, std::move(*grid)).first->second;
 }
 

@@ -4,9 +4,12 @@
 // more than once: per-kernel Cone_libraries, per-configuration format-search
 // grids, and — when a cache directory is given — a crash-safe,
 // content-addressed result cache persisting sweep entries, format grids and
-// virtual-synthesis reports across processes. A warm cache serves a repeated
+// virtual-synthesis reports across processes, plus the sweep entries it has
+// read from or written to that cache. A warm cache serves a repeated
 // request without running a single synthesis or format search, and the
-// report's counters prove it.
+// report's counters prove it; a warm batch reads each distinct entry record
+// once. Memory grows with the distinct grids and entries of the service's
+// lifetime.
 //
 // Robustness contract:
 //   - The cache is advisory: every load either returns a record that was
@@ -29,9 +32,10 @@
 // symbolic execution and serves every combination the cache holds; then the
 // kernels with work left fan out, one task per kernel, over the request's
 // Thread_pool (workers spawn only on an entry miss; at one thread the tasks
-// run inline, in order, on the same path). Kernels share nothing
-// but the result cache and the format-grid map (behind a narrow lock): each
-// task has its own Cone_library, counters, validation frames and goldens.
+// run inline, in order, on the same path). Kernels share nothing but the
+// result cache and the format-grid and entry maps (behind one narrow lock):
+// each task has its own Cone_library, counters, validation frames and
+// goldens.
 // Every combination then runs one exploration routine: a backend-specific
 // step yields the fit and neutral data (candidate points, covering format
 // cells, a re-pricing call, the simulatable fit), and the front fill, format
@@ -120,12 +124,13 @@ private:
     // The actual sweep. A batch attempt passes its absolute `deadline` on
     // the hooks clock (0 = none), checked between combinations so a
     // deadline interrupts a long request at a clean boundary with a
-    // Timeout_error naming the request and its `attempt`.
+    // Timeout_error naming the request (fnv1a64_hex of its key) and its
+    // `attempt`.
     Sweep_report run_impl(const Sweep_config& config, std::int64_t deadline = 0,
                           int attempt = 1);
 
-    // Serves one combination from the cache, counting the hit or miss in
-    // `counts`; false when it must be computed.
+    // Serves one combination from the remembered entries or the cache,
+    // counting the hit or miss in `counts`; false when it must be computed.
     bool load_entry(Combination& c, Sweep_report& counts);
 
     // Fills one combination's entry (identity fields already set) inside
@@ -151,7 +156,11 @@ private:
     // every grid-affecting option), so requests with different search
     // settings never share a grid.
     std::map<std::string, Format_grid> format_grids_;
-    std::mutex format_grids_mutex_;  // kernel tasks share format_grids_
+    // Sweep entries keyed by their entry key, each inserted only after a
+    // successful cache load or store, so the map mirrors records on disk.
+    // Keys are content addresses: a remembered entry is never stale.
+    std::map<std::string, Sweep_entry> entries_;
+    std::mutex memo_mutex_;  // kernel tasks share format_grids_ and entries_
 };
 
 }  // namespace islhls

@@ -14,15 +14,19 @@ bool dominates(const Design_point& a, const Design_point& b) {
 }
 
 std::vector<std::size_t> pareto_front(const std::vector<Design_point>& points) {
-    // Sort by area ascending, then time ascending; sweep keeping the points
-    // that strictly improve the best time seen so far.
+    // Sort by area ascending, then time ascending, then index, so equal
+    // points keep the first occurrence; sweep keeping the points that
+    // strictly improve the best time seen so far.
     std::vector<std::size_t> order(points.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
         if (points[a].area_luts != points[b].area_luts) {
             return points[a].area_luts < points[b].area_luts;
         }
-        return points[a].seconds_per_frame < points[b].seconds_per_frame;
+        if (points[a].seconds_per_frame != points[b].seconds_per_frame) {
+            return points[a].seconds_per_frame < points[b].seconds_per_frame;
+        }
+        return a < b;
     });
     std::vector<std::size_t> front;
     double best_time = std::numeric_limits<double>::infinity();

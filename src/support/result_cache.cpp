@@ -163,6 +163,13 @@ std::uint64_t fnv1a64(std::string_view data) {
     return hash;
 }
 
+std::string fnv1a64_hex(std::string_view data) {
+    char digits[17];
+    std::snprintf(digits, sizeof digits, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(data)));
+    return digits;
+}
+
 Result_cache::Result_cache(std::string dir, const Env_hooks* hooks)
     : dir_(std::move(dir)), hooks_(hooks ? hooks : &real_env_hooks()) {
     namespace fs = std::filesystem;
@@ -191,10 +198,7 @@ Result_cache::Result_cache(std::string dir, const Env_hooks* hooks)
 }
 
 std::string Result_cache::record_path(const std::string& key) const {
-    char name[17];
-    std::snprintf(name, sizeof name, "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(key)));
-    return cat(dir_, "/", name, ".rec");
+    return cat(dir_, "/", fnv1a64_hex(key), ".rec");
 }
 
 std::string Result_cache::lock_path() const { return dir_ + "/.islhls.lock"; }

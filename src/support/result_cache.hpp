@@ -57,6 +57,10 @@ namespace islhls {
 // FNV-1a 64-bit content hash (also the record file-name hash).
 std::uint64_t fnv1a64(std::string_view data);
 
+// fnv1a64(data) as 16 lowercase hex digits: a record's file stem, and the
+// short name of a request in messages.
+std::string fnv1a64_hex(std::string_view data);
+
 class Result_cache {
 public:
     struct Stats {

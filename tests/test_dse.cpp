@@ -73,6 +73,25 @@ TEST(Pareto, front_of_known_set) {
     EXPECT_EQ(front, (std::vector<std::size_t>{0, 1, 3}));
 }
 
+TEST(Pareto, duplicate_points_keep_the_first_occurrence) {
+    // Two front points, each repeated at every third index among dominated
+    // filler, at sizes past the insertion-sort cutoff of std::sort: the
+    // front must name the first occurrence of each.
+    for (std::size_t n = 17; n < 200; ++n) {
+        std::vector<Design_point> points;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i % 3 == 0) {
+                points.push_back({1.0, 4.0, i});
+            } else if (i % 3 == 1) {
+                points.push_back({2.0, 3.0, i});
+            } else {
+                points.push_back({10.0 + static_cast<double>(i), 9.0, i});
+            }
+        }
+        EXPECT_EQ(pareto_front(points), (std::vector<std::size_t>{0, 1})) << n;
+    }
+}
+
 // Property: the front is mutually non-dominated and dominates everything else.
 class Pareto_property : public ::testing::TestWithParam<int> {};
 

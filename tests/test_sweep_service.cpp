@@ -1,20 +1,26 @@
 // Sweep service tests: exact round-trip identity for every cached payload
 // type, cache-key discipline, and the headline service contract — a warm
 // cache re-serves a request byte-identically while running zero syntheses,
-// zero cone builds and zero format searches; batch mode dedups identical
-// requests, retries timeouts with backoff on an injected clock and reports
-// structured per-request failures; untrusted counts are bounded.
+// zero cone builds and zero format searches, and a warm batch reads each
+// distinct entry record once; batch mode dedups identical requests, retries
+// timeouts with backoff on an injected clock and reports structured
+// per-request failures; untrusted counts are bounded.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/service.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_records.hpp"
+#include "kernels/kernels.hpp"
+#include "support/result_cache.hpp"
 #include "support/text.hpp"
 
 namespace islhls {
@@ -502,6 +508,86 @@ TEST(Sweep_service, batch_dedups_and_isolates_failures) {
     EXPECT_NE(outcomes[3].message.find(">= 1"), std::string::npos);
 }
 
+// Real hooks that count whole-file reads of cache records (`.rec`).
+struct Record_read_counter {
+    int reads = 0;
+
+    Env_hooks hooks() {
+        Env_hooks hooks = real_env_hooks();
+        hooks.read_file = [this](const std::string& path, std::string* out,
+                                 std::string* error) {
+            if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".rec") == 0) {
+                ++reads;
+            }
+            return real_env_hooks().read_file(path, out, error);
+        };
+        return hooks;
+    }
+};
+
+TEST(Sweep_service, warm_batch_reads_each_entry_record_once) {
+    const std::string dir = fresh_dir("warm-batch");
+    Sweep_config fill = small_config();
+    fill.kernels = {"igf", "jacobi"};
+    fill.iteration_counts = {2, 3};
+    Service_options options;
+    options.cache_dir = dir;
+    Sweep_service(options).run(fill);
+
+    // Overlapping requests over the four filled entries (two kernels x two
+    // iteration counts): eight entry lookups in all.
+    std::vector<Sweep_config> batch(4, small_config());
+    batch[1].kernels = {"igf", "jacobi"};
+    batch[2].kernels = {"jacobi"};
+    batch[3].kernels = {"igf", "jacobi"};
+    batch[3].iteration_counts = {3, 2};
+
+    Record_read_counter counter;
+    const Env_hooks hooks = counter.hooks();
+    Service_options counted = options;
+    counted.hooks = &hooks;
+    const std::vector<Request_outcome> outcomes = Sweep_service(counted).run_requests(batch);
+    // Every lookup is a hit, but each distinct entry record is read once.
+    EXPECT_EQ(counter.reads, 4);
+    ASSERT_EQ(outcomes.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        ASSERT_TRUE(outcomes[i].ok) << i << ": " << outcomes[i].message;
+        const Sweep_report& report = outcomes[i].report;
+        EXPECT_EQ(report.entry_hits, static_cast<int>(report.entries.size())) << i;
+        EXPECT_EQ(report.entry_misses, 0) << i;
+        EXPECT_EQ(report_table(report), report_table(Sweep_service(options).run(batch[i])))
+            << i;
+    }
+    fs::remove_all(dir);
+}
+
+TEST(Sweep_service, repeated_kernel_reuses_the_stored_entry_exactly) {
+    // A kernel listed twice on a cold cache: the first occurrence computes
+    // and stores its entry, and the repeat is served the remembered entry,
+    // which must be exactly what a load of the stored record returns.
+    const std::string dir = fresh_dir("repeat");
+    Sweep_config config = small_config();
+    config.kernels = {"igf", "igf"};
+    Service_options options;
+    options.cache_dir = dir;
+    Sweep_service service(options);
+    const Sweep_report report = service.run(config);
+    ASSERT_EQ(report.entries.size(), 2u);
+    EXPECT_EQ(report.entry_misses, 1);
+    EXPECT_EQ(report.entry_stores, 1);
+    EXPECT_EQ(report.entry_hits, 1);
+
+    const Kernel_def& igf = kernel_by_name("igf");
+    const std::string key =
+        sweep_entry_key(kernel_ir_key(igf.name, igf.boundary, service.library("igf").step()),
+                        config, "xc6vlx760", 2, "paper");
+    const std::optional<std::string> payload = Result_cache(dir).load(key);
+    ASSERT_TRUE(payload.has_value());
+    EXPECT_EQ(serialize_record(report.entries[1]), *payload);
+    EXPECT_EQ(serialize_record(report.entries[0]), *payload);
+    fs::remove_all(dir);
+}
+
 // --- batch loop on an injected clock -----------------------------------------------
 
 // Deterministic clock: every now_ms read advances `tick` ms, and sleep_ms
@@ -613,9 +699,14 @@ TEST(Sweep_service, timeouts_exhaust_into_a_structured_outcome) {
     EXPECT_EQ(outcomes[0].kind, Error_kind::timeout);
     EXPECT_EQ(outcomes[0].attempts, 3);
     EXPECT_EQ(clock.sleeps, (std::vector<std::int64_t>{100, 200}));
+    // The message names the request by its key's 16-hex-digit FNV-1a 64
+    // digest, not by the 17-line key itself.
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a64(sweep_request_key(quick_config()))));
     EXPECT_EQ(outcomes[0].message,
-              cat("job '", sweep_request_key(quick_config()),
-                  "' exceeded its 10 ms deadline (attempt 3)"));
+              cat("request ", digest, " exceeded its 10 ms deadline (attempt 3)"));
 }
 
 TEST(Sweep_service, fast_request_under_a_deadline_succeeds_first_time) {
