@@ -12,20 +12,29 @@
 // only clone and the resolver is a constant.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define ISLHLS_LANE_MULTIARCH 1
+#include <immintrin.h>
 #endif
 
 namespace islhls {
 
 namespace lanes_base {
 #define ISLHLS_LANE_ATTR
+#if defined(ISLHLS_LANE_MULTIARCH)
+#define ISLHLS_LANE_VECTOR_BITS 128  // SSE2, part of every x86-64
+#else
+#define ISLHLS_LANE_VECTOR_BITS 0
+#endif
 #include "sim/tape_lanes_body.inc"
+#undef ISLHLS_LANE_VECTOR_BITS
 #undef ISLHLS_LANE_ATTR
 }  // namespace lanes_base
 
 #if defined(ISLHLS_LANE_MULTIARCH)
 namespace lanes_avx2 {
 #define ISLHLS_LANE_ATTR __attribute__((target("avx2")))
+#define ISLHLS_LANE_VECTOR_BITS 256
 #include "sim/tape_lanes_body.inc"
+#undef ISLHLS_LANE_VECTOR_BITS
 #undef ISLHLS_LANE_ATTR
 }  // namespace lanes_avx2
 
@@ -34,52 +43,40 @@ namespace lanes_avx512 {
 // forms of the EVEX ops the tail loops want.
 #define ISLHLS_LANE_ATTR \
     __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw")))
+#define ISLHLS_LANE_VECTOR_BITS 512
 #include "sim/tape_lanes_body.inc"
+#undef ISLHLS_LANE_VECTOR_BITS
 #undef ISLHLS_LANE_ATTR
 }  // namespace lanes_avx512
 #endif  // ISLHLS_LANE_MULTIARCH
 
-namespace {
-
-using Fixed_tape_fn = void (*)(const Tape_op*, std::size_t, std::int64_t* const*, int,
-                               const Bit_wrap&, int, std::int64_t);
-using Double_tape_fn = void (*)(const Tape_op*, std::size_t, double* const*, int);
-
-struct Lane_dispatch {
-    Fixed_tape_fn fixed;
-    Double_tape_fn dbl;
-    const char* isa;
-};
-
-Lane_dispatch resolve_lane_dispatch() {
-#if defined(ISLHLS_LANE_MULTIARCH)
-    if (__builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl") &&
-        __builtin_cpu_supports("avx512bw")) {
-        return {&lanes_avx512::fixed_tape, &lanes_avx512::double_tape, "avx512"};
-    }
-    if (__builtin_cpu_supports("avx2")) {
-        return {&lanes_avx2::fixed_tape, &lanes_avx2::double_tape, "avx2"};
-    }
-#endif
-    return {&lanes_base::fixed_tape, &lanes_base::double_tape, "default"};
-}
-
-const Lane_dispatch& lane_dispatch() {
+const std::vector<Lane_clone>& lane_clones() {
     // Magic statics: resolved exactly once, thread-safe.
-    static const Lane_dispatch dispatch = resolve_lane_dispatch();
-    return dispatch;
+    static const std::vector<Lane_clone> clones = [] {
+        std::vector<Lane_clone> supported;
+#if defined(ISLHLS_LANE_MULTIARCH)
+        if (__builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl") &&
+            __builtin_cpu_supports("avx512bw")) {
+            supported.push_back({"avx512", &lanes_avx512::fixed_tape, &lanes_avx512::double_tape});
+        }
+        if (__builtin_cpu_supports("avx2")) {
+            supported.push_back({"avx2", &lanes_avx2::fixed_tape, &lanes_avx2::double_tape});
+        }
+#endif
+        supported.push_back({"default", &lanes_base::fixed_tape, &lanes_base::double_tape});
+        return supported;
+    }();
+    return clones;
 }
-
-}  // namespace
 
 void run_tape(const Compiled_program& tape, double* const* slot, int n) {
-    lane_dispatch().dbl(tape.ops().data(), tape.ops().size(), slot, n);
+    lane_clones().front().dbl(tape.ops().data(), tape.ops().size(), slot, n);
 }
 
 void run_tape(const Fixed_tape& tape, std::int64_t* const* slot, int n) {
     const std::vector<Tape_op>& ops = tape.tape().ops();
-    lane_dispatch().fixed(ops.data(), ops.size(), slot, n, tape.wrap(), tape.frac_bits(),
-                          tape.fixed_one());
+    lane_clones().front().fixed(ops.data(), ops.size(), slot, n, tape.wrap(),
+                                tape.frac_bits(), tape.fixed_one());
 }
 
 namespace {
@@ -99,7 +96,11 @@ template <class Tape>
 void Lane_block<Tape>::bind(const Tape& tape, std::size_t stride) {
     const Compiled_program& cp = program_of(tape);
     const auto slots = static_cast<std::size_t>(cp.slot_count());
-    if (lanes_.size() < slots * stride) lanes_.resize(slots * stride);
+    if (lanes_.size() < slots * stride + kLineWords - 1) {
+        lanes_.resize(slots * stride + kLineWords - 1);
+        const auto address = reinterpret_cast<std::uintptr_t>(lanes_.data());
+        offset_ = (64 - address % 64) % 64 / sizeof(Value);
+    }
     stride_ = stride;
     slot_.resize(slots);
     for (std::size_t s = 0; s < slots; ++s) slot_[s] = span(static_cast<std::int32_t>(s));
@@ -113,6 +114,6 @@ void Lane_block<Tape>::bind(const Tape& tape, std::size_t stride) {
 template class Lane_block<Compiled_program>;
 template class Lane_block<Fixed_tape>;
 
-const char* tape_lane_isa() { return lane_dispatch().isa; }
+const char* tape_lane_isa() { return lane_clones().front().isa; }
 
 }  // namespace islhls

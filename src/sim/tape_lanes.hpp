@@ -28,12 +28,14 @@
 // long the tape. Non-x86 hosts transparently get the single baseline body.
 //
 // Operand layout: `slot[s]` points at the n <= stride live samples of tape
-// slot s. A Lane_block owns the slot-major lanes and that slot table, with
-// the constant lanes filled from the tape. Callers may repoint input slots
-// straight into frame rows and output slots straight into destination rows
-// (span(s) points a slot back at its own lanes). The walk reads input and
-// constant slots and writes each op's dest slot once, in tape order; no
-// dest span may overlap any other slot's span.
+// slot s. A Lane_block owns the slot-major lanes, each span 64-byte
+// aligned, and that slot table, with the constant lanes filled from the
+// tape. Callers may repoint input slots straight into frame rows and output
+// slots straight into destination rows (span(s) points a slot back at its
+// own lanes); those need no alignment, since the walks load and store
+// unaligned. The walk reads input and constant slots and writes each op's
+// dest slot once, in tape order; no dest span may overlap any other slot's
+// span.
 #pragma once
 
 #include <algorithm>
@@ -52,6 +54,19 @@ inline constexpr int kTapeLane = 64;
 void run_tape(const Compiled_program& tape, double* const* slot, int n);
 void run_tape(const Fixed_tape& tape, std::int64_t* const* slot, int n);
 
+// One ISA clone of the two lane walks, taking the tape's op list, the slot
+// table, n and (fixed) the wrap, fraction shift and raw 1.0.
+struct Lane_clone {
+    const char* isa;
+    void (*fixed)(const Tape_op*, std::size_t, std::int64_t* const*, int, const Bit_wrap&,
+                  int, std::int64_t);
+    void (*dbl)(const Tape_op*, std::size_t, double* const*, int);
+};
+
+// Every clone the host can execute, widest first; run_tape runs the first.
+// Tests hold each one to the reference semantics.
+const std::vector<Lane_clone>& lane_clones();
+
 // The lane word of a tape's value domain.
 template <class Tape>
 using Lane_word =
@@ -59,13 +74,16 @@ using Lane_word =
 
 // Slot stride of a lane block for a batch of `samples`: a whole lane when
 // the batch fills one, else the batch rounded up to 8 words (one 64-byte
-// cache line), so a short batch does not drag dead lanes through the walk.
+// cache line), so a short batch does not drag dead lanes through the walk
+// and every span of a Lane_block starts on a cache line.
 inline std::size_t lane_stride(std::size_t samples) {
     return std::min<std::size_t>((samples + 7) / 8 * 8, kTapeLane);
 }
 
 // The slot-major lanes of one tape (`stride` words per slot) and the slot
-// table run_tape walks. A walk over n samples needs stride >= n.
+// table run_tape walks. A walk over n samples needs stride >= n. The lanes
+// start on a 64-byte boundary, so with a lane_stride() stride every span
+// does too and no full-width vector access splits a cache line.
 template <class Tape>
 class Lane_block {
 public:
@@ -84,13 +102,18 @@ public:
 
     Value** slot() { return slot_.data(); }
     Value* span(std::int32_t s) {
-        return lanes_.data() + static_cast<std::size_t>(s) * stride_;
+        return lanes_.data() + offset_ + static_cast<std::size_t>(s) * stride_;
     }
 
 private:
+    static constexpr std::size_t kLineWords = 64 / sizeof(Value);
+
+    // Over-allocated by kLineWords - 1 words; offset_ words in, the lanes
+    // reach the first 64-byte boundary of the buffer.
     std::vector<Value> lanes_;
     std::vector<Value*> slot_;
     std::size_t stride_ = 0;
+    std::size_t offset_ = 0;
 };
 
 extern template class Lane_block<Compiled_program>;

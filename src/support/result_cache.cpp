@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -186,11 +187,16 @@ Result_cache::Result_cache(std::string dir, const Env_hooks* hooks)
                            ec.message()));
     }
     dir_lock_mutex_ = directory_mutex(dir_);
-    // Probe writability with a real write so an unusable directory fails at
-    // startup with a clear message instead of as silent store failures.
-    const std::string probe = dir_ + "/.islhls-probe.tmp";
+    // Probe writability with a real create so an unusable directory fails
+    // at startup with a clear message instead of as silent store failures.
+    // The probe needs no durability, so it takes the unflushed exclusive
+    // create. Its name is unique to this process and construction, and
+    // holds ".tmp", so gc collects one a crash left behind.
+    static std::atomic<std::uint64_t> probes{0};
+    const std::string probe = cat(dir_, "/.islhls-probe.", static_cast<long long>(::getpid()),
+                                  ".", probes++, ".tmp");
     std::string error;
-    if (!hooks_->write_file(probe, "probe", &error)) {
+    if (!hooks_->create_exclusive(probe, "probe", &error)) {
         throw Io_error(cat("cache directory '", dir_, "' is not writable: ",
                            error));
     }

@@ -86,8 +86,8 @@ public:
 
     // Opens the cache at `dir`, creating the directory on first use.
     // Throws Io_error when the path exists but is not a directory, when the
-    // directory cannot be created, or when it is not writable (probed with
-    // a real write so the failure surfaces at startup, not mid-sweep).
+    // directory cannot be created, or when it is not writable (probed by
+    // creating a file, so the failure surfaces at startup, not mid-sweep).
     explicit Result_cache(std::string dir, const Env_hooks* hooks = nullptr);
 
     // The payload stored under `key`, or nullopt on miss. Corrupt records

@@ -107,10 +107,11 @@ TEST_F(Result_cache_test, path_is_a_file_is_a_named_io_error) {
 
 TEST_F(Result_cache_test, unwritable_directory_fails_at_construction) {
     // Tests may run as root (where permission bits do not bind), so
-    // unwritability is injected through the hooks seam instead of chmod.
+    // unwritability is injected through the hooks seam instead of chmod, on
+    // the exclusive create the construction probe goes through.
     Env_hooks hooks = real_env_hooks();
-    hooks.write_file = [](const std::string&, const std::string&,
-                          std::string* error) {
+    hooks.create_exclusive = [](const std::string&, const std::string&,
+                                std::string* error) {
         *error = "No space left on device";
         return false;
     };
