@@ -1,5 +1,5 @@
 // Ablation: sensitivity of the reproduced claims to the calibrated model
-// constants (EXPERIMENTS.md, "Tuned model constants").
+// constants.
 //
 // Sweeps each of the four load-bearing throughput/area constants around its
 // calibrated value and reports whether the two headline claims survive:
@@ -23,12 +23,11 @@ struct Claim_result {
     double chambolle_peak = 0.0;
 };
 
-Claim_result evaluate_claims(const Flow_options& options) {
+Claim_result evaluate_claims(const Sweep_config& config) {
     Claim_result result;
-    Hls_flow igf = Hls_flow::from_kernel(kernel_by_name("igf"), options);
-    const auto fit = igf.device_fit();
+    Sweep_service service;
+    const auto fit = islhls_bench::explorer_for(service, "igf", config).fit_device();
     std::map<int, double> best_per_depth;
-    const Space_options& space = igf.explorer().space();
     for (const auto& cell : fit.grid) {
         if (cell.valid) {
             best_per_depth[cell.primary_depth] =
@@ -36,15 +35,14 @@ Claim_result evaluate_claims(const Flow_options& options) {
                          cell.eval.throughput.fps);
         }
     }
-    (void)space;
     const double worst_divisor =
         std::min({best_per_depth[1], best_per_depth[2], best_per_depth[5]});
     const double best_nondivisor = std::max(best_per_depth[3], best_per_depth[4]);
     result.divisors_win = worst_divisor > best_nondivisor;
     result.igf_peak = fit.has_best ? fit.best.throughput.fps : 0.0;
 
-    Hls_flow chamb = Hls_flow::from_kernel(kernel_by_name("chambolle"), options);
-    const auto cfit = chamb.device_fit();
+    const auto cfit =
+        islhls_bench::explorer_for(service, "chambolle", config).fit_device();
     result.chambolle_peak = cfit.has_best ? cfit.best.throughput.fps : 0.0;
     return result;
 }
@@ -59,23 +57,23 @@ int main() {
     struct Sweep {
         const char* name;
         std::vector<double> values;
-        std::function<void(Flow_options&, double)> apply;
+        std::function<void(Sweep_config&, double)> apply;
     };
     const std::vector<Sweep> sweeps{
         {"core_read_ports", {4, 8, 16},
-         [](Flow_options& o, double v) { o.throughput.core_read_ports = v; }},
+         [](Sweep_config& c, double v) { c.throughput.core_read_ports = v; }},
         {"global_read_ports", {16, 32, 64},
-         [](Flow_options& o, double v) { o.throughput.global_read_ports = v; }},
+         [](Sweep_config& c, double v) { c.throughput.global_read_ports = v; }},
         {"class_switch_cycles", {0, 60, 120, 240},
-         [](Flow_options& o, double v) { o.throughput.class_switch_cycles = v; }},
+         [](Sweep_config& c, double v) { c.throughput.class_switch_cycles = v; }},
     };
 
     Table table({"constant", "value", "IGF peak fps", "divisors win", "Chambolle peak"});
     for (const Sweep& sweep : sweeps) {
         for (double v : sweep.values) {
-            Flow_options options = paper_options();
-            sweep.apply(options, v);
-            const Claim_result r = evaluate_claims(options);
+            Sweep_config config = paper_config();
+            sweep.apply(config, v);
+            const Claim_result r = evaluate_claims(config);
             table.add(sweep.name, v, format_fixed(r.igf_peak, 1),
                       r.divisors_win ? "yes" : "no",
                       format_fixed(r.chambolle_peak, 1));
@@ -92,9 +90,9 @@ int main() {
     //   3. Chambolle's peak stays in the paper band across the bandwidth
     //      neighbourhood (it is not a knife-edge artifact).
     report_claim("claims hold at the calibrated point",
-                 evaluate_claims(paper_options()).divisors_win);
+                 evaluate_claims(paper_config()).divisors_win);
     {
-        Flow_options no_penalty = paper_options();
+        Sweep_config no_penalty = paper_config();
         no_penalty.throughput.class_switch_cycles = 0.0;
         report_claim("removing the class-switch penalty breaks the divisor claim "
                      "(the paper's explanation is load-bearing)",
@@ -103,9 +101,9 @@ int main() {
     {
         bool in_band = true;
         for (double ports : {16.0, 32.0, 64.0}) {
-            Flow_options o = paper_options();
-            o.throughput.global_read_ports = ports;
-            const double peak = evaluate_claims(o).chambolle_peak;
+            Sweep_config config = paper_config();
+            config.throughput.global_read_ports = ports;
+            const double peak = evaluate_claims(config).chambolle_peak;
             in_band = in_band && peak > 12.0 && peak < 48.0;
         }
         report_claim("Chambolle peak stays within 2x of the paper's 24 fps across "

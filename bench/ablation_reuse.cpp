@@ -19,16 +19,15 @@ int main() {
     Table table({"kernel", "cone", "ops w/o reuse", "registers w/ reuse", "reuse x",
                  "est kLUT w/o", "est kLUT w/"});
     double worst_blowup = 0.0;
+    Sweep_service service;
     bool reuse_grows_with_depth = true;
 
     for (const char* kernel_name : {"igf", "chambolle", "jacobi", "mean"}) {
-        Hls_flow flow =
-            Hls_flow::from_kernel(kernel_by_name(kernel_name), paper_options());
+        Explorer explorer = explorer_for(service, kernel_name);
         double prev_reuse = 0.0;
         for (int d : {1, 2, 3, 4}) {
-            const Cone_stats& stats = flow.cones().stats(4, d);
-            const double with_reuse =
-                flow.explorer().evaluator().estimated_cone_area(4, d);
+            const Cone_stats& stats = service.library(kernel_name).stats(4, d);
+            const double with_reuse = explorer.evaluator().estimated_cone_area(4, d);
             // Without reuse each tree node is its own operator: area scales
             // by the reuse factor (same operator mix).
             const double without_reuse = with_reuse * stats.reuse_factor();
@@ -55,12 +54,11 @@ int main() {
                  reuse_grows_with_depth);
 
     // The memory/performance conflict of Sec. 2.2: window buffers vs frames.
-    Hls_flow igf = Hls_flow::from_kernel(kernel_by_name("igf"), paper_options());
     Arch_instance instance;
     instance.window = 8;
     instance.level_depths = {5, 5};
     instance.cores_per_depth = {{5, 1}};
-    const auto eval = igf.explorer().evaluator().evaluate(instance);
+    const auto eval = explorer_for(service, "igf").evaluator().evaluate(instance);
     std::cout << "\non-chip buffers for w=8, [5,5]: "
               << format_fixed(eval.memory.total_kbits, 1) << " kbit vs whole-frame "
               << format_fixed(eval.memory.whole_frame_kbits / 1024.0, 1)

@@ -3,8 +3,8 @@
 // Every bench binary regenerates one table or figure of the DAC'13 paper
 // with the same workload parameters (1024x768 frames, N = 10 iterations,
 // output windows 1..9, cone depths 1..5, Xilinx Virtex-6 XC6VLX760) and
-// finishes with a PASS/CHECK summary of the qualitative claims the paper
-// makes about that artifact. See EXPERIMENTS.md for the recorded outcomes.
+// finishes with one [PASS] or [DEVIATION] line per qualitative claim the
+// paper makes about that artifact.
 #pragma once
 
 #include <cstdio>
@@ -13,20 +13,33 @@
 #include <iostream>
 #include <string>
 
-#include "core/flow.hpp"
+#include "core/service.hpp"
+#include "synth/device.hpp"
 
 namespace islhls_bench {
 
-// The paper's evaluation setup (Sec. 4).
-inline islhls::Flow_options paper_options() {
-    islhls::Flow_options options;
-    options.iterations = 10;
-    options.frame_width = 1024;
-    options.frame_height = 768;
-    options.device = "xc6vlx760";
-    options.space.max_window = 9;
-    options.space.max_depth = 5;
-    return options;
+// The paper's evaluation setup (Sec. 4) as a one-kernel sweep request.
+inline islhls::Sweep_config paper_config() {
+    islhls::Sweep_config config;
+    config.iteration_counts = {10};
+    config.frame_width = 1024;
+    config.frame_height = 768;
+    config.devices = {"xc6vlx760"};
+    config.space.max_window = 9;
+    config.space.max_depth = 5;
+    return config;
+}
+
+// The Explorer a request of `config` (one device, one iteration count) runs
+// on `kernel`, over the kernel's resident library in `service`.
+inline islhls::Explorer explorer_for(islhls::Sweep_service& service,
+                                     const std::string& kernel,
+                                     const islhls::Sweep_config& config = paper_config()) {
+    islhls::Space_options space = config.space;
+    space.iterations = config.iteration_counts.at(0);
+    return islhls::Explorer(service.library(kernel),
+                            islhls::device_by_name(config.devices.at(0)),
+                            islhls::evaluator_options_for(config), space);
 }
 
 // Claims reported as [DEVIATION] so far in this process.

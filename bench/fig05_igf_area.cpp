@@ -15,20 +15,22 @@ int main() {
     std::cout << "=== Fig. 5: IGF area estimation (estimated vs actual kLUTs) ===\n"
               << "device xc6vlx760, alpha from the two smallest windows per depth\n\n";
 
-    Hls_flow flow = Hls_flow::from_kernel(kernel_by_name("igf"), paper_options());
+    Sweep_service service;
+    Explorer explorer = explorer_for(service, "igf");
+    const Cone_library& cones = service.library("igf");
 
     // Phase 1 — what the flow actually needs: estimate the whole grid. Only
     // the calibration designs are synthesized here.
-    const Space_options& space = flow.explorer().space();
+    const Space_options& space = explorer.space();
     for (int d = 1; d <= space.max_depth; ++d) {
         for (int w = 1; w <= space.max_window; ++w) {
-            flow.explorer().evaluator().estimated_cone_area(w, d);
+            explorer.evaluator().estimated_cone_area(w, d);
         }
     }
-    const int calibration_runs = flow.cones().synthesis_runs();
+    const int calibration_runs = cones.synthesis_runs();
 
     // Phase 2 — ground truth for the comparison: synthesize everything.
-    const auto validation = flow.area_validation();
+    const auto validation = explorer.validate_area_model();
 
     Table table({"window", "area(elems)", "depth", "registers", "actual kLUT",
                  "estimated kLUT", "err %", "alpha point"});
@@ -44,14 +46,14 @@ int main() {
     const double avg_pct = validation.avg_rel_error * 100.0;
     std::cout << "max error " << format_fixed(max_pct, 2) << " % (paper: 6.58 %), "
               << "average " << format_fixed(avg_pct, 2) << " % (paper: 2.93 %)\n";
-    std::cout << "syntheses run: " << flow.cones().synthesis_runs()
+    std::cout << "syntheses run: " << cones.synthesis_runs()
               << " of " << validation.points.size() << " designs; simulated tool time "
-              << format_fixed(flow.cones().synthesis_cpu_seconds() / 3600.0, 1)
+              << format_fixed(cones.synthesis_cpu_seconds() / 3600.0, 1)
               << " h for the calibration set\n\n";
 
     report_claim(cat("estimation needs only 2 syntheses per depth (", calibration_runs,
                      " for the whole grid)"),
-                 calibration_runs == 2 * paper_options().space.max_depth);
+                 calibration_runs == 2 * space.max_depth);
     report_claim(cat("average error within paper band (<5%): ", format_fixed(avg_pct, 2),
                      "%"),
                  avg_pct < 5.0);

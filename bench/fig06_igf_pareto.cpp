@@ -14,8 +14,8 @@ int main() {
 
     std::cout << "=== Fig. 6: IGF Pareto curve (1024x768) ===\n\n";
 
-    Hls_flow flow = Hls_flow::from_kernel(kernel_by_name("igf"), paper_options());
-    const auto result = flow.pareto();
+    Sweep_service service;
+    const auto result = explorer_for(service, "igf").explore_pareto();
 
     std::cout << "evaluated " << result.points.size()
               << " design points (paper: a few hundred), Pareto set of "

@@ -20,9 +20,10 @@ int main() {
 
     std::cout << "=== Fig. 7: IGF throughput on xc6vlx760 (fps; N=10, 1024x768) ===\n\n";
 
-    Hls_flow flow = Hls_flow::from_kernel(kernel_by_name("igf"), paper_options());
-    const auto fit = flow.device_fit();
-    const Space_options& space = flow.explorer().space();
+    Sweep_service service;
+    Explorer explorer = explorer_for(service, "igf");
+    const auto fit = explorer.fit_device();
+    const Space_options& space = explorer.space();
 
     Table table({"depth \\ window area", "1", "4", "9", "16", "25", "36", "49", "64",
                  "81"});

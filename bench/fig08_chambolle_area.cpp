@@ -11,8 +11,9 @@ int main() {
     std::cout << "=== Fig. 8: Chambolle area estimation ===\n"
               << "device xc6vlx760, alpha from the two smallest windows per depth\n\n";
 
-    Hls_flow flow = Hls_flow::from_kernel(kernel_by_name("chambolle"), paper_options());
-    const auto validation = flow.area_validation();
+    Sweep_service service;
+    Explorer explorer = explorer_for(service, "chambolle");
+    const auto validation = explorer.validate_area_model();
 
     // Compact view: one row per (depth, window), like the figure's series.
     Table table({"depth", "window area", "registers", "actual kLUT", "estimated kLUT",
@@ -38,11 +39,7 @@ int main() {
                      format_fixed(max_pct, 2), "%"),
                  max_pct < 12.7);
     report_claim("Chambolle cones are larger than IGF cones of equal geometry",
-                 [&] {
-                     Hls_flow igf =
-                         Hls_flow::from_kernel(kernel_by_name("igf"), paper_options());
-                     return flow.explorer().evaluator().actual_cone_area(4, 2) >
-                            igf.explorer().evaluator().actual_cone_area(4, 2);
-                 }());
+                 explorer.evaluator().actual_cone_area(4, 2) >
+                     explorer_for(service, "igf").evaluator().actual_cone_area(4, 2));
     return claims_exit_code();
 }

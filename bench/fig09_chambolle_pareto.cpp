@@ -11,10 +11,9 @@ int main() {
 
     std::cout << "=== Fig. 9: Chambolle Pareto curve (1024x768) ===\n\n";
 
-    Hls_flow flow = Hls_flow::from_kernel(kernel_by_name("chambolle"), paper_options());
-    const auto result = flow.pareto();
-    const auto igf_result =
-        Hls_flow::from_kernel(kernel_by_name("igf"), paper_options()).pareto();
+    Sweep_service service;
+    const auto result = explorer_for(service, "chambolle").explore_pareto();
+    const auto igf_result = explorer_for(service, "igf").explore_pareto();
 
     std::cout << "evaluated " << result.points.size() << " design points, Pareto set of "
               << result.front.size() << "\n\n";

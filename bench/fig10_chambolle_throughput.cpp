@@ -19,9 +19,10 @@ int main() {
 
     std::cout << "=== Fig. 10: Chambolle throughput on xc6vlx760 (fps) ===\n\n";
 
-    Hls_flow flow = Hls_flow::from_kernel(kernel_by_name("chambolle"), paper_options());
-    const auto fit = flow.device_fit();
-    const Space_options& space = flow.explorer().space();
+    Sweep_service service;
+    Explorer explorer = explorer_for(service, "chambolle");
+    const auto fit = explorer.fit_device();
+    const Space_options& space = explorer.space();
 
     Table table({"depth \\ window area", "1", "4", "9", "16", "25", "36", "49", "64",
                  "81"});
@@ -69,8 +70,7 @@ int main() {
                      witness_depth, ") — the paper's core-fit quantization effect"),
                  smaller_window_wins);
 
-    Hls_flow igf = Hls_flow::from_kernel(kernel_by_name("igf"), paper_options());
-    const auto igf_fit = igf.device_fit();
+    const auto igf_fit = explorer_for(service, "igf").fit_device();
     report_claim(cat("Chambolle is 3-12x slower than IGF on the same device (",
                      format_fixed(igf_fit.best.throughput.fps /
                                       fit.best.throughput.fps, 1),

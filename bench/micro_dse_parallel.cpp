@@ -59,19 +59,11 @@ struct Sweep_run {
 };
 
 Sweep_run run_sweep(int threads) {
-    const Kernel_def& igf = kernel_by_name("igf");
-    Cone_library library(extract_stencil(igf.c_source), igf.name);
-
-    const Flow_options paper = islhls_bench::paper_options();
-    Evaluator_options evaluator_options;
-    evaluator_options.frame_width = paper.frame_width;
-    evaluator_options.frame_height = paper.frame_height;
-    Space_options space = paper.space;
-    space.iterations = paper.iterations;
-    space.threads = threads;
-
-    Explorer explorer(library, device_by_name(paper.device), evaluator_options,
-                      space);
+    Sweep_config paper = islhls_bench::paper_config();
+    paper.space.threads = threads;
+    Sweep_service service;  // a fresh library per run
+    Explorer explorer = islhls_bench::explorer_for(service, "igf", paper);
+    const Cone_library& library = service.library("igf");
 
     const auto start = std::chrono::steady_clock::now();
     const Pareto_result pareto = explorer.explore_pareto();
@@ -96,8 +88,8 @@ double time_backend_sweep(const std::vector<std::string>& backends) {
     config.kernels = {"igf", "jacobi"};
     config.devices = {"xc6vlx760"};
     config.iteration_counts = {10};
-    config.frame_width = islhls_bench::paper_options().frame_width;
-    config.frame_height = islhls_bench::paper_options().frame_height;
+    config.frame_width = islhls_bench::paper_config().frame_width;
+    config.frame_height = islhls_bench::paper_config().frame_height;
     config.with_pareto = true;
     config.backends = backends;
     Sweep_service service;

@@ -5,7 +5,7 @@
 // estimation-based exploration.
 #include <benchmark/benchmark.h>
 
-#include "core/flow.hpp"
+#include "dse/cone_library.hpp"
 #include "grid/frame_ops.hpp"
 #include "dse/pareto.hpp"
 #include "oracle/reference.hpp"

@@ -19,20 +19,20 @@ int main() {
     std::cout << "=== Sec. 4.3: commercial HLS tools vs the cone flow (IGF, "
                  "1024x768, N=10) ===\n\n";
 
-    const Flow_options options = paper_options();
-    Hls_flow flow = Hls_flow::from_kernel(kernel_by_name("igf"), options);
-    const Fpga_device& device = flow.device();
+    const Sweep_config config = paper_config();
+    Sweep_service service;
+    Explorer explorer = explorer_for(service, "igf", config);
 
-    const auto menu = run_generic_hls_menu(flow.cones().step(), options.iterations,
-                                           options.frame_width, options.frame_height,
-                                           device);
+    const auto menu = run_generic_hls_menu(
+        service.library("igf").step(), config.iteration_counts.at(0), config.frame_width,
+        config.frame_height, device_by_name(config.devices.at(0)));
     Table table({"directive", "outcome", "fps", "note"});
     for (const auto& r : menu) {
         table.add(to_string(r.directive), r.succeeded ? "ok" : "FAILED",
                   r.succeeded ? format_fixed(r.fps, 3) : std::string("-"),
                   r.succeeded ? "" : r.failure.substr(0, 60) + "...");
     }
-    const auto fit = flow.device_fit();
+    const auto fit = explorer.fit_device();
     table.add("cone flow (this work)", "ok", format_fixed(fit.best.throughput.fps, 1),
               to_string(fit.best.instance));
     std::cout << table << "\n";

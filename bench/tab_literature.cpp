@@ -15,14 +15,13 @@
 namespace {
 
 double flow_fps(const char* kernel, int iterations, int w, int h, const char* device) {
-    islhls::Flow_options options = islhls_bench::paper_options();
-    options.iterations = iterations;
-    options.frame_width = w;
-    options.frame_height = h;
-    options.device = device;
-    islhls::Hls_flow flow =
-        islhls::Hls_flow::from_kernel(islhls::kernel_by_name(kernel), options);
-    const auto fit = flow.device_fit();
+    islhls::Sweep_config config = islhls_bench::paper_config();
+    config.iteration_counts = {iterations};
+    config.frame_width = w;
+    config.frame_height = h;
+    config.devices = {device};
+    islhls::Sweep_service service;
+    const auto fit = islhls_bench::explorer_for(service, kernel, config).fit_device();
     return fit.has_best ? fit.best.throughput.fps : 0.0;
 }
 
@@ -42,8 +41,8 @@ int main() {
 
     // Our flow on the matching workloads. Note: our virtual Virtex-II Pro is
     // deliberately conservative (4 elems/cycle external bus, 2.2x logic
-    // delay), so the V2P rows under-run the paper's claim there — recorded
-    // as a known deviation in EXPERIMENTS.md. The modern-device argument
+    // delay), so the V2P row under-runs the paper's claim there; it is
+    // printed, not claimed. The modern-device argument
     // (the paper's own headline: "with a Virtex-6 ... 110 fps") is checked
     // on the Virtex-6 rows.
     const double conv_v2p_1024 = flow_fps("igf", 20, 1024, 768, "xc2vp30");
@@ -71,7 +70,7 @@ int main() {
     report_claim(cat("Full HD with 20 iterations stays in the same order of "
                      "magnitude as the paper's 35 fps (",
                      format_fixed(conv_v6_fullhd, 1),
-                     " fps; known-conservative, see EXPERIMENTS.md)"),
+                     " fps; known-conservative)"),
                  conv_v6_fullhd >= 8.0);
     report_claim(
         cat("automatic Chambolle is comparable to the hand design [19] (",

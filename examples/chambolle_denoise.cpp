@@ -8,9 +8,10 @@
 #include <cmath>
 #include <iostream>
 
-#include "core/flow.hpp"
+#include "core/service.hpp"
 #include "grid/frame_io.hpp"
 #include "grid/frame_ops.hpp"
+#include "kernels/kernels.hpp"
 #include "sim/arch_sim.hpp"
 #include "support/text.hpp"
 
@@ -47,24 +48,25 @@ Frame reconstruct(const Frame& g, const Frame& p1, const Frame& p2) {
 }  // namespace
 
 int main() {
-    Flow_options options;
-    options.iterations = 20;  // TV needs more fixed-point steps than blur
-    options.frame_width = 192;
-    options.frame_height = 144;
-    options.device = "xc6vlx760";
-    options.space.max_depth = 4;
+    Sweep_config config;
+    config.kernels = {"chambolle"};
+    config.devices = {"xc6vlx760"};
+    config.iteration_counts = {20};  // TV needs more fixed-point steps than blur
+    config.frame_width = 192;
+    config.frame_height = 144;
+    config.space.max_depth = 4;
 
     const Kernel_def& kernel = kernel_by_name("chambolle");
-    Hls_flow flow = Hls_flow::from_kernel(kernel, options);
-    std::cout << flow.describe() << "\n";
+    Sweep_service service;
+    Cone_library& library = service.library(kernel.name);
+    std::cout << describe(library) << "\n";
 
     // Clean scene + noise = the denoising workload.
-    const Frame clean = make_synthetic_scene(options.frame_width,
-                                             options.frame_height, 77);
+    const Frame clean = make_synthetic_scene(config.frame_width, config.frame_height, 77);
     Frame noisy = clean;
     {
-        const Frame noise = make_noise(options.frame_width, options.frame_height,
-                                       1234, -12.0, 12.0);
+        const Frame noise = make_noise(config.frame_width, config.frame_height, 1234,
+                                       -12.0, 12.0);
         for (std::size_t i = 0; i < noisy.data().size(); ++i) {
             noisy.data()[i] =
                 std::min(255.0, std::max(0.0, noisy.data()[i] + noise.data()[i]));
@@ -75,13 +77,13 @@ int main() {
               << " dB, TV = " << format_fixed(total_variation(noisy) / 1e3, 1)
               << "k\n";
 
-    // Pick the best architecture and run it.
-    const auto fit = flow.device_fit();
+    // Pick the best architecture (a one-kernel request) and run it.
+    const Sweep_entry fit = service.run(config).entries.front();
     std::cout << "device fit: " << to_string(fit.best.instance) << " -> "
               << format_fixed(fit.best.throughput.fps, 1) << " fps estimated\n";
     const Frame_set initial = kernel.make_initial(noisy);
     const Arch_sim_result sim =
-        simulate_architecture(flow.cones(), fit.best.instance, initial, {});
+        simulate_architecture(library, fit.best.instance, initial, {});
 
     const Frame denoised = reconstruct(initial.field("g"),
                                        sim.final_state.field("p1"),

@@ -1,12 +1,14 @@
 // Bringing your own C kernel to the flow.
 //
 // The flow consumes plain C in the canonical ISL form; this example defines
-// a sharpening diffusion the library does not ship, walks through what the
-// dependency analysis extracted, validates the cone against a direct
-// software interpretation of the kernel, and explores the design space.
+// a sharpening diffusion the library does not ship, registers it with the
+// sweep service (Sweep_service::add_kernel), walks through what the
+// dependency analysis extracted, explores the design space with an Explorer
+// over the kernel's resident cone library, and validates the fitted
+// architecture against a direct software interpretation of the kernel.
 #include <iostream>
 
-#include "core/flow.hpp"
+#include "core/service.hpp"
 #include "grid/frame_ops.hpp"
 #include "sim/arch_sim.hpp"
 #include "sim/golden.hpp"
@@ -35,41 +37,44 @@ void unsharp_step(float u_out[H][W], const float u[H][W]) {
 int main() {
     using namespace islhls;
 
-    Flow_options options;
-    options.iterations = 5;
-    options.frame_width = 160;
-    options.frame_height = 120;
-    options.space.max_window = 6;
-    options.space.max_depth = 3;
+    Sweep_config config;
+    config.iteration_counts = {5};
+    config.frame_width = 160;
+    config.frame_height = 120;
+    config.space.iterations = 5;
+    config.space.max_window = 6;
+    config.space.max_depth = 3;
 
-    Hls_flow flow = Hls_flow::from_source(my_kernel, options);
+    Sweep_service service;
+    Cone_library& library = service.library(service.add_kernel(my_kernel));
     std::cout << "=== what the symbolic execution extracted ===\n"
-              << flow.describe() << "\n";
+              << describe(library) << "\n";
+    const Fpga_device& device = device_by_name("xc6vlx760");
+    Explorer explorer(library, device, evaluator_options_for(config), config.space);
 
     // Validate: cone architecture vs golden IR interpretation.
     const Frame scene = make_synthetic_scene(160, 120, 5);
     Frame_set initial(160, 120);
     initial.add_field("u", scene);
-    const auto fit = flow.device_fit();
+    const auto fit = explorer.fit_device();
     const Arch_sim_result sim =
-        simulate_architecture(flow.cones(), fit.best.instance, initial, {});
+        simulate_architecture(library, fit.best.instance, initial, {});
     const Frame_set golden =
-        run_ghost_ir(flow.step(), initial, options.iterations, Boundary::clamp);
+        run_ghost_ir(library.step(), initial, config.space.iterations, Boundary::clamp);
     std::cout << "architecture vs golden max |diff| = "
               << max_abs_diff(sim.final_state.field("u"), golden.field("u")) << "\n\n";
 
     // The interesting cones at a glance.
     Table table({"cone", "registers", "inputs", "reuse", "est kLUT"});
     for (int d = 1; d <= 3; ++d) {
-        const Cone_stats& stats = flow.cones().stats(4, d);
+        const Cone_stats& stats = library.stats(4, d);
         table.add(to_string(stats.spec), stats.register_count, stats.input_count,
                   format_fixed(stats.reuse_factor(), 2),
-                  format_fixed(
-                      flow.explorer().evaluator().estimated_cone_area(4, d) / 1e3, 1));
+                  format_fixed(explorer.evaluator().estimated_cone_area(4, d) / 1e3, 1));
     }
     std::cout << table << "\n";
 
-    std::cout << "best fit on " << flow.device().name << ": "
+    std::cout << "best fit on " << device.name << ": "
               << to_string(fit.best.instance) << " -> "
               << format_fixed(fit.best.throughput.fps, 1) << " fps\n";
     return 0;

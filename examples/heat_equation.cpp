@@ -4,11 +4,13 @@
 // a hot spot diffusing through a plate, run through the cone architecture
 // and checked for (a) agreement with the golden model and (b) the physics —
 // heat is conserved away from the boundary and the peak decays
-// monotonically. Also compares device fits across two FPGA generations.
+// monotonically. Also compares device fits across three FPGA generations,
+// in one request to the sweep service.
 #include <iostream>
 
-#include "core/flow.hpp"
+#include "core/service.hpp"
 #include "grid/frame_ops.hpp"
+#include "kernels/kernels.hpp"
 #include "sim/arch_sim.hpp"
 #include "sim/golden.hpp"
 #include "support/table.hpp"
@@ -17,26 +19,30 @@
 int main() {
     using namespace islhls;
 
-    Flow_options options;
-    options.iterations = 12;
-    options.frame_width = 128;
-    options.frame_height = 128;
-    options.space.max_depth = 4;
-    options.space.max_window = 6;
+    Sweep_config config;
+    config.kernels = {"heat"};
+    config.devices = {"xc2vp30", "xc6vlx760", "xc7vx485t"};
+    config.iteration_counts = {12};
+    config.frame_width = 128;
+    config.frame_height = 128;
+    config.space.max_depth = 4;
+    config.space.max_window = 6;
 
     const Kernel_def& kernel = kernel_by_name("heat");
-    Hls_flow flow = Hls_flow::from_kernel(kernel, options);
-    std::cout << flow.describe() << "\n";
+    Sweep_service service;
+    Cone_library& library = service.library(kernel.name);
+    std::cout << describe(library) << "\n";
+    const Sweep_report report = service.run(config);
 
     // A centered hot spot on a cold plate (zero-flux boundary via clamp).
     const Frame plate = make_impulse(128, 128, 64, 64, 10000.0);
     const Frame_set initial = kernel.make_initial(plate);
 
-    const auto fit = flow.device_fit();
+    const Sweep_entry& fit = report.entries.at(1);  // xc6vlx760
     const Arch_sim_result sim =
-        simulate_architecture(flow.cones(), fit.best.instance, initial, {});
+        simulate_architecture(library, fit.best.instance, initial, {});
     const Frame_set golden =
-        run_ghost_ir(flow.step(), initial, options.iterations, kernel.boundary);
+        run_ghost_ir(library.step(), initial, fit.iterations, kernel.boundary);
     std::cout << "architecture vs golden max |diff| = "
               << max_abs_diff(sim.final_state.field("u"), golden.field("u")) << "\n";
 
@@ -51,17 +57,13 @@ int main() {
 
     // The same kernel fitted to different devices.
     Table table({"device", "best architecture", "fps", "kLUTs"});
-    for (const char* device : {"xc2vp30", "xc6vlx760", "xc7vx485t"}) {
-        Flow_options per_device = options;
-        per_device.device = device;
-        Hls_flow f = Hls_flow::from_kernel(kernel, per_device);
-        const auto df = f.device_fit();
-        if (df.has_best) {
-            table.add(device, to_string(df.best.instance),
-                      format_fixed(df.best.throughput.fps, 1),
-                      format_fixed(df.best.estimated_area_luts / 1e3, 1));
+    for (const Sweep_entry& entry : report.entries) {
+        if (entry.fits) {
+            table.add(entry.device, to_string(entry.best.instance),
+                      format_fixed(entry.best.throughput.fps, 1),
+                      format_fixed(entry.best.estimated_area_luts / 1e3, 1));
         } else {
-            table.add(device, "no feasible design", "-", "-");
+            table.add(entry.device, "no feasible design", "-", "-");
         }
     }
     std::cout << "\n" << table;

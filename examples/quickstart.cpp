@@ -1,16 +1,19 @@
 // Quickstart: run the full HLS flow on a small Jacobi kernel written in C.
 //
-//   1. give the flow a C stencil kernel,
+//   1. give the sweep service a C stencil kernel (Sweep_service::add_kernel),
 //   2. inspect the dependency analysis,
 //   3. generate VHDL for one cone,
 //   4. explore the design space and print the Pareto set,
 //   5. pick the best design for a specific FPGA.
+// Steps 4 and 5 are one one-kernel request, the same one
+// `islhls kernel.c --pareto --fit` runs.
 //
 // Build: cmake --build build --target example_quickstart
 // Run:   ./build/examples/example_quickstart
 #include <iostream>
 
-#include "core/flow.hpp"
+#include "backend/vhdl.hpp"
+#include "core/service.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
 
@@ -31,20 +34,14 @@ void jacobi_step(float u_out[H][W], const float u[H][W]) {
 int main() {
     using namespace islhls;
 
-    Flow_options options;
-    options.iterations = 8;
-    options.frame_width = 640;
-    options.frame_height = 480;
-    options.device = "xc6vlx760";
-    options.space.max_window = 6;
-    options.space.max_depth = 4;
-
     // 1-2. Frontend + symbolic execution.
-    Hls_flow flow = Hls_flow::from_source(jacobi_kernel, options);
-    std::cout << "=== dependency analysis ===\n" << flow.describe() << "\n";
+    Sweep_service service;
+    const std::string kernel = service.add_kernel(jacobi_kernel);
+    Cone_library& library = service.library(kernel);
+    std::cout << "=== dependency analysis ===\n" << describe(library) << "\n";
 
     // 3. VHDL for a 3x3-window depth-2 cone.
-    const std::string vhdl = flow.generate_vhdl(3, 2);
+    const std::string vhdl = emit_cone(library.cone(3, 2), kernel);
     std::cout << "=== generated VHDL (first lines) ===\n";
     std::size_t pos = 0;
     for (int line = 0; line < 8 && pos != std::string::npos; ++line) {
@@ -54,29 +51,36 @@ int main() {
     }
     std::cout << "... (" << vhdl.size() << " bytes total)\n\n";
 
-    // 4. Pareto exploration.
-    auto pareto = flow.pareto();
+    // 4-5. One request: the Pareto sweep and the device fit.
+    Sweep_config config;
+    config.kernels = {kernel};
+    config.devices = {"xc6vlx760"};
+    config.iteration_counts = {8};
+    config.frame_width = 640;
+    config.frame_height = 480;
+    config.space.max_window = 6;
+    config.space.max_depth = 4;
+    config.with_pareto = true;
+    const Sweep_entry entry = service.run(config).entries.front();
+
     std::cout << "=== design space ===\n"
-              << "evaluated " << pareto.points.size() << " design points, Pareto set "
-              << pareto.front.size() << " points\n";
+              << "evaluated " << entry.pareto_points << " design points, Pareto set "
+              << entry.pareto_front_size << " points\n";
     Table table({"area (kLUT)", "ms/frame", "fps", "architecture"});
-    for (std::size_t idx : pareto.front) {
-        const auto& p = pareto.points[idx];
-        table.add(format_fixed(p.estimated_area_luts / 1000.0, 1),
-                  format_fixed(p.throughput.seconds_per_frame * 1000.0, 3),
-                  format_fixed(p.throughput.fps, 1), to_string(p.instance));
+    for (const Front_point& p : entry.front_points) {
+        table.add(format_fixed(p.area_luts / 1000.0, 1),
+                  format_fixed(p.seconds_per_frame * 1000.0, 3), format_fixed(p.fps, 1),
+                  p.config);
     }
     std::cout << table << "\n";
 
-    // 5. Device fit.
-    auto fit = flow.device_fit();
-    if (fit.has_best) {
-        std::cout << "=== best design for " << flow.device().name << " ===\n"
-                  << to_string(fit.best.instance) << "\n"
-                  << format_fixed(fit.best.throughput.fps, 1) << " fps, "
-                  << format_fixed(fit.best.estimated_area_luts / 1000.0, 1)
+    if (entry.fits) {
+        std::cout << "=== best design for " << entry.device << " ===\n"
+                  << to_string(entry.best.instance) << "\n"
+                  << format_fixed(entry.best.throughput.fps, 1) << " fps, "
+                  << format_fixed(entry.best.estimated_area_luts / 1000.0, 1)
                   << " kLUTs (estimated), bottleneck: "
-                  << fit.best.throughput.bottleneck << "\n";
+                  << entry.best.throughput.bottleneck << "\n";
     }
     return 0;
 }

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "backend/vhdl.hpp"
-#include "core/flow.hpp"
+#include "core/service.hpp"
 #include "grid/frame_ops.hpp"
 #include "oracle/reference.hpp"
 #include "support/prng.hpp"
@@ -23,13 +23,12 @@ int main(int argc, char** argv) {
     const int window = argc > 2 ? std::atoi(argv[2]) : 4;
     const int depth = argc > 3 ? std::atoi(argv[3]) : 2;
 
-    Flow_options options;
-    Hls_flow flow = Hls_flow::from_kernel(kernel_by_name(kernel_name), options);
+    Sweep_service service;
+    const Cone& cone = service.library(kernel_name).cone(window, depth);
 
     Vhdl_options vhdl_options;
     vhdl_options.format = Fixed_format{14, 6};
 
-    const Cone& cone = flow.cones().cone(window, depth);
     const Register_program& program = cone.program();
 
     // Random (quantized) stimulus and its bit-exact expected response.

@@ -10,6 +10,8 @@
 #include "core/sweep_records.hpp"
 #include "dse/pareto.hpp"
 #include "dse/streaming_backend.hpp"
+#include "frontend/parser.hpp"
+#include "frontend/sema.hpp"
 #include "grid/frame_ops.hpp"
 #include "kernels/kernels.hpp"
 #include "sim/arch_sim.hpp"
@@ -224,32 +226,54 @@ Sweep_service::Sweep_service(Service_options options)
 
 Sweep_service::~Sweep_service() = default;
 
-Cone_library& Sweep_service::library(const std::string& kernel) {
-    auto it = libraries_.find(kernel);
-    if (it == libraries_.end()) {
-        const Kernel_def& def = kernel_by_name(kernel);
-        Stencil_step step = extract_stencil(def.c_source);
-        auto built = std::make_unique<Cone_library>(std::move(step), def.name);
-        it = libraries_.emplace(kernel, std::move(built)).first;
-        const std::string key =
-            kernel_ir_key(def.name, def.boundary, it->second->step());
-        ir_keys_.emplace(kernel, key);
-        if (cache_) {
-            // Bind the library's persistence seam to the result cache; store
-            // failures are absorbed by the cache's own counters.
-            Result_cache* cache = cache_.get();
-            Synthesis_store store;
-            store.load = [cache](const std::string& k) {
-                return load_record<Synthesis_report>(*cache, k);
-            };
-            store.store = [cache](const std::string& k, const Synthesis_report& r) {
-                cache->store(k, serialize_record(r));
-            };
-            it->second->attach_synthesis_store(std::move(store),
-                                               synthesis_key_prefix(key));
-        }
+std::string Sweep_service::add_kernel(const std::string& c_source) {
+    const Function_ast fn = parse_single_function(c_source);
+    const Kernel_info info = analyze_kernel(fn);
+    const std::string& name = info.kernel_name;
+    const std::vector<std::string> registry = kernel_names();
+    if (std::find(registry.begin(), registry.end(), name) != registry.end()) {
+        throw User_error(cat("kernel '", name, "' is a built-in kernel name; "
+                             "rename the function"));
     }
-    return *it->second;
+    if (const auto it = sources_.find(name); it != sources_.end()) {
+        if (it->second == c_source) return name;
+        throw User_error(cat("kernel '", name, "' is already bound to a "
+                             "different source"));
+    }
+    // Source kernels take the registry's default boundary policy.
+    install(name, Kernel_def{}.boundary, execute_symbolically(fn, info));
+    sources_.emplace(name, c_source);
+    return name;
+}
+
+Cone_library& Sweep_service::library(const std::string& kernel) {
+    const auto it = libraries_.find(kernel);
+    if (it != libraries_.end()) return *it->second;
+    const Kernel_def& def = kernel_by_name(kernel);
+    return install(def.name, def.boundary, extract_stencil(def.c_source));
+}
+
+Cone_library& Sweep_service::install(const std::string& kernel, Boundary boundary,
+                                     Stencil_step step) {
+    Cone_library& lib =
+        *libraries_.emplace(kernel, std::make_unique<Cone_library>(std::move(step), kernel))
+             .first->second;
+    const std::string key = kernel_ir_key(kernel, boundary, lib.step());
+    ir_keys_.emplace(kernel, key);
+    if (cache_) {
+        // Bind the library's persistence seam to the result cache; store
+        // failures are absorbed by the cache's own counters.
+        Result_cache* cache = cache_.get();
+        Synthesis_store store;
+        store.load = [cache](const std::string& k) {
+            return load_record<Synthesis_report>(*cache, k);
+        };
+        store.store = [cache](const std::string& k, const Synthesis_report& r) {
+            cache->store(k, serialize_record(r));
+        };
+        lib.attach_synthesis_store(std::move(store), synthesis_key_prefix(key));
+    }
+    return lib;
 }
 
 Sweep_report Sweep_service::run(const Sweep_config& config) {
@@ -286,6 +310,15 @@ struct Sweep_service::Kernel_task {
 
 Sweep_report Sweep_service::run_impl(const Sweep_config& config, std::int64_t deadline,
                                      int attempt) {
+    for (const std::string& kernel : config.kernels) {
+        if (sources_.count(kernel) &&
+            (config.validate || config.validate_fixed || config.search_formats)) {
+            throw User_error(cat("kernel '", kernel, "' came as C source and has no "
+                                 "initial state to simulate: --validate, "
+                                 "--validate-fixed and --search-formats need a "
+                                 "built-in kernel"));
+        }
+    }
     const auto start = std::chrono::steady_clock::now();
     Sweep_report report;
     const Sweep_report before = total_meters(libraries_);
@@ -430,23 +463,16 @@ Sweep_entry Sweep_service::explore(const Sweep_config& config, Sweep_entry entry
     Cone_library& lib = *libraries_.at(entry.kernel);
     const Fpga_device& device = device_by_name(entry.device);
 
-    Evaluator_options evaluator_options;
-    evaluator_options.frame_width = config.frame_width;
-    evaluator_options.frame_height = config.frame_height;
-    evaluator_options.format = config.format;
-    evaluator_options.synth.format = config.format;
-    evaluator_options.throughput = config.throughput;
-    evaluator_options.calibration_windows = config.calibration_windows;
-
+    const Evaluator_options options = evaluator_options_for(config);
     Space_options space = config.space;
     space.iterations = entry.iterations;
 
     // The one backend-specific step: the fit, plus the neutral data the rest
     // of the routine reads.
     Backend_run run = entry.backend == "streaming"
-                          ? run_streaming(lib, device, evaluator_options, space,
+                          ? run_streaming(lib, device, options, space,
                                           config.with_pareto, entry)
-                          : run_paper(lib, device, evaluator_options, space,
+                          : run_paper(lib, device, options, space,
                                       config.with_pareto, pool, entry);
 
     if (config.with_pareto) {
@@ -459,8 +485,7 @@ Sweep_entry Sweep_service::explore(const Sweep_config& config, Sweep_entry entry
         // fraction bits each take the max over the cells (more bits never
         // hurt). It is exact only when every cell is; its PSNR is the worst
         // over the non-exact cells — exactness is a flag, never a sentinel.
-        const Format_grid& grid =
-            format_grid(config, entry, evaluator_options, space, pool, task);
+        const Format_grid& grid = format_grid(config, entry, options, space, pool, task);
         entry.format_searched = true;
         entry.format_satisfiable = true;
         entry.format_exact = true;
@@ -483,7 +508,7 @@ Sweep_entry Sweep_service::explore(const Sweep_config& config, Sweep_entry entry
         // columns are a true design point (area, f_max, cycles, fps). A
         // failed search leaves no width worth pricing: the columns stay empty.
         if (entry.format_satisfiable) {
-            Evaluator_options priced = evaluator_options;
+            Evaluator_options priced = options;
             priced.format = format;
             priced.synth.format = format;
             const Backend_run::Priced p = run.reprice(priced);

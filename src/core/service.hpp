@@ -108,8 +108,18 @@ public:
     std::vector<Request_outcome> run_requests(
         const std::vector<Sweep_config>& requests);
 
+    // Registers a kernel given as C source and returns its function's name,
+    // the name Sweep_config::kernels lists it by. The frontend and symbolic
+    // execution run here, once; their errors propagate (Parse_error,
+    // Sema_error, Symexec_error). Adding the same text again is a no-op.
+    // Throws User_error when the name is a registry key or is already bound
+    // to different text. A source kernel has no initial-state recipe, so a
+    // request that validates or searches formats on it is a User_error.
+    std::string add_kernel(const std::string& c_source);
+
     // The resident per-kernel cache: frontend + symbolic execution happen on
-    // first use; cones and syntheses memoize for the service's lifetime.
+    // first use of a registry kernel (at add_kernel for a source kernel);
+    // cones and syntheses memoize for the service's lifetime.
     Cone_library& library(const std::string& kernel);
 
     // The persistent cache, or nullptr when running in-memory only.
@@ -128,6 +138,11 @@ private:
     // `attempt`.
     Sweep_report run_impl(const Sweep_config& config, std::int64_t deadline = 0,
                           int attempt = 1);
+
+    // Makes `step` the resident library of `kernel`, keyed by its IR
+    // identity and bound to the result cache's synthesis records.
+    Cone_library& install(const std::string& kernel, Boundary boundary,
+                          Stencil_step step);
 
     // Serves one combination from the remembered entries or the cache,
     // counting the hit or miss in `counts`; false when it must be computed.
@@ -152,6 +167,7 @@ private:
     std::unique_ptr<Result_cache> cache_;
     std::map<std::string, std::unique_ptr<Cone_library>> libraries_;
     std::map<std::string, std::string> ir_keys_;  // kernel content identities
+    std::map<std::string, std::string> sources_;  // source kernels' C text
     // Format grids keyed by their full content key (kernel identity plus
     // every grid-affecting option), so requests with different search
     // settings never share a grid.

@@ -83,6 +83,17 @@ void validate_config(const Sweep_config& config) {
     }
 }
 
+Evaluator_options evaluator_options_for(const Sweep_config& config) {
+    Evaluator_options options;
+    options.frame_width = config.frame_width;
+    options.frame_height = config.frame_height;
+    options.format = config.format;
+    options.synth.format = config.format;
+    options.throughput = config.throughput;
+    options.calibration_windows = config.calibration_windows;
+    return options;
+}
+
 std::string report_table(const Sweep_report& report) {
     // The backend, format and fixed-golden columns only appear when some
     // entry carries them, so plain paper-only sweeps keep the classic

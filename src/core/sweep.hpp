@@ -1,5 +1,7 @@
-// Batch sweeps: many kernels × devices × iteration counts through one
-// shared cache — the request, result and report types.
+// Sweeps: many kernels × devices × iteration counts through one shared
+// cache — the request, result and report types. A single-kernel run (the
+// `islhls FILE.c | builtin:NAME` command) is a one-kernel, one-device,
+// one-N request like any other.
 //
 // A sweep keeps one Cone_library per kernel, so cones are built once per
 // (window, depth) no matter how many devices or iteration counts ask for
@@ -16,7 +18,8 @@
 // report is deterministic at any thread count.
 //
 // The sweep machinery itself lives in Sweep_service (core/service.hpp), the
-// one front door: constructed without a cache directory it runs in memory,
+// one front door for registry kernels and C-source kernels alike
+// (add_kernel): constructed without a cache directory it runs in memory,
 // with one it adds the persistent content-addressed result cache, and
 // run_requests() is its fault-tolerant batch front-end.
 #pragma once
@@ -36,7 +39,8 @@ namespace islhls {
 const std::vector<std::string>& sweep_backends();
 
 struct Sweep_config {
-    std::vector<std::string> kernels;    // registry names, e.g. "igf"
+    // Registry names, e.g. "igf", or names Sweep_service::add_kernel returned.
+    std::vector<std::string> kernels;
     std::vector<std::string> devices;    // device names, e.g. "xc6vlx760"
     std::vector<int> iteration_counts;   // N values to sweep
     int frame_width = 1024;
@@ -184,6 +188,10 @@ void validate_thread_count(int threads);
 // Error_kind::user) for each way a config can be malformed. Sweep_service
 // runs it on every request.
 void validate_config(const Sweep_config& config);
+
+// The evaluator settings every exploration of `config` prices under
+// (perfbench declares its own evaluator_options(config), hence the name).
+Evaluator_options evaluator_options_for(const Sweep_config& config);
 
 // The deterministic per-combination table alone: byte-identical across
 // reruns of the same config (cold or warm cache, any thread count).

@@ -2,6 +2,7 @@
 
 #include <mutex>
 
+#include "ir/print.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 
@@ -125,6 +126,23 @@ std::vector<double> Cone_library::synthesis_costs() const {
 int Cone_library::cone_builds() const {
     std::shared_lock<std::shared_mutex> lock(mutex_);
     return static_cast<int>(cones_.size());
+}
+
+std::string describe(Cone_library& library) {
+    const Stencil_step& step = library.step();
+    std::string out = cat("kernel '", library.kernel_name(), "': ",
+                          step.state_field_count(), " state field(s), ",
+                          step.const_fields().size(), " constant field(s)\n");
+    out += cat("single-step footprint ", to_string(step.footprint()), "\n");
+    for (int i = 0; i < step.state_field_count(); ++i) {
+        out += cat("  ", step.state_fields()[static_cast<std::size_t>(i)],
+                   "' = ", to_infix(step.pool(), step.update(i)), "\n");
+    }
+    const Cone_stats& example = library.stats(4, 2);
+    out += cat("example ", to_string(example.spec), ": ", example.register_count,
+               " registers, ", example.input_count, " inputs, reuse factor ",
+               format_fixed(example.reuse_factor(), 2), "\n");
+    return out;
 }
 
 }  // namespace islhls

@@ -117,4 +117,8 @@ private:
     std::atomic<long long> synthesis_lookups_{0};
 };
 
+// Human-readable summary of the library's kernel: its fields, single-step
+// footprint and update expressions, and one example cone (4x4, depth 2).
+std::string describe(Cone_library& library);
+
 }  // namespace islhls

@@ -26,7 +26,8 @@
 namespace islhls {
 
 // Tunable resource parameters (defaults calibrated against the paper's
-// Virtex-6 numbers; see EXPERIMENTS.md).
+// Virtex-6 numbers; bench/ablation_params.cpp checks the claims' sensitivity
+// to them).
 struct Throughput_params {
     double core_read_ports = 8.0;        // elements/cycle into one cone core
     double global_read_ports = 32.0;     // total on-chip read elements/cycle

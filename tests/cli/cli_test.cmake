@@ -55,3 +55,24 @@ foreach(name IN LISTS emitted)
     string(APPEND listing "${name} ${size} ${digest}\n")
 endforeach()
 expect_text(blur5_vhdl "${listing}")
+
+# Two runs over one --cache-dir: the warm run prints the cold run's text and
+# serves its one entry from the cache, with nothing built or synthesized.
+set(cached "${CASES}/blur5.c" --iterations 3 --frame 64x48 --device generic_small
+    --fit --cache-dir cache)
+run_islhls(cold ${cached})
+run_islhls(warm ${cached})
+foreach(pass cold warm)
+    string(FIND "${${pass}}" "\ncache: " footer)
+    string(SUBSTRING "${${pass}}" 0 ${footer} ${pass}_text)
+endforeach()
+if(NOT "${warm_text}" STREQUAL "${cold_text}")
+    message(SEND_ERROR "warm cached run printed different text:\n${warm}")
+endif()
+if(NOT "${cold}" MATCHES "result cache: 0 entry hits, 1 entry misses, 1 stored;")
+    message(SEND_ERROR "cold cached run did not store its entry:\n${cold}")
+endif()
+if(NOT "${warm}" MATCHES "\ncache: 0 cones built, 0 cone hits; 0 syntheses run" OR
+   NOT "${warm}" MATCHES "result cache: 1 entry hits, 0 entry misses, 0 stored;")
+    message(SEND_ERROR "warm cached run was not served from the cache:\n${warm}")
+endif()

@@ -97,13 +97,7 @@ struct Tagged_point {
 // merged_sweep_config, priced exactly as the service prices them.
 std::vector<Tagged_point> all_backend_points(const Sweep_config& config,
                                              const std::string& kernel) {
-    Evaluator_options options;
-    options.frame_width = config.frame_width;
-    options.frame_height = config.frame_height;
-    options.format = config.format;
-    options.synth.format = config.format;
-    options.throughput = config.throughput;
-    options.calibration_windows = config.calibration_windows;
+    const Evaluator_options options = evaluator_options_for(config);
     Space_options space = config.space;
     space.iterations = config.iteration_counts.at(0);
     const Fpga_device& device = device_by_name(config.devices.at(0));

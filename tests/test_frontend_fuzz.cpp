@@ -1,8 +1,10 @@
 // Frontend robustness: mutated inputs must fail cleanly (library Error with
-// a message), never crash, hang or corrupt state. This guards the error
-// paths a real user hits constantly.
+// a message), never crash, hang or corrupt state, whether they reach the
+// frontend directly or as a source kernel of the sweep service. This guards
+// the error paths a real user hits constantly.
 #include <gtest/gtest.h>
 
+#include "core/service.hpp"
 #include "fuzz_env.hpp"
 #include "kernels/kernels.hpp"
 #include "support/error.hpp"
@@ -12,7 +14,8 @@
 namespace islhls {
 namespace {
 
-// Runs the full frontend on `source`; success or islhls::Error both count as
+// Runs the full frontend on `source`, directly and through the sweep
+// service's front door (add_kernel); success or islhls::Error both count as
 // clean outcomes, anything else fails the test.
 void expect_clean(const std::string& source) {
     try {
@@ -20,6 +23,11 @@ void expect_clean(const std::string& source) {
         options.max_unroll = 512;  // keep mutated loops cheap
         const Stencil_step step = extract_stencil(source, options);
         (void)step;
+    } catch (const Error&) {
+        // fine: diagnosed
+    }
+    try {
+        Sweep_service().add_kernel(source);
     } catch (const Error&) {
         // fine: diagnosed
     }

@@ -21,6 +21,7 @@
 #include "core/sweep_records.hpp"
 #include "kernels/kernels.hpp"
 #include "support/result_cache.hpp"
+#include "synth/device.hpp"
 #include "support/text.hpp"
 
 namespace islhls {
@@ -774,6 +775,206 @@ TEST(Sweep_service, batch_options_are_bounded) {
     EXPECT_TRUE(rejects(0, 64));
     EXPECT_FALSE(rejects(0, 1));
     EXPECT_FALSE(rejects(60000, max_request_attempts));
+}
+
+// --- source kernels (add_kernel) ----------------------------------------------------
+
+const char* const kBlurSource = R"(
+void blur_step(float u_out[H][W], const float u[H][W]) {
+    for (int y = 0; y < H; y++)
+        for (int x = 0; x < W; x++)
+            u_out[y][x] = 0.5f * u[y][x] + 0.25f * (u[y][x-1] + u[y][x+1]);
+}
+)";
+
+// Another update under the same function name.
+const char* const kBlurVariant = R"(
+void blur_step(float u_out[H][W], const float u[H][W]) {
+    for (int y = 0; y < H; y++)
+        for (int x = 0; x < W; x++)
+            u_out[y][x] = 0.2f * (u[y][x] + u[y-1][x] + u[y+1][x] + u[y][x-1] + u[y][x+1]);
+}
+)";
+
+// A one-kernel request on a small space and device.
+Sweep_config source_config(const std::string& kernel) {
+    Sweep_config config;
+    config.kernels = {kernel};
+    config.devices = {"generic_small"};
+    config.iteration_counts = {4};
+    config.frame_width = 256;
+    config.frame_height = 192;
+    config.space.max_window = 3;
+    config.space.max_depth = 2;
+    return config;
+}
+
+TEST(Sweep_service, add_kernel_binds_a_source_to_its_function_name) {
+    Sweep_service service;
+    const std::string name = service.add_kernel(kBlurSource);
+    EXPECT_EQ(name, "blur_step");
+    Cone_library& library = service.library(name);
+    EXPECT_EQ(library.kernel_name(), "blur_step");
+    EXPECT_EQ(library.step().state_fields(), (std::vector<std::string>{"u"}));
+    EXPECT_EQ(library.step().footprint(), (Footprint{1, 1, 0, 0}));
+    // The same text again is a no-op: same name, same resident library.
+    EXPECT_EQ(service.add_kernel(kBlurSource), name);
+    EXPECT_EQ(&service.library(name), &library);
+    // Different text under the bound name is refused, and the binding holds.
+    EXPECT_THROW(service.add_kernel(kBlurVariant), User_error);
+    EXPECT_EQ(&service.library(name), &library);
+    // So is a function named like a registry kernel.
+    EXPECT_THROW(service.add_kernel(R"(
+void jacobi(float u_out[H][W], const float u[H][W]) {
+    for (int y = 0; y < H; y++)
+        for (int x = 0; x < W; x++)
+            u_out[y][x] = u[y][x];
+}
+)"),
+                 User_error);
+    // Registry kernels keep their registry names.
+    EXPECT_EQ(service.library("jacobi").kernel_name(), "jacobi");
+    EXPECT_EQ(service.library("jacobi").step().state_fields(),
+              (std::vector<std::string>{"u"}));
+}
+
+TEST(Sweep_service, add_kernel_propagates_frontend_errors) {
+    Sweep_service service;
+    try {
+        service.add_kernel("void f(");
+        FAIL() << "expected a Parse_error";
+    } catch (const Parse_error& e) {
+        EXPECT_EQ(e.kind(), Error_kind::user);
+        EXPECT_EQ(e.line(), 1);
+        EXPECT_GT(e.column(), 0);
+    }
+    EXPECT_THROW(service.add_kernel("void f(float a[H][W]) { for(int y=0;y<H;y++) "
+                                    "for(int x=0;x<W;x++) a[y][x] = 0.0f; }"),
+                 Sema_error);
+    const std::string escaping = "void f(float a_out[H][W], const float a[H][W]) "
+                                 "{ for(int y=0;y<H;y++) for(int x=0;x<W;x++) "
+                                 "a_out[y][x] = a[0][x]; }";
+    EXPECT_THROW(service.add_kernel(escaping), Symexec_error);
+    // A failed add binds nothing: the name is still free.
+    EXPECT_EQ(service.add_kernel("void f(float a_out[H][W], const float a[H][W]) "
+                                 "{ for(int y=0;y<H;y++) for(int x=0;x<W;x++) "
+                                 "a_out[y][x] = a[y][x]; }"),
+              "f");
+}
+
+TEST(Sweep_service, source_kernel_fit_covers_the_requested_iterations) {
+    Sweep_service service;
+    Sweep_config config = source_config(service.add_kernel(kBlurSource));
+    config.iteration_counts = {6};
+    config.space.iterations = 999;  // each combination sets its own count
+    const Sweep_report report = service.run(config);
+    ASSERT_EQ(report.entries.size(), 1u);
+    const Sweep_entry& entry = report.entries[0];
+    EXPECT_EQ(entry.kernel, "blur_step");
+    EXPECT_EQ(entry.iterations, 6);
+    ASSERT_TRUE(entry.fits);
+    EXPECT_EQ(entry.best.instance.iterations(), 6);
+}
+
+// The paper entry a single-kernel run prints: its fit obeys the budget, and
+// no point of its front beats the fit inside that budget.
+TEST(Sweep_service, paper_entry_fit_is_consistent_with_its_front) {
+    Sweep_config config = source_config("jacobi");
+    config.with_pareto = true;
+    const Sweep_report report = Sweep_service().run(config);
+    ASSERT_EQ(report.entries.size(), 1u);
+    const Sweep_entry& entry = report.entries[0];
+    EXPECT_GT(entry.pareto_points, 5u);
+    ASSERT_FALSE(entry.front_points.empty());
+    EXPECT_EQ(entry.pareto_front_size, entry.front_points.size());
+    ASSERT_TRUE(entry.fits);
+    const double budget = static_cast<double>(device_by_name("generic_small").usable_luts());
+    EXPECT_LE(entry.best.estimated_area_luts, budget);
+    for (const Front_point& p : entry.front_points) {
+        if (p.area_luts > budget) continue;
+        EXPECT_GE(p.seconds_per_frame * 1.0001, entry.best.throughput.seconds_per_frame)
+            << p.config << " beats the device fit inside the budget";
+    }
+}
+
+TEST(Sweep_service, source_kernel_warm_cache_serves_everything) {
+    const std::string dir = fresh_dir("source-warm");
+    Service_options options;
+    options.cache_dir = dir;
+    std::string cold_table;
+    {
+        Sweep_service service(options);
+        const Sweep_report cold = service.run(source_config(service.add_kernel(kBlurSource)));
+        EXPECT_EQ(cold.entry_misses, 1);
+        EXPECT_EQ(cold.entry_stores, 1);
+        EXPECT_GT(cold.synthesis_runs, 0);
+        cold_table = report_table(cold);
+    }
+    Sweep_service service(options);
+    const Sweep_report warm = service.run(source_config(service.add_kernel(kBlurSource)));
+    EXPECT_EQ(report_table(warm), cold_table);
+    EXPECT_EQ(warm.entry_hits, 1);
+    EXPECT_EQ(warm.entry_misses, 0);
+    EXPECT_EQ(warm.cone_builds, 0);
+    EXPECT_EQ(warm.synthesis_runs, 0);
+    EXPECT_EQ(warm.synthesis_loads, 0);
+    fs::remove_all(dir);
+}
+
+TEST(Sweep_service, same_name_different_sources_never_share_cache_records) {
+    const std::string dir = fresh_dir("source-shared");
+    auto in_memory = [](const char* source) {
+        Sweep_service service;
+        return report_table(service.run(source_config(service.add_kernel(source))));
+    };
+    const std::string blur_table = in_memory(kBlurSource);
+    const std::string variant_table = in_memory(kBlurVariant);
+    ASSERT_NE(blur_table, variant_table);
+
+    Service_options options;
+    options.cache_dir = dir;
+    Sweep_service first(options);
+    Sweep_service second(options);
+    const Sweep_report blur = first.run(source_config(first.add_kernel(kBlurSource)));
+    const Sweep_report variant =
+        second.run(source_config(second.add_kernel(kBlurVariant)));
+    EXPECT_EQ(report_table(blur), blur_table);
+    EXPECT_EQ(report_table(variant), variant_table);
+    // The second service found neither the first one's entry nor its syntheses.
+    EXPECT_EQ(variant.entry_hits, 0);
+    EXPECT_EQ(variant.entry_misses, 1);
+    EXPECT_EQ(variant.synthesis_loads, 0);
+    // A third service gets each source's own record back.
+    for (const auto& [source, table] :
+         {std::pair{kBlurSource, blur_table}, std::pair{kBlurVariant, variant_table}}) {
+        Sweep_service third(options);
+        const Sweep_report warm = third.run(source_config(third.add_kernel(source)));
+        EXPECT_EQ(warm.entry_hits, 1);
+        EXPECT_EQ(report_table(warm), table);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(Sweep_service, simulation_options_refuse_source_kernels_up_front) {
+    for (bool Sweep_config::*option : {&Sweep_config::validate, &Sweep_config::validate_fixed,
+                                       &Sweep_config::search_formats}) {
+        Sweep_service service;
+        Sweep_config config = source_config(service.add_kernel(kBlurSource));
+        config.*option = true;
+        try {
+            service.run(config);
+            FAIL() << "expected a User_error";
+        } catch (const User_error& e) {
+            EXPECT_NE(std::string(e.what()).find("'blur_step'"), std::string::npos);
+        }
+        const std::vector<Request_outcome> outcomes = service.run_requests({config});
+        ASSERT_EQ(outcomes.size(), 1u);
+        EXPECT_FALSE(outcomes[0].ok);
+        EXPECT_EQ(outcomes[0].kind, Error_kind::user);
+        EXPECT_EQ(outcomes[0].attempts, 1);
+        // Refused before any work: no cone was built.
+        EXPECT_EQ(service.library("blur_step").cone_builds(), 0);
+    }
 }
 
 TEST(Sweep_service, run_rejects_an_invalid_config_as_a_user_error) {

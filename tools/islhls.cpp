@@ -1,51 +1,16 @@
 // islhls — command-line driver for the ISL HLS flow.
 //
-// Usage:
-//   islhls <kernel.c> [options]
-//   islhls sweep --kernels A,B [sweep options]
-//   islhls serve --requests FILE [service options]
-//   islhls cache --cache-dir DIR --verify|--gc
+//   islhls <kernel.c | builtin:NAME> [options]   one kernel: dependency
+//                                                analysis, Pareto set,
+//                                                device fit, VHDL
+//   islhls sweep --kernels A,B [sweep options]   kernels x devices x N
+//   islhls serve --requests FILE [options]       a fault-tolerant batch
+//   islhls cache --cache-dir DIR --verify|--gc   inspect or collect a cache
 //
-// Options:
-//   --iterations N      ISL iteration count (default 10)
-//   --frame WxH         frame size (default 1024x768)
-//   --device NAME       target FPGA (default xc6vlx760; see --list-devices)
-//   --format Qm.f       fixed-point format (default Q10.6)
-//   --threads N         DSE fan-out threads, 0..256 (default 1; 0 = all cores)
-//   --describe          print the dependency analysis and exit
-//   --pareto            print the Pareto set (default action)
-//   --fit               print the best design for the device
-//   --emit-vhdl DIR     write support package + cone + top-level VHDL for
-//                       the best device fit into DIR
-//   --list-kernels      list built-in kernels (pass builtin:NAME as input)
-//   --list-devices      list known devices
-//
-// The `sweep` subcommand batches many kernels × devices × iteration counts
-// through one shared cone/synthesis cache (see core/sweep.hpp):
-//   --kernels A,B|all     built-in kernels to sweep (required)
-//   --devices A,B|all     target FPGAs (default xc6vlx760)
-//   --iterations N1,N2    iteration counts (default 10)
-//   --frame WxH, --format Qm.f, --threads N   as above
-//   --backend B           architecture backends: paper (default), streaming,
-//                         or all — every combination runs once per backend,
-//                         and with --pareto plus several backends the report
-//                         adds one merged cross-backend Pareto front each
-//   --pareto              additionally run the Pareto sweep per combination
-//   --validate            golden-check each feasible fit against the simulator
-//   --search-formats      per-(window, depth) fixed-point format search with
-//                         integer-bit shrink; each fit reports its covering
-//                         format plus area, fps and PSNR (or "exact")
-//                         re-evaluated at that width
-//   --psnr DB             format search accuracy target (default 50)
-//   --validate-fixed      fixed-mode golden check against the integer frame
-//                         engine (raw words must match exactly)
-//   --cache-dir DIR       persistent result cache (created on first use): a
-//                         warm cache serves repeats without recomputing
-//
-// The `serve` subcommand runs a batch of sweep requests from a file through
-// the sweep service (core/service.hpp): identical requests run once, each
-// attempt gets a deadline, a timed-out request is retried, and one bad
-// request never takes down the batch (see README for the file format).
+// Every command runs through the sweep service (core/service.hpp). The
+// single-kernel command is a one-kernel request (a C file is registered
+// with Sweep_service::add_kernel), so it takes the sweep options plus a few
+// of its own. usage() below is the one option reference (islhls --help).
 //
 // Exit codes follow the error taxonomy: 0 ok, 2 user error, 3 I/O fault,
 // 4 corrupt data, 5 timeout, 70 internal error.
@@ -56,19 +21,23 @@
 //   islhls sweep --kernels igf,chambolle --devices all --iterations 4,10 --threads 0
 //   islhls sweep --kernels all --cache-dir .islhls-cache
 //   islhls serve --requests requests.txt --cache-dir .islhls-cache
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "backend/vhdl_toplevel.hpp"
-#include "core/flow.hpp"
 #include "core/requests.hpp"
 #include "core/service.hpp"
 #include "core/sweep.hpp"
+#include "kernels/kernels.hpp"
 #include "support/error.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
+#include "synth/device.hpp"
 
 namespace {
 
@@ -80,22 +49,25 @@ using namespace islhls;
        islhls sweep --kernels A,B|all [sweep options]
        islhls serve --requests FILE [service options]
        islhls cache --cache-dir DIR --verify|--gc
-  --iterations N    ISL iteration count (default 10)
-  --frame WxH       frame size (default 1024x768)
-  --device NAME     target FPGA (default xc6vlx760)
-  --format Qm.f     fixed-point format (default Q10.6)
-  --threads N       DSE fan-out threads, 0..256 (default 1; 0 = all cores)
+single-kernel options (a one-kernel sweep request: every sweep option but
+--kernels, with one device and one iteration count, plus):
+  --device NAME     target FPGA, same as --devices NAME (default xc6vlx760)
   --describe        print the dependency analysis
   --pareto          print the Pareto set (default)
   --fit             print the best design for the device
   --emit-vhdl DIR   write VHDL for the best fit into DIR
+  --cache-dir DIR   persistent result cache; ends with the cache meters
   --list-kernels    list built-in kernels
   --list-devices    list known devices
+  other backends, --validate, --search-formats and --validate-fixed add the
+  request's sweep table (the last three need a built-in kernel)
 sweep options:
   --kernels A,B|all    built-in kernels to sweep (required)
   --devices A,B|all    target FPGAs (default xc6vlx760)
   --iterations N1,N2   iteration counts (default 10)
-  --frame WxH, --format Qm.f, --threads N   as above
+  --frame WxH          frame size (default 1024x768)
+  --format Qm.f        fixed-point format (default Q10.6)
+  --threads N          fan-out threads, 0..256 (default 1; 0 = all cores)
   --backend B          architecture backends: paper (default), streaming, or
                        all; with --pareto and more than one backend, each
                        combination also prints the merged cross-backend front
@@ -140,27 +112,24 @@ std::string read_file(const std::string& path) {
     return ss.str();
 }
 
-void print_pareto(Hls_flow& flow) {
-    const auto result = flow.pareto();
-    std::cout << "evaluated " << result.points.size() << " design points\n";
+void print_pareto(const Sweep_entry& entry) {
+    std::cout << "evaluated " << entry.pareto_points << " design points\n";
     Table table({"kLUTs (est)", "ms/frame", "fps", "architecture"});
-    for (std::size_t idx : result.front) {
-        const auto& p = result.points[idx];
-        table.add(format_fixed(p.estimated_area_luts / 1e3, 1),
-                  format_fixed(p.throughput.seconds_per_frame * 1e3, 3),
-                  format_fixed(p.throughput.fps, 1), to_string(p.instance));
+    for (const Front_point& p : entry.front_points) {
+        table.add(format_fixed(p.area_luts / 1e3, 1),
+                  format_fixed(p.seconds_per_frame * 1e3, 3), format_fixed(p.fps, 1),
+                  p.config);
     }
     std::cout << table;
 }
 
-void print_fit(Hls_flow& flow) {
-    const auto fit = flow.device_fit();
-    if (!fit.has_best) {
-        std::cout << "no feasible design fits " << flow.device().name << "\n";
+void print_fit(const Sweep_entry& entry) {
+    if (!entry.fits) {
+        std::cout << "no feasible design fits " << entry.device << "\n";
         return;
     }
-    const auto& best = fit.best;
-    std::cout << "best design for " << flow.device().name << ":\n  "
+    const Arch_evaluation& best = entry.best;
+    std::cout << "best design for " << entry.device << ":\n  "
               << to_string(best.instance) << "\n  "
               << format_fixed(best.throughput.fps, 1) << " fps ("
               << format_fixed(best.throughput.seconds_per_frame * 1e3, 2)
@@ -173,73 +142,79 @@ void print_fit(Hls_flow& flow) {
               << "x below whole-frame buffering)\n";
 }
 
-void emit_vhdl(Hls_flow& flow, const std::string& dir) {
+void emit_vhdl(Cone_library& library, const Sweep_entry& entry,
+               const Fixed_format& format, const std::string& dir) {
     namespace fs = std::filesystem;
     fs::create_directories(dir);
-    const auto fit = flow.device_fit();
-    if (!fit.has_best) {
+    if (!entry.fits) {
         std::cout << "no feasible design; nothing emitted\n";
         return;
     }
-    const Arch_instance& instance = fit.best.instance;
+    const Arch_instance& instance = entry.best.instance;
+    const std::string& kernel = entry.kernel;
     Vhdl_options options;
-    options.format = flow.options().format;
+    options.format = format;
 
-    const fs::path base(dir);
-    {
-        std::ofstream f(base / "islhls_support.vhdl");
-        f << emit_support_package(options);
-    }
-    std::vector<std::string> files{"islhls_support.vhdl"};
+    std::vector<std::string> files;
+    auto write = [&](const std::string& name, const std::string& text) {
+        std::ofstream(fs::path(dir) / name) << text;
+        files.push_back(name);
+    };
+    write("islhls_support.vhdl", emit_support_package(options));
     for (int d : instance.depth_classes()) {
-        const Cone& cone = flow.cones().cone(instance.window, d);
-        const std::string name =
-            cone_entity_name(flow.kernel_name(), cone.spec(), options) + ".vhdl";
-        std::ofstream f(base / name);
-        f << emit_cone(cone, flow.kernel_name(), options);
-        files.push_back(name);
+        const Cone& cone = library.cone(instance.window, d);
+        write(cone_entity_name(kernel, cone.spec(), options) + ".vhdl",
+              emit_cone(cone, kernel, options));
     }
-    {
-        const std::string name =
-            toplevel_entity_name(flow.kernel_name(), instance, options) + ".vhdl";
-        std::ofstream f(base / name);
-        f << emit_architecture_toplevel(flow.cones(), instance, options);
-        files.push_back(name);
-    }
+    write(toplevel_entity_name(kernel, instance, options) + ".vhdl",
+          emit_architecture_toplevel(library, instance, options));
     std::cout << "wrote " << files.size() << " files to " << dir << ":\n";
     for (const auto& f : files) std::cout << "  " << f << "\n";
 }
 
-int run_sweep(int argc, char** argv) {
-    Sweep_config config = default_sweep_config();
-    std::string cache_dir;
-    for (int i = 2; i < argc; ++i) {
+// One command-line option: `arg` as given, and `value`, which yields the
+// option's argument. Returns false for an unknown option.
+using Option_handler =
+    std::function<bool(const std::string& arg, const std::function<std::string()>& value)>;
+
+// Walks argv[first..] through `handle`. --help prints the usage; an unknown
+// option is a User_error naming the `command`'s options.
+void walk_options(int argc, char** argv, int first, const std::string& command,
+                  const Option_handler& handle) {
+    for (int i = first; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next_value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                throw User_error(cat("option ", arg, " needs a value"));
-            }
+        auto value = [&]() -> std::string {
+            if (i + 1 >= argc) throw User_error(cat("option ", arg, " needs a value"));
             return argv[++i];
         };
         if (arg == "--help" || arg == "-h") usage(0);
-        if (arg == "--cache-dir") {
-            cache_dir = next_value();
-            continue;
-        }
-        if (arg.size() < 3 || arg.compare(0, 2, "--") != 0 ||
-            !apply_sweep_option(config, arg.substr(2), next_value)) {
-            throw User_error(cat("unknown sweep option '", arg,
+        if (!handle(arg, value)) {
+            throw User_error(cat("unknown ", command, "option '", arg,
                                  "' (see islhls --help)"));
         }
     }
+}
+
+// A --flag of the shared sweep option table (core/requests.hpp).
+bool sweep_option(Sweep_config& config, const std::string& arg,
+                  const std::function<std::string()>& value) {
+    return arg.size() >= 3 && arg.compare(0, 2, "--") == 0 &&
+           apply_sweep_option(config, arg.substr(2), value);
+}
+
+int run_sweep(int argc, char** argv) {
+    Sweep_config config = default_sweep_config();
+    Service_options options;
+    walk_options(argc, argv, 2, "sweep ", [&](const std::string& arg, const auto& value) {
+        if (arg != "--cache-dir") return sweep_option(config, arg, value);
+        options.cache_dir = value();
+        return true;
+    });
     if (config.kernels.empty()) {
         throw User_error("sweep needs --kernels (see islhls --help)");
     }
-    Service_options service_options;
-    service_options.cache_dir = cache_dir;
-    Sweep_service service(service_options);
-    const Sweep_report report = service.run(config);
-    std::cout << to_string(report);
+    Sweep_service service(options);
+    std::cout << to_string(service.run(config));
     return 0;
 }
 
@@ -257,26 +232,14 @@ int exit_code_for(Error_kind kind) {
 int run_serve(int argc, char** argv) {
     std::string requests_path;
     Service_options options;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                throw User_error(cat("option ", arg, " needs a value"));
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") usage(0);
-        else if (arg == "--requests") requests_path = next_value();
-        else if (arg == "--cache-dir") options.cache_dir = next_value();
-        else if (arg == "--deadline-ms") {
-            options.deadline_ms = parse_int(next_value(), "deadline");
-        } else if (arg == "--retries") {
-            options.max_attempts = parse_int(next_value(), "retry count");
-        } else {
-            throw User_error(cat("unknown serve option '", arg,
-                                 "' (see islhls --help)"));
-        }
-    }
+    walk_options(argc, argv, 2, "serve ", [&](const std::string& arg, const auto& value) {
+        if (arg == "--requests") requests_path = value();
+        else if (arg == "--cache-dir") options.cache_dir = value();
+        else if (arg == "--deadline-ms") options.deadline_ms = parse_int(value(), "deadline");
+        else if (arg == "--retries") options.max_attempts = parse_int(value(), "retry count");
+        else return false;
+        return true;
+    });
     if (requests_path.empty()) {
         throw User_error("serve needs --requests FILE (see islhls --help)");
     }
@@ -315,20 +278,13 @@ int run_cache(int argc, char** argv) {
     bool verify = false;
     bool gc = false;
     long long max_bytes = -1;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                throw User_error(cat("option ", arg, " needs a value"));
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") usage(0);
-        else if (arg == "--cache-dir") cache_dir = next_value();
+    walk_options(argc, argv, 2, "cache ", [&](const std::string& arg, const auto& value) {
+        if (arg == "--cache-dir") cache_dir = value();
         else if (arg == "--verify") verify = true;
         else if (arg == "--gc") gc = true;
-        else if (arg == "--max-bytes") {
-            const std::string v = next_value();
+        else if (arg != "--max-bytes") return false;
+        else {
+            const std::string v = value();
             try {
                 std::size_t consumed = 0;
                 max_bytes = std::stoll(v, &consumed);
@@ -337,11 +293,9 @@ int run_cache(int argc, char** argv) {
                 throw User_error(cat("bad --max-bytes '", v,
                                      "', expected a non-negative integer"));
             }
-        } else {
-            throw User_error(cat("unknown cache option '", arg,
-                                 "' (see islhls --help)"));
         }
-    }
+        return true;
+    });
     if (cache_dir.empty()) {
         throw User_error("cache needs --cache-dir DIR (see islhls --help)");
     }
@@ -373,6 +327,95 @@ int run_cache(int argc, char** argv) {
     return 0;
 }
 
+// The single-kernel command: a one-kernel, one-device, one-N request to the
+// sweep service. --pareto, --fit and --emit-vhdl read its paper entry;
+// whatever else the request computes prints as its sweep table.
+int run_kernel(int argc, char** argv) {
+    Sweep_config config = default_sweep_config();
+    Service_options service_options;
+    std::string input;
+    bool do_describe = false;
+    bool do_fit = false;
+    std::string vhdl_dir;
+    walk_options(argc, argv, 1, "", [&](const std::string& arg, const auto& value) {
+        if (arg == "--list-kernels") {
+            for (const Kernel_def& k : all_kernels()) {
+                std::cout << pad_right(k.name, 14) << k.display_name << " — "
+                          << k.description << "\n";
+            }
+            std::exit(0);
+        }
+        if (arg == "--list-devices") {
+            for (const Fpga_device& d : all_devices()) {
+                std::cout << pad_right(d.name, 14) << d.family << ", "
+                          << format_grouped(d.lut_count) << " LUTs, "
+                          << format_grouped(d.bram_kbits) << " kbit BRAM\n";
+            }
+            std::exit(0);
+        }
+        if (arg == "--device") config.devices = {value()};
+        else if (arg == "--describe") do_describe = true;
+        else if (arg == "--fit") do_fit = true;
+        else if (arg == "--emit-vhdl") vhdl_dir = value();
+        else if (arg == "--cache-dir") service_options.cache_dir = value();
+        else if (!arg.empty() && arg[0] != '-') input = arg;
+        else return sweep_option(config, arg, value);
+        return true;
+    });
+    if (input.empty()) usage(2);
+    if (!config.kernels.empty()) {
+        throw User_error("the kernel is the input argument; use islhls sweep "
+                         "--kernels for several kernels");
+    }
+    if (config.devices.size() != 1 || config.iteration_counts.size() != 1) {
+        throw User_error("a single-kernel run takes one device and one iteration "
+                         "count; use islhls sweep for lists");
+    }
+    const auto& backends = config.backends;
+    if (std::find(backends.begin(), backends.end(), "paper") == backends.end()) {
+        throw User_error("a single-kernel run prints the paper backend; add "
+                         "--backend all or use islhls sweep");
+    }
+    const bool sweep_table = backends.size() > 1 || config.validate ||
+                             config.validate_fixed || config.search_formats;
+    if (!do_describe && !do_fit && vhdl_dir.empty()) config.with_pareto = true;
+
+    Sweep_service service(service_options);
+    const std::string kernel = starts_with(input, "builtin:")
+                                   ? input.substr(8)
+                                   : service.add_kernel(read_file(input));
+    config.kernels = {kernel};
+    // The request runs before any output, so every error comes first.
+    std::optional<Sweep_report> report;
+    if (config.with_pareto || do_fit || !vhdl_dir.empty() || sweep_table) {
+        report = service.run(config);
+    } else {
+        validate_config(config);
+        device_by_name(config.devices[0]);
+    }
+    Cone_library& library = service.library(kernel);
+
+    std::cout << "kernel '" << kernel << "', " << config.iteration_counts[0]
+              << " iterations, " << config.frame_width << "x" << config.frame_height
+              << " frames, device " << config.devices[0] << ", format "
+              << to_string(config.format) << "\n\n";
+    if (do_describe) std::cout << describe(library) << "\n";
+    if (!report) return 0;
+    const Sweep_entry& entry = *std::find_if(
+        report->entries.begin(), report->entries.end(),
+        [](const Sweep_entry& e) { return e.backend == "paper"; });
+    if (config.with_pareto) print_pareto(entry);
+    if (do_fit) print_fit(entry);
+    if (!vhdl_dir.empty()) emit_vhdl(library, entry, config.format, vhdl_dir);
+    if (sweep_table) std::cout << "\n" << report_table(*report);
+    // With a result cache, end with the request's meters (the sweep footer),
+    // so a warm run shows what the cache served.
+    if (!service_options.cache_dir.empty()) {
+        std::cout << to_string(*report).substr(report_table(*report).size());
+    }
+    return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -380,88 +423,7 @@ int main(int argc, char** argv) {
         if (argc >= 2 && std::string(argv[1]) == "sweep") return run_sweep(argc, argv);
         if (argc >= 2 && std::string(argv[1]) == "serve") return run_serve(argc, argv);
         if (argc >= 2 && std::string(argv[1]) == "cache") return run_cache(argc, argv);
-
-        std::string input;
-        Flow_options options;
-        bool do_describe = false;
-        bool do_pareto = false;
-        bool do_fit = false;
-        std::string vhdl_dir;
-
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            auto next_value = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    throw User_error(cat("option ", arg, " needs a value"));
-                }
-                return argv[++i];
-            };
-            if (arg == "--help" || arg == "-h") usage(0);
-            else if (arg == "--list-kernels") {
-                for (const Kernel_def& k : all_kernels()) {
-                    std::cout << pad_right(k.name, 14) << k.display_name << " — "
-                              << k.description << "\n";
-                }
-                return 0;
-            } else if (arg == "--list-devices") {
-                for (const Fpga_device& d : all_devices()) {
-                    std::cout << pad_right(d.name, 14) << d.family << ", "
-                              << format_grouped(d.lut_count) << " LUTs, "
-                              << format_grouped(d.bram_kbits) << " kbit BRAM\n";
-                }
-                return 0;
-            } else if (arg == "--iterations") {
-                options.iterations = parse_int(next_value(), "iteration count");
-            } else if (arg == "--frame") {
-                const std::string value = next_value();
-                const auto x = value.find('x');
-                if (x == std::string::npos) {
-                    throw User_error(cat("bad frame '", value, "', expected WxH"));
-                }
-                options.frame_width = parse_int(value.substr(0, x), "frame width");
-                options.frame_height = parse_int(value.substr(x + 1), "frame height");
-            } else if (arg == "--device") {
-                options.device = next_value();
-            } else if (arg == "--format") {
-                options.format = parse_format(next_value());
-            } else if (arg == "--threads") {
-                options.space.threads = parse_int(next_value(), "thread count");
-                validate_thread_count(options.space.threads);
-            } else if (arg == "--describe") {
-                do_describe = true;
-            } else if (arg == "--pareto") {
-                do_pareto = true;
-            } else if (arg == "--fit") {
-                do_fit = true;
-            } else if (arg == "--emit-vhdl") {
-                vhdl_dir = next_value();
-            } else if (!arg.empty() && arg[0] == '-') {
-                throw User_error(cat("unknown option '", arg,
-                                     "' (see islhls --help)"));
-            } else {
-                input = arg;
-            }
-        }
-        if (input.empty()) usage(2);
-
-        Hls_flow flow = [&] {
-            if (starts_with(input, "builtin:")) {
-                return Hls_flow::from_kernel(kernel_by_name(input.substr(8)), options);
-            }
-            return Hls_flow::from_source(read_file(input), options);
-        }();
-
-        std::cout << "kernel '" << flow.kernel_name() << "', " << options.iterations
-                  << " iterations, " << options.frame_width << "x"
-                  << options.frame_height << " frames, device " << options.device
-                  << ", format " << to_string(options.format) << "\n\n";
-
-        if (do_describe) std::cout << flow.describe() << "\n";
-        if (!do_describe && !do_fit && vhdl_dir.empty()) do_pareto = true;
-        if (do_pareto) print_pareto(flow);
-        if (do_fit) print_fit(flow);
-        if (!vhdl_dir.empty()) emit_vhdl(flow, vhdl_dir);
-        return 0;
+        return run_kernel(argc, argv);
     } catch (const islhls::Error& e) {
         std::cerr << "islhls: error (" << to_string(classify_error(e))
                   << "): " << e.what() << "\n";
