@@ -1,7 +1,8 @@
 // Chambolle total-variation denoising: the paper's second case study.
 //
 // Runs the dual fixed-point iteration on a noisy image via the generated
-// cone architecture, recovers the primal (denoised) image
+// cone architecture (the device fit of a one-kernel Sweep_service
+// request), recovers the primal (denoised) image
 // u = g - lambda * div(p), and reports the total-variation decrease. Also
 // demonstrates the flow on multi-field stencils (p1, p2 advance; g is a
 // constant input).

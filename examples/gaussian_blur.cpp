@@ -7,8 +7,9 @@
 //      the golden bit for bit),
 //   3. the same architecture under Q14.6 fixed-point quantization (PSNR
 //      reported), which is what the emitted VHDL computes.
-// Then explores the design space for a Virtex-6 and writes the winning
-// cone's VHDL next to the output images.
+// The architecture is the Virtex-6 device fit of a one-kernel
+// Sweep_service request; the example finally writes the winning cone's VHDL
+// next to the output images.
 #include <fstream>
 #include <iostream>
 

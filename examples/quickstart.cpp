@@ -9,7 +9,7 @@
 // `islhls kernel.c --pareto --fit` runs.
 //
 // Build: cmake --build build --target example_quickstart
-// Run:   ./build/examples/example_quickstart
+// Run:   ./build/quickstart
 #include <iostream>
 
 #include "backend/vhdl.hpp"

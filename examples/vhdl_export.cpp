@@ -1,6 +1,7 @@
 // VHDL artifact export: what a user hands to the synthesis tool.
 //
-// Emits, for a chosen kernel and cone geometry:
+// Emits, for a chosen kernel and cone geometry (the cone comes from the
+// kernel's resident library in a Sweep_service):
 //   - the support package (fixed-point divider / sqrt entities),
 //   - the cone entity itself,
 //   - a self-checking testbench whose expected outputs come from the
