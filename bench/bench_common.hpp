@@ -1,10 +1,8 @@
-// Shared configuration for the paper-reproduction benches.
-//
-// Every bench binary regenerates one table or figure of the DAC'13 paper
-// with the same workload parameters (1024x768 frames, N = 10 iterations,
-// output windows 1..9, cone depths 1..5, Xilinx Virtex-6 XC6VLX760) and
-// finishes with one [PASS] or [DEVIATION] line per qualitative claim the
-// paper makes about that artifact.
+// Shared helpers of the benches: the DAC'13 paper's evaluation setup
+// (1024x768 frames, N = 10 iterations, output windows 1..9, cone depths
+// 1..5, Xilinx Virtex-6 XC6VLX760), which paper_claims reproduces and the
+// micro benches reuse, the [PASS]/[DEVIATION] claim line, and the atomic
+// BENCH_*.json writer.
 #pragma once
 
 #include <cstdio>
@@ -42,23 +40,12 @@ inline islhls::Explorer explorer_for(islhls::Sweep_service& service,
                             islhls::evaluator_options_for(config), space);
 }
 
-// Claims reported as [DEVIATION] so far in this process.
-inline int& deviation_count() {
-    static int count = 0;
-    return count;
-}
-
 // Uniform PASS/DEVIATION line formatting for the claim checks; returns 1 on
-// a deviation, which is also counted for claims_exit_code().
+// a deviation, so callers can sum deviations into their exit status.
 inline int report_claim(const std::string& claim, bool holds) {
     std::cout << (holds ? "[PASS] " : "[DEVIATION] ") << claim << "\n";
-    if (!holds) ++deviation_count();
     return holds ? 0 : 1;
 }
-
-// Exit status of a paper-reproduction bench: 1 when any claim deviated, so
-// a broken reproduction fails the run instead of only printing.
-inline int claims_exit_code() { return deviation_count() == 0 ? 0 : 1; }
 
 // Atomic perf-record writer shared by the BENCH_*.json producers: `body`
 // streams the record into a temp file, which replaces `path` only on a

@@ -26,8 +26,8 @@
 namespace islhls {
 
 // Tunable resource parameters (defaults calibrated against the paper's
-// Virtex-6 numbers; bench/ablation_params.cpp checks the claims' sensitivity
-// to them).
+// Virtex-6 numbers; the model-constant ablation in bench/paper_claims.cpp
+// checks the claims' sensitivity to them).
 struct Throughput_params {
     double core_read_ports = 8.0;        // elements/cycle into one cone core
     double global_read_ports = 32.0;     // total on-chip read elements/cycle

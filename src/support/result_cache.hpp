@@ -37,6 +37,15 @@
 // open on the same directory, so a stamp carrying this process's own pid can
 // only be an orphan (an unlink that failed) and is taken over at once.
 //
+// The benchmark harness depends on that store order. Its cache meter
+// (perfbench/workloads.cpp, Cache_meter) wraps these Env_hooks: it opens a
+// `cache.store` span when `.islhls.lock` is created and closes it when the
+// file is removed. So every store must keep the order lock create -> record
+// write -> lock remove, all through the hooks. A store path that skips the
+// stamp records no span, and a traced `dse_cold` benchmark run then exits 1
+// with "percentile of no samples". A rewrite of the lock must therefore land
+// together with a change to that meter.
+//
 // All OS mutation goes through the injectable Env_hooks seam, which is how
 // the fault-injection tests exercise torn writes, ENOSPC and rename
 // failures deterministically.
