@@ -5,6 +5,7 @@
 // cones under quantization to measure the accuracy cost of a format choice.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -44,10 +45,21 @@ public:
     explicit Raw_quantizer(const Fixed_format& fmt);  // checks 2..62 bits
 
     std::int64_t operator()(double value) const {
-        const double scaled = std::nearbyint(value * scale_);
-        if (scaled > hi_) return hi_raw_;
-        if (scaled < lo_) return lo_raw_;
-        return static_cast<std::int64_t>(scaled);
+        // Saturating: a word past either end converts the bound itself.
+        return static_cast<std::int64_t>(
+            std::min(std::max(round_even(value * scale_), lo_), hi_));
+    }
+
+    // std::nearbyint under the default rounding mode (ties to even), which
+    // x86-64's baseline ISA can only call into libm for: below 2^52, adding
+    // 2^52 to |x| lands where the doubles are the integers and rounds |x|
+    // to the nearest one (ties to even, as the parity of 2^52 + k is that
+    // of k), subtracting it again is exact, and copysign restores the sign
+    // (-0.25 rounds to -0.0). From 2^52 up every double is an integer, and
+    // a NaN passes through as well.
+    static double round_even(double x) {
+        const double magnitude = std::fabs(x);
+        return magnitude < 0x1p52 ? std::copysign((magnitude + 0x1p52) - 0x1p52, x) : x;
     }
 
 private:

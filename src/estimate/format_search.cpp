@@ -29,8 +29,7 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     // One double lane walk over the sample windows serves the range
     // analysis and the reference outputs. Inputs go into their lanes and
     // into the flat, row-major [samples][ports] buffer the fixed candidates
-    // quantize; run_tape fills every slot, so the intermediates and the
-    // outputs are read straight off the lane block.
+    // quantize; the outputs are read off their pinned slots after the walk.
     const Compiled_program& cp = program.compiled();
     const std::vector<Tape_input>& ins = cp.inputs();
     const std::vector<std::int32_t>& out_slots = cp.output_slots();
@@ -50,11 +49,23 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
         for (std::size_t i = 0; i < in_count; ++i) {
             frames[i] = &content.field(step.pool().field_name(ins[i].field));
         }
-        // Lane-wise running max of |v|, folded once at the end. It equals
-        // the sequential std::max(max_abs, |v|) over every slot of every
-        // sample: both forms skip NaN (a comparison with NaN is false, so
-        // the running value is kept), fabs makes every other value >= +0,
-        // and the max of such a set does not depend on the visiting order.
+        // max |v| over every value of every sample: every input as it is
+        // gathered, every constant once, every op result as the walk
+        // produces it (run_tape's range form), since the allocated tape
+        // reuses op slots and a fold after the walk would see only the
+        // values still live. Each fold is the running max
+        // m = m < |v| ? |v| : m, lane-wise, then across lanes. That equals
+        // the sequential std::max(max_abs, |v|) over every SSA value of
+        // every sample: both forms skip NaN (a comparison with NaN is
+        // false, so the running value is kept), fabs makes every other
+        // value >= +0, and the max of such a set does not depend on the
+        // visiting order. There is at least one sample, so the constants
+        // count once as they would in every lane.
+        const auto fold = [](double& m, double v) {
+            const double f = std::fabs(v);
+            m = m < f ? f : m;
+        };
+        for (const Tape_constant& k : cp.constants()) fold(max_abs, k.value);
         std::array<double, kTapeLane> lane_max{};
         for (std::size_t s0 = 0; s0 < samples; s0 += stride) {
             const std::size_t n = std::min(stride, samples - s0);
@@ -65,16 +76,10 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
                     const auto [ox, oy] = origins[s0 + l];
                     dst[l] = frames[i]->sample(ox + in.dx, oy + in.dy, boundary);
                     flat_inputs[(s0 + l) * in_count + i] = dst[l];
+                    fold(lane_max[l], dst[l]);
                 }
             }
-            run_tape(cp, slot, static_cast<int>(n));
-            for (int s = 0; s < cp.slot_count(); ++s) {
-                const double* v = slot[s];
-                for (std::size_t l = 0; l < n; ++l) {
-                    const double f = std::fabs(v[l]);
-                    lane_max[l] = lane_max[l] < f ? f : lane_max[l];
-                }
-            }
+            run_tape(cp, slot, static_cast<int>(n), lane_max.data());
             for (std::size_t o = 0; o < out_count; ++o) {
                 const double* src = slot[out_slots[o]];
                 for (std::size_t l = 0; l < n; ++l) {
@@ -82,7 +87,7 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
                 }
             }
         }
-        for (const double m : lane_max) max_abs = max_abs < m ? m : max_abs;
+        for (const double m : lane_max) fold(max_abs, m);
     }
 
     Format_search_result result;
@@ -127,6 +132,9 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     auto measure = [&](const Fixed_format& fmt) -> Accuracy {
         const Fixed_tape tape(cp, fmt);
         const Raw_quantizer quantize(fmt);
+        // from_raw's divisor, resolved once: the same division, without a
+        // per-word ldexp.
+        const double scale = fmt.scale();
         double se = 0.0;
         for (std::size_t j = 0; j < ranges; ++j) {
             const std::size_t s0 = j * samples / ranges;
@@ -138,7 +146,7 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
                           raw_outputs.data() + s0 * out_count, block);
             double partial = 0.0;
             for (std::size_t k = s0 * out_count; k < s1 * out_count; ++k) {
-                const double d = from_raw(raw_outputs[k], fmt) - references[k];
+                const double d = static_cast<double>(raw_outputs[k]) / scale - references[k];
                 partial += d * d;
             }
             se += partial;

@@ -8,15 +8,24 @@
 //   - inputs:     (slot, field, dx, dy) bindings in program port order;
 //   - operations: a flat tape whose operands are slot indices.
 //
-// Because every slot is written by exactly one instruction, a consumer can
-// hold one lane span per slot and advance a whole block of samples through
-// each tape operation in one tight loop. run_tape (sim/tape_lanes.hpp) is
-// the one executor of this lowering, over the slot-major Lane_block laid
-// out there: the frame engine's interior and border columns, the
-// fixed-point format search (range, references and candidates), the
-// batched fixed executor and the architecture simulator all call it, so
-// they cannot diverge semantically. The scalar interpreters that walk the
-// instruction vector instead are test oracles (oracle/reference.hpp).
+// A slot is a lane buffer, not an SSA value: the constructor
+// register-allocates the tape, the way the paper's pipeline keeps a
+// register only while a later stage still reads it. Every input, constant
+// and output register keeps a pinned slot of its own, which no op result
+// overwrites; every other op result takes a slot freed by a value that no
+// later op reads (one liveness pass in program order). A slot is freed
+// only after its last reader has taken its destination, so no op's
+// destination aliases one of its own sources. A consumer holds one lane
+// span per slot, i.e. per value live at once rather than per instruction,
+// and advances a whole block of samples through each tape operation in
+// one tight loop. run_tape (sim/tape_lanes.hpp) is the one executor of
+// this lowering, over the slot-major Lane_block laid out there: the frame
+// engine's interior and border columns, the fixed-point format search
+// (range, references and candidates), the batched fixed executor and the
+// architecture simulator all call it, so they cannot diverge semantically.
+// The scalar interpreters that walk the SSA instruction vector instead are
+// test oracles (oracle/reference.hpp); the Register_program itself stays
+// SSA for the VHDL emitter and the cost model.
 #pragma once
 
 #include <array>
@@ -28,14 +37,17 @@
 
 namespace islhls {
 
-// One operation of the tape. `dest` and `src` are slot indices (== the
-// instruction indices of the source Register_program).
+// One operation of the tape. `dest` and `src` are allocated slot indices;
+// op k computes the k-th operation instruction of the source
+// Register_program. Packed to 20 bytes: a cone library keeps one per
+// operation instruction.
 struct Tape_op {
-    Op_kind kind = Op_kind::add;
     std::int32_t dest = -1;
     std::array<std::int32_t, 3> src = {-1, -1, -1};
-    int src_count = 0;
+    Op_kind kind = Op_kind::add;
+    std::uint8_t src_count = 0;
 };
+static_assert(sizeof(Tape_op) <= 20, "Tape_op must pack into 20 bytes");
 
 // An input binding: the slot receives field(x + dx, y + dy).
 struct Tape_input {
@@ -67,14 +79,16 @@ class Compiled_program {
 public:
     explicit Compiled_program(const Register_program& program);
 
-    // Total slots; slot i corresponds to instruction i of the source program.
+    // Total slots: the pinned input, constant and output slots first (in
+    // instruction order), then the temporaries the op results share.
     int slot_count() const { return slot_count_; }
 
     const std::vector<Tape_op>& ops() const { return ops_; }
     const std::vector<Tape_input>& inputs() const { return inputs_; }
     const std::vector<Tape_constant>& constants() const { return constants_; }
 
-    // Slots holding the program outputs, in output order.
+    // Slots holding the program outputs, in output order (pinned: after a
+    // walk each holds its output's value).
     const std::vector<std::int32_t>& output_slots() const { return output_slots_; }
 
     // Bounding box of the input offsets (the one-application footprint);

@@ -23,16 +23,21 @@ class Compiled_program;
 // One instruction. `dest` is the register index (== position in the program's
 // instruction vector). Leaves occupy instruction slots too: constants bind a
 // literal, inputs bind an input port; neither consumes a hardware register.
+//
+// Packed to 32 bytes, because a cone library keeps millions of them: the
+// kind, the operand count, the field index, the offsets and the level are
+// narrowed, and build_program() range-checks every narrowed value it writes.
 struct Instruction {
-    Op_kind kind = Op_kind::constant;
-    double value = 0.0;                  // constant payload
-    int field = -1;                      // input payload
-    int dx = 0;
-    int dy = 0;
+    double value = 0.0;                                   // constant payload
     std::array<std::int32_t, 3> operands = {-1, -1, -1};  // register indices
-    int operand_count = 0;
-    int level = 0;  // ASAP pipeline stage; leaves at 0
+    std::int16_t field = -1;                              // input payload
+    std::int16_t dx = 0;
+    std::int16_t dy = 0;
+    std::uint16_t level = 0;  // ASAP pipeline stage; leaves at 0
+    Op_kind kind = Op_kind::constant;
+    std::uint8_t operand_count = 0;
 };
+static_assert(sizeof(Instruction) <= 32, "Instruction must pack into 32 bytes");
 
 // A topologically ordered instruction sequence with designated outputs.
 class Register_program {

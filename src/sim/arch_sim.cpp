@@ -1,6 +1,7 @@
 #include "sim/arch_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <type_traits>
 
 #include "ir/compiled.hpp"
@@ -72,7 +73,7 @@ std::vector<int> flush_origins(int extent, int w) {
 // it, so both modes run the identical tiling/coverage machinery and only the
 // element type, the tape and the off-chip conversions differ. Cone
 // execution is lane-blocked in both domains: up to kTapeLane cone origins of
-// one region row advance together through the shared per-ISA lane kernels
+// one region advance together through the shared per-ISA lane kernels
 // (sim/tape_lanes.hpp), one whole-tape call per lane block — there is no
 // per-origin scalar gather/execute/scatter loop. The kernels match the
 // scalar references case for case (apply_op / apply_op_fixed), so the
@@ -258,54 +259,58 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
                     }
                 }
 
-                // Lane-batched cone execution: up to kTapeLane origins of
-                // one region row advance together — per port one gather
-                // into the lane block, one whole-tape kernel call over the
-                // live lanes, per output element one scatter across the
-                // lanes. Overlapping flush origins write
-                // identical words (every covered output equals the ghost
-                // value), so the batched write order matches the scalar
-                // path bit for bit.
+                // Lane-batched cone execution: the flush origins of the
+                // whole region, row-major, advance up to kTapeLane at a
+                // time — per port one gather into the lane block, one
+                // whole-tape kernel call over the live lanes, per output
+                // element one scatter across the lanes. Overlapping flush
+                // origins write identical words (every covered output
+                // equals the ghost value), so the batched write order
+                // matches the scalar path bit for bit.
                 const std::vector<int> sub_x = flush_origins(out_region.width, w);
                 const std::vector<int> sub_y = flush_origins(out_region.height, w);
+                const std::size_t origins = sub_x.size() * sub_y.size();
                 const std::vector<Tape_input>& ports = program.compiled().inputs();
                 Value** slot = le.block.slot();
-                for (int oy : sub_y) {
-                    const int origin_y = out_region.y0 + oy;
-                    for (std::size_t c0 = 0; c0 < sub_x.size(); c0 += kTapeLane) {
-                        const int n = static_cast<int>(std::min<std::size_t>(
-                            kTapeLane, sub_x.size() - c0));
-                        result.stats.onchip_elements_read +=
-                            static_cast<long long>(ports.size()) * n;
-                        result.stats.cone_executions += n;
-                        result.stats.operations_executed +=
-                            static_cast<long long>(program.register_count()) * n;
+                std::array<int, kTapeLane> lane_x{};
+                std::array<int, kTapeLane> lane_y{};
+                for (std::size_t c0 = 0; c0 < origins; c0 += kTapeLane) {
+                    const int n =
+                        static_cast<int>(std::min<std::size_t>(kTapeLane, origins - c0));
+                    for (int l = 0; l < n; ++l) {
+                        const std::size_t o = c0 + static_cast<std::size_t>(l);
+                        lane_x[static_cast<std::size_t>(l)] =
+                            out_region.x0 + sub_x[o % sub_x.size()];
+                        lane_y[static_cast<std::size_t>(l)] =
+                            out_region.y0 + sub_y[o / sub_x.size()];
+                    }
+                    result.stats.onchip_elements_read +=
+                        static_cast<long long>(ports.size()) * n;
+                    result.stats.cone_executions += n;
+                    result.stats.operations_executed +=
+                        static_cast<long long>(program.register_count()) * n;
 
-                        for (const Tape_input& port : ports) {
-                            Value* dst = slot[port.slot];
-                            const int py = origin_y + port.dy;
-                            for (int l = 0; l < n; ++l) {
-                                dst[l] = current.get(
-                                    port.field, out_region.x0 + sub_x[c0 + l] + port.dx,
-                                    py);
-                            }
+                    for (const Tape_input& port : ports) {
+                        Value* dst = slot[port.slot];
+                        for (int l = 0; l < n; ++l) {
+                            dst[l] = current.get(port.field,
+                                                 lane_x[static_cast<std::size_t>(l)] + port.dx,
+                                                 lane_y[static_cast<std::size_t>(l)] + port.dy);
                         }
-                        run_tape(le.tape, slot, n);
-                        for (int s = 0; s < state_count; ++s) {
-                            const int field = state_field[static_cast<std::size_t>(s)];
-                            for (int yy = 0; yy < w; ++yy) {
-                                const int py = origin_y + yy;
-                                for (int xx = 0; xx < w; ++xx) {
-                                    const Value* src =
-                                        slot[le.scatter[(static_cast<std::size_t>(s) * w +
-                                                         static_cast<std::size_t>(yy)) *
-                                                            w +
-                                                        static_cast<std::size_t>(xx)]];
-                                    for (int l = 0; l < n; ++l) {
-                                        next.set(field,
-                                                 out_region.x0 + sub_x[c0 + l] + xx, py,
-                                                 src[l]);
-                                    }
+                    }
+                    run_tape(le.tape, slot, n);
+                    for (int s = 0; s < state_count; ++s) {
+                        const int field = state_field[static_cast<std::size_t>(s)];
+                        for (int yy = 0; yy < w; ++yy) {
+                            for (int xx = 0; xx < w; ++xx) {
+                                const Value* src =
+                                    slot[le.scatter[(static_cast<std::size_t>(s) * w +
+                                                     static_cast<std::size_t>(yy)) *
+                                                        w +
+                                                    static_cast<std::size_t>(xx)]];
+                                for (int l = 0; l < n; ++l) {
+                                    next.set(field, lane_x[static_cast<std::size_t>(l)] + xx,
+                                             lane_y[static_cast<std::size_t>(l)] + yy, src[l]);
                                 }
                             }
                         }

@@ -61,7 +61,10 @@
 // The engine runs in two value domains over the SAME row machinery: one
 // implementation templated on the tape type, whose per-thread Lane_block
 // (sim/tape_lanes.hpp) lays out and binds the lanes and whose every cell
-// goes through run_tape, so the paths cannot diverge structurally:
+// goes through run_tape, so the paths cannot diverge structurally. The tape
+// is register-allocated (ir/compiled.hpp), so a block holds one lane span
+// per value live at once; input and output slots are pinned, which is what
+// lets the interior point them straight at frame rows:
 //
 //   - double (run): the Compiled_program's IEEE semantics, the classic
 //     golden engine;

@@ -1,5 +1,6 @@
 #include "sim/tape_lanes.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "support/error.hpp"
@@ -70,7 +71,12 @@ const std::vector<Lane_clone>& lane_clones() {
 }
 
 void run_tape(const Compiled_program& tape, double* const* slot, int n) {
-    lane_clones().front().dbl(tape.ops().data(), tape.ops().size(), slot, n);
+    lane_clones().front().dbl(tape.ops().data(), tape.ops().size(), slot, n, nullptr);
+}
+
+void run_tape(const Compiled_program& tape, double* const* slot, int n, double* range) {
+    check_internal(range != nullptr, "run_tape: null range lanes");
+    lane_clones().front().dbl(tape.ops().data(), tape.ops().size(), slot, n, range);
 }
 
 void run_tape(const Fixed_tape& tape, std::int64_t* const* slot, int n) {

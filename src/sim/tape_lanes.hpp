@@ -5,7 +5,7 @@
 // samples through the WHOLE tape in one call: the format search's range
 // and reference walk (estimate/format_search.cpp), the batched fixed
 // executor run_raw_batch (sim/fixed_exec.hpp), the lane-blocked frame
-// engine of both domains (sim/exec_engine.cpp) and the region-row-tiled
+// engine of both domains (sim/exec_engine.cpp) and the region-batched
 // architecture simulator (sim/arch_sim.cpp). This header is the one home of
 // those lane bodies, in both value domains; the tape names its domain:
 //
@@ -33,9 +33,11 @@
 // tape. Callers may repoint input slots straight into frame rows and output
 // slots straight into destination rows (span(s) points a slot back at its
 // own lanes); those need no alignment, since the walks load and store
-// unaligned. The walk reads input and constant slots and writes each op's
-// dest slot once, in tape order; no dest span may overlap any other slot's
-// span.
+// unaligned. The tape is register-allocated (ir/compiled.hpp): the walk
+// reads input and constant slots, never writes them, and writes the op
+// results in tape order into slots that later ops may reuse; only the
+// output slots hold a value (their output's) after the walk. No op's dest
+// is one of its own sources, and no slot's span may overlap another's.
 #pragma once
 
 #include <algorithm>
@@ -54,13 +56,20 @@ inline constexpr int kTapeLane = 64;
 void run_tape(const Compiled_program& tape, double* const* slot, int n);
 void run_tape(const Fixed_tape& tape, std::int64_t* const* slot, int n);
 
+// The double walk that also folds |v| of every op result into range[l]
+// (l < n) as it writes it: range[l] = range[l] < |v| ? |v| : range[l], so a
+// NaN result keeps the running value. A reused slot is overwritten later
+// in the walk, so this is the one place that sees every value.
+void run_tape(const Compiled_program& tape, double* const* slot, int n, double* range);
+
 // One ISA clone of the two lane walks, taking the tape's op list, the slot
-// table, n and (fixed) the wrap, fraction shift and raw 1.0.
+// table, n and (fixed) the wrap, fraction shift and raw 1.0, or (double)
+// the range lanes, nullptr for none.
 struct Lane_clone {
     const char* isa;
     void (*fixed)(const Tape_op*, std::size_t, std::int64_t* const*, int, const Bit_wrap&,
                   int, std::int64_t);
-    void (*dbl)(const Tape_op*, std::size_t, double* const*, int);
+    void (*dbl)(const Tape_op*, std::size_t, double* const*, int, double*);
 };
 
 // Every clone the host can execute, widest first; run_tape runs the first.
@@ -95,9 +104,11 @@ public:
     }
 
     // Points every slot at its own span and fills the constant lanes from
-    // `tape`; slots are single-assignment, so those survive every later
-    // walk. The lanes grow and are never shrunk, so a block rebound across
-    // batches, formats and tapes allocates once.
+    // `tape`; constant slots are pinned (no op writes them), so those
+    // survive every later walk. The block holds the tape's slot_count()
+    // spans, one per value live at once, not one per instruction. The
+    // lanes grow and are never shrunk, so a block rebound across batches,
+    // formats and tapes allocates once.
     void bind(const Tape& tape, std::size_t stride = kTapeLane);
 
     Value** slot() { return slot_.data(); }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "backend/fixed_point.hpp"
 #include "support/prng.hpp"
@@ -33,6 +35,29 @@ TEST(Fixed_point, rounding_to_nearest) {
     // Ties to even (nearbyint default rounding).
     EXPECT_EQ(quantize(0.125, fmt), 0.0);
     EXPECT_EQ(quantize(0.375, fmt), 0.5);
+}
+
+// The quantizer's inline rounding is std::nearbyint under the default
+// rounding mode, bit for bit: ties to even, signed zeros, the 2^52 edge
+// where every double becomes an integer, and values beyond it.
+TEST(Fixed_point, quantizer_rounding_is_nearbyint) {
+    std::vector<double> values = {0.0,  -0.0,  0.25,   -0.25, 0.5,     -0.5,  1.5,
+                                  -1.5, 2.5,   -2.5,   0.75,  -0.75,   1e300, -1e300,
+                                  1e-310, -1e-310, 0x1p52, -0x1p52, 0x1p53, -0x1p53,
+                                  HUGE_VAL, -HUGE_VAL};
+    for (const double base : {0x1p51, 0x1p52}) {
+        for (const double d : {-1.5, -1.0, -0.5, 0.5}) {
+            values.push_back(base + d);
+            values.push_back(-(base + d));
+        }
+    }
+    Prng rng(7);
+    for (int i = 0; i < 1000; ++i) values.push_back(rng.next_in(-1e6, 1e6));
+    for (const double v : values) {
+        const double got = Raw_quantizer::round_even(v);
+        const double want = std::nearbyint(v);
+        EXPECT_EQ(0, std::memcmp(&got, &want, sizeof got)) << v;
+    }
 }
 
 TEST(Fixed_point, saturation_at_range_ends) {

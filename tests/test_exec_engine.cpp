@@ -134,17 +134,46 @@ TEST(Exec_engine, run_ir_wrapper_matches_reference_and_supports_threads) {
                       run_step_ir(step, initial, kernel.boundary));
 }
 
-// One run_tape lane block must reproduce the reference interpreter slot
-// for slot in every lane, for a single lane, a partial block and a full one
-// (the frame engine's border blocks, interior tails and interior blocks).
+// The k-th tape op computes the k-th operation instruction of its program.
+std::vector<std::size_t> instruction_of_op(const Register_program& program) {
+    std::vector<std::size_t> of_op;
+    for (std::size_t i = 0; i < program.instructions().size(); ++i) {
+        if (is_operation(program.instructions()[i].kind)) of_op.push_back(i);
+    }
+    return of_op;
+}
+
+// Fills the input lanes [0, n) of `slot` with seeded samples, and each
+// lane's input vector for the reference interpreter.
+void fill_inputs(const Compiled_program& tape, double* const* slot, int n, Prng& rng,
+                 std::vector<std::vector<double>>& sample_inputs) {
+    for (int l = 0; l < n; ++l) {
+        std::vector<double>& inputs = sample_inputs[static_cast<std::size_t>(l)];
+        inputs.resize(tape.inputs().size());
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            inputs[i] = rng.next_in(-4.0, 260.0);
+            slot[static_cast<std::size_t>(tape.inputs()[i].slot)][l] = inputs[i];
+        }
+    }
+}
+
+// Stepped one op at a time through the clone run_tape uses, the tape must
+// reproduce the reference interpreter op for op in every lane: each op's
+// dest lanes hold the trace register of the instruction it computes, for a
+// single lane, a partial block and a full one (the frame engine's border
+// blocks, interior tails and interior blocks). The slots are
+// register-allocated, so this is checked as each op writes, before a later
+// op may reuse the slot; after a whole walk the output slots hold the
+// outputs.
 TEST(Compiled_program, run_tape_reproduces_interpreter_trace) {
     const Kernel_def& kernel = kernel_by_name("perona_malik");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{3, 3, 2});
     const Register_program& program = cone.program();
     const Compiled_program& tape = program.compiled();
-    const auto slots = static_cast<std::size_t>(tape.slot_count());
-    ASSERT_EQ(slots, program.instructions().size());
+    const std::vector<std::size_t> of_op = instruction_of_op(program);
+    ASSERT_EQ(of_op.size(), tape.ops().size());
+    ASSERT_LT(static_cast<std::size_t>(tape.slot_count()), program.instructions().size());
 
     Prng rng(17);
     Lane_block<Compiled_program> block(tape);
@@ -152,24 +181,32 @@ TEST(Compiled_program, run_tape_reproduces_interpreter_trace) {
     for (const Tape_constant& k : tape.constants()) {
         for (int l = 0; l < kTapeLane; ++l) ASSERT_EQ(slot[k.slot][l], k.value);
     }
+    const Lane_clone& clone = lane_clones().front();
     std::vector<std::vector<double>> sample_inputs(kTapeLane);
-    std::vector<double> regs;
+    std::vector<std::vector<double>> regs(kTapeLane);
     for (int n : {1, kTapeLane - 1, kTapeLane}) {
         SCOPED_TRACE(n);
+        fill_inputs(tape, slot, n, rng, sample_inputs);
         for (int l = 0; l < n; ++l) {
-            std::vector<double>& inputs = sample_inputs[static_cast<std::size_t>(l)];
-            inputs.resize(tape.inputs().size());
-            for (std::size_t i = 0; i < inputs.size(); ++i) {
-                inputs[i] = rng.next_in(-4.0, 260.0);
-                slot[static_cast<std::size_t>(tape.inputs()[i].slot)][l] = inputs[i];
+            run_trace_into(program, sample_inputs[static_cast<std::size_t>(l)],
+                           regs[static_cast<std::size_t>(l)]);
+        }
+        for (std::size_t k = 0; k < tape.ops().size(); ++k) {
+            const Tape_op& op = tape.ops()[k];
+            clone.dbl(&op, 1, slot, n, nullptr);
+            for (int l = 0; l < n; ++l) {
+                ASSERT_EQ(0, std::memcmp(&regs[static_cast<std::size_t>(l)][of_op[k]],
+                                         &slot[op.dest][l], sizeof(double)))
+                    << "lane " << l << " op " << k << " instruction " << of_op[k];
             }
         }
         run_tape(tape, slot, n);
-        for (int l = 0; l < n; ++l) {
-            run_trace_into(program, sample_inputs[static_cast<std::size_t>(l)], regs);
-            for (std::size_t s = 0; s < slots; ++s) {
-                ASSERT_EQ(0, std::memcmp(&regs[s], &slot[s][l], sizeof(double)))
-                    << "lane " << l << " slot " << s;
+        for (std::size_t o = 0; o < tape.output_slots().size(); ++o) {
+            const auto reg = static_cast<std::size_t>(program.outputs()[o]);
+            for (int l = 0; l < n; ++l) {
+                ASSERT_EQ(0, std::memcmp(&regs[static_cast<std::size_t>(l)][reg],
+                                         &slot[tape.output_slots()[o]][l], sizeof(double)))
+                    << "lane " << l << " output " << o;
             }
         }
     }
@@ -183,17 +220,34 @@ TEST(Compiled_program, footprint_matches_input_instructions) {
     const std::vector<Instruction> ports = input_instructions(program);
     int min_dx = 0, max_dx = 0, min_dy = 0, max_dy = 0;
     for (const Instruction& port : ports) {
-        min_dx = std::min(min_dx, port.dx);
-        max_dx = std::max(max_dx, port.dx);
-        min_dy = std::min(min_dy, port.dy);
-        max_dy = std::max(max_dy, port.dy);
+        min_dx = std::min<int>(min_dx, port.dx);
+        max_dx = std::max<int>(max_dx, port.dx);
+        min_dy = std::min<int>(min_dy, port.dy);
+        max_dy = std::max<int>(max_dy, port.dy);
     }
     EXPECT_EQ(tape.min_dx(), min_dx);
     EXPECT_EQ(tape.max_dx(), max_dx);
     EXPECT_EQ(tape.min_dy(), min_dy);
     EXPECT_EQ(tape.max_dy(), max_dy);
     EXPECT_EQ(tape.inputs().size(), ports.size());
-    EXPECT_EQ(tape.output_slots(), program.outputs());
+
+    // Each output slot holds the value of its output register after a walk.
+    ASSERT_EQ(tape.output_slots().size(), program.outputs().size());
+    Prng rng(5);
+    Lane_block<Compiled_program> block(tape);
+    std::vector<std::vector<double>> sample_inputs(kTapeLane);
+    fill_inputs(tape, block.slot(), kTapeLane, rng, sample_inputs);
+    run_tape(tape, block.slot(), kTapeLane);
+    std::vector<double> regs;
+    for (int l = 0; l < kTapeLane; ++l) {
+        run_trace_into(program, sample_inputs[static_cast<std::size_t>(l)], regs);
+        for (std::size_t o = 0; o < program.outputs().size(); ++o) {
+            const auto reg = static_cast<std::size_t>(program.outputs()[o]);
+            ASSERT_EQ(0, std::memcmp(&regs[reg], &block.slot()[tape.output_slots()[o]][l],
+                                     sizeof(double)))
+                << "lane " << l << " output " << o;
+        }
+    }
 }
 
 }  // namespace

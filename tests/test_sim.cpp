@@ -411,51 +411,59 @@ TEST(Arch_sim, fixed_point_mode_close_to_double) {
 }
 
 TEST(Arch_sim, lane_batched_region_rows_exact_in_both_domains) {
-    // Region rows wider than one lane block (kTapeLane = 64 cone origins)
-    // force the batched region executor through a full lane block plus a
-    // partial tail; both domains must still reproduce their ghost goldens
-    // exactly (0 LSB), and the batching must be invisible in the stats-free
-    // output either way.
+    // Lane blocks of cone origins at both extremes: a wide window with few
+    // origins per region, and a 1x1 window whose first-level region holds
+    // 9x9 = 81 origins across its rows (depth-4 suffix halo of heat's reach
+    // 1), which forces the batched region executor through a full lane
+    // block (kTapeLane = 64 origins) plus a partial tail. Both domains must
+    // still reproduce their ghost goldens exactly (0 LSB), and the batching
+    // must be invisible in the stats-free output either way.
     const Kernel_def& kernel = kernel_by_name("heat");
     Cone_library library(extract_stencil(kernel.c_source), kernel.name);
-    Arch_instance instance;
-    instance.window = 72;  // depth-2 coverage is 76 wide -> 72 origins per row
-    instance.level_depths = {2};
-    const int iterations = 2;
+    Arch_instance wide;
+    wide.window = 72;
+    wide.level_depths = {2};
+    Arch_instance narrow;
+    narrow.window = 1;
+    narrow.level_depths = {1, 4};
     const Frame content = make_synthetic_scene(96, 20, 5);
     const Frame_set initial = kernel.make_initial(content);
 
-    Arch_sim_options options;
-    options.boundary = kernel.boundary;
-    const Arch_sim_result dbl =
-        simulate_architecture(library, instance, initial, options);
-    const Frame_set golden =
-        run_ghost_ir(library.step(), initial, iterations, kernel.boundary);
-    for (const std::string& field : kernel.state_fields) {
-        SCOPED_TRACE(field);
-        EXPECT_EQ(
-            max_abs_diff(dbl.final_state.field(field), golden.field(field)), 0.0);
-    }
-
-    // Q12.6 holds the 0..255 scene; Q5.2 saturates every input above 15.75
-    // and its sums wrap, so region words at the format's edges reach the
-    // next level's gather without a re-wrap there.
-    for (const Fixed_format& format : {Fixed_format{12, 6}, Fixed_format{5, 2}}) {
-        SCOPED_TRACE(to_string(format));
-        Arch_sim_options fx = options;
-        fx.fixed_point = true;
-        fx.format = format;
-        const Arch_sim_result fixed =
-            simulate_architecture(library, instance, initial, fx);
-        const Frame_set fixed_golden =
-            run_ghost_ir(library.step(), initial, iterations, kernel.boundary,
-                         fx.format)
-                .to_frame_set();
+    for (const Arch_instance& instance : {wide, narrow}) {
+        SCOPED_TRACE(to_string(instance));
+        const int iterations = instance.iterations();
+        Arch_sim_options options;
+        options.boundary = kernel.boundary;
+        const Arch_sim_result dbl =
+            simulate_architecture(library, instance, initial, options);
+        const Frame_set golden =
+            run_ghost_ir(library.step(), initial, iterations, kernel.boundary);
         for (const std::string& field : kernel.state_fields) {
             SCOPED_TRACE(field);
-            EXPECT_EQ(max_abs_diff(fixed.final_state.field(field),
-                                   fixed_golden.field(field)),
-                      0.0);
+            EXPECT_EQ(
+                max_abs_diff(dbl.final_state.field(field), golden.field(field)), 0.0);
+        }
+
+        // Q12.6 holds the 0..255 scene; Q5.2 saturates every input above
+        // 15.75 and its sums wrap, so region words at the format's edges
+        // reach the next level's gather without a re-wrap there.
+        for (const Fixed_format& format : {Fixed_format{12, 6}, Fixed_format{5, 2}}) {
+            SCOPED_TRACE(to_string(format));
+            Arch_sim_options fx = options;
+            fx.fixed_point = true;
+            fx.format = format;
+            const Arch_sim_result fixed =
+                simulate_architecture(library, instance, initial, fx);
+            const Frame_set fixed_golden =
+                run_ghost_ir(library.step(), initial, iterations, kernel.boundary,
+                             fx.format)
+                    .to_frame_set();
+            for (const std::string& field : kernel.state_fields) {
+                SCOPED_TRACE(field);
+                EXPECT_EQ(max_abs_diff(fixed.final_state.field(field),
+                                       fixed_golden.field(field)),
+                          0.0);
+            }
         }
     }
 }

@@ -4,10 +4,11 @@
 // run_tape only ever reaches the widest clone, so the engine tests never
 // run the narrower ones on a wide host. Here each clone of lane_clones()
 // runs min, max, sqrt and div in both domains over IEEE special values and
-// fixed operands around the double fast path's 2^52 bound, on unaligned
-// spans, for a full block and every tail length; every lane's raw word must
-// equal the scalar reference (apply_op / apply_op_fixed), NaN sign and
-// payload included, and no lane past n may be written.
+// fixed operands around the double fast path's 2^52 bound (the edges of
+// its exact int64 <-> double conversions included), on unaligned spans,
+// for a full block and every tail length; every lane's raw word must equal
+// the scalar reference (apply_op / apply_op_fixed), NaN sign and payload
+// included, and no lane past n may be written.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -122,7 +123,7 @@ TEST(Lane_clones, double_special_values_match_apply_op_bit_for_bit) {
             SCOPED_TRACE(std::string(clone.isa) + " " + to_string(kind));
             const Tape_op op = op_of(kind);
             expect_lanes_match<double>(
-                values, [&](double* const* slot, int n) { clone.dbl(&op, 1, slot, n); },
+                values, [&](double* const* slot, int n) { clone.dbl(&op, 1, slot, n, nullptr); },
                 [&](double a, double b) {
                     const double operands[2] = {a, b};
                     return apply_op(kind, operands);
@@ -140,8 +141,10 @@ TEST(Lane_clones, fixed_special_values_match_apply_op_fixed_bit_for_bit) {
         const int frac = fmt.frac_bits;
         const std::int64_t one = wrap(std::int64_t{1} << frac);
         // a << frac on both sides of 2^52 (the double fast path's bound),
-        // shifts that wrap negative, perfect squares around 2^52, and
-        // divisors past 2^53; every word wrapped into the format.
+        // shifts that wrap negative, perfect squares around 2^52, divisors
+        // past 2^53, and raw words at 2^51, 2^52, 2^52 + 1 and 2^53, so Q62.0
+        // puts both num and the divisor on each edge of the exact
+        // conversion range; every word wrapped into the format.
         const std::int64_t edge = (std::int64_t{1} << 52) >> frac;
         const auto wraps =
             static_cast<std::int64_t>((std::uint64_t{1} << (63 - frac)) + 3);
@@ -150,7 +153,8 @@ TEST(Lane_clones, fixed_special_values_match_apply_op_fixed_bit_for_bit) {
         for (const std::int64_t v :
              {std::int64_t{0}, std::int64_t{1}, std::int64_t{2}, std::int64_t{7}, edge - 1, edge,
               edge + 1, wraps, root * root - 1, root * root + 1, (std::int64_t{1} << 53) + 1,
-              std::int64_t{1} << 60}) {
+              std::int64_t{1} << 60, std::int64_t{1} << 51, std::int64_t{1} << 52,
+              (std::int64_t{1} << 52) + 1, std::int64_t{1} << 53}) {
             values.push_back(wrap(v));
             values.push_back(wrap(-v));
         }
