@@ -1,5 +1,7 @@
 #include "core/requests.hpp"
 
+#include <cmath>
+
 #include "kernels/kernels.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
@@ -90,13 +92,21 @@ bool apply_sweep_option(Sweep_config& config, const std::string& name,
         config.search_formats = true;
     } else if (name == "psnr") {
         const std::string v = value();
+        double target = 0.0;
         try {
             std::size_t consumed = 0;
-            config.format_search.target_psnr_db = std::stod(v, &consumed);
+            target = std::stod(v, &consumed);
             if (consumed != v.size()) throw Error("");
         } catch (const std::exception&) {
             throw User_error(cat("bad PSNR target '", v, "', expected a number"));
         }
+        // A NaN target rejects every format and -inf accepts any, so a
+        // non-finite value names its line here; validate_config checks again
+        // for configs built in code.
+        if (!std::isfinite(target)) {
+            throw User_error(cat("bad PSNR target '", v, "', expected a finite number"));
+        }
+        config.format_search.target_psnr_db = target;
     } else if (name == "validate-fixed") {
         config.validate_fixed = true;
     } else {

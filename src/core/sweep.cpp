@@ -1,6 +1,7 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/error.hpp"
 #include "support/table.hpp"
@@ -57,6 +58,10 @@ void validate_config(const Sweep_config& config) {
                                      "' listed more than once"));
             }
         }
+    }
+    if (!std::isfinite(config.format_search.target_psnr_db)) {
+        throw User_error(cat("format search PSNR target ",
+                             config.format_search.target_psnr_db, " must be finite"));
     }
     const Fixed_format& format = config.format;
     if (format.integer_bits < 1 || format.frac_bits < 0 || format.total_bits() < 2 ||

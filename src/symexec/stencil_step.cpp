@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "ir/analysis.hpp"
-#include "ir/print.hpp"
 #include "support/error.hpp"
-#include "support/text.hpp"
 
 namespace islhls {
 
@@ -62,14 +60,6 @@ Footprint Stencil_step::footprint() const {
 int Stencil_step::max_reach() const {
     const Footprint fp = footprint();
     return std::max({fp.left, fp.right, fp.up, fp.down});
-}
-
-std::string Stencil_step::describe() const {
-    std::string out;
-    for (std::size_t i = 0; i < state_fields_.size(); ++i) {
-        out += cat(state_fields_[i], "' = ", to_infix(pool_, updates_[i]), "\n");
-    }
-    return out;
 }
 
 }  // namespace islhls

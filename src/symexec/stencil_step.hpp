@@ -61,9 +61,6 @@ public:
     // Largest single-direction extent (domain narrowness measure).
     int max_reach() const;
 
-    // One-line human-readable summary per state field.
-    std::string describe() const;
-
 private:
     Expr_pool pool_;
     std::vector<std::string> state_fields_;

@@ -7,11 +7,7 @@
 #
 # A mismatch leaves the actual text next to the work directory's emitted
 # files as <case>.actual, so `diff` shows what moved.
-cmake_minimum_required(VERSION 3.16)
-
-file(REMOVE_RECURSE "${WORK}")
-file(MAKE_DIRECTORY "${WORK}")
-set(failures 0)
+include(${CMAKE_CURRENT_LIST_DIR}/cli_common.cmake)
 
 # Fails the test unless `actual` equals the text of CASES/<name>.expected.
 function(expect_text name actual)
@@ -21,20 +17,6 @@ function(expect_text name actual)
         message(SEND_ERROR "${name}: output differs from ${CASES}/${name}.expected "
                            "(actual in ${WORK}/${name}.actual)")
     endif()
-endfunction()
-
-# Runs islhls with the remaining arguments inside WORK and sets `out` to its
-# stdout; a non-zero exit fails the test.
-function(run_islhls out)
-    execute_process(COMMAND "${ISLHLS}" ${ARGN}
-                    WORKING_DIRECTORY "${WORK}"
-                    RESULT_VARIABLE code
-                    OUTPUT_VARIABLE stdout
-                    ERROR_VARIABLE stderr)
-    if(NOT code EQUAL 0)
-        message(SEND_ERROR "islhls ${ARGN} exited ${code}: ${stderr}")
-    endif()
-    set(${out} "${stdout}" PARENT_SCOPE)
 endfunction()
 
 run_islhls(out builtin:igf --describe --pareto --fit --frame 320x240 --iterations 4)

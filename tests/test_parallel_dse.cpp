@@ -2,10 +2,13 @@
 // counts, concurrent cone-library access, and the batch sweep session.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
 #include "core/service.hpp"
 #include "core/sweep_records.hpp"
 #include "core/sweep.hpp"
@@ -34,6 +37,21 @@ Space_options small_space(int threads) {
     space.max_depth = 3;
     space.threads = threads;
     return space;
+}
+
+// Byte-identity of two serialized records. On a mismatch it names the
+// first differing byte instead of printing gtest's line diff, whose memory
+// grows with the product of the two line counts: a paper-size Pareto
+// record has thousands of lines.
+::testing::AssertionResult same_record(const std::string& actual,
+                                       const std::string& expected) {
+    if (actual == expected) return ::testing::AssertionSuccess();
+    const auto at = std::mismatch(actual.begin(), actual.end(), expected.begin(),
+                                  expected.end()).first - actual.begin();
+    return ::testing::AssertionFailure()
+           << "records differ at byte " << at << " (" << actual.size() << " vs "
+           << expected.size() << " bytes): '" << actual.substr(at, 60) << "' vs '"
+           << expected.substr(at, 60) << "'";
 }
 
 // Each run gets a cold cache so the serial baseline and the parallel runs
@@ -65,9 +83,10 @@ TEST(Parallel_dse, results_byte_identical_across_thread_counts) {
         EXPECT_FALSE(serial.pareto.empty());
         for (int threads : {2, 8}) {
             const Run_records parallel = run_explorer(kernel, threads, "generic_small");
-            EXPECT_EQ(parallel.pareto, serial.pareto) << "threads " << threads;
-            EXPECT_EQ(parallel.fit, serial.fit) << "threads " << threads;
-            EXPECT_EQ(parallel.validation, serial.validation) << "threads " << threads;
+            EXPECT_TRUE(same_record(parallel.pareto, serial.pareto)) << "threads " << threads;
+            EXPECT_TRUE(same_record(parallel.fit, serial.fit)) << "threads " << threads;
+            EXPECT_TRUE(same_record(parallel.validation, serial.validation))
+                << "threads " << threads;
         }
     }
 }
@@ -240,11 +259,51 @@ TEST(Parallel_dse, explorer_shared_pool_results_are_byte_identical) {
         Cone_library pooled_lib(extract_stencil(kernel.c_source), kernel.name);
         Explorer pooled(pooled_lib, device_by_name(device),
                         small_evaluator_options(), small_space(1), &pool);
-        EXPECT_EQ(serialize_record(serial.explore_pareto()),
-                  serialize_record(pooled.explore_pareto()));
-        EXPECT_EQ(serialize_record(serial.fit_device()),
-                  serialize_record(pooled.fit_device()));
+        EXPECT_TRUE(same_record(serialize_record(pooled.explore_pareto()),
+                                serialize_record(serial.explore_pareto())));
+        EXPECT_TRUE(same_record(serialize_record(pooled.fit_device()),
+                                serialize_record(serial.fit_device())));
     }
+}
+
+// One cold Pareto sweep and device fit of IGF at the paper's evaluation
+// setup, the run bench/micro_dse_parallel reports, with its records and the
+// synthesis workload the cone library discovered.
+struct Paper_sweep {
+    std::string pareto;
+    std::string fit;
+    double synthesis_cpu_seconds = 0.0;
+    std::vector<double> synthesis_costs;
+};
+
+Paper_sweep run_paper_sweep(int threads) {
+    Sweep_config config = islhls_bench::paper_config();
+    config.space.threads = threads;
+    Sweep_service service;  // a fresh library per run
+    Explorer explorer = islhls_bench::explorer_for(service, "igf", config);
+    Paper_sweep run;
+    run.pareto = serialize_record(explorer.explore_pareto());
+    run.fit = serialize_record(explorer.fit_device());
+    run.synthesis_cpu_seconds = service.library("igf").synthesis_cpu_seconds();
+    run.synthesis_costs = service.library("igf").synthesis_costs();
+    return run;
+}
+
+// The parallel-DSE contract at the paper's setup: 8 threads change no byte
+// of the records and discover the same synthesis jobs, and those jobs
+// scheduled on 8 synthesis workers cut the serial synthesis time >= 3x.
+// The costs are modeled tool runtimes, so the ratio does not depend on the
+// host's cores.
+TEST(Parallel_dse, paper_sweep_identical_and_synthesis_makespan_scales) {
+    const Paper_sweep serial = run_paper_sweep(1);
+    const Paper_sweep parallel = run_paper_sweep(8);
+    EXPECT_TRUE(same_record(parallel.pareto, serial.pareto));
+    EXPECT_TRUE(same_record(parallel.fit, serial.fit));
+    EXPECT_EQ(parallel.synthesis_costs, serial.synthesis_costs);
+    ASSERT_FALSE(parallel.synthesis_costs.empty());
+    const double makespan = lpt_makespan(parallel.synthesis_costs, 8);
+    ASSERT_GT(makespan, 0.0);
+    EXPECT_GE(serial.synthesis_cpu_seconds / makespan, 3.0);
 }
 
 TEST(Parallel_dse, sweep_rejects_bad_config) {
@@ -254,6 +313,16 @@ TEST(Parallel_dse, sweep_rejects_bad_config) {
     config.devices = {"generic_small"};
     config.iteration_counts = {4, 0};
     EXPECT_THROW(validate_config(config), Error);
+    // A non-finite PSNR target would reject every format (NaN) or accept
+    // any (-inf), so every caller's config is refused, not just request files.
+    config.iteration_counts = {4};
+    EXPECT_NO_THROW(validate_config(config));
+    for (double target : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()}) {
+        config.format_search.target_psnr_db = target;
+        EXPECT_THROW(validate_config(config), User_error) << target;
+    }
 }
 
 }  // namespace

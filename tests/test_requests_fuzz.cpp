@@ -148,6 +148,8 @@ TEST(Requests_fuzz, every_rejection_names_its_line) {
         {"kernels heat\n", "fuzz.req:1: expected 'request'"},
         {"request\nkernels heat\nthreads abc\nend\n",
          "fuzz.req:3: bad thread count 'abc', expected an integer"},
+        {"request\nkernels heat\npsnr nan\nend\n",
+         "fuzz.req:3: bad PSNR target 'nan', expected a finite number"},
         {"request\nkernels heat\nfoo 1\nend\n", "fuzz.req:3: unknown request option"},
         {"request\nkernels heat\npareto yes\nend\n", "fuzz.req:3: option 'pareto'"},
         {"request\nkernels\nend\n", "fuzz.req:2: option 'kernels' needs a value"},
