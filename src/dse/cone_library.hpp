@@ -25,7 +25,11 @@
 // Readers of step() that bypass the lock (footprint(), golden runs over the
 // pool) must not run while a cone miss extends the pool. Two patterns keep
 // them apart: build the cone grid first (Arch_evaluator::calibrate()), or
-// keep the kernel inside one task (Sweep_service's kernel fan-out).
+// keep the kernel inside one task (Sweep_service's kernel fan-out). The DSE
+// hot path is not a reader of either kind: an Arch_evaluator copies the
+// step's footprint and field counts when it is constructed and asks the
+// library for each (window, depth) cone's price once per calibrated grid
+// (its price table), so candidate evaluations take no library lock.
 #pragma once
 
 #include <atomic>

@@ -46,10 +46,9 @@ void Explorer::run_parallel(std::size_t count,
     (external_pool_ ? *external_pool_ : *pool_).for_each_index(count, body);
 }
 
-std::optional<Arch_evaluation> Explorer::grow_allocation(
+void Explorer::grow_allocation(
     Arch_instance instance, double area_budget, int max_total_cores,
-    std::vector<Arch_evaluation>* out) const {
-    std::optional<Arch_evaluation> best;
+    const std::function<void(Arch_evaluation&&)>& step) const {
     // Minimal allocation: one core per depth class (the paper's feasibility
     // requirement).
     instance.cores_per_depth.clear();
@@ -58,27 +57,25 @@ std::optional<Arch_evaluation> Explorer::grow_allocation(
     for (;;) {
         Arch_evaluation eval = evaluator_.evaluate(instance);
         const bool fits = eval.estimated_area_luts <= area_budget && eval.feasible;
-        if (!fits) break;
-        if (out != nullptr) out->push_back(eval);
-        if (!best || eval.throughput.fps > best->throughput.fps) best = eval;
-        // Adding cores only helps while the design is core-bound.
-        if (eval.throughput.bottleneck != "core") break;
+        if (!fits) return;
+        // Adding cores only helps while the design is core-bound: then the
+        // bottleneck class gets the next core, chosen before `eval` moves.
         int total_cores = 0;
         for (const auto& [d, n] : instance.cores_per_depth) total_cores += n;
-        if (total_cores >= max_total_cores) break;
-        // Feed the bottleneck class.
         int bottleneck_depth = -1;
-        double worst = -1.0;
-        for (const auto& [d, cycles] : eval.throughput.class_cycles) {
-            if (cycles > worst) {
-                worst = cycles;
-                bottleneck_depth = d;
+        if (eval.throughput.bottleneck == "core" && total_cores < max_total_cores) {
+            double worst = -1.0;
+            for (const auto& [d, cycles] : eval.throughput.class_cycles) {
+                if (cycles > worst) {
+                    worst = cycles;
+                    bottleneck_depth = d;
+                }
             }
         }
-        if (bottleneck_depth < 0) break;
+        step(std::move(eval));
+        if (bottleneck_depth < 0) return;
         instance.cores_per_depth[bottleneck_depth] += 1;
     }
-    return best;
 }
 
 Pareto_result Explorer::explore_pareto() {
@@ -98,13 +95,18 @@ Pareto_result Explorer::explore_pareto() {
         instance.window = static_cast<int>(i / partitions.size()) + 1;
         instance.level_depths = partitions[i % partitions.size()];
         grow_allocation(instance, space_.pareto_area_cap_luts,
-                        space_.max_cores_per_sweep, &steps[i]);
+                        space_.max_cores_per_sweep,
+                        [&](Arch_evaluation&& e) { steps[i].push_back(std::move(e)); });
     });
 
     Pareto_result result;
-    for (const auto& candidate_steps : steps) {
-        result.points.insert(result.points.end(), candidate_steps.begin(),
-                             candidate_steps.end());
+    std::size_t total = 0;
+    for (const auto& candidate_steps : steps) total += candidate_steps.size();
+    result.points.reserve(total);
+    for (auto& candidate_steps : steps) {
+        result.points.insert(result.points.end(),
+                             std::make_move_iterator(candidate_steps.begin()),
+                             std::make_move_iterator(candidate_steps.end()));
     }
     std::vector<Design_point> dps;
     dps.reserve(result.points.size());
@@ -136,10 +138,14 @@ Fit_result Explorer::fit_device() {
         Arch_instance instance;
         instance.window = w;
         instance.level_depths = canonical_partition(space_.iterations, d);
-        const std::optional<Arch_evaluation> grown = grow_allocation(
-            instance, budget, space_.max_cores_per_sweep * 4, nullptr);
-        cell.valid = grown.has_value();
-        if (cell.valid) cell.eval = *grown;
+        // Keep the best-fps step: the first strict maximum in growth order.
+        grow_allocation(instance, budget, space_.max_cores_per_sweep * 4,
+                        [&](Arch_evaluation&& e) {
+                            if (!cell.valid || e.throughput.fps > cell.eval.throughput.fps) {
+                                cell.eval = std::move(e);
+                                cell.valid = true;
+                            }
+                        });
     });
     // Best cell: first strict fps maximum in grid order, as the serial scan
     // picked it.

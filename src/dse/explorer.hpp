@@ -22,8 +22,8 @@
 // results are byte-identical to a single-threaded run.
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,13 +92,12 @@ private:
 
     // Grows the core allocation of `instance` from one core per depth class,
     // always feeding the bottleneck class, while the estimated area stays
-    // within `area_budget`; records every step into `out` when given.
-    // Returns the best-fps evaluation, nullopt when even the minimal
-    // allocation does not fit. Pure once the evaluator is calibrated.
-    std::optional<Arch_evaluation> grow_allocation(Arch_instance instance,
-                                                   double area_budget,
-                                                   int max_total_cores,
-                                                   std::vector<Arch_evaluation>* out) const;
+    // within `area_budget`; hands every fitting step, in growth order, to
+    // `step` (none when even the minimal allocation does not fit). Pure once
+    // the evaluator is calibrated.
+    void grow_allocation(Arch_instance instance, double area_budget,
+                         int max_total_cores,
+                         const std::function<void(Arch_evaluation&&)>& step) const;
 
     Arch_evaluator evaluator_;
     Space_options space_;

@@ -108,11 +108,98 @@ TEST(Parallel_dse, evaluator_pure_after_calibration) {
     instance.level_depths = {2, 2, 2};
     instance.cores_per_depth = {{2, 2}};
     const std::string reference = serialize_record(evaluator.evaluate(instance));
+    // The first evaluation priced the instance's cones; every later one
+    // reads the price table and asks the library nothing.
+    const long long synthesis_lookups = library.synthesis_lookups();
+    const long long cone_lookups = library.cone_lookups();
     std::vector<std::string> seen(16);
     Thread_pool(8).for_each_index(seen.size(), [&](std::size_t i) {
         seen[i] = serialize_record(evaluator.evaluate(instance));
     });
     for (const std::string& s : seen) EXPECT_EQ(s, reference);
+    EXPECT_EQ(library.synthesis_lookups() - synthesis_lookups, 0);
+    EXPECT_EQ(library.cone_lookups() - cone_lookups, 0);
+}
+
+TEST(Parallel_dse, repeated_exploration_reads_only_the_price_table) {
+    Cone_library library(extract_stencil(kernel_by_name("igf").c_source), "igf");
+    Explorer explorer(library, device_by_name("xc6vlx760"), small_evaluator_options(),
+                      small_space(4));
+    const std::string first = serialize_record(explorer.explore_pareto());
+    const long long synthesis_lookups = library.synthesis_lookups();
+    const long long cone_lookups = library.cone_lookups();
+    EXPECT_TRUE(same_record(serialize_record(explorer.explore_pareto()), first));
+    EXPECT_EQ(library.synthesis_lookups() - synthesis_lookups, 0);
+    EXPECT_EQ(library.cone_lookups() - cone_lookups, 0);
+}
+
+// The price table is a memo, not a second model: every point a calibrated
+// explorer reports serializes exactly like a fresh, uncalibrated evaluator
+// over a fresh library re-pricing its instance, which resolves each cone
+// from the library on every use.
+TEST(Parallel_dse, price_table_matches_unmemoized_evaluation) {
+    for (const std::string& kernel : kernel_names()) {
+        SCOPED_TRACE(kernel);
+        const std::string source = kernel_by_name(kernel).c_source;
+        Cone_library reference(extract_stencil(source), kernel);
+        for (const std::string device : {"generic_small", "xc6vlx760"}) {
+            SCOPED_TRACE(device);
+            const Arch_evaluator fresh(reference, device_by_name(device),
+                                       small_evaluator_options());
+            for (int threads : {1, 8}) {
+                SCOPED_TRACE(threads);
+                Cone_library library(extract_stencil(source), kernel);
+                Explorer explorer(library, device_by_name(device),
+                                  small_evaluator_options(), small_space(threads));
+                const Pareto_result pareto = explorer.explore_pareto();
+                ASSERT_FALSE(pareto.points.empty());
+                for (const Arch_evaluation& point : pareto.points) {
+                    ASSERT_TRUE(same_record(serialize_record(point),
+                                            serialize_record(fresh.evaluate(point.instance))));
+                }
+                for (const Fit_cell& cell : explorer.fit_device().grid) {
+                    if (!cell.valid) continue;
+                    ASSERT_TRUE(same_record(serialize_record(cell.eval),
+                                            serialize_record(fresh.evaluate(cell.eval.instance))));
+                }
+                // Instances no exploration reports take evaluate()'s early
+                // returns: a class without cores, a class with none allocated.
+                Arch_instance idle;
+                idle.window = 3;
+                idle.level_depths = {3, 3};
+                idle.cores_per_depth = {{3, 0}};
+                Arch_instance missing = idle;
+                missing.level_depths = {3, 2, 1};
+                missing.cores_per_depth = {{1, 1}, {3, 1}};
+                for (const Arch_instance& instance : {idle, missing}) {
+                    const Arch_evaluation e = explorer.evaluator().evaluate(instance);
+                    EXPECT_FALSE(e.feasible);
+                    EXPECT_TRUE(same_record(serialize_record(e),
+                                            serialize_record(fresh.evaluate(instance))));
+                }
+            }
+        }
+        // A device without the block RAM for the buffers: the last early
+        // return, through a calibrated evaluator and a fresh one.
+        Fpga_device no_bram = device_by_name("generic_small");
+        no_bram.name = "generic_small_1kbit";
+        no_bram.bram_kbits = 1;
+        Cone_library library(extract_stencil(source), kernel);
+        Arch_evaluator calibrated(library, no_bram, small_evaluator_options());
+        calibrated.calibrate(4, 3);
+        Arch_instance instance;
+        instance.window = 4;
+        instance.level_depths = {3, 3};
+        instance.cores_per_depth = {{3, 2}};
+        const Arch_evaluation e = calibrated.evaluate(instance);
+        EXPECT_FALSE(e.feasible);
+        EXPECT_NE(e.infeasible_reason.find("on-chip buffers"), std::string::npos);
+        EXPECT_TRUE(same_record(
+            serialize_record(e),
+            serialize_record(
+                Arch_evaluator(reference, no_bram, small_evaluator_options())
+                    .evaluate(instance))));
+    }
 }
 
 TEST(Parallel_dse, cone_library_survives_concurrent_hammering) {
