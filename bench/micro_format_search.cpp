@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
     Stencil_step step = extract_stencil(kernel.c_source);
     Cone_library library(step, kernel.name);
     const Cone& cone = library.cone(kConeSpec.window_width, kConeSpec.depth);
-    const Register_program& program = cone.program();
+    const Register_program program = cone.lower();
     Frame_set content(kFrameW, kFrameH);
     content.add_field("u", make_synthetic_scene(kFrameW, kFrameH, 8));
 

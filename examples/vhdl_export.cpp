@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     Vhdl_options vhdl_options;
     vhdl_options.format = Fixed_format{14, 6};
 
-    const Register_program& program = cone.program();
+    const Register_program program = cone.lower();
 
     // Random (quantized) stimulus and its bit-exact expected response.
     Prng rng(42);

@@ -112,7 +112,7 @@ end architecture behavioral;
 
 std::string emit_cone(const Cone& cone, const std::string& kernel_name,
                       const Vhdl_options& options) {
-    const Register_program& prog = cone.program();
+    const Register_program prog = cone.lower();
     const Fixed_format& fmt = options.format;
     const int width = fmt.total_bits();
     const int frac = fmt.frac_bits;
@@ -279,12 +279,13 @@ std::string emit_cone_testbench(const Cone& cone, const std::string& kernel_name
                                 const std::vector<double>& stimulus,
                                 const std::vector<double>& expected,
                                 const Vhdl_options& options) {
-    const Register_program& prog = cone.program();
+    // The port widths and the latency are cone statistics: no SSA needed.
+    const Cone_stats& stats = cone.stats();
     const Fixed_format& fmt = options.format;
     const int width = fmt.total_bits();
-    check_internal(stimulus.size() == static_cast<std::size_t>(prog.input_count()),
+    check_internal(stimulus.size() == static_cast<std::size_t>(stats.input_count),
                    "testbench stimulus arity mismatch");
-    check_internal(expected.size() == prog.outputs().size(),
+    check_internal(expected.size() == static_cast<std::size_t>(stats.output_count),
                    "testbench expected arity mismatch");
     const std::string entity = cone_entity_name(kernel_name, cone.spec(), options);
 
@@ -294,9 +295,9 @@ std::string emit_cone_testbench(const Cone& cone, const std::string& kernel_name
        << "architecture sim of tb_" << entity << " is\n"
        << "  signal clk : std_logic := '0';\n  signal rst : std_logic := '1';\n"
        << "  signal en : std_logic := '0';\n"
-       << "  signal din : std_logic_vector(" << prog.input_count() * width
+       << "  signal din : std_logic_vector(" << stats.input_count * width
        << "-1 downto 0);\n"
-       << "  signal dout : std_logic_vector(" << prog.outputs().size() * width
+       << "  signal dout : std_logic_vector(" << stats.output_count * width
        << "-1 downto 0);\nbegin\n"
        << "  clk <= not clk after 5 ns;\n\n"
        << "  dut : entity work." << entity << " port map (clk => clk, rst => rst, "
@@ -308,7 +309,7 @@ std::string emit_cone_testbench(const Cone& cone, const std::string& kernel_name
            << width << "));\n";
     }
     os << "    wait for 20 ns;\n    rst <= '0';\n    en <= '1';\n"
-       << "    wait for " << (prog.depth() + 2) * 10 << " ns;\n";
+       << "    wait for " << (stats.pipeline_depth + 2) * 10 << " ns;\n";
     for (std::size_t o = 0; o < expected.size(); ++o) {
         os << "    assert signed(dout(" << (o + 1) << "*" << width << "-1 downto " << o
            << "*" << width << ")) = to_signed(" << to_raw(expected[o], fmt) << ", "

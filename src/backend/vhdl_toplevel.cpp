@@ -92,12 +92,12 @@ std::string emit_architecture_toplevel(Cone_library& library,
         const Cone& cone = library.cone(w, d);
         const std::string cone_entity =
             cone_entity_name(library.kernel_name(), cone.spec(), options);
-        os << "  -- depth-" << d << " cone: " << cone.program().input_count()
-           << " inputs, " << cone.program().outputs().size() << " outputs\n"
+        os << "  -- depth-" << d << " cone: " << cone.stats().input_count
+           << " inputs, " << cone.stats().output_count << " outputs\n"
            << "  signal cone" << d << "_din  : std_logic_vector("
-           << cone.program().input_count() << "*WIDTH-1 downto 0);\n"
+           << cone.stats().input_count << "*WIDTH-1 downto 0);\n"
            << "  signal cone" << d << "_dout : std_logic_vector("
-           << cone.program().outputs().size() << "*WIDTH-1 downto 0);\n"
+           << cone.stats().output_count << "*WIDTH-1 downto 0);\n"
            << "  signal cone" << d << "_en   : std_logic;\n";
         (void)cone_entity;
     }
@@ -145,7 +145,7 @@ std::string emit_architecture_toplevel(Cone_library& library,
     for (std::size_t k = 0; k < levels; ++k) {
         const int d = instance.level_depths[k];
         const long long tiles = executions_for_level(cov, k + 1, w);
-        const int latency = library.cone(w, d).program().depth();
+        const int latency = library.stats(w, d).pipeline_depth;
         os << "            -- level " << k + 1 << ": depth-" << d << " cone over "
            << tiles << " sub-tile(s) of the " << cov.width[k + 1] << "x"
            << cov.height[k + 1] << " coverage, latency " << latency << " cycles\n";

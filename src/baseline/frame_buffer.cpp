@@ -18,7 +18,7 @@ Frame_buffer_estimate estimate_frame_buffer(const Stencil_step& step, int iterat
     Synth_options synth_options;
     synth_options.format = options.format;
     const Synthesis_report pe =
-        synthesize_program(program, "frame_buffer_pe", device, synth_options);
+        synthesize_program(program.compiled(), "frame_buffer_pe", device, synth_options);
     est.f_max_mhz = pe.f_max_mhz;
 
     const double fields = step.pool().field_count();

@@ -34,8 +34,9 @@ Generic_hls_result run_generic_hls(const Stencil_step& step, int iterations,
     const Register_program program = build_program(step.pool(), step.updates());
     Synth_options synth_options;
     synth_options.format = options.format;
-    const Synthesis_report pe = synthesize_program(
-        program, cat("generic_hls_", to_string(directive)), device, synth_options);
+    const Synthesis_report pe =
+        synthesize_program(program.compiled(), cat("generic_hls_", to_string(directive)),
+                           device, synth_options);
     result.f_max_mhz = pe.f_max_mhz;
     result.lut_count = pe.lut_count;
 

@@ -123,18 +123,28 @@ void Cone::build(Cone_memo& memo) {
         }
     }
 
-    program_ = build_program(step.pool(), outputs_, &memo.fingerprints());
+    // The SSA program lives only until the statistics are read off it; the
+    // cone keeps its tape.
+    const Register_program program =
+        build_program(step.pool(), outputs_, &memo.fingerprints());
+    tape_ = program.shared_compiled();
 
     stats_.spec = spec;
-    stats_.register_count = program_.register_count();
-    stats_.input_count = program_.input_count();
+    stats_.register_count = program.register_count();
+    stats_.input_count = program.input_count();
     stats_.output_count = static_cast<int>(outputs_.size());
-    stats_.pipeline_depth = program_.depth();
-    stats_.census = census_of(program_);
+    stats_.pipeline_depth = program.depth();
+    stats_.census = census_of(program);
     stats_.input_window = input_window_for(
         Window{0, 0, spec.window_width, spec.window_height}, step.footprint(),
         spec.depth);
-    stats_.naive_operation_count = naive_ops(program_);
+    stats_.naive_operation_count = naive_ops(program);
+}
+
+Register_program Cone::lower() const {
+    std::vector<std::uint64_t> fingerprints;
+    extend_fingerprints(step_->pool(), fingerprints);
+    return build_program(step_->pool(), outputs_, &fingerprints);
 }
 
 int Cone::output_index(int state_field, int x, int y) const {

@@ -8,15 +8,24 @@
 // several consumers (Fig. 4's shared diagonal reads) is created once and
 // referenced many times, which is exactly the register-reuse scheme the
 // paper uses to keep the generated VHDL slim.
+//
+// A built cone keeps one lowered form: its register-allocated tape
+// (ir/compiled.hpp), with its statistics and output roots. Synthesis
+// costing, the fixed-point format search and the architecture simulator
+// read the tape. The SSA Register_program it was compiled from is dropped
+// when the build returns; the VHDL emitter and the test oracles, the only
+// readers of SSA, re-lower it on demand through Cone::lower().
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "grid/tile.hpp"
 #include "ir/analysis.hpp"
+#include "ir/compiled.hpp"
 #include "ir/program.hpp"
 #include "symexec/stencil_step.hpp"
 
@@ -99,8 +108,18 @@ public:
     const std::vector<Expr_id>& outputs() const { return outputs_; }
     int output_index(int state_field, int x, int y) const;
 
-    // Lowered register program (drives VHDL, synthesis costing, simulation).
-    const Register_program& program() const { return program_; }
+    // The register-allocated tape of the cone's program (drives synthesis
+    // costing, format search and simulation).
+    const Compiled_program& tape() const { return *tape_; }
+
+    // Re-lowers the output roots to the SSA register program the build
+    // compiled tape() from, with freshly extended structural fingerprints:
+    // the result equals the build's program instruction for instruction,
+    // and Compiled_program(lower()) equals tape(). Feeds the VHDL emitter
+    // and the test oracles. Reads the step's shared pool without a lock, so
+    // it must not run while another cone's build extends that pool
+    // (dse/cone_library.hpp).
+    Register_program lower() const;
 
     const Cone_stats& stats() const { return stats_; }
 
@@ -114,7 +133,7 @@ private:
     Stencil_step* step_;
     Cone_spec spec_;
     std::vector<Expr_id> outputs_;
-    Register_program program_;
+    std::shared_ptr<const Compiled_program> tape_;
     Cone_stats stats_;
 };
 

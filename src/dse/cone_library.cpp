@@ -77,7 +77,7 @@ const Synthesis_report& Cone_library::synthesis(int window, int depth,
         }
     }
     // Synthesize outside the exclusive section: the synthesizer only reads
-    // the cone's own (immutable once built) register program, so distinct
+    // the cone's own (immutable once built) tape, so distinct
     // keys can synthesize concurrently. Racing threads may synthesize the
     // same key twice; the synthesizer is deterministic, the first insert
     // wins, and the meter counts cache entries, so nothing diverges. The

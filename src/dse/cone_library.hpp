@@ -16,16 +16,19 @@
 // cone cache misses build under the exclusive lock (building extends the
 // shared pool and memo, so it must serialize), while synthesis misses run
 // the virtual synthesizer outside any lock (it only reads the cone's
-// immutable register program) and insert first-wins — racing threads may
-// duplicate a deterministic synthesis but never diverge. Returned references
-// stay valid for the library's lifetime (node-based storage). Every meter is
+// immutable tape) and insert first-wins — racing threads may duplicate a
+// deterministic synthesis but never diverge. Returned references stay
+// valid for the library's lifetime (node-based storage). Every meter is
 // schedule-independent: the synthesis meter is derived from the memoization
 // map in key order, and cone_lookups() counts the callers' lookups only.
 //
 // Readers of step() that bypass the lock (footprint(), golden runs over the
-// pool) must not run while a cone miss extends the pool. Two patterns keep
-// them apart: build the cone grid first (Arch_evaluator::calibrate()), or
-// keep the kernel inside one task (Sweep_service's kernel fan-out). The DSE
+// pool, and Cone::lower(), which re-lowers a cone's SSA program from the
+// pool for the VHDL emitter and the test oracles) must not run while a cone
+// miss extends the pool. Two patterns keep them apart: build the cone grid
+// first (Arch_evaluator::calibrate(), or the CLI's VHDL export, which runs
+// after its sweep), or keep the kernel inside one task (Sweep_service's
+// kernel fan-out). The DSE
 // hot path is not a reader of either kind: an Arch_evaluator copies the
 // step's footprint and field counts when it is constructed and asks the
 // library for each (window, depth) cone's price once per calibrated grid

@@ -15,7 +15,6 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
                                          Boundary boundary,
                                          const Format_search_options& options) {
     check_internal(options.sample_windows >= 1, "need at least one sample window");
-    const Register_program& program = cone.program();
     const Stencil_step& step = cone.step();
 
     // Sample window origins across the frame.
@@ -30,7 +29,7 @@ Format_search_result search_fixed_format(const Cone& cone, const Frame_set& cont
     // analysis and the reference outputs. Inputs go into their lanes and
     // into the flat, row-major [samples][ports] buffer the fixed candidates
     // quantize; the outputs are read off their pinned slots after the walk.
-    const Compiled_program& cp = program.compiled();
+    const Compiled_program& cp = cone.tape();
     const std::vector<Tape_input>& ins = cp.inputs();
     const std::vector<std::int32_t>& out_slots = cp.output_slots();
     const std::size_t samples = origins.size();

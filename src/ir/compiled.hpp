@@ -23,9 +23,11 @@
 // engine's interior and border columns, the fixed-point format search
 // (range, references and candidates), the batched fixed executor and the
 // architecture simulator all call it, so they cannot diverge semantically.
-// The scalar interpreters that walk the SSA instruction vector instead are
-// test oracles (oracle/reference.hpp); the Register_program itself stays
-// SSA for the VHDL emitter and the cost model.
+// The synthesizer's cost model prices this tape too (synth/cost_model.hpp),
+// and it is the one lowered form a Cone keeps. The scalar interpreters and
+// the cost walk over the SSA instruction vector are test oracles
+// (oracle/reference.hpp, oracle/cost_reference.hpp); the Register_program
+// stays SSA for the VHDL emitter, which re-lowers a cone's on demand.
 #pragma once
 
 #include <array>
@@ -40,7 +42,7 @@ namespace islhls {
 // One operation of the tape. `dest` and `src` are allocated slot indices;
 // op k computes the k-th operation instruction of the source
 // Register_program. Packed to 20 bytes: a cone library keeps one per
-// operation instruction.
+// operation of every cone.
 struct Tape_op {
     std::int32_t dest = -1;
     std::array<std::int32_t, 3> src = {-1, -1, -1};

@@ -81,4 +81,10 @@ const Compiled_program& Register_program::compiled() const {
     return *compiled_;
 }
 
+std::shared_ptr<const Compiled_program> Register_program::shared_compiled() const {
+    check_internal(compiled_ != nullptr,
+                   "shared_compiled() on a default-constructed Register_program");
+    return compiled_;
+}
+
 }  // namespace islhls

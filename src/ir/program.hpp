@@ -3,10 +3,13 @@
 // This is the paper's "slim VHDL with a high degree of resource reuse" made
 // explicit: each DAG node becomes exactly one instruction whose destination
 // is one hardware register; any further use of the value reads that register.
-// The same structure drives the VHDL emitter, the virtual synthesizer's
-// netlist costing, and (lowered once to a Compiled_program) the simulator's
-// run_tape executor. The scalar interpreter that walks the instruction
-// vector directly, run_trace, is a test oracle (oracle/reference.hpp).
+// The instruction vector drives the VHDL emitter; lowered once to a
+// Compiled_program, the same structure drives the virtual synthesizer's
+// netlist costing and the simulator's run_tape executor. A cone keeps only
+// that tape and re-lowers its program on demand (Cone::lower()); an
+// Exec_engine keeps one program per kernel. The scalar interpreter that
+// walks the instruction vector directly, run_trace, and the SSA cost walk
+// are test oracles (oracle/reference.hpp, oracle/cost_reference.hpp).
 #pragma once
 
 #include <array>
@@ -24,7 +27,7 @@ class Compiled_program;
 // instruction vector). Leaves occupy instruction slots too: constants bind a
 // literal, inputs bind an input port; neither consumes a hardware register.
 //
-// Packed to 32 bytes, because a cone library keeps millions of them: the
+// Packed to 32 bytes, because a large cone lowers to millions of them: the
 // kind, the operand count, the field index, the offsets and the level are
 // narrowed, and build_program() range-checks every narrowed value it writes.
 struct Instruction {
@@ -62,6 +65,9 @@ public:
     // accessor is a plain read — no synchronization, valid for the
     // program's lifetime. Throws on a default-constructed program.
     const Compiled_program& compiled() const;
+    // The same tape as a shared handle, for an owner that keeps the tape
+    // and drops the program (a Cone).
+    std::shared_ptr<const Compiled_program> shared_compiled() const;
 
     friend Register_program build_program(const Expr_pool& pool,
                                           const std::vector<Expr_id>& roots,

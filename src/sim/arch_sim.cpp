@@ -120,7 +120,7 @@ struct Level {
                                     const Compiled_program&>;
 
     Level(const Cone& c, const Fixed_format& format)
-        : cone(&c), tape(lower(c.program().compiled(), format)), block(tape) {}
+        : cone(&c), tape(lower(c.tape(), format)), block(tape) {}
 
     static Held lower(const Compiled_program& cp,
                       [[maybe_unused]] const Fixed_format& format) {
@@ -190,7 +190,7 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
         const Cone& cone = library.cone(w, instance.level_depths[k]);
         Level<Tape>& le = level_exec.emplace_back(cone, options.format);
         const std::vector<std::int32_t>& out_slots =
-            cone.program().compiled().output_slots();
+            cone.tape().output_slots();
         le.scatter.assign(static_cast<std::size_t>(state_count) *
                               static_cast<std::size_t>(w) * static_cast<std::size_t>(w),
                           0);
@@ -239,7 +239,7 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
             // --- run the levels deep-first ---------------------------------------
             for (std::size_t k = 0; k < level_count; ++k) {
                 Level<Tape>& le = level_exec[k];
-                const Register_program& program = le.cone->program();
+                const Compiled_program& cone_tape = le.cone->tape();
                 const Footprint out_halo = suffix[k + 1];
                 Window out_region{tx - out_halo.left, ty - out_halo.up,
                                   w + out_halo.width_growth(),
@@ -270,7 +270,7 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
                 const std::vector<int> sub_x = flush_origins(out_region.width, w);
                 const std::vector<int> sub_y = flush_origins(out_region.height, w);
                 const std::size_t origins = sub_x.size() * sub_y.size();
-                const std::vector<Tape_input>& ports = program.compiled().inputs();
+                const std::vector<Tape_input>& ports = cone_tape.inputs();
                 Value** slot = le.block.slot();
                 std::array<int, kTapeLane> lane_x{};
                 std::array<int, kTapeLane> lane_y{};
@@ -288,7 +288,7 @@ Arch_sim_result simulate_impl(Cone_library& library, const Arch_instance& instan
                         static_cast<long long>(ports.size()) * n;
                     result.stats.cone_executions += n;
                     result.stats.operations_executed +=
-                        static_cast<long long>(program.register_count()) * n;
+                        static_cast<long long>(cone_tape.ops().size()) * n;
 
                     for (const Tape_input& port : ports) {
                         Value* dst = slot[port.slot];

@@ -1,10 +1,7 @@
 #include "synth/cost_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
-
-#include "support/error.hpp"
 
 namespace islhls {
 
@@ -22,37 +19,14 @@ int csd_digits(std::int64_t raw) {
     return std::max(1, count);
 }
 
-// Constant operand of a binary instruction, if any: returns the raw
-// fixed-point value and which side it is on.
-struct Const_operand {
-    bool present = false;
-    std::int64_t raw = 0;
-};
-
-Const_operand find_const_operand(const Register_program& prog, const Instruction& in,
-                                 const Fixed_format& fmt) {
-    Const_operand result;
-    for (int i = 0; i < in.operand_count; ++i) {
-        const Instruction& op =
-            prog.instructions()[static_cast<std::size_t>(in.operands[static_cast<std::size_t>(i)])];
-        if (op.kind == Op_kind::constant) {
-            result.present = true;
-            result.raw = to_raw(op.value, fmt);
-            return result;
-        }
-    }
-    return result;
-}
-
 }  // namespace
 
-Op_cost cost_of_instruction(const Register_program& prog, std::size_t index,
-                            const Cost_options& options) {
-    const Instruction& in = prog.instructions()[index];
+Op_cost cost_of_op(Op_kind kind, const Op_operands& operands,
+                   const Cost_options& options) {
     const int w = options.format.total_bits();
     Op_cost cost;
 
-    switch (in.kind) {
+    switch (kind) {
         case Op_kind::constant:
             return cost;  // folded into the consuming operator
         case Op_kind::input:
@@ -67,10 +41,9 @@ Op_cost cost_of_instruction(const Register_program& prog, std::size_t index,
             cost.delay_ns = 1.8 + 0.06 * w;
             break;
         case Op_kind::mul: {
-            const Const_operand k = find_const_operand(prog, in, options.format);
-            if (k.present) {
+            if (operands.constant != nullptr) {
                 // CSD shift-add network: one adder row per extra digit.
-                const int digits = csd_digits(k.raw);
+                const int digits = csd_digits(to_raw(*operands.constant, options.format));
                 cost.luts = w * std::max(1, digits - 1) * 0.9 + 0.25 * w;
                 cost.delay_ns = 2.0 + 0.05 * w + 0.5 * digits;
             } else if (options.use_dsp && w <= 18) {
@@ -84,10 +57,7 @@ Op_cost cost_of_instruction(const Register_program& prog, std::size_t index,
             break;
         }
         case Op_kind::div: {
-            const Const_operand k = find_const_operand(prog, in, options.format);
-            const Instruction& rhs = prog.instructions()[static_cast<std::size_t>(
-                in.operands[1])];
-            if (k.present && rhs.kind == Op_kind::constant) {
+            if (operands.rhs_constant) {
                 // Division by a constant = multiplication by the reciprocal.
                 cost.luts = w * 2.2;
                 cost.delay_ns = 2.4 + 0.06 * w;
@@ -129,27 +99,42 @@ Op_cost cost_of_instruction(const Register_program& prog, std::size_t index,
     return cost;
 }
 
-Program_cost cost_of_program(const Register_program& prog, const Cost_options& options) {
+Program_cost cost_of_program(const Compiled_program& tape, const Cost_options& options) {
     Program_cost total;
-    const auto& instrs = prog.instructions();
-    // Weighted critical path: per-instruction depth measured in pipeline
-    // stages (dividers/square roots contribute several).
-    std::vector<int> stage_depth(instrs.size(), 0);
-    for (std::size_t i = 0; i < instrs.size(); ++i) {
-        const Op_cost c = cost_of_instruction(prog, i, options);
+    // The leaves: constants cost nothing, inputs only their register bits.
+    total.ff_bits = cost_of_op(Op_kind::input, {}, options).ff_bits *
+                    static_cast<double>(tape.inputs().size());
+    // Per slot: the literal it pins, if any, and the depth in pipeline
+    // stages (dividers/square roots contribute several) of the value it
+    // holds. An op reads its sources before its destination is written,
+    // and the allocation frees no slot before its last reader, so every
+    // source slot still holds that operand's depth.
+    struct Slot {
+        const double* constant = nullptr;
+        int stage_depth = 0;
+    };
+    std::vector<Slot> slots(static_cast<std::size_t>(tape.slot_count()));
+    for (const Tape_constant& c : tape.constants()) {
+        slots[static_cast<std::size_t>(c.slot)].constant = &c.value;
+    }
+    for (const Tape_op& op : tape.ops()) {
+        Op_operands operands;
+        int operand_depth = 0;
+        for (int a = 0; a < op.src_count; ++a) {
+            const Slot& src = slots[static_cast<std::size_t>(op.src[static_cast<std::size_t>(a)])];
+            operand_depth = std::max(operand_depth, src.stage_depth);
+            if (operands.constant == nullptr) operands.constant = src.constant;
+        }
+        operands.rhs_constant =
+            op.src_count >= 2 && slots[static_cast<std::size_t>(op.src[1])].constant != nullptr;
+        const Op_cost c = cost_of_op(op.kind, operands, options);
         total.luts += c.luts;
         total.dsps += c.dsps;
         total.ff_bits += c.ff_bits;
         total.max_stage_delay_ns = std::max(total.max_stage_delay_ns, c.delay_ns);
-        const Instruction& in = instrs[i];
-        int operand_depth = 0;
-        for (int a = 0; a < in.operand_count; ++a) {
-            operand_depth = std::max(
-                operand_depth,
-                stage_depth[static_cast<std::size_t>(in.operands[static_cast<std::size_t>(a)])]);
-        }
-        stage_depth[i] = operand_depth + (is_operation(in.kind) ? c.latency_stages : 0);
-        total.latency_stages = std::max(total.latency_stages, stage_depth[i]);
+        const int depth = operand_depth + c.latency_stages;
+        slots[static_cast<std::size_t>(op.dest)].stage_depth = depth;
+        total.latency_stages = std::max(total.latency_stages, depth);
     }
     return total;
 }

@@ -5,10 +5,17 @@
 // CSD shift-add networks, variable multipliers on DSP blocks (or LUT arrays
 // when the blocks run out), dividers and square roots as pipelined digit
 // recurrences. Delays are post-route estimates (logic + local routing).
+//
+// A design is priced off its register-allocated tape (ir/compiled.hpp), the
+// one lowered form a cone keeps: tape op k is the k-th operation of the SSA
+// program, constant operands are found through the pinned constant slots,
+// and the critical path is carried per slot. The SSA cost walk over a
+// Register_program is a test oracle (oracle/cost_reference.hpp), held
+// bit-identical to this one.
 #pragma once
 
 #include "backend/fixed_point.hpp"
-#include "ir/program.hpp"
+#include "ir/compiled.hpp"
 
 namespace islhls {
 
@@ -29,10 +36,19 @@ struct Cost_options {
     bool use_dsp = false;
 };
 
-// Cost of one instruction within its program (operand kinds decide, e.g.,
-// multiplication by a constant is a shift-add network, not a DSP).
-Op_cost cost_of_instruction(const Register_program& prog, std::size_t index,
-                            const Cost_options& options);
+// What an operation's cost reads of its operands: a multiplication by a
+// constant is a shift-add network sized by the first constant operand's
+// digits, and a division by a constant right-hand side is a reciprocal
+// multiply.
+struct Op_operands {
+    const double* constant = nullptr;  // the first constant operand, or none
+    bool rhs_constant = false;
+};
+
+// Cost of one instruction of kind `kind`. A constant leaf costs nothing (it
+// folds into its consumer); an input leaf costs its register-bank bits.
+Op_cost cost_of_op(Op_kind kind, const Op_operands& operands,
+                   const Cost_options& options);
 
 // Aggregate over a whole program.
 struct Program_cost {
@@ -42,6 +58,6 @@ struct Program_cost {
     double max_stage_delay_ns = 0.0;
     int latency_stages = 0;  // weighted critical path (stages, not ops)
 };
-Program_cost cost_of_program(const Register_program& prog, const Cost_options& options);
+Program_cost cost_of_program(const Compiled_program& tape, const Cost_options& options);
 
 }  // namespace islhls

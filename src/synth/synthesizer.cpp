@@ -31,27 +31,30 @@ double perturbation(const std::string& design_name, const Fpga_device& device,
 
 }  // namespace
 
-Synthesis_report synthesize_program(const Register_program& program,
+Synthesis_report synthesize_program(const Compiled_program& tape,
                                     const std::string& design_name,
                                     const Fpga_device& device,
                                     const Synth_options& options) {
     Cost_options cost_options{options.format, options.use_dsp};
     // DSP exhaustion: retry mapping multipliers to LUTs when the device has
     // too few blocks (matters on the small parts).
-    Program_cost cost = cost_of_program(program, cost_options);
+    Program_cost cost = cost_of_program(tape, cost_options);
     if (cost.dsps > device.dsp_count) {
         cost_options.use_dsp = false;
-        cost = cost_of_program(program, cost_options);
+        cost = cost_of_program(tape, cost_options);
     }
+    // One tape op per operation register, one binding per input port.
+    const int register_count = static_cast<int>(tape.ops().size());
+    const int input_count = static_cast<int>(tape.inputs().size());
 
     Synthesis_report report;
     report.design_name = design_name;
-    report.register_count = program.register_count();
+    report.register_count = register_count;
     report.raw_lut_count = cost.luts;
 
-    const double share = sharing_factor(program.register_count());
+    const double share = sharing_factor(register_count);
     // Packing/control overhead: input bank addressing plus a fixed FSM.
-    const double overhead = 120.0 + 0.8 * program.input_count();
+    const double overhead = 120.0 + 0.8 * input_count;
     double luts = cost.luts * share + overhead;
     luts *= 1.0 + perturbation(design_name, device, options.seed);
     report.lut_count = luts;
@@ -62,13 +65,13 @@ Synthesis_report synthesize_program(const Register_program& program,
     const double bits_per_word = options.format.total_bits();
     report.bram_kbits =
         2.0 * bits_per_word *
-        (program.input_count() + static_cast<double>(program.outputs().size())) /
+        (input_count + static_cast<double>(tape.output_slots().size())) /
         1024.0;
 
     // Timing: slowest stage through fanout/routing derate that grows slowly
     // with design size, capped by the device grade.
     const double size_derate =
-        1.0 + 0.18 * std::log10(1.0 + program.register_count() / 100.0);
+        1.0 + 0.18 * std::log10(1.0 + register_count / 100.0);
     const double stage_ns =
         cost.max_stage_delay_ns * 1.15 * size_derate * device.speed_factor;
     report.f_max_mhz = std::min(device.max_clock_mhz, 1000.0 / std::max(stage_ns, 0.5));
@@ -77,7 +80,7 @@ Synthesis_report synthesize_program(const Register_program& program,
     // Simulated synthesis runtime: super-linear in design size — the reason
     // the paper estimates instead of synthesizing the whole space.
     report.synthesis_cpu_seconds =
-        3.0 + 0.02 * std::pow(static_cast<double>(program.register_count()), 1.25);
+        3.0 + 0.02 * std::pow(static_cast<double>(register_count), 1.25);
 
     report.fits = report.lut_count <= static_cast<double>(device.lut_count) &&
                   report.dsp_count <= device.dsp_count &&
@@ -91,7 +94,7 @@ Synthesis_report synthesize_cone(const Cone& cone, const std::string& kernel_nam
     const std::string name =
         cat(kernel_name, "_w", cone.spec().window_width, "x",
             cone.spec().window_height, "_d", cone.spec().depth);
-    return synthesize_program(cone.program(), name, device, options);
+    return synthesize_program(cone.tape(), name, device, options);
 }
 
 }  // namespace islhls

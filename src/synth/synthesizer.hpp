@@ -1,7 +1,7 @@
 // Virtual synthesis: the substitute for the Xilinx toolchain runs the paper
 // performed (see DESIGN.md, substitution table).
 //
-// Given a cone's register program, the synthesizer technology-maps every
+// Given a cone's register-allocated tape, the synthesizer technology-maps every
 // operation (cost_model), applies a logic-sharing discount that grows with
 // design size (real tools find sharing beyond the explicit register reuse,
 // which is why the paper's Eq. 1 needs the empirical alpha), adds packing
@@ -50,9 +50,9 @@ Synthesis_report synthesize_cone(const Cone& cone, const std::string& kernel_nam
                                  const Fpga_device& device,
                                  const Synth_options& options = {});
 
-// Lower-level entry: synthesizes an arbitrary register program under a
-// design name (used by tests and by the generic-HLS baseline).
-Synthesis_report synthesize_program(const Register_program& program,
+// Lower-level entry: synthesizes an arbitrary program's tape under a design
+// name (used by tests and by the generic-HLS baseline).
+Synthesis_report synthesize_program(const Compiled_program& tape,
                                     const std::string& design_name,
                                     const Fpga_device& device,
                                     const Synth_options& options = {});

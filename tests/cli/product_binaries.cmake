@@ -32,7 +32,7 @@ endfunction()
 
 run_pipeline(oracles
     COMMAND "${NM}" -C "${CLI}" "${LIBRARY}"
-    COMMAND grep -E "run_trace|run_fixed_raw|apply_op|evaluate_many|run_ir_reference|run_ir_fixed_reference|run_step_ir_reference|run_ghost_native|simulate_streaming_cycles|run_generic_hls|estimate_frame_buffer|literature_points|literature_for")
+    COMMAND grep -E "run_trace|run_fixed_raw|apply_op|evaluate_many|run_ir_reference|run_ir_fixed_reference|run_step_ir_reference|run_ghost_native|simulate_streaming_cycles|program_cost_reference|run_generic_hls|estimate_frame_buffer|literature_points|literature_for")
 if(NOT oracles STREQUAL "")
     message(SEND_ERROR "test-oracle or baseline symbols in the product link:\n${oracles}")
 endif()

@@ -30,7 +30,7 @@ TEST_F(Vhdl_fixture, register_assignments_equal_register_count) {
     const Cone cone(step, Cone_spec{3, 3, 2});
     const std::string vhdl = emit_cone(cone, "igf");
     const Vhdl_structure s = analyze_vhdl(vhdl);
-    EXPECT_EQ(s.register_assignments, cone.program().register_count());
+    EXPECT_EQ(s.register_assignments, cone.stats().register_count);
 }
 
 TEST_F(Vhdl_fixture, port_widths_match_program) {
@@ -38,8 +38,8 @@ TEST_F(Vhdl_fixture, port_widths_match_program) {
     const int bits = options.format.total_bits();
     const Cone cone(step, Cone_spec{2, 2, 1});
     const Vhdl_structure s = analyze_vhdl(emit_cone(cone, "igf", options));
-    EXPECT_EQ(s.input_bits, cone.program().input_count() * bits);
-    EXPECT_EQ(s.output_bits, static_cast<int>(cone.program().outputs().size()) * bits);
+    EXPECT_EQ(s.input_bits, cone.stats().input_count * bits);
+    EXPECT_EQ(s.output_bits, static_cast<int>(cone.tape().output_slots().size()) * bits);
 }
 
 TEST_F(Vhdl_fixture, div_and_sqrt_instances_match_census) {
@@ -84,7 +84,7 @@ TEST_F(Vhdl_fixture, support_package_defines_both_entities) {
 
 TEST_F(Vhdl_fixture, testbench_embeds_stimulus_and_expected) {
     const Cone cone(step, Cone_spec{1, 1, 1});
-    const Register_program& prog = cone.program();
+    const Register_program prog = cone.lower();
     Vhdl_options options;
     Prng rng(7);
     std::vector<double> stimulus;
@@ -118,10 +118,10 @@ TEST_P(Vhdl_sweep, structure_matches_program) {
     Stencil_step step = extract_stencil(kernel_by_name(kernel).c_source);
     const Cone cone(step, Cone_spec{w, w, d});
     const Vhdl_structure s = analyze_vhdl(emit_cone(cone, kernel));
-    EXPECT_EQ(s.register_assignments, cone.program().register_count());
+    EXPECT_EQ(s.register_assignments, cone.stats().register_count);
     Vhdl_options options;
     EXPECT_EQ(s.input_bits,
-              cone.program().input_count() * options.format.total_bits());
+              cone.stats().input_count * options.format.total_bits());
 }
 
 INSTANTIATE_TEST_SUITE_P(

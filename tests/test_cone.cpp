@@ -28,7 +28,7 @@ TEST(Cone, input_window_grows_with_depth) {
         EXPECT_EQ(in.x0, -d);
         EXPECT_EQ(in.y0, -d);
         // Every input the program reads lies inside the reported window.
-        const std::vector<Instruction> ports = input_instructions(cone.program());
+        const std::vector<Instruction> ports = input_instructions(cone.lower());
         EXPECT_EQ(cone.stats().input_count, static_cast<int>(ports.size()));
         for (const Instruction& port : ports) {
             EXPECT_GE(port.dx, in.x0);
@@ -129,7 +129,7 @@ TEST_P(Cone_equivalence, cone_computes_d_iterations) {
     const Frame_set initial = kernel.make_initial(content);
     const Frame_set golden = run_ghost_ir(step, initial, depth, kernel.boundary);
 
-    const Register_program& prog = cone.program();
+    const Register_program prog = cone.lower();
     const std::vector<Instruction> ports = input_instructions(prog);
     for (const auto& [ox, oy] : {std::pair{5, 4}, std::pair{0, 0}, std::pair{14, 9}}) {
         std::vector<double> inputs;

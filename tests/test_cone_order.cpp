@@ -2,8 +2,9 @@
 // cone of a kernel, so the order its grid is built in must not leak into any
 // cone. For every kernel, a reduced (window, depth) grid is built in
 // ascending, descending and seeded-shuffled order, and each cone's register
-// program and statistics must equal those of a standalone Cone(step, spec)
-// built with its own private memo on a fresh Stencil_step.
+// program (re-lowered through Cone::lower()) and statistics must equal those
+// of a standalone Cone(step, spec) built with its own private memo on a
+// fresh Stencil_step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,14 +51,16 @@ void expect_same_instruction(const Instruction& got, const Instruction& want,
 }
 
 void expect_same_cone(const Cone& got, const Cone& want, const std::string& where) {
-    const std::vector<Instruction>& gi = got.program().instructions();
-    const std::vector<Instruction>& wi = want.program().instructions();
+    const Register_program got_program = got.lower();
+    const Register_program want_program = want.lower();
+    const std::vector<Instruction>& gi = got_program.instructions();
+    const std::vector<Instruction>& wi = want_program.instructions();
     ASSERT_EQ(gi.size(), wi.size()) << where;
     for (std::size_t i = 0; i < gi.size(); ++i) {
         expect_same_instruction(gi[i], wi[i],
                                 where + " instruction " + std::to_string(i));
     }
-    EXPECT_EQ(got.program().outputs(), want.program().outputs()) << where;
+    EXPECT_EQ(got_program.outputs(), want_program.outputs()) << where;
 
     const Cone_stats& g = got.stats();
     const Cone_stats& w = want.stats();

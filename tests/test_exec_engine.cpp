@@ -169,8 +169,8 @@ TEST(Compiled_program, run_tape_reproduces_interpreter_trace) {
     const Kernel_def& kernel = kernel_by_name("perona_malik");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{3, 3, 2});
-    const Register_program& program = cone.program();
-    const Compiled_program& tape = program.compiled();
+    const Register_program program = cone.lower();
+    const Compiled_program& tape = cone.tape();
     const std::vector<std::size_t> of_op = instruction_of_op(program);
     ASSERT_EQ(of_op.size(), tape.ops().size());
     ASSERT_LT(static_cast<std::size_t>(tape.slot_count()), program.instructions().size());

@@ -53,11 +53,12 @@ std::vector<std::vector<std::int64_t>> gather_raw_inputs(
     return sets;
 }
 
-// Checks the run_raw_batch lanes against the interpreter on the given samples,
-// in one memcmp over the whole output array.
+// Checks the run_raw_batch lanes over `tape` against the interpreter over
+// `program` (the SSA form it was compiled from) on the given samples, in one
+// memcmp over the whole output array.
 void expect_tape_matches_interpreter(
-    const Register_program& program, const Fixed_format& fmt,
-    const std::vector<std::vector<std::int64_t>>& input_sets) {
+    const Register_program& program, const Compiled_program& tape,
+    const Fixed_format& fmt, const std::vector<std::vector<std::int64_t>>& input_sets) {
     const auto in_count = static_cast<std::size_t>(program.input_count());
     const std::size_t out_count = program.outputs().size();
     const std::size_t samples = input_sets.size();
@@ -76,10 +77,10 @@ void expect_tape_matches_interpreter(
         std::copy(input_sets[s].begin(), input_sets[s].end(),
                   flat.begin() + s * in_count);
     }
-    const Fixed_tape tape(program.compiled(), fmt);
+    const Fixed_tape fixed(tape, fmt);
     Lane_block<Fixed_tape> block;
     std::vector<std::int64_t> batched(samples * out_count, -1);
-    run_raw_batch(tape, flat.data(), samples, batched.data(), block);
+    run_raw_batch(fixed, flat.data(), samples, batched.data(), block);
     EXPECT_EQ(std::memcmp(batched.data(), expected.data(),
                           expected.size() * sizeof(std::int64_t)),
               0)
@@ -92,13 +93,14 @@ TEST(Fixed_tape, matches_interpreter_on_all_kernels_and_formats) {
         const Kernel_def& kernel = kernel_by_name(name);
         Stencil_step step = extract_stencil(kernel.c_source);
         const Cone cone(step, Cone_spec{2, 2, 1});
+        const Register_program program = cone.lower();
         const Frame_set content =
             kernel.make_initial(make_synthetic_scene(19, 15, 77));
         for (const Fixed_format& fmt : test_formats()) {
             SCOPED_TRACE(to_string(fmt));
-            const auto inputs = gather_raw_inputs(cone.program(), step, content,
+            const auto inputs = gather_raw_inputs(program, step, content,
                                                   kernel.boundary, fmt, 70, 5);
-            expect_tape_matches_interpreter(cone.program(), fmt, inputs);
+            expect_tape_matches_interpreter(program, cone.tape(), fmt, inputs);
         }
     }
 }
@@ -111,13 +113,14 @@ TEST(Fixed_tape, matches_interpreter_on_deep_cones) {
         const Kernel_def& kernel = kernel_by_name(name);
         Stencil_step step = extract_stencil(kernel.c_source);
         const Cone cone(step, Cone_spec{3, 3, 2});
+        const Register_program program = cone.lower();
         const Frame_set content =
             kernel.make_initial(make_synthetic_scene(17, 13, 3));
         for (const Fixed_format& fmt : test_formats()) {
             SCOPED_TRACE(to_string(fmt));
-            const auto inputs = gather_raw_inputs(cone.program(), step, content,
+            const auto inputs = gather_raw_inputs(program, step, content,
                                                   kernel.boundary, fmt, 40, 11);
-            expect_tape_matches_interpreter(cone.program(), fmt, inputs);
+            expect_tape_matches_interpreter(program, cone.tape(), fmt, inputs);
         }
     }
 }
@@ -142,13 +145,14 @@ void edges_step(float u_out[H][W], const float u[H][W]) {
 )";
     Stencil_step step = extract_stencil(source);
     const Cone cone(step, Cone_spec{2, 2, 2});
+    const Register_program program = cone.lower();
     Frame_set content(13, 11);
     content.add_field("u", make_noise(13, 11, 0xEDBE, -300.0, 300.0));
     for (const Fixed_format& fmt : test_formats()) {
         SCOPED_TRACE(to_string(fmt));
-        const auto inputs = gather_raw_inputs(cone.program(), step, content,
+        const auto inputs = gather_raw_inputs(program, step, content,
                                               Boundary::mirror, fmt, 60, 23);
-        expect_tape_matches_interpreter(cone.program(), fmt, inputs);
+        expect_tape_matches_interpreter(program, cone.tape(), fmt, inputs);
     }
 }
 
@@ -163,14 +167,14 @@ TEST(Fixed_tape, out_of_range_raw_inputs_wrap_like_the_interpreter) {
     std::vector<std::vector<std::int64_t>> sets;
     for (int s = 0; s < 40; ++s) {
         std::vector<std::int64_t> raw;
-        for (int i = 0; i < cone.program().input_count(); ++i) {
+        for (int i = 0; i < cone.stats().input_count; ++i) {
             // Far outside the 8-bit range, both signs.
             raw.push_back(static_cast<std::int64_t>(rng.next_int(-2000000, 2000000)) *
                           1021);
         }
         sets.push_back(std::move(raw));
     }
-    expect_tape_matches_interpreter(cone.program(), fmt, sets);
+    expect_tape_matches_interpreter(cone.lower(), cone.tape(), fmt, sets);
 }
 
 TEST(Fixed_batch, partial_and_multi_block_batches) {
@@ -181,14 +185,15 @@ TEST(Fixed_batch, partial_and_multi_block_batches) {
     const Kernel_def& kernel = kernel_by_name("heat");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{2, 2, 1});
+    const Register_program program = cone.lower();
     const Frame_set content = kernel.make_initial(make_synthetic_scene(23, 17, 4));
     const Fixed_format fmt{10, 6};
     for (int samples : {1, 5, 8, 31, 32, 33, kTapeLane - 1, kTapeLane, kTapeLane + 1,
                         3 * kTapeLane + 7}) {
         SCOPED_TRACE(samples);
-        const auto inputs = gather_raw_inputs(cone.program(), step, content,
+        const auto inputs = gather_raw_inputs(program, step, content,
                                               kernel.boundary, fmt, samples, 31);
-        expect_tape_matches_interpreter(cone.program(), fmt, inputs);
+        expect_tape_matches_interpreter(program, cone.tape(), fmt, inputs);
     }
 }
 
@@ -202,22 +207,23 @@ TEST(Fixed_batch, lane_block_is_reusable_across_formats_and_programs) {
     const Frame_set content = igf.make_initial(make_synthetic_scene(19, 15, 6));
     Lane_block<Fixed_tape> block;
     for (const Cone* cone : {&big, &small, &big}) {
+        const Register_program program = cone->lower();
         for (const Fixed_format& fmt : test_formats()) {
-            const auto inputs = gather_raw_inputs(cone->program(), igf_step, content,
+            const auto inputs = gather_raw_inputs(program, igf_step, content,
                                                   igf.boundary, fmt, 33, 13);
-            const auto in_count = static_cast<std::size_t>(cone->program().input_count());
-            const std::size_t out_count = cone->program().outputs().size();
+            const auto in_count = static_cast<std::size_t>(program.input_count());
+            const std::size_t out_count = program.outputs().size();
             std::vector<std::int64_t> flat(inputs.size() * in_count);
             for (std::size_t s = 0; s < inputs.size(); ++s) {
                 std::copy(inputs[s].begin(), inputs[s].end(),
                           flat.begin() + s * in_count);
             }
-            const Fixed_tape tape(cone->program().compiled(), fmt);
+            const Fixed_tape tape(cone->tape(), fmt);
             std::vector<std::int64_t> batched(inputs.size() * out_count);
             run_raw_batch(tape, flat.data(), inputs.size(), batched.data(), block);
             for (std::size_t s = 0; s < inputs.size(); ++s) {
                 const std::vector<std::int64_t> expected =
-                    run_fixed_raw(cone->program(), inputs[s], fmt);
+                    run_fixed_raw(program, inputs[s], fmt);
                 ASSERT_EQ(std::memcmp(expected.data(), batched.data() + s * out_count,
                                       out_count * sizeof(std::int64_t)),
                           0)
@@ -232,8 +238,8 @@ TEST(Fixed_tape, constants_are_prequantized) {
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{1, 1, 1});
     const Fixed_format fmt{8, 4};
-    const Fixed_tape tape(cone.program().compiled(), fmt);
-    const auto& constants = cone.program().compiled().constants();
+    const Fixed_tape tape(cone.tape(), fmt);
+    const auto& constants = cone.tape().constants();
     ASSERT_EQ(tape.constant_raw().size(), constants.size());
     for (std::size_t i = 0; i < constants.size(); ++i) {
         EXPECT_EQ(tape.constant_raw()[i], to_raw(constants[i].value, fmt));
@@ -249,7 +255,7 @@ TEST(Fixed_tape, refuses_a_negative_fraction_or_no_sign_bit) {
     const Kernel_def& kernel = kernel_by_name("heat");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{1, 1, 1});
-    const Compiled_program& cp = cone.program().compiled();
+    const Compiled_program& cp = cone.tape();
     EXPECT_THROW(Fixed_tape(cp, Fixed_format{20, -4}), Internal_error);
     EXPECT_THROW(Fixed_tape(cp, Fixed_format{0, 8}), Internal_error);
     EXPECT_NO_THROW(Fixed_tape(cp, Fixed_format{1, 8}));

@@ -23,7 +23,7 @@ namespace {
 Format_search_result search_fixed_format_reference(
     const Cone& cone, const Frame_set& content, Boundary boundary,
     const Format_search_options& options) {
-    const Register_program& program = cone.program();
+    const Register_program program = cone.lower();
     const Stencil_step& step = cone.step();
 
     Prng rng(options.seed);
@@ -363,7 +363,7 @@ TEST(Format_search, chambolle_shrink_drops_below_the_range_floor_and_stays_exact
     EXPECT_GT(shrunk.formats_tried, wide.formats_tried);
 
     // Independent word-for-word check across a fresh window sample.
-    const Register_program& program = cone.program();
+    const Register_program program = cone.lower();
     const Raw_quantizer q_wide(wide.format);
     const Raw_quantizer q_shrunk(shrunk.format);
     const std::vector<Instruction> ports = input_instructions(program);

@@ -129,7 +129,7 @@ TEST(Fixed_raw, tracks_double_execution_within_tolerance) {
     const Kernel_def& kernel = kernel_by_name("igf");
     Stencil_step step = extract_stencil(kernel.c_source);
     const Cone cone(step, Cone_spec{2, 2, 2});
-    const Register_program& prog = cone.program();
+    const Register_program prog = cone.lower();
     // Guard bits cover the unscaled binomial sums (up to 255*16).
     const Fixed_format fmt{14, 6};
     Prng rng(5);

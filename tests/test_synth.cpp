@@ -38,7 +38,7 @@ protected:
 TEST_F(Synth_fixture, cost_model_charges_every_operation) {
     const Cone cone(step, Cone_spec{2, 2, 1});
     Cost_options options;
-    const Program_cost cost = cost_of_program(cone.program(), options);
+    const Program_cost cost = cost_of_program(cone.tape(), options);
     EXPECT_GT(cost.luts, 0.0);
     EXPECT_GT(cost.ff_bits, 0.0);
     EXPECT_GT(cost.max_stage_delay_ns, 0.0);
@@ -65,7 +65,7 @@ TEST_F(Synth_fixture, perturbation_differs_per_design_but_stays_small) {
     const Cone c2(step, Cone_spec{3, 3, 2});
     const Synthesis_report r1 = synthesize_cone(c1, "igf", v6);
     const Synthesis_report under_other_name =
-        synthesize_program(c2.program(), "igf_w3x3_d2_alt", v6, {});
+        synthesize_program(c2.tape(), "igf_w3x3_d2_alt", v6, {});
     // Same netlist, different design name -> only the perturbation differs.
     const double rel = std::fabs(r1.lut_count - under_other_name.lut_count) /
                        r1.lut_count;

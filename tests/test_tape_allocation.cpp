@@ -177,8 +177,8 @@ void expect_fixed_matches_reference(const Register_program& program,
     }
 }
 
-void expect_allocation_holds(const Register_program& program) {
-    const Compiled_program& tape = program.compiled();
+void expect_allocation_holds(const Register_program& program,
+                             const Compiled_program& tape) {
     EXPECT_EQ(tape.ops().capacity(), tape.ops().size());
     EXPECT_LE(static_cast<std::size_t>(tape.slot_count()), program.instructions().size());
     expect_occupancy_sound(program, tape);
@@ -193,13 +193,14 @@ TEST(Tape_allocation, step_tapes_and_cones_of_every_kernel_agree_with_ssa) {
         Stencil_step step = extract_stencil(kernel.c_source);
         {
             SCOPED_TRACE("step");
-            expect_allocation_holds(build_program(step.pool(), step.updates()));
+            const Register_program program = build_program(step.pool(), step.updates());
+            expect_allocation_holds(program, program.compiled());
         }
         Cone_memo memo(step);
         for (const Cone_spec& spec : kCones) {
             SCOPED_TRACE(to_string(spec));
             const Cone cone(step, spec, memo);
-            expect_allocation_holds(cone.program());
+            expect_allocation_holds(cone.lower(), cone.tape());
         }
     }
 }
@@ -212,7 +213,7 @@ TEST(Tape_allocation, large_cones_hold_only_their_live_values) {
         SCOPED_TRACE(name);
         Stencil_step step = extract_stencil(kernel_by_name(name).c_source);
         const Cone cone(step, Cone_spec{8, 8, 4});
-        EXPECT_LE(cone.program().compiled().slot_count(), most);
+        EXPECT_LE(cone.tape().slot_count(), most);
     }
 }
 

@@ -195,8 +195,8 @@ TEST(Lane_block, every_span_is_64_byte_aligned) {
     Stencil_step step = extract_stencil(kernel_by_name("heat").c_source);
     const Cone small(step, Cone_spec{1, 1, 1});
     const Cone large(step, Cone_spec{4, 4, 3});
-    const Compiled_program& small_tape = small.program().compiled();
-    const Compiled_program& large_tape = large.program().compiled();
+    const Compiled_program& small_tape = small.tape();
+    const Compiled_program& large_tape = large.tape();
     ASSERT_LT(small_tape.slot_count(), large_tape.slot_count());
 
     Lane_block<Compiled_program> block;
